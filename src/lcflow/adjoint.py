@@ -87,24 +87,14 @@ class StepRegression:
             raise ValueError(
                 f"path count {M} below basis size {basis.size(q)} at step {step}"
             )
-        mu = F.mean(axis=0)
+        self._mu = F.mean(axis=0)
         sd = F.std(axis=0)
-        degenerate = sd < 1e-12 * (1.0 + np.abs(mu))
-        sd_eff = np.where(degenerate, 1.0, sd)
-        Z = (F - mu) / sd_eff
-        if degenerate.any():
-            Z[:, degenerate] = 0.0
-        exps = _monomial_exponents(q, basis.degree)
-        Phi = np.empty((M, len(exps)))
-        for j, e in enumerate(exps):
-            col = np.ones(M)
-            for i, p in enumerate(e):
-                if p:
-                    col = col * Z[:, i] ** p
-            Phi[:, j] = col
-        self.Phi = Phi
+        self._degenerate = sd < 1e-12 * (1.0 + np.abs(self._mu))
+        self._sd = np.where(self._degenerate, 1.0, sd)
+        self._degree = basis.degree
+        self.Phi = Phi = self._design(F)
         gram = Phi.T @ Phi
-        penalty = np.ones(len(exps))
+        penalty = np.ones(Phi.shape[1])
         penalty[0] = 0.0
         A = gram + basis.ridge * M * np.diag(penalty)
         if not np.all(np.isfinite(A)):
@@ -124,11 +114,34 @@ class StepRegression:
                 step=step,
             )
 
+    def _design(self, F: np.ndarray) -> np.ndarray:
+        """Monomials of F, normalized with the training mean and std."""
+        Z = (F - self._mu) / self._sd
+        if self._degenerate.any():
+            Z[:, self._degenerate] = 0.0
+        exps = _monomial_exponents(F.shape[1], self._degree)
+        Phi = np.empty((F.shape[0], len(exps)))
+        for j, e in enumerate(exps):
+            col = np.ones(F.shape[0])
+            for i, p in enumerate(e):
+                if p:
+                    col = col * Z[:, i] ** p
+            Phi[:, j] = col
+        return Phi
+
+    def _coef(self, y: np.ndarray) -> np.ndarray:
+        return cho_solve(self._factor, self.Phi.T @ y)
+
     def fit(self, targets: np.ndarray) -> np.ndarray:
         """Fitted values of one or more targets; targets [M] or [M, r]."""
         y = targets if targets.ndim == 2 else targets[:, None]
-        beta = cho_solve(self._factor, self.Phi.T @ y)
-        out = self.Phi @ beta
+        out = self.Phi @ self._coef(y)
+        return out if targets.ndim == 2 else out[:, 0]
+
+    def predict(self, F_eval: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The least-squares fit of targets on the training features, evaluated at F_eval."""
+        y = targets if targets.ndim == 2 else targets[:, None]
+        out = self._design(np.asarray(F_eval, dtype=float)) @ self._coef(y)
         return out if targets.ndim == 2 else out[:, 0]
 
 

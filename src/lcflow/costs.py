@@ -1,26 +1,31 @@
 """Closed catalog of cost models: quadratic and pseudo-Huber-smoothed convex.
 
-Every cost is assembled from a quadratic part
+Every cost is one CostModel: quadratic blocks
 
-    g(x) = 1/2 <G x, x> + <r, x>
+    g(x) = 1/2 <G x, x> + <r, x> + delta_g/2 |x|^2
     l(t, x, u) = 1/2 <Q(t) x, x> + <S(t) x, u> + 1/2 <R(t) u, u>
-                 + <q(t), x> + <rho(t), u>
+                 + <q(t), x> + <rho(t), u> + delta_u/2 |u|^2
 
-plus optional separable smooth-convex terms built from the pseudo-Huber
+plus separable smooth-convex terms kappa_g sum ph(x_i) in g and
+kappa_x sum ph(x_i) + kappa_u sum ph(u_i) in l, built from the pseudo-Huber
 function ph(z) = sqrt(1 + z^2) - 1, whose second derivative
 (1 + z^2)^(-3/2) is bounded by 1.  Restricting to this catalog keeps all
 second derivatives bounded and lets derivative consistency be certified
-by sampling.
+by sampling.  The LQ family is the case where every weight is zero.
 
-All callables are vectorized: x has shape (..., n), u has shape (..., m),
+Each formula of the running cost is written once, on the blocks frozen at
+one time (RunningCost); CostModel looks the blocks up by time, GridCost
+by grid step.  Terms whose weight is zero are skipped, not multiplied by 0.
+
+All evaluations are vectorized: x has shape (..., n), u has shape (..., m),
 values come back with shape (...), gradients with a trailing n or m axis,
 and Hessian blocks with two trailing axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,32 +46,6 @@ def pseudo_huber_d2(z):
     return np.hypot(1.0, z) ** -3
 
 
-@dataclass
-class CostModel:
-    """Evaluable cost: terminal g and running l with full derivative set.
-
-    Dux_l(t,x,u) equals Dxu_l(t,x,u) transposed by construction; k_hess is
-    the declared bound on every second-derivative entry (audited over a
-    sampling box by validate_problem).
-    """
-
-    n: int
-    m: int
-    g: Callable
-    dx_g: Callable
-    dxx_g: Callable
-    l: Callable
-    dx_l: Callable
-    du_l: Callable
-    dxx_l: Callable
-    dxu_l: Callable
-    dux_l: Callable
-    duu_l: Callable
-    family: str = "quadratic"
-    params: dict = field(default_factory=dict)
-    k_hess: float = 1.0
-
-
 def _sym(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
@@ -76,204 +55,210 @@ def _quad_form(mat, v):
     return 0.5 * np.einsum("...i,ij,...j->...", v, mat, v)
 
 
-@dataclass
-class QuadraticCostData:
-    """Raw arrays of the quadratic cost family (time-indexed entries allowed)."""
-
-    G: np.ndarray
-    r: np.ndarray
-    Q: PiecewiseConstant
-    S: PiecewiseConstant
-    R: PiecewiseConstant
-    q: PiecewiseConstant
-    rho: PiecewiseConstant
-
-
-def _zeros_pw(shape):
-    return PiecewiseConstant(np.zeros(shape))
-
-
-def quadratic_cost_data(n, m, G=None, r=None, Q=None, S=None, R=None, q=None, rho=None):
-    G = np.zeros((n, n)) if G is None else np.asarray(G, dtype=float).reshape(n, n)
-    r = np.zeros(n) if r is None else np.asarray(r, dtype=float).reshape(n)
-    Q = _zeros_pw((n, n)) if Q is None else as_piecewise(Q, (n, n))
-    S = _zeros_pw((m, n)) if S is None else as_piecewise(S, (m, n))
-    R = _zeros_pw((m, m)) if R is None else as_piecewise(R, (m, m))
-    q = _zeros_pw((n,)) if q is None else as_piecewise(q, (n,))
-    rho = _zeros_pw((m,)) if rho is None else as_piecewise(rho, (m,))
-    return QuadraticCostData(G=G, r=r, Q=Q, S=S, R=R, q=q, rho=rho)
-
-
-def _check_symmetric(mat, name, tol=1e-12):
-    """Symmetrize, warning when the asymmetry is beyond rounding noise."""
-    arr = np.asarray(mat, dtype=float)
-    defect = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if defect > tol:
-        import warnings
-
-        warnings.warn(f"{name} asymmetry {defect:.2e} exceeds {tol:.0e}; symmetrizing")
-    return 0.5 * (arr + arr.T)
-
-
-def _smooth_terms(kappa_x, kappa_u, kappa_g):
-    """Separable pseudo-Huber contributions and their derivative closures."""
-
-    def g_s(x):
-        return kappa_g * pseudo_huber(x).sum(axis=-1)
-
-    def dxg_s(x):
-        return kappa_g * pseudo_huber_d1(x)
-
-    def dxxg_s(x):
-        d2 = kappa_g * pseudo_huber_d2(x)
-        out = np.zeros(x.shape + (x.shape[-1],))
-        idx = np.arange(x.shape[-1])
-        out[..., idx, idx] = d2
-        return out
-
-    def lx_terms(x):
-        return kappa_x * pseudo_huber(x).sum(axis=-1)
-
-    def lu_terms(u):
-        return kappa_u * pseudo_huber(u).sum(axis=-1)
-
-    def diag_hess(z, kappa):
-        d2 = kappa * pseudo_huber_d2(z)
-        out = np.zeros(z.shape + (z.shape[-1],))
+def _hessian(base, z, kappa):
+    """base broadcast over the batch axes of z, plus kappa ph''(z) on the diagonal."""
+    out = np.broadcast_to(base, z.shape[:-1] + base.shape).copy()
+    if kappa:
         idx = np.arange(z.shape[-1])
-        out[..., idx, idx] = d2
+        out[..., idx, idx] += kappa * pseudo_huber_d2(z)
+    return out
+
+
+def _symmetrized(pw: PiecewiseConstant, name: str, tol=1e-12) -> PiecewiseConstant:
+    """Symmetrize every value, warning when the asymmetry is beyond rounding noise."""
+    vals = pw.values
+    defect = float(np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))) if vals.size else 0.0
+    if defect > tol:
+        warnings.warn(f"{name} asymmetry {defect:.2e} exceeds {tol:.0e}; symmetrizing")
+    return PiecewiseConstant(_sym(vals), pw.times)
+
+
+@dataclass(frozen=True, eq=False)
+class RunningCost:
+    """The running cost l(t, ., .) with its quadratic blocks frozen at one time."""
+
+    Q: np.ndarray
+    S: np.ndarray
+    R: np.ndarray
+    q: np.ndarray
+    rho: np.ndarray
+    delta_u: float
+    kappa_x: float
+    kappa_u: float
+
+    def value(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        val = (
+            _quad_form(self.Q, x)
+            + np.einsum("...i,ij,...j->...", u, self.S, x)
+            + _quad_form(self.R, u)
+            + x @ self.q
+            + u @ self.rho
+        )
+        if self.delta_u:
+            val = val + 0.5 * self.delta_u * (u * u).sum(axis=-1)
+        if self.kappa_x:
+            val = val + self.kappa_x * pseudo_huber(x).sum(axis=-1)
+        if self.kappa_u:
+            val = val + self.kappa_u * pseudo_huber(u).sum(axis=-1)
+        return val
+
+    def grad_x(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        out = x @ self.Q.T + u @ self.S + self.q
+        if self.kappa_x:
+            out = out + self.kappa_x * pseudo_huber_d1(x)
         return out
 
-    return g_s, dxg_s, dxxg_s, lx_terms, lu_terms, diag_hess
+    def grad_u(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        out = x @ self.S.T + u @ self.R.T + self.rho
+        if self.delta_u:
+            out = out + self.delta_u * u
+        if self.kappa_u:
+            out = out + self.kappa_u * pseudo_huber_d1(u)
+        return out
+
+    def hess_xx(self, x, u):
+        return _hessian(self.Q, np.asarray(x, dtype=float), self.kappa_x)
+
+    def hess_xu(self, x, u):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(self.S.T, x.shape[:-1] + self.S.T.shape).copy()
+
+    def hess_ux(self, x, u):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(self.S, x.shape[:-1] + self.S.shape).copy()
+
+    def hess_uu(self, x, u):
+        base = self.R + self.delta_u * np.eye(self.R.shape[0]) if self.delta_u else self.R
+        return _hessian(base, np.asarray(u, dtype=float), self.kappa_u)
 
 
-def build_cost(
-    n,
-    m,
-    quad: QuadraticCostData,
-    kappa_x=0.0,
-    kappa_u=0.0,
-    kappa_g=0.0,
-    delta_u=0.0,
-    delta_g=0.0,
-    family="quadratic",
-    params=None,
-):
-    """Assemble a CostModel from quadratic data plus smooth catalog terms.
+@dataclass(frozen=True, eq=False)
+class CostModel:
+    """Evaluable cost: terminal g and running l with full derivative set.
 
-    delta_u adds (delta_u/2)|u|^2 to l; delta_g adds (delta_g/2)|x|^2 to g.
-    They are kept separate from Q/R so the certificate's modulus is visible
-    in the construction.
+    G and r are constant; Q, S, R, q, rho may be piecewise constant in t
+    (raw arrays are taken as constant).  G, Q and R are symmetrized on entry,
+    with a warning beyond rounding noise.  delta_u and delta_g are kept
+    apart from R and G so the certificate's modulus stays visible.
+    Dux_l(t,x,u) equals Dxu_l(t,x,u) transposed by construction; k_hess is
+    the bound on every second-derivative entry (audited over a sampling box
+    by validate_problem).
     """
-    G = _check_symmetric(quad.G, "G")
-    r = np.asarray(quad.r, dtype=float)
-    g_s, dxg_s, dxxg_s, lx_terms, lu_terms, diag_hess = _smooth_terms(kappa_x, kappa_u, kappa_g)
-    eye_n = np.eye(n)
-    eye_m = np.eye(m)
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        val = _quad_form(G, x) + x @ r + 0.5 * delta_g * (x * x).sum(axis=-1)
-        return val + g_s(x)
+    n: int
+    m: int
+    G: object = None
+    r: object = None
+    Q: object = None
+    S: object = None
+    R: object = None
+    q: object = None
+    rho: object = None
+    delta_u: float = 0.0
+    delta_g: float = 0.0
+    kappa_x: float = 0.0
+    kappa_u: float = 0.0
+    kappa_g: float = 0.0
+    family: str = "quadratic"
 
-    def dx_g(x):
-        x = np.asarray(x, dtype=float)
-        return x @ G.T + r + delta_g * x + dxg_s(x)
+    def __post_init__(self):
+        n, m = self.n, self.m
 
-    def dxx_g(x):
-        x = np.asarray(x, dtype=float)
-        base = G + delta_g * eye_n
-        return np.broadcast_to(base, x.shape + (n,)).copy() + dxxg_s(x)
+        def put(name, value):
+            object.__setattr__(self, name, value)
 
-    def _qsr(t):
-        return quad.Q.at(t), quad.S.at(t), quad.R.at(t), quad.q.at(t), quad.rho.at(t)
+        for name, shape in (("G", (n, n)), ("r", (n,))):
+            value = getattr(self, name)
+            put(name, np.zeros(shape) if value is None else np.asarray(value, dtype=float).reshape(shape))
+        put("G", _symmetrized(PiecewiseConstant(self.G), "G").values)
+        for name, shape in (("Q", (n, n)), ("S", (m, n)), ("R", (m, m)), ("q", (n,)), ("rho", (m,))):
+            value = getattr(self, name)
+            put(name, PiecewiseConstant(np.zeros(shape)) if value is None else as_piecewise(value, shape))
+        put("Q", _symmetrized(self.Q, "Q"))
+        put("R", _symmetrized(self.R, "R"))
+        for name in ("delta_u", "delta_g", "kappa_x", "kappa_u", "kappa_g"):
+            put(name, float(getattr(self, name)))
 
-    def l(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        Qt, St, Rt, qt, rhot = _qsr(t)
-        val = (
-            _quad_form(Qt, x)
-            + np.einsum("...i,ij,...j->...", u, St, x)
-            + _quad_form(Rt, u)
-            + x @ qt
-            + u @ rhot
-            + 0.5 * delta_u * (u * u).sum(axis=-1)
+    @property
+    def k_hess(self) -> float:
+        def bound(arr):
+            return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+        return max(
+            bound(self.G) + self.delta_g + self.kappa_g,
+            bound(self.Q.values) + self.kappa_x,
+            bound(self.R.values) + self.delta_u + self.kappa_u,
+            bound(self.S.values),
+            1e-12,
         )
-        return val + lx_terms(x) + lu_terms(u)
 
-    def dx_l(t, x, u):
+    def at(self, t: float) -> RunningCost:
+        """The running cost with its blocks looked up at time t."""
+        return RunningCost(self.Q.at(t), self.S.at(t), self.R.at(t), self.q.at(t),
+                           self.rho.at(t), self.delta_u, self.kappa_x, self.kappa_u)
+
+    def g(self, x):
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        Qt, St, _, qt, _ = _qsr(t)
-        return x @ Qt.T + u @ St + qt + kappa_x * pseudo_huber_d1(x)
+        val = _quad_form(self.G, x) + x @ self.r
+        if self.delta_g:
+            val = val + 0.5 * self.delta_g * (x * x).sum(axis=-1)
+        if self.kappa_g:
+            val = val + self.kappa_g * pseudo_huber(x).sum(axis=-1)
+        return val
 
-    def du_l(t, x, u):
+    def dx_g(self, x):
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        _, St, Rt, _, rhot = _qsr(t)
-        return x @ St.T + u @ Rt.T + rhot + delta_u * u + kappa_u * pseudo_huber_d1(u)
+        out = x @ self.G.T + self.r
+        if self.delta_g:
+            out = out + self.delta_g * x
+        if self.kappa_g:
+            out = out + self.kappa_g * pseudo_huber_d1(x)
+        return out
 
-    def dxx_l(t, x, u):
-        x = np.asarray(x, dtype=float)
-        Qt = _qsr(t)[0]
-        return np.broadcast_to(Qt, x.shape + (n,)).copy() + diag_hess(x, kappa_x)
+    def dxx_g(self, x):
+        base = self.G + self.delta_g * np.eye(self.n) if self.delta_g else self.G
+        return _hessian(base, np.asarray(x, dtype=float), self.kappa_g)
 
-    def dxu_l(t, x, u):
-        x = np.asarray(x, dtype=float)
-        St = _qsr(t)[1]
-        return np.broadcast_to(St.T, x.shape[:-1] + (n, m)).copy()
+    def l(self, t, x, u):
+        return self.at(t).value(x, u)
 
-    def dux_l(t, x, u):
-        x = np.asarray(x, dtype=float)
-        St = _qsr(t)[1]
-        return np.broadcast_to(St, x.shape[:-1] + (m, n)).copy()
+    def dx_l(self, t, x, u):
+        return self.at(t).grad_x(x, u)
 
-    def duu_l(t, x, u):
-        u = np.asarray(u, dtype=float)
-        Rt = _qsr(t)[2]
-        base = Rt + delta_u * eye_m
-        return np.broadcast_to(base, u.shape + (m,)).copy() + diag_hess(u, kappa_u)
+    def du_l(self, t, x, u):
+        return self.at(t).grad_u(x, u)
 
-    def _bound(pw):
-        return float(np.max(np.abs(pw.values))) if pw.values.size else 0.0
+    def dxx_l(self, t, x, u):
+        return self.at(t).hess_xx(x, u)
 
-    k_hess = max(
-        float(np.max(np.abs(G))) + delta_g + kappa_g,
-        _bound(quad.Q) + kappa_x,
-        _bound(quad.R) + delta_u + kappa_u,
-        _bound(quad.S),
-        1e-12,
-    )
-    return CostModel(
-        n=n,
-        m=m,
-        g=g,
-        dx_g=dx_g,
-        dxx_g=dxx_g,
-        l=l,
-        dx_l=dx_l,
-        du_l=du_l,
-        dxx_l=dxx_l,
-        dxu_l=dxu_l,
-        dux_l=dux_l,
-        duu_l=duu_l,
-        family=family,
-        params=dict(params or {}),
-        k_hess=k_hess,
-    )
+    def dxu_l(self, t, x, u):
+        return self.at(t).hess_xu(x, u)
+
+    def dux_l(self, t, x, u):
+        return self.at(t).hess_ux(x, u)
+
+    def duu_l(self, t, x, u):
+        return self.at(t).hess_uu(x, u)
 
 
 class GridCost:
     """Step-indexed view of a CostModel on a fixed grid.
 
     This is the interface the backward solver and the descent loop consume:
-    everything keyed by step index k, vectorized over an ensemble axis.
+    everything keyed by step index k, vectorized over an ensemble axis.  The
+    running blocks are looked up once per grid node, at construction.
     """
 
     def __init__(self, cost: CostModel, grid):
         self.cost = cost
         self.grid = grid
+        self.steps = [cost.at(float(t)) for t in grid.nodes]
 
     def terminal_value(self, xT):
         return self.cost.g(xT)
@@ -282,13 +267,13 @@ class GridCost:
         return self.cost.dx_g(xT)
 
     def running_value(self, k, x, u):
-        return self.cost.l(float(self.grid.nodes[k]), x, u)
+        return self.steps[k].value(x, u)
 
     def running_grad_x(self, k, x, u):
-        return self.cost.dx_l(float(self.grid.nodes[k]), x, u)
+        return self.steps[k].grad_x(x, u)
 
     def running_grad_u(self, k, x, u):
-        return self.cost.du_l(float(self.grid.nodes[k]), x, u)
+        return self.steps[k].grad_u(x, u)
 
 
 def check_psd(mat, shift=0.0, tol=1e-10):
@@ -301,50 +286,23 @@ def check_psd(mat, shift=0.0, tol=1e-10):
 def stacked_hessian(cost: CostModel, t, x, u):
     """The (n+m) x (n+m) second derivative of l at one point."""
     n, m = cost.n, cost.m
+    lt = cost.at(t)
     H = np.zeros((n + m, n + m))
-    H[:n, :n] = cost.dxx_l(t, x, u)
-    H[:n, n:] = cost.dxu_l(t, x, u)
-    H[n:, :n] = cost.dux_l(t, x, u)
-    H[n:, n:] = cost.duu_l(t, x, u)
+    H[:n, :n] = lt.hess_xx(x, u)
+    H[:n, n:] = lt.hess_xu(x, u)
+    H[n:, :n] = lt.hess_ux(x, u)
+    H[n:, n:] = lt.hess_uu(x, u)
     return H
 
 
-def quadratic_cost(n, m, **kwargs):
-    """Pure quadratic cost; kwargs as in quadratic_cost_data."""
-    data = quadratic_cost_data(n, m, **kwargs)
-    params = {k: v for k, v in kwargs.items() if v is not None}
-    return build_cost(n, m, data, family="quadratic", params=params), data
-
-
-def case1_smooth_cost(n, m, delta, kappa_x=0.0, kappa_u=0.0, kappa_g=0.0, quad_extra=None):
-    """Running cost (delta/2)|u|^2 + smoothed convex terms, convex terminal.
-
-    The optional extra quadratic block must be psd so the shifted joint
-    Hessian stays psd with modulus delta.
-    """
+def case1_smooth_cost(n, m, delta, kappa_x=0.0, kappa_u=0.0, kappa_g=0.0):
+    """Running cost (delta/2)|u|^2 + smoothed convex terms, convex terminal."""
     if delta <= 0:
         raise StructuralError("delta must be positive")
     if min(kappa_x, kappa_u, kappa_g) < 0:
         raise StructuralError("kappa weights must be nonnegative")
-    data = quadratic_cost_data(n, m, **(quad_extra or {}))
-    probe_ts = sorted({0.0}.union(*(
-        set(pw.times.tolist()) for pw in (data.Q, data.S, data.R) if not pw.is_constant
-    ))) if any(not pw.is_constant for pw in (data.Q, data.S, data.R)) else [0.0]
-    for t in probe_ts:
-        joint = np.zeros((n + m, n + m))
-        joint[:n, :n] = data.Q.at(t)
-        joint[n:, :n] = data.S.at(t)
-        joint[:n, n:] = data.S.at(t).T
-        joint[n:, n:] = data.R.at(t)
-        if check_psd(joint) < -1e-10:
-            raise StructuralError("extra quadratic block of a case1 cost must be psd")
-    if check_psd(data.G) < -1e-10:
-        raise StructuralError("extra terminal block of a case1 cost must be psd")
-    params = {"delta": delta, "kappa_x": kappa_x, "kappa_u": kappa_u, "kappa_g": kappa_g}
-    return build_cost(
-        n, m, data, kappa_x=kappa_x, kappa_u=kappa_u, kappa_g=kappa_g,
-        delta_u=delta, family="case1_smooth", params=params,
-    )
+    return CostModel(n, m, delta_u=delta, kappa_x=kappa_x, kappa_u=kappa_u, kappa_g=kappa_g,
+                     family="case1_smooth")
 
 
 def case2_smooth_cost(n, m, delta, kappa_g=0.0, kappa_x=0.0, kappa_u=0.0, r_u=0.0):
@@ -358,9 +316,5 @@ def case2_smooth_cost(n, m, delta, kappa_g=0.0, kappa_x=0.0, kappa_u=0.0, r_u=0.
         raise StructuralError("delta must be positive")
     if min(kappa_g, kappa_x, kappa_u, r_u) < 0:
         raise StructuralError("weights must be nonnegative")
-    data = quadratic_cost_data(n, m, R=r_u * np.eye(m))
-    params = {"delta": delta, "kappa_g": kappa_g, "kappa_x": kappa_x, "kappa_u": kappa_u, "r_u": r_u}
-    return build_cost(
-        n, m, data, kappa_x=kappa_x, kappa_u=kappa_u, kappa_g=kappa_g,
-        delta_g=delta, family="case2_smooth", params=params,
-    )
+    return CostModel(n, m, R=r_u * np.eye(m), delta_g=delta, kappa_x=kappa_x,
+                     kappa_u=kappa_u, kappa_g=kappa_g, family="case2_smooth")

@@ -63,9 +63,10 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
     """
     B, m = P.shape
     u = np.zeros((B, m))
+    lt = cost.at(t)
 
     def residual(uv):
-        return P + np.einsum("bij,bj->bi", Qm, uv) + cost.du_l(t, X, uv)
+        return P + np.einsum("bij,bj->bi", Qm, uv) + lt.grad_u(X, uv)
 
     r = residual(u)
     rn = _res_norm(r)
@@ -74,7 +75,7 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
         active = rn > tol
         if not active.any():
             return u
-        H = Qm[active] + cost.duu_l(t, X[active], u[active])
+        H = Qm[active] + lt.hess_uu(X[active], u[active])
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
         eigmin = np.linalg.eigvalsh(H)[:, 0]
         floor = (delta_query or 0.0) / 2.0
@@ -92,7 +93,7 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
         rn_act = rn[active]
         for _damp in range(cfg.max_damping):
             u_try = u_act - alpha[:, None] * step
-            r_try = p_act + np.einsum("bij,bj->bi", q_act, u_try) + cost.du_l(t, x_act, u_try)
+            r_try = p_act + np.einsum("bij,bj->bi", q_act, u_try) + lt.grad_u(x_act, u_try)
             better = _res_norm(r_try) <= rn_act * (1.0 - 1e-10) + 1e-300
             if better.all():
                 break
@@ -108,15 +109,6 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
         f"Newton did not reach tolerance in {cfg.max_iter} iterations "
         f"(worst residual {float(rn.max()):.3e})"
     )
-
-
-def minimize_hamiltonian_in_u_raw(spec, t, x, p, q_mat, newton_cfg: NewtonConfig = NewtonConfig()):
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    p = np.asarray(p, dtype=float).reshape(1, -1)
-    q = 0.5 * (np.asarray(q_mat, dtype=float) + np.asarray(q_mat, dtype=float).T)
-    u = newton_minimize_batch(spec.cost, float(t), x, p, q[None], spec.certificate.delta,
-                              newton_cfg)
-    return u[0]
 
 
 def minimize_hamiltonian_in_u(spec, query: FeedbackQuery,
@@ -274,40 +266,12 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
         targets = np.concatenate(
             [ctg_k[:, None], sol.adjoint.Y[:, k], P_paths[:, k].reshape(M, n * n)], axis=1
         )
-        lattice_reg = _evaluate_fit_on(reg, X[:, k], targets, mesh, basis)
+        lattice_reg = reg.predict(mesh, targets)
         v_tab[k] = lattice_reg[:, 0].reshape(shape)
         dxv_tab[k] = lattice_reg[:, 1:1 + n].reshape(shape + (n,))
         dxxv_tab[k] = lattice_reg[:, 1 + n:].reshape(shape + (n, n))
         ctg_k = ctg_k - run[:, k]
     return LatticeValueSource(wgrid, axes, v_tab, dxv_tab, dxxv_tab)
-
-
-def _evaluate_fit_on(reg: StepRegression, F_train, targets, F_eval, basis):
-    """Least-squares fit on the training features, evaluated at new points."""
-    # rebuild the normalized design for the evaluation points with the
-    # training statistics, reusing the trained coefficients
-    import numpy as _np
-    from scipy.linalg import cho_solve
-
-    mu = F_train.mean(axis=0)
-    sd = F_train.std(axis=0)
-    degenerate = sd < 1e-12 * (1.0 + _np.abs(mu))
-    sd_eff = _np.where(degenerate, 1.0, sd)
-    Z = (F_eval - mu) / sd_eff
-    if degenerate.any():
-        Z[:, degenerate] = 0.0
-    from .adjoint import _monomial_exponents
-
-    exps = _monomial_exponents(F_train.shape[1], basis.degree)
-    Phi = _np.empty((F_eval.shape[0], len(exps)))
-    for j, e in enumerate(exps):
-        col = _np.ones(F_eval.shape[0])
-        for i, p in enumerate(e):
-            if p:
-                col = col * Z[:, i] ** p
-        Phi[:, j] = col
-    beta = cho_solve(reg._factor, reg.Phi.T @ (targets if targets.ndim == 2 else targets[:, None]))
-    return Phi @ beta
 
 
 def simulate_closed_loop(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,

@@ -11,15 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (
-    CostModel,
-    build_cost,
-    case1_smooth_cost,
-    case2_smooth_cost,
-    check_psd,
-    quadratic_cost_data,
-    stacked_hessian,
-)
+from .costs import CostModel, case1_smooth_cost, case2_smooth_cost, check_psd, stacked_hessian
 from .errors import SchemaError, StructuralError, ValidationFailure
 from .grids import PiecewiseConstant, TimeGrid, as_piecewise
 
@@ -305,34 +297,10 @@ def build_lq_problem(lq, delta: float, mode: str = "case1", k_lip="auto", label:
     lq carries (G, r, Q, S, R, q, rho) plus the CoefficientSet; G, Q, R are
     symmetrized on entry (with a warning beyond rounding noise).
     """
-    coeffs = lq.coeffs
-    dims = coeffs.dims
-    n, m = dims.n, dims.m
-
-    def sym_pw(pw, name):
-        from .costs import _check_symmetric
-
-        if pw.is_constant:
-            return PiecewiseConstant(_check_symmetric(pw.values, name))
-        vals = np.stack([_check_symmetric(v, name) for v in pw.values])
-        return PiecewiseConstant(vals, pw.times)
-
-    data = quadratic_cost_data(
-        n, m,
-        G=lq.G, r=lq.r,
-        Q=sym_pw(as_piecewise(lq.Q, (n, n)), "Q"),
-        S=as_piecewise(lq.S, (m, n)),
-        R=sym_pw(as_piecewise(lq.R, (m, m)), "R"),
-        q=lq.q, rho=lq.rho,
-    )
-    params = {
-        "G": np.asarray(data.G).tolist(), "r": np.asarray(data.r).tolist(),
-        "Q": data.Q.values.tolist(), "S": data.S.values.tolist(), "R": data.R.values.tolist(),
-        "q": data.q.values.tolist(), "rho": data.rho.values.tolist(),
-    }
-    cost = build_cost(n, m, data, family="quadratic", params=params)
+    dims = lq.coeffs.dims
+    cost = CostModel(dims.n, dims.m, G=lq.G, r=lq.r, Q=lq.Q, S=lq.S, R=lq.R, q=lq.q, rho=lq.rho)
     cert = ConvexityCertificate(delta=delta, mode=mode, k_lip=k_lip)
-    return ProblemSpec(dims=dims, horizon=lq.horizon, coeffs=coeffs, cost=cost,
+    return ProblemSpec(dims=dims, horizon=lq.horizon, coeffs=lq.coeffs, cost=cost,
                        certificate=cert, label=label)
 
 
@@ -377,7 +345,12 @@ def build_smooth_convex_problem(
 # JSON serialization
 
 _TOP_KEYS = {"dims", "horizon", "coefficients", "cost", "certificate", "label"}
-_COEFF_KEYS = {"A", "B", "C", "D", "b", "sigma"}
+# the params of each cost family, in the order problem_to_json writes them
+_COST_PARAMS = {
+    "quadratic": ("G", "r", "Q", "S", "R", "q", "rho"),
+    "case1_smooth": ("delta", "kappa_x", "kappa_u", "kappa_g"),
+    "case2_smooth": ("delta", "kappa_g", "kappa_x", "kappa_u", "r_u"),
+}
 
 
 def _pw_to_json(pw: PiecewiseConstant):
@@ -386,13 +359,34 @@ def _pw_to_json(pw: PiecewiseConstant):
     return {"times": pw.times.tolist(), "values": pw.values.tolist()}
 
 
-def _pw_from_json(obj, shape):
-    if isinstance(obj, dict):
-        extra = set(obj) - {"times", "values"}
-        if extra:
-            raise SchemaError(f"unknown keys in piecewise coefficient: {sorted(extra)}")
-        return as_piecewise(PiecewiseConstant(obj["values"], obj["times"]), shape)
-    return as_piecewise(np.asarray(obj, dtype=float), shape)
+def _pw_from_json(obj, shape, key):
+    """A constant or {"times", "values"} entry; a malformed one raises SchemaError naming key."""
+    if isinstance(obj, dict) and set(obj) != {"times", "values"}:
+        raise SchemaError(f"piecewise entry {key!r} must have exactly the keys times, values; "
+                          f"got {sorted(obj)}")
+    try:
+        if isinstance(obj, dict):
+            return as_piecewise(PiecewiseConstant(obj["values"], obj["times"]), shape)
+        return as_piecewise(np.asarray(obj, dtype=float), shape)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"entry {key!r}: {exc}") from exc
+
+
+def _require(doc, key, where):
+    if key not in doc:
+        raise SchemaError(f"{where} lacks required key {key!r}")
+    return doc[key]
+
+
+def _cost_params(cost: CostModel) -> dict:
+    if cost.family == "quadratic":
+        return {"G": cost.G.tolist(), "r": cost.r.tolist(),
+                **{key: _pw_to_json(getattr(cost, key)) for key in ("Q", "S", "R", "q", "rho")}}
+    if cost.family == "case1_smooth":
+        return {"delta": cost.delta_u, "kappa_x": cost.kappa_x, "kappa_u": cost.kappa_u,
+                "kappa_g": cost.kappa_g}
+    return {"delta": cost.delta_g, "kappa_g": cost.kappa_g, "kappa_x": cost.kappa_x,
+            "kappa_u": cost.kappa_u, "r_u": float(cost.R.values[0, 0])}
 
 
 def problem_to_json(spec: ProblemSpec) -> dict:
@@ -404,7 +398,7 @@ def problem_to_json(spec: ProblemSpec) -> dict:
             "C": _pw_to_json(spec.coeffs.C), "D": _pw_to_json(spec.coeffs.D),
             "b": _pw_to_json(spec.coeffs.b), "sigma": _pw_to_json(spec.coeffs.sigma),
         },
-        "cost": {"family": spec.cost.family, "params": spec.cost.params},
+        "cost": {"family": spec.cost.family, "params": _cost_params(spec.cost)},
         "certificate": {
             "delta": spec.certificate.delta,
             "mode": spec.certificate.mode,
@@ -421,26 +415,19 @@ def problem_from_json(doc: dict) -> ProblemSpec:
     if extra:
         raise SchemaError(f"unknown top-level keys: {sorted(extra)}")
     for key in ("dims", "horizon", "coefficients", "cost", "certificate"):
-        if key not in doc:
-            raise SchemaError(f"missing required key {key!r}")
+        _require(doc, key, "problem document")
     dims_doc = doc["dims"]
     if set(dims_doc) != {"n", "m", "d"}:
         raise SchemaError("dims must have exactly the keys n, m, d")
     dims = Dimensions(int(dims_doc["n"]), int(dims_doc["m"]), int(dims_doc["d"]))
     n, m, d = dims.n, dims.m, dims.d
     cdoc = doc["coefficients"]
-    extra = set(cdoc) - _COEFF_KEYS
+    shapes = {"A": (n, n), "B": (n, m), "C": (d, n, n), "D": (d, n, m), "b": (n,), "sigma": (d, n)}
+    extra = set(cdoc) - set(shapes)
     if extra:
         raise SchemaError(f"unknown coefficient keys: {sorted(extra)}")
-    coeffs = CoefficientSet(
-        dims=dims,
-        A=_pw_from_json(cdoc.get("A", np.zeros((n, n)).tolist()), (n, n)),
-        B=_pw_from_json(cdoc.get("B", np.zeros((n, m)).tolist()), (n, m)),
-        C=_pw_from_json(cdoc.get("C", np.zeros((d, n, n)).tolist()), (d, n, n)),
-        D=_pw_from_json(cdoc.get("D", np.zeros((d, n, m)).tolist()), (d, n, m)),
-        b=_pw_from_json(cdoc.get("b", np.zeros(n).tolist()), (n,)),
-        sigma=_pw_from_json(cdoc.get("sigma", np.zeros((d, n)).tolist()), (d, n)),
-    )
+    coeffs = CoefficientSet.build(
+        dims, **{key: _pw_from_json(value, shapes[key], key) for key, value in cdoc.items()})
     cert_doc = doc["certificate"]
     extra = set(cert_doc) - {"delta", "mode", "k_lip"}
     if extra:
@@ -450,33 +437,36 @@ def problem_from_json(doc: dict) -> ProblemSpec:
     extra = set(cost_doc) - {"family", "params"}
     if extra:
         raise SchemaError(f"unknown cost keys: {sorted(extra)}")
-    family = cost_doc["family"]
+    family = _require(cost_doc, "family", "cost")
+    if family not in _COST_PARAMS:
+        raise SchemaError(f"unknown cost family {family!r}")
     params = cost_doc.get("params", {})
-    delta = float(cert_doc["delta"])
+    extra = set(params) - set(_COST_PARAMS[family])
+    if extra:
+        raise SchemaError(f"unknown {family} cost params: {sorted(extra)}")
+    delta = float(_require(cert_doc, "delta", "certificate"))
     mode = cert_doc.get("mode", "declared")
     k_lip = cert_doc.get("k_lip", "auto")
     label = doc.get("label", "")
     if family == "quadratic":
-        from .riccati import LQData
-
-        lq = LQData(
-            horizon=horizon, coeffs=coeffs,
-            G=np.asarray(params.get("G", np.zeros((n, n))), dtype=float),
-            r=np.asarray(params.get("r", np.zeros(n)), dtype=float),
-            Q=np.asarray(params.get("Q", np.zeros((n, n))), dtype=float),
-            S=np.asarray(params.get("S", np.zeros((m, n))), dtype=float),
-            R=np.asarray(params.get("R", np.zeros((m, m))), dtype=float),
-            q=np.asarray(params.get("q", np.zeros(n)), dtype=float),
-            rho=np.asarray(params.get("rho", np.zeros(m)), dtype=float),
-        )
-        return build_lq_problem(lq, delta=delta, mode=mode, k_lip=k_lip, label=label)
-    if family in ("case1_smooth", "case2_smooth"):
-        return build_smooth_convex_problem(
-            family, dims, horizon, coeffs, delta,
-            kappa_x=float(params.get("kappa_x", 0.0)),
-            kappa_u=float(params.get("kappa_u", 0.0)),
-            kappa_g=float(params.get("kappa_g", 0.0)),
-            r_u=float(params.get("r_u", 0.0)),
-            label=label,
-        )
-    raise SchemaError(f"unknown cost family {family!r}")
+        block_shapes = {"G": (n, n), "r": (n,), "Q": (n, n), "S": (m, n), "R": (m, m),
+                        "q": (n,), "rho": (m,)}
+        blocks = {key: _pw_from_json(value, block_shapes[key], key) for key, value in params.items()}
+        for key in ("G", "r"):
+            if key in blocks:
+                if not blocks[key].is_constant:
+                    raise SchemaError(f"cost param {key!r} must be constant")
+                blocks[key] = blocks[key].values
+        cert = ConvexityCertificate(delta=delta, mode=mode, k_lip=k_lip)
+        return ProblemSpec(dims=dims, horizon=horizon, coeffs=coeffs, cost=CostModel(n, m, **blocks),
+                           certificate=cert, label=label)
+    if float(params.get("delta", delta)) != delta:
+        raise SchemaError(f"cost param 'delta' {params['delta']} differs from the certificate's {delta}")
+    return build_smooth_convex_problem(
+        family, dims, horizon, coeffs, delta,
+        kappa_x=float(params.get("kappa_x", 0.0)),
+        kappa_u=float(params.get("kappa_u", 0.0)),
+        kappa_g=float(params.get("kappa_g", 0.0)),
+        r_u=float(params.get("r_u", 0.0)),
+        label=label,
+    )

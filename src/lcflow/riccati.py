@@ -31,8 +31,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .costs import CostModel
 from .errors import LcflowError, StructuralError
-from .grids import TimeGrid, as_piecewise
+from .grids import TimeGrid
 
 if TYPE_CHECKING:
     from .problem import CoefficientSet
@@ -40,7 +41,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class LQData:
-    """Quadratic cost data together with the dynamics it rides on."""
+    """Quadratic cost data together with the dynamics it rides on.
+
+    Q, S, R, q, rho are arrays (constant) or PiecewiseConstant.
+    """
 
     horizon: float
     coeffs: "CoefficientSet"
@@ -105,13 +109,17 @@ def _sym(mat):
     return 0.5 * (mat + mat.T)
 
 
-def _freeze(coeffs, pws, t):
+def _lq_cost(lq: LQData, dims) -> CostModel:
+    """The cost blocks of lq, coerced to their shapes and symmetrized."""
+    return CostModel(dims.n, dims.m, G=lq.G, r=lq.r, Q=lq.Q, S=lq.S, R=lq.R, q=lq.q, rho=lq.rho)
+
+
+def _freeze(coeffs, cost: CostModel, t):
     """Coefficient and cost matrices at time t (right-continuous)."""
-    Qpw, Spw, Rpw, qpw, rhopw = pws
+    lt = cost.at(t)
     return (
         coeffs.A.at(t), coeffs.B.at(t), coeffs.C.at(t), coeffs.D.at(t),
-        coeffs.b.at(t), coeffs.sigma.at(t),
-        Qpw.at(t), Spw.at(t), Rpw.at(t), qpw.at(t), rhopw.at(t),
+        coeffs.b.at(t), coeffs.sigma.at(t), lt.Q, lt.S, lt.R, lt.q, lt.rho,
     )
 
 
@@ -150,12 +158,7 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
     dims = coeffs.dims
     n, m = dims.n, dims.m
 
-    G = _sym(np.asarray(lq.G, dtype=float).reshape(n, n))
-    r = np.asarray(lq.r, dtype=float).reshape(n)
-    pws = (
-        as_piecewise(lq.Q, (n, n)), as_piecewise(lq.S, (m, n)), as_piecewise(lq.R, (m, m)),
-        as_piecewise(lq.q, (n,)), as_piecewise(lq.rho, (m,)),
-    )
+    cost = _lq_cost(lq, dims)
 
     K_total = grid.N * substeps
     times = np.empty(K_total + 1)
@@ -196,12 +199,13 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
 
         return rhs, gains
 
-    P, phi, c = G.copy(), r.copy(), 0.0
+    G = cost.G
+    P, phi, c = G.copy(), cost.r.copy(), 0.0
     idx = K_total
     times[idx] = grid.T
     P_out[idx], phi_out[idx], c_out[idx] = P, phi, c
 
-    last_frozen = _freeze(coeffs, pws, float(grid.nodes[grid.N - 1]))
+    last_frozen = _freeze(coeffs, cost, float(grid.nodes[grid.N - 1]))
     Kterm = _kmat(last_frozen[8], last_frozen[3], G)
     if np.linalg.eigvalsh(_sym(Kterm))[0] < 1e-12:
         raise RiccatiSingularError("R + D^T G D is singular at the terminal time", t=grid.T)
@@ -210,7 +214,7 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
 
     for k in range(grid.N - 1, -1, -1):
         t_left = float(grid.nodes[k])
-        frozen = _freeze(coeffs, pws, t_left)
+        frozen = _freeze(coeffs, cost, t_left)
         rhs, gains_fn = make_rhs(frozen, t_left)
         h = -(float(grid.nodes[k + 1]) - t_left) / substeps
         t_cur = float(grid.nodes[k + 1])
@@ -249,13 +253,17 @@ def lq_value_batch(ric: RiccatiSolution, t: float, X: np.ndarray) -> np.ndarray:
 def lq_optimal_trajectory(ric: RiccatiSolution, coeffs, grid: TimeGrid, x0, W, lq: LQData = None):
     """Closed-loop simulation under the oracle feedback u = Theta x + theta.
 
-    Returns the trajectory, the control and the Monte Carlo cost estimated
-    with the quadratic cost data (taken from lq, if given, else rebuilt from
-    the Riccati input is not possible, so lq is required for the cost).
+    Returns the trajectory, the control and the Monte Carlo cost of the
+    quadratic cost data in lq, which is required: the Riccati solution alone
+    does not determine the cost.
     """
+    from .adjoint import per_path_cost_core
+    from .costs import GridCost
     from .paths import ClosedLoopResult, ControlEnsemble, StateEnsemble, _euler_step, mc_stderr
     from .problem import materialize
 
+    if lq is None:
+        raise ValueError("lq data is required to evaluate the trajectory cost")
     sc = materialize(coeffs, grid)
     M = W.M
     n = sc.A.shape[1]
@@ -270,38 +278,9 @@ def lq_optimal_trajectory(ric: RiccatiSolution, coeffs, grid: TimeGrid, x0, W, l
         X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt)
     states = StateEnsemble(grid=grid, values=X)
     controls = ControlEnsemble(grid=grid, values=U, producer="riccati_feedback")
-    if lq is None:
-        raise ValueError("lq data is required to evaluate the trajectory cost")
-    per_path = _lq_per_path_cost(lq, grid, X, U)
-    cost = float(per_path.mean())
-    return ClosedLoopResult(states=states, controls=controls, cost=cost,
+    per_path = per_path_cost_core(GridCost(_lq_cost(lq, coeffs.dims), grid), grid, X, U)
+    return ClosedLoopResult(states=states, controls=controls, cost=float(per_path.mean()),
                             per_path_cost=per_path, stderr=mc_stderr(per_path, W.antithetic))
-
-
-def _lq_per_path_cost(lq: LQData, grid: TimeGrid, X, U):
-    n = X.shape[2]
-    m = U.shape[2]
-    G = _sym(np.asarray(lq.G, dtype=float).reshape(n, n))
-    r = np.asarray(lq.r, dtype=float).reshape(n)
-    pws = (
-        as_piecewise(lq.Q, (n, n)), as_piecewise(lq.S, (m, n)), as_piecewise(lq.R, (m, m)),
-        as_piecewise(lq.q, (n,)), as_piecewise(lq.rho, (m,)),
-    )
-    XT = X[:, -1]
-    total = 0.5 * np.einsum("pi,ij,pj->p", XT, G, XT) + XT @ r
-    dt = grid.dt
-    for k in range(grid.N):
-        t = float(grid.nodes[k])
-        Qt, St, Rt, qt, rhot = (pw.at(t) for pw in pws)
-        xk, uk = X[:, k], U[:, k]
-        lk = (
-            0.5 * np.einsum("pi,ij,pj->p", xk, Qt, xk)
-            + np.einsum("pi,ij,pj->p", uk, St, xk)
-            + 0.5 * np.einsum("pi,ij,pj->p", uk, Rt, uk)
-            + xk @ qt + uk @ rhot
-        )
-        total = total + lk * dt
-    return total
 
 
 def lq_policy_value(lq: LQData, coeffs, grid: TimeGrid, Theta, theta=None, substeps: int = 4):
@@ -316,17 +295,12 @@ def lq_policy_value(lq: LQData, coeffs, grid: TimeGrid, Theta, theta=None, subst
     n, m = dims.n, dims.m
     Theta = np.asarray(Theta, dtype=float).reshape(m, n)
     theta = np.zeros(m) if theta is None else np.asarray(theta, dtype=float).reshape(m)
-    G = _sym(np.asarray(lq.G, dtype=float).reshape(n, n))
-    r = np.asarray(lq.r, dtype=float).reshape(n)
-    pws = (
-        as_piecewise(lq.Q, (n, n)), as_piecewise(lq.S, (m, n)), as_piecewise(lq.R, (m, m)),
-        as_piecewise(lq.q, (n,)), as_piecewise(lq.rho, (m,)),
-    )
+    cost = _lq_cost(lq, dims)
 
-    P, phi, c = G.copy(), r.copy(), 0.0
+    P, phi, c = cost.G.copy(), cost.r.copy(), 0.0
     for k in range(grid.N - 1, -1, -1):
         t_left = float(grid.nodes[k])
-        A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = _freeze(coeffs, pws, t_left)
+        A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = _freeze(coeffs, cost, t_left)
         Abar = A + B @ Theta
         Cbar = C + np.einsum("inm,mk->ink", D, Theta)
         bbar = b + B @ theta
@@ -354,20 +328,11 @@ def lq_policy_value(lq: LQData, coeffs, grid: TimeGrid, Theta, theta=None, subst
 
 def lqdata_from_spec(spec) -> LQData:
     """Extract LQData from a quadratic-family ProblemSpec."""
-    if spec.cost.family != "quadratic":
-        raise StructuralError(f"spec cost family {spec.cost.family!r} is not quadratic")
-    p = spec.cost.params
-    n, m = spec.dims.n, spec.dims.m
-    return LQData(
-        horizon=spec.horizon, coeffs=spec.coeffs,
-        G=np.asarray(p.get("G", np.zeros((n, n))), dtype=float),
-        r=np.asarray(p.get("r", np.zeros(n)), dtype=float),
-        Q=np.asarray(p.get("Q", np.zeros((n, n))), dtype=float),
-        S=np.asarray(p.get("S", np.zeros((m, n))), dtype=float),
-        R=np.asarray(p.get("R", np.zeros((m, m))), dtype=float),
-        q=np.asarray(p.get("q", np.zeros(n)), dtype=float),
-        rho=np.asarray(p.get("rho", np.zeros(m)), dtype=float),
-    )
+    cost = spec.cost
+    if cost.family != "quadratic":
+        raise StructuralError(f"spec cost family {cost.family!r} is not quadratic")
+    return LQData(horizon=spec.horizon, coeffs=spec.coeffs, G=cost.G, r=cost.r, Q=cost.Q,
+                  S=cost.S, R=cost.R, q=cost.q, rho=cost.rho)
 
 
 def riccati_to_csv(ric: RiccatiSolution, path):

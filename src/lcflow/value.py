@@ -175,24 +175,21 @@ class HJBResidualReport:
 
 def generator_and_hamiltonian(spec, t, x, DxV, DxxV):
     """The diffusion generator applied to V, and the minimized Hamiltonian."""
-    from .feedback import minimize_hamiltonian_in_u_raw
+    from .feedback import assemble_query, minimize_hamiltonian_in_u
 
     coeffs = spec.coeffs
     A = coeffs.A.at(t)
     b = coeffs.b.at(t)
     C = coeffs.C.at(t)
-    D = coeffs.D.at(t)
     sigma = coeffs.sigma.at(t)
-    B = coeffs.B.at(t)
     x = np.asarray(x, dtype=float).reshape(-1)
     drift_lin = np.einsum("inj,j->in", C, x) + sigma            # [d, n]
     LV = float(DxV @ (A @ x + b)) + 0.5 * float(np.einsum("in,nk,ik->", drift_lin, DxxV, drift_lin))
-    p_query = B.T @ DxV + np.einsum("inm,nk,ik->m", D, DxxV, drift_lin)
-    q_mat = np.einsum("inm,nk,ikl->ml", D, DxxV, D)
-    u_star = minimize_hamiltonian_in_u_raw(spec, t, x, p_query, q_mat)
+    query = assemble_query(spec, t, x, DxV, DxxV)
+    u_star = minimize_hamiltonian_in_u(spec, query)
     H = (
-        float(u_star @ p_query)
-        + 0.5 * float(u_star @ q_mat @ u_star)
+        float(u_star @ query.p)
+        + 0.5 * float(u_star @ query.q_mat @ u_star)
         + float(spec.cost.l(t, x, u_star))
     )
     return LV, H, u_star

@@ -1,7 +1,19 @@
+import numpy as np
 import pytest
 
-from lcflow import DescentConfig, RegressionBasis, TimeGrid, generate_brownian, solve_hamiltonian
-from lcflow.presets import linear_terminal, p1, p1_d_variant, p2, zero_problem
+from lcflow import (
+    CoefficientSet,
+    DescentConfig,
+    Dimensions,
+    PiecewiseConstant,
+    RegressionBasis,
+    TimeGrid,
+    build_lq_problem,
+    generate_brownian,
+    solve_hamiltonian,
+)
+from lcflow.presets import linear_terminal, p1, p1_d_variant, p1_data, p2, zero_problem
+from lcflow.riccati import LQData
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +50,40 @@ def spec_p1_nonoise():
 @pytest.fixture(scope="session")
 def spec_p1_d():
     return p1_d_variant()
+
+
+@pytest.fixture(scope="session")
+def spec_p1_piecewise():
+    # P1 with the state weight doubled from t = 0.5 on
+    data = p1_data()
+    lq = LQData(horizon=data.horizon, coeffs=data.coeffs, G=data.G, r=data.r,
+                Q=PiecewiseConstant([[[1.0]], [[2.0]]], [0.0, 0.5]), S=data.S, R=data.R,
+                q=data.q, rho=data.rho)
+    return build_lq_problem(lq, delta=1.0, mode="case1", label="P1-piecewise")
+
+
+@pytest.fixture(scope="session")
+def rich_lq():
+    """n = m = d = 2 with every coefficient and cost term nonzero."""
+    dims = Dimensions(2, 2, 2)
+    coeffs = CoefficientSet.build(
+        dims,
+        A=[[0.0, 0.2], [-0.1, 0.1]],
+        B=[[1.0, 0.1], [0.0, 0.9]],
+        C=[[[0.1, 0.0], [0.0, -0.1]], [[0.0, 0.05], [0.05, 0.0]]],
+        D=[[[0.2, 0.0], [0.0, 0.1]], [[0.0, 0.1], [0.1, 0.0]]],
+        b=[0.1, -0.05],
+        sigma=[[0.2, 0.1], [0.05, 0.15]],
+    )
+    lq = LQData(
+        horizon=1.0, coeffs=coeffs,
+        G=np.array([[1.0, 0.1], [0.1, 0.8]]), r=np.array([0.2, -0.1]),
+        Q=np.array([[1.0, 0.0], [0.0, 1.2]]),
+        S=np.array([[0.2, 0.1], [0.0, 0.2]]),
+        R=np.array([[1.0, 0.0], [0.0, 1.0]]),
+        q=np.array([0.1, 0.0]), rho=np.array([0.0, -0.1]),
+    )
+    return build_lq_problem(lq, delta=0.5, mode="case1", label="rich-2d")
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from lcflow import (
     simulate_forward,
     solve_adjoint,
 )
+from lcflow.adjoint import StepRegression
 from lcflow.paths import l2_norm_array
 from lcflow.presets import linear_terminal
 
@@ -209,6 +210,21 @@ def test_cost_evaluations(grid, basis, spec_zero, spec_p1_nonoise):
     # X = 1: terminal 1/2 plus running integral of 1/2
     assert evaluate_cost(spec_p1_nonoise, Xd, u) == pytest.approx(1.0, abs=2 * grid.dt)
     assert per_path_costs(spec_p1_nonoise, Xd, u).shape == (M,)
+
+
+def test_regression_predict_matches_fit():
+    rng = np.random.Generator(np.random.Philox(key=20))
+    # the third feature is constant, so it collapses onto the intercept
+    F = np.column_stack([rng.normal(size=500), rng.uniform(-1, 1, 500), np.full(500, 0.7)])
+    reg = StepRegression(F, RegressionBasis(degree=2, ridge=1e-8))
+    targets = np.column_stack([np.sin(F[:, 0]), F[:, 1] ** 3])
+    np.testing.assert_allclose(reg.predict(F, targets), reg.fit(targets), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(reg.predict(F, targets[:, 0]), reg.fit(targets[:, 0]),
+                               rtol=0, atol=1e-12)
+    # a quadratic target is reproduced away from the training points too
+    G = np.column_stack([rng.normal(size=50), rng.uniform(-2, 2, 50), np.full(50, 0.7)])
+    quad = lambda A: 1.0 + A[:, 0] - 2.0 * A[:, 0] * A[:, 1] + 0.5 * A[:, 1] ** 2
+    np.testing.assert_allclose(reg.predict(G, quad(F)), quad(G), rtol=0, atol=1e-6)
 
 
 def test_insufficient_paths_rejected(grid, spec_p1):

@@ -59,6 +59,18 @@ def test_verify_lq_passes_and_writes_tables(workdir):
     assert meta["config_hash"] == report["config_hash"]
 
 
+def test_verify_lq_on_piecewise_cost(workdir, spec_p1_piecewise):
+    # a time-varying Q used to be rejected as an unusable config (exit 2)
+    (workdir / "problems" / "pw.json").write_text(
+        json.dumps(problem_to_json(spec_p1_piecewise)), encoding="utf-8")
+    cfg = _config(workdir, problem="problems/pw.json")
+    out = workdir / "pw"
+    code = main(["verify-lq", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert code == 0, report
+    assert report["cost_ok"] and report["y0_ok"] and report["control_ok"]
+
+
 def test_solve_exhaustion_exits_one(workdir):
     cfg = _config(workdir, problem="problems/p2.json",
                   descent={"eta": 0.05, "max_iter": 1, "tol_grad": 1e-9},

@@ -1,0 +1,107 @@
+"""The structured cost: step lookups, JSON round trips and the Riccati oracle."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcflow import (
+    CoefficientSet,
+    Dimensions,
+    PiecewiseConstant,
+    TimeGrid,
+    build_lq_problem,
+    problem_from_json,
+    problem_to_json,
+)
+from lcflow.costs import GridCost
+from lcflow.riccati import LQData, lqdata_from_spec, solve_riccati_ode
+
+
+def _round_trip(spec):
+    return problem_from_json(json.loads(json.dumps(problem_to_json(spec))))
+
+
+@pytest.mark.parametrize("name", ["spec_p1", "spec_p2", "rich_lq", "spec_p1_piecewise"])
+def test_grid_cost_equals_pointwise_cost(name, request):
+    spec = request.getfixturevalue(name)
+    cost = spec.cost
+    grid = TimeGrid(0.0, spec.horizon, 20)
+    view = GridCost(cost, grid)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    for k in range(grid.N):
+        t = float(grid.nodes[k])
+        x = rng.normal(size=(64, spec.dims.n))
+        u = rng.normal(size=(64, spec.dims.m))
+        np.testing.assert_array_equal(view.running_value(k, x, u), cost.l(t, x, u))
+        np.testing.assert_array_equal(view.running_grad_x(k, x, u), cost.dx_l(t, x, u))
+        np.testing.assert_array_equal(view.running_grad_u(k, x, u), cost.du_l(t, x, u))
+
+
+def test_piecewise_cost_round_trips_into_the_oracle(spec_p1_piecewise):
+    # a time-varying Q keeps its breakpoints through JSON and reaches the
+    # Riccati oracle as a piecewise block
+    doc = problem_to_json(spec_p1_piecewise)
+    assert doc["cost"]["params"]["Q"] == {"times": [0.0, 0.5], "values": [[[1.0]], [[2.0]]]}
+    spec = _round_trip(spec_p1_piecewise)
+    assert float(spec.cost.l(0.25, np.array([1.0]), np.array([0.0]))) == 0.5
+    assert float(spec.cost.l(0.5, np.array([1.0]), np.array([0.0]))) == 1.0
+    grid = TimeGrid(0.0, 1.0, 20)
+    ric = solve_riccati_ode(lqdata_from_spec(spec), grid=grid)
+    ref = solve_riccati_ode(lqdata_from_spec(spec_p1_piecewise), grid=grid)
+    np.testing.assert_array_equal(ric.P, ref.P)
+    # P' = P^2 - Q(t) with P(1) = 1: the doubled weight lifts P above one
+    assert ric.P_at(0.0)[0, 0] > 1.0
+
+
+def _random_lq(n, m, d, breakpoints, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    times = np.sort(rng.uniform(0.05, 0.95, size=breakpoints - 1)).tolist()
+    times = [0.0] + times
+
+    def joint():
+        # a psd (n+m) block matrix with R positive definite
+        L = rng.normal(scale=0.5, size=(n + m, n + m))
+        return L @ L.T + np.diag([0.0] * n + [0.5] * m)
+
+    blocks = [joint() for _ in times]
+    piecewise = lambda vals: PiecewiseConstant(np.stack(vals), times)
+    L = rng.normal(scale=0.5, size=(n, n))
+    coeffs = CoefficientSet.build(
+        Dimensions(n, m, d),
+        A=rng.normal(scale=0.2, size=(n, n)), B=rng.normal(scale=0.5, size=(n, m)),
+        C=rng.normal(scale=0.1, size=(d, n, n)), D=rng.normal(scale=0.1, size=(d, n, m)),
+        b=rng.normal(scale=0.1, size=n), sigma=rng.normal(scale=0.2, size=(d, n)),
+    )
+    lq = LQData(
+        horizon=1.0, coeffs=coeffs, G=L @ L.T, r=rng.normal(size=n),
+        Q=piecewise([J[:n, :n] for J in blocks]), S=piecewise([J[n:, :n] for J in blocks]),
+        R=piecewise([J[n:, n:] for J in blocks]),
+        q=piecewise([rng.normal(size=n) for _ in times]),
+        rho=piecewise([rng.normal(size=m) for _ in times]),
+    )
+    return lq, times, rng
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
+       breakpoints=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
+    lq, times, rng = _random_lq(n, m, d, breakpoints, seed)
+    spec = build_lq_problem(lq, delta=0.5, mode="declared")
+    back = _round_trip(spec)
+    ts = list(times) + rng.uniform(0.0, 1.0, size=4).tolist()
+    for t in ts:
+        x = rng.normal(size=(5, n))
+        u = rng.normal(size=(5, m))
+        for name in ("l", "dx_l", "du_l"):
+            np.testing.assert_array_equal(getattr(back.cost, name)(t, x, u),
+                                          getattr(spec.cost, name)(t, x, u))
+        np.testing.assert_array_equal(back.cost.g(x), spec.cost.g(x))
+    grid = TimeGrid(0.0, 1.0, 8)
+    ric = solve_riccati_ode(lqdata_from_spec(back), grid=grid, substeps=1)
+    ref = solve_riccati_ode(lq, grid=grid, substeps=1)
+    for field in ("P", "phi", "c", "theta_gain", "theta_offset"):
+        np.testing.assert_array_equal(getattr(ric, field), getattr(ref, field))

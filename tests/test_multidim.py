@@ -2,7 +2,8 @@
 
 Exercises the matrix/vector index plumbing (n = m = d = 2) and the affine
 and scalar companions of the Riccati oracle, which stay silent on the
-scalar presets with zero drift offsets.
+scalar presets with zero drift offsets.  The problem is the rich_lq
+fixture of conftest.py.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from lcflow import (
     Dimensions,
     RegressionBasis,
     TimeGrid,
-    build_lq_problem,
     build_smooth_convex_problem,
     evaluate_value,
     freeze_second_order,
@@ -27,31 +27,8 @@ from lcflow import (
     validate_problem,
 )
 from lcflow.paths import l2_norm_array, mc_stderr
-from lcflow.riccati import LQData, lq_value, lqdata_from_spec, solve_riccati_ode
+from lcflow.riccati import lq_value, lqdata_from_spec, solve_riccati_ode
 from lcflow.value import RiccatiValueSource, hjb_residual
-
-
-@pytest.fixture(scope="module")
-def rich_lq():
-    dims = Dimensions(2, 2, 2)
-    coeffs = CoefficientSet.build(
-        dims,
-        A=[[0.0, 0.2], [-0.1, 0.1]],
-        B=[[1.0, 0.1], [0.0, 0.9]],
-        C=[[[0.1, 0.0], [0.0, -0.1]], [[0.0, 0.05], [0.05, 0.0]]],
-        D=[[[0.2, 0.0], [0.0, 0.1]], [[0.0, 0.1], [0.1, 0.0]]],
-        b=[0.1, -0.05],
-        sigma=[[0.2, 0.1], [0.05, 0.15]],
-    )
-    lq = LQData(
-        horizon=1.0, coeffs=coeffs,
-        G=np.array([[1.0, 0.1], [0.1, 0.8]]), r=np.array([0.2, -0.1]),
-        Q=np.array([[1.0, 0.0], [0.0, 1.2]]),
-        S=np.array([[0.2, 0.1], [0.0, 0.2]]),
-        R=np.array([[1.0, 0.0], [0.0, 1.0]]),
-        q=np.array([0.1, 0.0]), rho=np.array([0.0, -0.1]),
-    )
-    return build_lq_problem(lq, delta=0.5, mode="case1", label="rich-2d")
 
 
 @pytest.fixture(scope="module")

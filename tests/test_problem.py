@@ -15,6 +15,7 @@ from lcflow import (
     problem_to_json,
     validate_problem,
 )
+from lcflow.cli import main
 from lcflow.costs import pseudo_huber, pseudo_huber_d2
 from lcflow.presets import p1, p1_data, p2
 from lcflow.riccati import LQData
@@ -190,6 +191,36 @@ def test_json_rejects_unknown_keys(spec_p1):
     doc["coefficients"]["X"] = []
     with pytest.raises(SchemaError):
         problem_from_json(doc)
+
+
+def _drop_values(doc):
+    doc["coefficients"]["A"] = {"times": [0.0, 0.5]}
+
+
+def _drop_delta(doc):
+    del doc["certificate"]["delta"]
+
+
+def _unknown_param(doc):
+    doc["cost"]["params"]["Z"] = 3
+
+
+def _wrong_shape(doc):
+    doc["cost"]["params"]["Q"] = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("corrupt, key", [
+    (_drop_values, "A"), (_drop_delta, "delta"), (_unknown_param, "Z"), (_wrong_shape, "Q"),
+])
+def test_malformed_document_raises_schema_error(corrupt, key, spec_p1, tmp_path):
+    doc = problem_to_json(spec_p1)
+    corrupt(doc)
+    with pytest.raises(SchemaError, match=repr(key)):
+        problem_from_json(doc)
+    (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps({"problem": "p.json"}), encoding="utf-8")
+    assert main(["validate", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_piecewise_coefficients_round_trip(spec_p1):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lcflow import generate_brownian
+from lcflow import TimeGrid, generate_brownian
+from lcflow.grids import as_piecewise
 from lcflow.presets import p1, p1_d_variant, p1_data
 from lcflow.riccati import (
     LQData,
@@ -84,6 +85,38 @@ def test_optimal_trajectory_realizes_the_gain(grid, ric_p1):
     np.testing.assert_allclose(res.controls.values, -res.states.values[:, :-1], atol=1e-12)
     # oracle self-consistency of the cost
     assert abs(res.cost - 0.045) <= max(3 * grid.dt * 0.045, 4 * res.stderr) + 5e-4
+
+
+def _reference_per_path_cost(lq, grid, X, U):
+    """Terminal plus left-endpoint running quadratic cost, written out by hand."""
+    n, m = X.shape[2], U.shape[2]
+    pws = [as_piecewise(v, shape) for v, shape in
+           ((lq.Q, (n, n)), (lq.S, (m, n)), (lq.R, (m, m)), (lq.q, (n,)), (lq.rho, (m,)))]
+    XT = X[:, -1]
+    total = 0.5 * np.einsum("pi,ij,pj->p", XT, lq.G, XT) + XT @ lq.r
+    for k in range(grid.N):
+        Qt, St, Rt, qt, rhot = (pw.at(float(grid.nodes[k])) for pw in pws)
+        xk, uk = X[:, k], U[:, k]
+        lk = (
+            0.5 * np.einsum("pi,ij,pj->p", xk, Qt, xk)
+            + np.einsum("pi,ij,pj->p", uk, St, xk)
+            + 0.5 * np.einsum("pi,ij,pj->p", uk, Rt, uk)
+            + xk @ qt + uk @ rhot
+        )
+        total = total + lk * grid.dt
+    return total
+
+
+@pytest.mark.parametrize("name", ["spec_p1", "rich_lq", "spec_p1_piecewise"])
+def test_optimal_trajectory_cost_matches_reference(name, request):
+    spec = request.getfixturevalue(name)
+    lq = lqdata_from_spec(spec)
+    grid = TimeGrid(0.0, spec.horizon, 20)
+    W = generate_brownian(grid, 400, seed=42, antithetic=True, d=spec.dims.d)
+    res = lq_optimal_trajectory(solve_riccati_ode(lq, grid=grid), spec.coeffs, grid,
+                                np.full(spec.dims.n, 0.2), W, lq=lq)
+    ref = _reference_per_path_cost(lq, grid, res.states.values, res.controls.values)
+    np.testing.assert_allclose(res.per_path_cost, ref, rtol=1e-12, atol=1e-15)
 
 
 def test_policy_value_reproduces_optimum(grid):
