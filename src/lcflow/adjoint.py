@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .costs import GridCost
 from .errors import ConditioningError
@@ -71,77 +71,98 @@ def _monomial_exponents(q: int, degree: int):
     return tuple(exps)
 
 
-class StepRegression:
-    """One step's normal equations, shared across all regression targets.
+# Steps per regression build in a backward sweep.  A build copies its
+# features path-contiguous and holds their design, so the block size bounds
+# the extra memory at about this many steps' worth of design.
+BLOCK_STEPS = 10
 
-    Features are centered and scaled by the step's ensemble mean and std
-    before monomials are formed; degenerate coordinates collapse onto the
-    intercept.  The intercept column is never ridge-penalized, so constants
-    are reproduced exactly.
+
+class StepRegression:
+    """The normal equations of K consecutive steps, shared across all regression targets.
+
+    features [M, K, q] holds steps first_step .. first_step + K - 1; they are
+    copied once into a path-contiguous [K, q, M] array and every step is
+    built in one vectorized pass.  Features are centered and scaled by each
+    step's ensemble mean and std before monomials are formed; degenerate
+    coordinates collapse onto the intercept.  The intercept column is never
+    ridge-penalized, so constants are reproduced exactly.  fit and predict
+    take the step's index j within the block.
     """
 
-    def __init__(self, features: np.ndarray, basis: RegressionBasis, step: int = -1):
-        F = np.asarray(features, dtype=float)
-        M, q = F.shape
-        if M < basis.size(q):
+    def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0):
+        F = np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
+        K, q, M = F.shape
+        p = basis.size(q)
+        if M < p:
             raise ValueError(
-                f"path count {M} below basis size {basis.size(q)} at step {step}"
+                f"path count {M} below basis size {p} at step {first_step + K - 1}"
             )
-        self._mu = F.mean(axis=0)
-        sd = F.std(axis=0)
+        self._mu = F.mean(axis=2)
+        sd = F.std(axis=2)
         self._degenerate = sd < 1e-12 * (1.0 + np.abs(self._mu))
         self._sd = np.where(self._degenerate, 1.0, sd)
         self._degree = basis.degree
-        self.Phi = Phi = self._design(F)
-        gram = Phi.T @ Phi
-        penalty = np.ones(Phi.shape[1])
+        self.Phi = Phi = self._design(F, slice(None))          # [K, p, M]
+        penalty = np.ones(p)
         penalty[0] = 0.0
-        A = gram + basis.ridge * M * np.diag(penalty)
-        if not np.all(np.isfinite(A)):
-            raise ConditioningError(f"non-finite normal equations at step {step}", step=step)
+        A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * np.diag(penalty)
+        finite = np.isfinite(A).all(axis=(1, 2))
+        A = np.where(finite[:, None, None], A, np.eye(p))
         try:
-            self._factor = cho_factor(A)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(
-                f"singular normal equations at step {step} (after ridge {basis.ridge})",
-                step=step,
-            ) from exc
+            self._chol = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            self._chol = None
         with np.errstate(all="ignore"):
-            self.cond = float(np.linalg.cond(A / M))
-        if not np.isfinite(self.cond) or self.cond > 1e14:
-            raise ConditioningError(
-                f"normal equations too ill-conditioned at step {step} (cond {self.cond:.2e})",
-                step=step,
-            )
+            self.cond = np.linalg.cond(A / M)                   # [K]
+        # checked in the order the backward sweep visits the steps
+        for j in range(K - 1, -1, -1):
+            step = first_step + j
+            if not finite[j]:
+                raise ConditioningError(f"non-finite normal equations at step {step}", step=step)
+            if self._chol is None:
+                try:
+                    np.linalg.cholesky(A[j])
+                except np.linalg.LinAlgError as exc:
+                    raise ConditioningError(
+                        f"singular normal equations at step {step} (after ridge {basis.ridge})",
+                        step=step,
+                    ) from exc
+            if not np.isfinite(self.cond[j]) or self.cond[j] > 1e14:
+                raise ConditioningError(
+                    f"normal equations too ill-conditioned at step {step} "
+                    f"(cond {self.cond[j]:.2e})",
+                    step=step,
+                )
 
-    def _design(self, F: np.ndarray) -> np.ndarray:
-        """Monomials of F, normalized with the training mean and std."""
-        Z = (F - self._mu) / self._sd
-        if self._degenerate.any():
-            Z[:, self._degenerate] = 0.0
-        exps = _monomial_exponents(F.shape[1], self._degree)
-        Phi = np.empty((F.shape[0], len(exps)))
-        for j, e in enumerate(exps):
-            col = np.ones(F.shape[0])
-            for i, p in enumerate(e):
-                if p:
-                    col = col * Z[:, i] ** p
-            Phi[:, j] = col
+    def _design(self, F: np.ndarray, j) -> np.ndarray:
+        """Monomials of F [..., q, L], normalized with step j's training mean and std.
+
+        j is a step index (F [q, L]) or slice(None) for the whole block
+        (F [K, q, L]); the result is [..., p, L].
+        """
+        Z = (F - self._mu[j, :, None]) / self._sd[j, :, None]
+        Z[self._degenerate[j]] = 0.0
+        exps = _monomial_exponents(F.shape[-2], self._degree)
+        Phi = np.ones(F.shape[:-2] + (len(exps), F.shape[-1]))
+        for col, e in enumerate(exps):
+            for i, power in enumerate(e):
+                if power:
+                    Phi[..., col, :] *= Z[..., i, :] ** power
         return Phi
 
-    def _coef(self, y: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, self.Phi.T @ y)
+    def _coef(self, j: int, y: np.ndarray) -> np.ndarray:
+        return cho_solve((self._chol[j], True), self.Phi[j] @ y)
 
-    def fit(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted values of one or more targets; targets [M] or [M, r]."""
+    def fit(self, j: int, targets: np.ndarray) -> np.ndarray:
+        """Fitted values at step j of the block of one or more targets; targets [M] or [M, r]."""
         y = targets if targets.ndim == 2 else targets[:, None]
-        out = self.Phi @ self._coef(y)
+        out = self.Phi[j].T @ self._coef(j, y)
         return out if targets.ndim == 2 else out[:, 0]
 
-    def predict(self, F_eval: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """The least-squares fit of targets on the training features, evaluated at F_eval."""
+    def predict(self, j: int, F_eval: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The least-squares fit of targets on step j's training features, evaluated at F_eval [L, q]."""
         y = targets if targets.ndim == 2 else targets[:, None]
-        out = self._design(np.asarray(F_eval, dtype=float)) @ self._coef(y)
+        out = self._design(np.asarray(F_eval, dtype=float).T, j).T @ self._coef(j, y)
         return out if targets.ndim == 2 else out[:, 0]
 
 
@@ -195,19 +216,22 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     Y = np.empty((M, N + 1, n))
     Z = np.empty((M, N, d, n))
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
+    F = features if features is not None else X
     diag = AdjointDiagnostics(basis_size=0)
+    k0 = N
     for k in range(N - 1, -1, -1):
-        F = features[:, k] if features is not None else X[:, k]
-        reg = StepRegression(F, basis, step=k)
-        if diag.basis_size == 0:
+        if k < k0:
+            k0 = max(k + 1 - BLOCK_STEPS, 0)
+            reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0)
             diag.basis_size = reg.Phi.shape[1]
-        m_fit = reg.fit(Y[:, k + 1])
+        j = k - k0
+        m_fit = reg.fit(j, Y[:, k + 1])
         resid = Y[:, k + 1] - m_fit
-        diag.cond.append(reg.cond)
+        diag.cond.append(float(reg.cond[j]))
         diag.residual_mean.append(float(np.max(np.abs(resid.mean(axis=0)))))
         diag.residual_bound.append(float(4.0 * resid.std(axis=0).max() / np.sqrt(M)))
         zt = (resid[:, None, :] * dW[:, k, :, None]) / dt          # [M, d, n]
-        Z[:, k] = reg.fit(zt.reshape(M, d * n)).reshape(M, d, n)
+        Z[:, k] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
         driver = (
             m_fit @ sc.A[k]
             + np.einsum("pij,ijn->pn", Z[:, k], sc.C[k])

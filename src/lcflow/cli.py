@@ -153,8 +153,7 @@ class Runner:
 
     def cmd_solve(self):
         try:
-            sol = solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
-                                    self.basis, self.dcfg)
+            sol = self._solve()
         except ConvergenceError as exc:
             return {"converged": False, "error": str(exc),
                     "grad_norm_history": list(exc.history)}, False
@@ -166,8 +165,7 @@ class Runner:
     def cmd_verify_lq(self):
         lq = lqdata_from_spec(self.spec)
         ric = solve_riccati_ode(lq, grid=self.grid, substeps=int(self.cfg["checks"].get("substeps", 4)))
-        sol = solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
-                                self.basis, self.dcfg)
+        sol = self._solve()
         deriv_report = None
         if bool(self.cfg["checks"].get("with_derivative", False)):
             from .variational import freeze_second_order, solve_linear_hamiltonian
@@ -240,23 +238,29 @@ class Runner:
         }
         return rep, True
 
-    def _value_source(self):
+    def _solve(self):
+        return solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
+                                 self.basis, self.dcfg)
+
+    def _value_source(self, sol):
         if self.spec.cost.family == "quadratic":
             lq = lqdata_from_spec(self.spec)
             ric = solve_riccati_ode(lq, grid=self.grid)
             return RiccatiValueSource(ric)
         return build_lattice_source(self.spec, self.grid, self.t0, self.x0, self.W,
                                     self.basis, self.dcfg,
-                                    points_per_dim=int(self.cfg["checks"].get("lattice_points", 21)))
+                                    points_per_dim=int(self.cfg["checks"].get("lattice_points", 21)),
+                                    sol=sol)
 
     def cmd_feedback(self):
         checks = self.cfg["checks"]
-        source = self._value_source()
+        sol = self._solve()
+        source = self._value_source(sol)
         report = verify_optimality(
             self.spec, self.grid, self.t0, self.x0, self.W, source, self.basis, self.dcfg,
             n_perturbed=int(checks.get("perturbations", 10)),
             perturb_scale=float(checks.get("perturb_scale", 0.25)),
-            gain_scale=checks.get("gain_scale"),
+            gain_scale=checks.get("gain_scale"), open_loop_sol=sol,
         )
         dt = self.grid.dt
         budget = lq_value_budget(dt, report.value, max(report.stderr_closed, report.stderr_open))
@@ -306,10 +310,11 @@ class Runner:
             source = RiccatiValueSource(solve_riccati_ode(lqdata_from_spec(self.spec), grid=self.grid))
         else:
             source = "fitted"
+        sol = self._solve()
         gap = dpp_gap(self.spec, self.grid, self.t0, self.x0, h, self.W, self.basis,
-                      self.dcfg, source)
+                      self.dcfg, source, sol=sol)
         vs = evaluate_value(self.spec, self.grid, self.t0, self.x0, self.W, self.basis,
-                            self.dcfg, with_hessian=False)
+                            self.dcfg, with_hessian=False, sol=sol)
         budget = dpp_budget(self.grid.dt, 1.0 + abs(vs.V), vs.stderr_V)
         if source == "fitted":
             budget *= 5.0

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import RegressionBasis, StepRegression, per_path_costs
+from .adjoint import BLOCK_STEPS, RegressionBasis, StepRegression, per_path_costs
 from .costs import GridCost
 from .descent import DescentConfig, solve_hamiltonian
 from .errors import ConvergenceError, RegularityError
@@ -44,10 +44,16 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class FeedbackQuery:
+    """The reduced objective at one point, or at a batch of B points sharing t.
+
+    One point: x [n], p [m], q_mat [m, m].  A batch: x [B, n], p [B, m],
+    q_mat [B, m, m].
+    """
+
     t: float
     x: np.ndarray
     p: np.ndarray          # linear coefficient of the reduced objective
-    q_mat: np.ndarray      # m x m symmetric curvature bump
+    q_mat: np.ndarray      # symmetric curvature bump
     delta_query: Optional[float] = None
 
 
@@ -113,49 +119,46 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
 
 def minimize_hamiltonian_in_u(spec, query: FeedbackQuery,
                               newton_cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """The unique minimizer of the reduced objective at one query point."""
+    """The unique minimizer of the reduced objective: [m] for one point, [B, m] for a batch."""
     delta_q = query.delta_query if query.delta_query is not None else spec.certificate.delta
-    x = np.asarray(query.x, dtype=float).reshape(1, -1)
-    p = np.asarray(query.p, dtype=float).reshape(1, -1)
-    q = np.asarray(query.q_mat, dtype=float)
-    q = 0.5 * (q + q.T)
-    u = newton_minimize_batch(spec.cost, float(query.t), x, p, q[None], delta_q, newton_cfg)
-    return u[0]
+    p = np.atleast_2d(np.asarray(query.p, dtype=float))
+    B, m = p.shape
+    x = np.asarray(query.x, dtype=float).reshape(B, -1)
+    q = np.asarray(query.q_mat, dtype=float).reshape(B, m, m)
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
+    u = newton_minimize_batch(spec.cost, float(query.t), x, p, q, delta_q, newton_cfg)
+    return u if np.ndim(query.p) == 2 else u[0]
 
 
-def assemble_query(spec, t, x, DxV, DxxV) -> FeedbackQuery:
-    """p and Q of the reduced objective from the value derivatives at (t, x)."""
+def assemble_query(spec, t, X, DxV, DxxV) -> FeedbackQuery:
+    """The batched reduced objective from the value derivatives at the points (t, X[b]).
+
+    X and DxV are [B, n], DxxV is [B, n, n].
+    """
     coeffs = spec.coeffs
     B = coeffs.B.at(t)
     C = coeffs.C.at(t)
     D = coeffs.D.at(t)
     sigma = coeffs.sigma.at(t)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    drift_lin = np.einsum("inj,j->in", C, x) + sigma
-    p = B.T @ DxV + np.einsum("inm,nk,ik->m", D, DxxV, drift_lin)
-    q_mat = np.einsum("inm,nk,ikl->ml", D, DxxV, D)
-    return FeedbackQuery(t=float(t), x=x, p=p, q_mat=0.5 * (q_mat + q_mat.T))
+    X = np.asarray(X, dtype=float)
+    drift_lin = np.einsum("inj,bj->bin", C, X) + sigma               # [B, d, n]
+    p = DxV @ B + np.einsum("inm,bnk,bik->bm", D, DxxV, drift_lin)
+    q = np.einsum("inm,bnk,ikl->bml", D, DxxV, D)
+    return FeedbackQuery(t=float(t), x=X, p=p, q_mat=0.5 * (q + np.swapaxes(q, -1, -2)))
 
 
 def feedback_map(spec, value_source, t, x, newton_cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
     """The state-feedback control at (t, x) for the given value source."""
-    DxV, DxxV = value_source.derivatives(float(t), np.asarray(x, dtype=float))
-    query = assemble_query(spec, t, x, DxV, DxxV)
-    return minimize_hamiltonian_in_u(spec, query, newton_cfg)
+    x = np.asarray(x, dtype=float)
+    DxV, DxxV = value_source.derivatives(float(t), x)
+    query = assemble_query(spec, t, x.reshape(1, -1), np.asarray(DxV)[None],
+                           np.asarray(DxxV)[None])
+    return minimize_hamiltonian_in_u(spec, query, newton_cfg)[0]
 
 
 def _feedback_batch(spec, value_source, t, X, newton_cfg: NewtonConfig):
-    coeffs = spec.coeffs
-    B = coeffs.B.at(t)
-    C = coeffs.C.at(t)
-    D = coeffs.D.at(t)
-    sigma = coeffs.sigma.at(t)
     DxV, DxxV = value_source.derivatives_batch(t, X)
-    drift_lin = np.einsum("inj,bj->bin", C, X) + sigma               # [B, d, n]
-    p = DxV @ B + np.einsum("inm,bnk,bik->bm", D, DxxV, drift_lin)
-    q = np.einsum("inm,bnk,ikl->bml", D, DxxV, D)
-    q = 0.5 * (q + np.swapaxes(q, -1, -2))
-    return newton_minimize_batch(spec.cost, t, X, p, q, spec.certificate.delta, newton_cfg)
+    return minimize_hamiltonian_in_u(spec, assemble_query(spec, t, X, DxV, DxxV), newton_cfg)
 
 
 class LatticeValueSource:
@@ -262,11 +265,12 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
             dxv_tab[k] = cost_eval.terminal_gradient(mesh).reshape(shape + (n,))
             dxxv_tab[k] = spec.cost.dxx_g(mesh).reshape(shape + (n, n))
             break
-        reg = StepRegression(X[:, k], basis, step=k)
+        if k % BLOCK_STEPS == 0:
+            reg = StepRegression(X[:, k:min(k + BLOCK_STEPS, N)], basis, first_step=k)
         targets = np.concatenate(
             [ctg_k[:, None], sol.adjoint.Y[:, k], P_paths[:, k].reshape(M, n * n)], axis=1
         )
-        lattice_reg = reg.predict(mesh, targets)
+        lattice_reg = reg.predict(k % BLOCK_STEPS, mesh, targets)
         v_tab[k] = lattice_reg[:, 0].reshape(shape)
         dxv_tab[k] = lattice_reg[:, 1:1 + n].reshape(shape + (n,))
         dxxv_tab[k] = lattice_reg[:, 1 + n:].reshape(shape + (n, n))

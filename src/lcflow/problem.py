@@ -304,6 +304,10 @@ def build_lq_problem(lq, delta: float, mode: str = "case1", k_lip="auto", label:
                        certificate=cert, label=label)
 
 
+# the certificate mode each smooth family carries
+_SMOOTH_MODES = {"case1_smooth": "case1", "case2_smooth": "case2"}
+
+
 def build_smooth_convex_problem(
     family: str,
     dims: Dimensions,
@@ -315,15 +319,14 @@ def build_smooth_convex_problem(
     kappa_g: float = 0.0,
     r_u: float = 0.0,
     label: str = "",
+    k_lip="auto",
 ) -> ProblemSpec:
     """A member of the smooth non-quadratic convex family."""
     if family == "case1_smooth":
         cost = case1_smooth_cost(dims.n, dims.m, delta, kappa_x=kappa_x, kappa_u=kappa_u, kappa_g=kappa_g)
-        mode = "case1"
     elif family == "case2_smooth":
         cost = case2_smooth_cost(dims.n, dims.m, delta, kappa_g=kappa_g, kappa_x=kappa_x,
                                  kappa_u=kappa_u, r_u=r_u)
-        mode = "case2"
         grid = TimeGrid(0.0, horizon, 32)
         worst = np.inf
         for t in grid.nodes[:-1]:
@@ -336,7 +339,7 @@ def build_smooth_convex_problem(
             )
     else:
         raise StructuralError(f"unknown smooth family {family!r}")
-    cert = ConvexityCertificate(delta=delta, mode=mode)
+    cert = ConvexityCertificate(delta=delta, mode=_SMOOTH_MODES[family], k_lip=k_lip)
     return ProblemSpec(dims=dims, horizon=horizon, coeffs=coeffs, cost=cost,
                        certificate=cert, label=label or family)
 
@@ -462,11 +465,14 @@ def problem_from_json(doc: dict) -> ProblemSpec:
                            certificate=cert, label=label)
     if float(params.get("delta", delta)) != delta:
         raise SchemaError(f"cost param 'delta' {params['delta']} differs from the certificate's {delta}")
+    if "mode" in cert_doc and mode != _SMOOTH_MODES[family]:
+        raise SchemaError(f"certificate mode {mode!r} differs from {family}'s "
+                          f"{_SMOOTH_MODES[family]!r}")
     return build_smooth_convex_problem(
         family, dims, horizon, coeffs, delta,
         kappa_x=float(params.get("kappa_x", 0.0)),
         kappa_u=float(params.get("kappa_u", 0.0)),
         kappa_g=float(params.get("kappa_g", 0.0)),
         r_u=float(params.get("r_u", 0.0)),
-        label=label,
+        label=label, k_lip=k_lip,
     )

@@ -185,11 +185,11 @@ def generator_and_hamiltonian(spec, t, x, DxV, DxxV):
     x = np.asarray(x, dtype=float).reshape(-1)
     drift_lin = np.einsum("inj,j->in", C, x) + sigma            # [d, n]
     LV = float(DxV @ (A @ x + b)) + 0.5 * float(np.einsum("in,nk,ik->", drift_lin, DxxV, drift_lin))
-    query = assemble_query(spec, t, x, DxV, DxxV)
-    u_star = minimize_hamiltonian_in_u(spec, query)
+    query = assemble_query(spec, t, x[None], np.asarray(DxV)[None], np.asarray(DxxV)[None])
+    u_star = minimize_hamiltonian_in_u(spec, query)[0]
     H = (
-        float(u_star @ query.p)
-        + 0.5 * float(u_star @ query.q_mat @ u_star)
+        float(u_star @ query.p[0])
+        + 0.5 * float(u_star @ query.q_mat[0] @ u_star)
         + float(spec.cost.l(t, x, u_star))
     )
     return LV, H, u_star
@@ -263,8 +263,8 @@ def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
     V = float((head + tail).mean())
     t_mid = float(wgrid.nodes[kh])
     if value_fn_source == "fitted":
-        reg = StepRegression(X[:, kh], basis, step=kh)
-        cont = reg.fit(tail)
+        reg = StepRegression(X[:, kh:kh + 1], basis, first_step=kh)
+        cont = reg.fit(0, tail)
     else:
         cont = value_fn_source.value_batch(t_mid, X[:, kh])
     return V - float((head + cont).mean())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lcflow import (
+    ConditioningError,
     ControlEnsemble,
     RegressionBasis,
     TimeGrid,
@@ -216,15 +217,85 @@ def test_regression_predict_matches_fit():
     rng = np.random.Generator(np.random.Philox(key=20))
     # the third feature is constant, so it collapses onto the intercept
     F = np.column_stack([rng.normal(size=500), rng.uniform(-1, 1, 500), np.full(500, 0.7)])
-    reg = StepRegression(F, RegressionBasis(degree=2, ridge=1e-8))
+    reg = StepRegression(F[:, None], RegressionBasis(degree=2, ridge=1e-8))
     targets = np.column_stack([np.sin(F[:, 0]), F[:, 1] ** 3])
-    np.testing.assert_allclose(reg.predict(F, targets), reg.fit(targets), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(reg.predict(F, targets[:, 0]), reg.fit(targets[:, 0]),
+    np.testing.assert_allclose(reg.predict(0, F, targets), reg.fit(0, targets), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(reg.predict(0, F, targets[:, 0]), reg.fit(0, targets[:, 0]),
                                rtol=0, atol=1e-12)
     # a quadratic target is reproduced away from the training points too
     G = np.column_stack([rng.normal(size=50), rng.uniform(-2, 2, 50), np.full(50, 0.7)])
     quad = lambda A: 1.0 + A[:, 0] - 2.0 * A[:, 0] * A[:, 1] + 0.5 * A[:, 1] ** 2
-    np.testing.assert_allclose(reg.predict(G, quad(F)), quad(G), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(reg.predict(0, G, quad(F)), quad(G), rtol=0, atol=1e-6)
+
+
+def _block_features(M=600, K=10, seed=21):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # per-step location and scale, so every step has its own normalization
+    return (rng.normal(size=(M, K, 2)) * rng.uniform(0.5, 3.0, size=(1, K, 2))
+            + rng.uniform(-1, 1, size=(1, K, 2)))
+
+
+def test_block_regression_matches_single_steps():
+    F = _block_features()
+    M, K, _ = F.shape
+    basis = RegressionBasis(degree=2, ridge=1e-8)
+    rng = np.random.Generator(np.random.Philox(key=22))
+    targets = np.column_stack([np.sin(F[:, 4, 0]), F[:, 4, 1] ** 3, rng.normal(size=M)])
+    G = rng.normal(size=(40, 2))
+    block = StepRegression(F, basis, first_step=30)
+    for j in range(K):
+        single = StepRegression(F[:, j:j + 1], basis, first_step=30 + j)
+        np.testing.assert_allclose(block.fit(j, targets), single.fit(0, targets),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block.predict(j, G, targets), single.predict(0, G, targets),
+                                   rtol=0, atol=1e-12)
+        assert block.cond[j] == pytest.approx(single.cond[0], rel=1e-9)
+
+
+def test_blocked_sweep_matches_single_step_sweep(basis, spec_p1, monkeypatch):
+    # N = 25 gives blocks of 10, 10 and 5 steps: two block boundaries and a
+    # shorter last block
+    import lcflow.adjoint as adjoint
+
+    grid = TimeGrid(0.0, 1.0, 25)
+    M = 800
+    W = generate_brownian(grid, M, seed=23)
+    u = _controls(grid, M, 0.1)
+    X = simulate_forward(spec_p1, grid, [0.2], u, W)
+    blocked, diag_blocked = solve_adjoint(spec_p1, X, u, W, basis)
+    monkeypatch.setattr(adjoint, "BLOCK_STEPS", 1)
+    single, diag_single = solve_adjoint(spec_p1, X, u, W, basis)
+    np.testing.assert_allclose(blocked.Y, single.Y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blocked.Z, single.Z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(diag_blocked.cond, diag_single.cond, rtol=1e-9)
+
+
+def test_constant_feature_collapses_at_its_step_only():
+    F = _block_features()
+    F[:, 3, 1] = 0.7
+    basis = RegressionBasis(degree=2, ridge=1e-8)
+    reg = StepRegression(F, basis, first_step=0)
+    # at step 3 the fit is the regression on the other coordinate alone
+    y = np.cos(F[:, 3, 0]) + F[:, 3, 0] * F[:, 3, 1]
+    alone = StepRegression(F[:, 3:4, :1], basis, first_step=3)
+    np.testing.assert_allclose(reg.fit(3, y), alone.fit(0, y), rtol=0, atol=1e-9)
+    # at every other step the second coordinate stays in the basis
+    for j in (2, 4, 9):
+        np.testing.assert_allclose(reg.fit(j, F[:, j, 1]), F[:, j, 1], rtol=0, atol=1e-6)
+
+
+def test_non_finite_feature_names_its_absolute_step():
+    F = _block_features()
+    F[17, 5, 0] = np.nan
+    with pytest.raises(ConditioningError, match="at step 25") as info:
+        StepRegression(F, RegressionBasis(degree=2, ridge=1e-8), first_step=20)
+    assert info.value.step == 25
+
+
+def test_regression_rejects_too_few_paths():
+    F = _block_features(M=5)
+    with pytest.raises(ValueError, match="path count 5 below basis size 6"):
+        StepRegression(F, RegressionBasis(degree=2, ridge=1e-8), first_step=20)
 
 
 def test_insufficient_paths_rejected(grid, spec_p1):

@@ -192,3 +192,30 @@ def test_hjb_command_solver_source(workdir):
     assert code == 0, report
     assert report["source"] == "solver"
     assert report["max_abs_residual"] <= report["tolerance"]
+
+
+@pytest.mark.parametrize("command, checks", [
+    ("feedback", {"perturbations": 1, "lattice_points": 11}),
+    ("dpp-check", {"h": 0.2}),
+])
+def test_one_solve_per_command(command, checks, workdir, monkeypatch):
+    import lcflow.cli
+    import lcflow.feedback
+    import lcflow.value
+
+    calls = []
+    solve = lcflow.cli.solve_hamiltonian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (lcflow.cli, lcflow.feedback, lcflow.value):
+        monkeypatch.setattr(module, "solve_hamiltonian", counting)
+    cfg = _config(workdir, problem="problems/p2.json", grid={"N": 20},
+                  monte_carlo={"M": 1000}, checks=checks)
+    out = workdir / command
+    main([command, "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert "error" not in report, report
+    assert len(calls) == 1

@@ -237,3 +237,15 @@ def test_structural_error_on_bad_shape():
     dims = Dimensions(2, 1, 1)
     with pytest.raises((StructuralError, ValueError)):
         CoefficientSet.build(dims, A=[[1.0]])
+
+
+def test_smooth_certificate_keeps_k_lip_and_checks_mode(spec_p2):
+    doc = problem_to_json(spec_p2)
+    doc["certificate"]["k_lip"] = 2.0
+    spec = problem_from_json(doc)
+    assert spec.certificate.k_lip == 2.0
+    assert spec.certificate.mode == spec_p2.certificate.mode
+    assert problem_to_json(spec)["certificate"] == doc["certificate"]
+    doc["certificate"]["mode"] = "declared"
+    with pytest.raises(SchemaError, match="mode 'declared'"):
+        problem_from_json(doc)
