@@ -73,12 +73,10 @@ from .problem import (
     validate_problem,
 )
 from .riccati import (
-    LQData,
     RiccatiSolution,
     lq_optimal_trajectory,
     lq_policy_value,
     lq_value,
-    lqdata_from_spec,
     solve_riccati_ode,
 )
 from .value import (

@@ -34,7 +34,7 @@ from scipy.linalg import cho_solve
 from .costs import GridCost
 from .errors import ConditioningError
 from .grids import TimeGrid
-from .paths import BrownianEnsemble, ControlEnsemble, StateEnsemble, mc_stderr
+from .paths import BrownianEnsemble, ControlEnsemble, StateEnsemble
 from .problem import StepCoeffs, materialize
 
 
@@ -44,11 +44,8 @@ class RegressionBasis:
 
     degree: int = 2
     ridge: float = 1e-8
-    kind: str = "polynomial"
 
     def __post_init__(self):
-        if self.kind != "polynomial":
-            raise ValueError(f"unsupported basis kind {self.kind!r}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         if self.ridge < 0:
@@ -303,7 +300,3 @@ def evaluate_cost(spec, X: StateEnsemble, u: ControlEnsemble) -> float:
 def per_path_costs(spec, X: StateEnsemble, u: ControlEnsemble) -> np.ndarray:
     cost_eval = GridCost(spec.cost, X.grid)
     return per_path_cost_core(cost_eval, X.grid, X.values, u.values)
-
-
-def cost_stderr(spec, X: StateEnsemble, u: ControlEnsemble, antithetic=False) -> float:
-    return mc_stderr(per_path_costs(spec, X, u), antithetic)

@@ -28,7 +28,7 @@ from .feedback import build_lattice_source, feedback_field_to_csv, verify_optima
 from .grids import TimeGrid
 from .paths import generate_brownian, l2_norm_array, mc_stderr
 from .problem import problem_from_json, validate_problem
-from .riccati import lq_value, lqdata_from_spec, riccati_to_csv, solve_riccati_ode
+from .riccati import lq_value, riccati_to_csv, solve_riccati_ode
 from .value import (
     RiccatiValueSource,
     SolverValueSource,
@@ -163,8 +163,7 @@ class Runner:
         return rep, True
 
     def cmd_verify_lq(self):
-        lq = lqdata_from_spec(self.spec)
-        ric = solve_riccati_ode(lq, grid=self.grid, substeps=int(self.cfg["checks"].get("substeps", 4)))
+        ric = self._oracle()
         sol = self._solve()
         deriv_report = None
         if bool(self.cfg["checks"].get("with_derivative", False)):
@@ -242,11 +241,13 @@ class Runner:
         return solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
                                  self.basis, self.dcfg)
 
+    def _oracle(self):
+        return solve_riccati_ode(self.spec, self.grid,
+                                 substeps=int(self.cfg["checks"].get("substeps", 4)))
+
     def _value_source(self, sol):
         if self.spec.cost.family == "quadratic":
-            lq = lqdata_from_spec(self.spec)
-            ric = solve_riccati_ode(lq, grid=self.grid)
-            return RiccatiValueSource(ric)
+            return RiccatiValueSource(self._oracle())
         return build_lattice_source(self.spec, self.grid, self.t0, self.x0, self.W,
                                     self.basis, self.dcfg,
                                     points_per_dim=int(self.cfg["checks"].get("lattice_points", 21)),
@@ -287,7 +288,7 @@ class Runner:
             samples = [(round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()) for t in ts]
         source_kind = checks.get("source", "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
         if source_kind == "riccati_oracle":
-            source = RiccatiValueSource(solve_riccati_ode(lqdata_from_spec(self.spec), grid=self.grid))
+            source = RiccatiValueSource(self._oracle())
             tol = float(checks.get("oracle_tol", 1e-6))
         else:
             source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
@@ -307,7 +308,7 @@ class Runner:
         checks = self.cfg["checks"]
         h = float(checks.get("h", 0.2))
         if self.spec.cost.family == "quadratic":
-            source = RiccatiValueSource(solve_riccati_ode(lqdata_from_spec(self.spec), grid=self.grid))
+            source = RiccatiValueSource(self._oracle())
         else:
             source = "fitted"
         sol = self._solve()

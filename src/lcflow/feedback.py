@@ -137,11 +137,9 @@ def assemble_query(spec, t, X, DxV, DxxV) -> FeedbackQuery:
     """
     coeffs = spec.coeffs
     B = coeffs.B.at(t)
-    C = coeffs.C.at(t)
     D = coeffs.D.at(t)
-    sigma = coeffs.sigma.at(t)
     X = np.asarray(X, dtype=float)
-    drift_lin = np.einsum("inj,bj->bin", C, X) + sigma               # [B, d, n]
+    drift_lin = coeffs.state_diffusion(t, X)                          # [B, d, n]
     p = DxV @ B + np.einsum("inm,bnk,bik->bm", D, DxxV, drift_lin)
     q = np.einsum("inm,bnk,ikl->bml", D, DxxV, D)
     return FeedbackQuery(t=float(t), x=X, p=p, q_mat=0.5 * (q + np.swapaxes(q, -1, -2)))

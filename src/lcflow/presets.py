@@ -13,8 +13,6 @@ linear_terminal: terminal r.x and pure control penalty; the optimal
 
 from __future__ import annotations
 
-import numpy as np
-
 from .problem import (
     CoefficientSet,
     Dimensions,
@@ -22,7 +20,6 @@ from .problem import (
     build_lq_problem,
     build_smooth_convex_problem,
 )
-from .riccati import LQData
 
 
 def _scalar_coeffs(A=0.0, B=1.0, C=0.0, D=0.0, b=0.0, sigma=0.3) -> CoefficientSet:
@@ -33,23 +30,15 @@ def _scalar_coeffs(A=0.0, B=1.0, C=0.0, D=0.0, b=0.0, sigma=0.3) -> CoefficientS
     )
 
 
-def p1_data(sigma: float = 0.3, d_coef: float = 0.0) -> LQData:
-    coeffs = _scalar_coeffs(A=0.0, B=1.0, C=0.0, D=d_coef, b=0.0, sigma=sigma)
-    return LQData(
-        horizon=1.0, coeffs=coeffs,
-        G=np.array([[1.0]]), r=np.zeros(1),
-        Q=np.array([[1.0]]), S=np.zeros((1, 1)), R=np.array([[1.0]]),
-        q=np.zeros(1), rho=np.zeros(1),
-    )
-
-
 def p1(sigma: float = 0.3) -> ProblemSpec:
-    return build_lq_problem(p1_data(sigma=sigma), delta=1.0, mode="case1", label="P1")
+    return build_lq_problem(coeffs=_scalar_coeffs(sigma=sigma), horizon=1.0, G=[[1.0]],
+                            Q=[[1.0]], R=[[1.0]], delta=1.0, mode="case1", label="P1")
 
 
 def p1_d_variant(sigma: float = 0.3, d_coef: float = 0.5) -> ProblemSpec:
-    return build_lq_problem(p1_data(sigma=sigma, d_coef=d_coef), delta=1.0,
-                            mode="case1", label="P1-D")
+    return build_lq_problem(coeffs=_scalar_coeffs(D=d_coef, sigma=sigma), horizon=1.0,
+                            G=[[1.0]], Q=[[1.0]], R=[[1.0]], delta=1.0, mode="case1",
+                            label="P1-D")
 
 
 def p2(sigma: float = 0.3, kappa_x: float = 0.5, kappa_g: float = 1.0) -> ProblemSpec:
@@ -61,22 +50,10 @@ def p2(sigma: float = 0.3, kappa_x: float = 0.5, kappa_g: float = 1.0) -> Proble
 
 
 def zero_problem() -> ProblemSpec:
-    coeffs = _scalar_coeffs(sigma=0.0)
-    lq = LQData(
-        horizon=1.0, coeffs=coeffs,
-        G=np.zeros((1, 1)), r=np.zeros(1),
-        Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.array([[1.0]]),
-        q=np.zeros(1), rho=np.zeros(1),
-    )
-    return build_lq_problem(lq, delta=1.0, mode="case1", label="zero")
+    return build_lq_problem(coeffs=_scalar_coeffs(sigma=0.0), horizon=1.0, R=[[1.0]],
+                            delta=1.0, mode="case1", label="zero")
 
 
 def linear_terminal(r: float = 1.0) -> ProblemSpec:
-    coeffs = _scalar_coeffs(sigma=0.0)
-    lq = LQData(
-        horizon=1.0, coeffs=coeffs,
-        G=np.zeros((1, 1)), r=np.array([r]),
-        Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.array([[1.0]]),
-        q=np.zeros(1), rho=np.zeros(1),
-    )
-    return build_lq_problem(lq, delta=1.0, mode="case1", label="linear-terminal")
+    return build_lq_problem(coeffs=_scalar_coeffs(sigma=0.0), horizon=1.0, r=[r], R=[[1.0]],
+                            delta=1.0, mode="case1", label="linear-terminal")

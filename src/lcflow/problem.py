@@ -63,6 +63,10 @@ class CoefficientSet:
             sigma=pw(sigma, (d, n)),
         )
 
+    def state_diffusion(self, t, X) -> np.ndarray:
+        """C(t) x + sigma(t) at the rows x of X [B, n]: the diffusion without D(t) u, [B, d, n]."""
+        return np.einsum("inj,bj->bin", self.C.at(t), np.asarray(X, dtype=float)) + self.sigma.at(t)
+
 
 @dataclass(frozen=True)
 class StepCoeffs:
@@ -291,16 +295,19 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
     return ValidationReport(checks=checks)
 
 
-def build_lq_problem(lq, delta: float, mode: str = "case1", k_lip="auto", label: str = "lq") -> ProblemSpec:
-    """ProblemSpec with the quadratic cost realized exactly from raw LQ data.
+def build_lq_problem(*, coeffs: CoefficientSet, horizon: float, delta: float, G=None, r=None,
+                     Q=None, S=None, R=None, q=None, rho=None, mode: str = "case1",
+                     k_lip="auto", label: str = "lq") -> ProblemSpec:
+    """ProblemSpec with the quadratic cost of the given blocks.
 
-    lq carries (G, r, Q, S, R, q, rho) plus the CoefficientSet; G, Q, R are
-    symmetrized on entry (with a warning beyond rounding noise).
+    The blocks go to CostModel as they are: a missing block is zero, Q, S,
+    R, q, rho may be piecewise constant, and G, Q, R are symmetrized (with
+    a warning beyond rounding noise).
     """
-    dims = lq.coeffs.dims
-    cost = CostModel(dims.n, dims.m, G=lq.G, r=lq.r, Q=lq.Q, S=lq.S, R=lq.R, q=lq.q, rho=lq.rho)
+    dims = coeffs.dims
+    cost = CostModel(dims.n, dims.m, G=G, r=r, Q=Q, S=S, R=R, q=q, rho=rho)
     cert = ConvexityCertificate(delta=delta, mode=mode, k_lip=k_lip)
-    return ProblemSpec(dims=dims, horizon=lq.horizon, coeffs=lq.coeffs, cost=cost,
+    return ProblemSpec(dims=dims, horizon=horizon, coeffs=coeffs, cost=cost,
                        certificate=cert, label=label)
 
 
@@ -460,9 +467,8 @@ def problem_from_json(doc: dict) -> ProblemSpec:
                 if not blocks[key].is_constant:
                     raise SchemaError(f"cost param {key!r} must be constant")
                 blocks[key] = blocks[key].values
-        cert = ConvexityCertificate(delta=delta, mode=mode, k_lip=k_lip)
-        return ProblemSpec(dims=dims, horizon=horizon, coeffs=coeffs, cost=CostModel(n, m, **blocks),
-                           certificate=cert, label=label)
+        return build_lq_problem(coeffs=coeffs, horizon=horizon, delta=delta, mode=mode,
+                                k_lip=k_lip, label=label, **blocks)
     if float(params.get("delta", delta)) != delta:
         raise SchemaError(f"cost param 'delta' {params['delta']} differs from the certificate's {delta}")
     if "mode" in cert_doc and mode != _SMOOTH_MODES[family]:

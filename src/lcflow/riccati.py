@@ -27,34 +27,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .costs import CostModel
 from .errors import LcflowError, StructuralError
 from .grids import TimeGrid
-
-if TYPE_CHECKING:
-    from .problem import CoefficientSet
-
-
-@dataclass(frozen=True)
-class LQData:
-    """Quadratic cost data together with the dynamics it rides on.
-
-    Q, S, R, q, rho are arrays (constant) or PiecewiseConstant.
-    """
-
-    horizon: float
-    coeffs: "CoefficientSet"
-    G: np.ndarray
-    r: np.ndarray
-    Q: object
-    S: object
-    R: object
-    q: object
-    rho: object
 
 
 class RiccatiSingularError(LcflowError):
@@ -109,14 +87,16 @@ def _sym(mat):
     return 0.5 * (mat + mat.T)
 
 
-def _lq_cost(lq: LQData, dims) -> CostModel:
-    """The cost blocks of lq, coerced to their shapes and symmetrized."""
-    return CostModel(dims.n, dims.m, G=lq.G, r=lq.r, Q=lq.Q, S=lq.S, R=lq.R, q=lq.q, rho=lq.rho)
+def _quadratic_cost(spec) -> CostModel:
+    """The cost of spec, which the oracle can only solve for the quadratic family."""
+    if spec.cost.family != "quadratic":
+        raise StructuralError(f"spec cost family {spec.cost.family!r} is not quadratic")
+    return spec.cost
 
 
-def _freeze(coeffs, cost: CostModel, t):
-    """Coefficient and cost matrices at time t (right-continuous)."""
-    lt = cost.at(t)
+def _freeze(spec, t):
+    """Coefficient and cost matrices of spec at time t (right-continuous)."""
+    coeffs, lt = spec.coeffs, spec.cost.at(t)
     return (
         coeffs.A.at(t), coeffs.B.at(t), coeffs.C.at(t), coeffs.D.at(t),
         coeffs.b.at(t), coeffs.sigma.at(t), lt.Q, lt.S, lt.R, lt.q, lt.rho,
@@ -141,7 +121,7 @@ def _rk4(rhs, state, h, substeps):
         yield P, phi, c
 
 
-def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: int = 4) -> RiccatiSolution:
+def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolution:
     """Integrate the Riccati system backward with RK4 sub-stepping.
 
     Coefficients are frozen per grid interval (left node, right-continuous),
@@ -150,15 +130,10 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
     every step; values are stored at sub-step resolution so interpolated
     lookups stay smooth.
     """
-    if grid is None:
-        raise ValueError("grid is required")
+    cost = _quadratic_cost(spec)
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    coeffs = lq.coeffs if coeffs is None else coeffs
-    dims = coeffs.dims
-    n, m = dims.n, dims.m
-
-    cost = _lq_cost(lq, dims)
+    n, m = spec.dims.n, spec.dims.m
 
     K_total = grid.N * substeps
     times = np.empty(K_total + 1)
@@ -205,7 +180,7 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
     times[idx] = grid.T
     P_out[idx], phi_out[idx], c_out[idx] = P, phi, c
 
-    last_frozen = _freeze(coeffs, cost, float(grid.nodes[grid.N - 1]))
+    last_frozen = _freeze(spec, float(grid.nodes[grid.N - 1]))
     Kterm = _kmat(last_frozen[8], last_frozen[3], G)
     if np.linalg.eigvalsh(_sym(Kterm))[0] < 1e-12:
         raise RiccatiSingularError("R + D^T G D is singular at the terminal time", t=grid.T)
@@ -214,7 +189,7 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
 
     for k in range(grid.N - 1, -1, -1):
         t_left = float(grid.nodes[k])
-        frozen = _freeze(coeffs, cost, t_left)
+        frozen = _freeze(spec, t_left)
         rhs, gains_fn = make_rhs(frozen, t_left)
         h = -(float(grid.nodes[k + 1]) - t_left) / substeps
         t_cur = float(grid.nodes[k + 1])
@@ -233,38 +208,35 @@ def solve_riccati_ode(lq: LQData, coeffs=None, grid: TimeGrid = None, substeps: 
 
 
 def lq_value(ric: RiccatiSolution, t: float, x) -> tuple:
-    """(V, DxV, DxxV) of the quadratic value at (t, x)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    """(V, DxV, DxxV) of the quadratic value at (t, x).
+
+    One point x gives (float, [n], [n, n]); a batch X [B, n] gives
+    ([B], [B, n], [B, n, n]).
+    """
     P = ric.P_at(t)
     phi = ric.phi_at(t)
-    c = ric.c_at(t)
-    V = 0.5 * float(x @ P @ x) + float(phi @ x) + c
-    return V, P @ x + phi, P
+    x = np.asarray(x, dtype=float)
+    X = x.reshape(-1, P.shape[0])
+    V = 0.5 * np.einsum("pi,ij,pj->p", X, P, X) + X @ phi + ric.c_at(t)
+    DxV = X @ P + phi                      # P is symmetric
+    if x.ndim == 2:
+        return V, DxV, np.broadcast_to(P, (X.shape[0],) + P.shape)
+    return float(V[0]), DxV[0], P
 
 
-def lq_value_batch(ric: RiccatiSolution, t: float, X: np.ndarray) -> np.ndarray:
-    """Vectorized V(t, x) over the rows of X."""
-    P = ric.P_at(t)
-    phi = ric.phi_at(t)
-    c = ric.c_at(t)
-    return 0.5 * np.einsum("pi,ij,pj->p", X, P, X) + X @ phi + c
-
-
-def lq_optimal_trajectory(ric: RiccatiSolution, coeffs, grid: TimeGrid, x0, W, lq: LQData = None):
+def lq_optimal_trajectory(ric: RiccatiSolution, spec, grid: TimeGrid, x0, W):
     """Closed-loop simulation under the oracle feedback u = Theta x + theta.
 
-    Returns the trajectory, the control and the Monte Carlo cost of the
-    quadratic cost data in lq, which is required: the Riccati solution alone
-    does not determine the cost.
+    Returns the trajectory, the control and the Monte Carlo cost of spec's
+    quadratic cost along it.
     """
     from .adjoint import per_path_cost_core
     from .costs import GridCost
     from .paths import ClosedLoopResult, ControlEnsemble, StateEnsemble, _euler_step, mc_stderr
     from .problem import materialize
 
-    if lq is None:
-        raise ValueError("lq data is required to evaluate the trajectory cost")
-    sc = materialize(coeffs, grid)
+    cost = _quadratic_cost(spec)
+    sc = materialize(spec.coeffs, grid)
     M = W.M
     n = sc.A.shape[1]
     m = sc.B.shape[2]
@@ -278,12 +250,12 @@ def lq_optimal_trajectory(ric: RiccatiSolution, coeffs, grid: TimeGrid, x0, W, l
         X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt)
     states = StateEnsemble(grid=grid, values=X)
     controls = ControlEnsemble(grid=grid, values=U, producer="riccati_feedback")
-    per_path = per_path_cost_core(GridCost(_lq_cost(lq, coeffs.dims), grid), grid, X, U)
+    per_path = per_path_cost_core(GridCost(cost, grid), grid, X, U)
     return ClosedLoopResult(states=states, controls=controls, cost=float(per_path.mean()),
                             per_path_cost=per_path, stderr=mc_stderr(per_path, W.antithetic))
 
 
-def lq_policy_value(lq: LQData, coeffs, grid: TimeGrid, Theta, theta=None, substeps: int = 4):
+def lq_policy_value(spec, grid: TimeGrid, Theta, theta=None, substeps: int = 4):
     """Quadratic value of the fixed affine policy u = Theta x + theta.
 
     No minimization is involved: with the policy substituted, the closed
@@ -291,16 +263,15 @@ def lq_policy_value(lq: LQData, coeffs, grid: TimeGrid, Theta, theta=None, subst
     linear Lyapunov-type ODEs.  Used as the oracle for perturbed-feedback
     suboptimality checks.
     """
-    dims = coeffs.dims
-    n, m = dims.n, dims.m
+    cost = _quadratic_cost(spec)
+    n, m = spec.dims.n, spec.dims.m
     Theta = np.asarray(Theta, dtype=float).reshape(m, n)
     theta = np.zeros(m) if theta is None else np.asarray(theta, dtype=float).reshape(m)
-    cost = _lq_cost(lq, dims)
 
     P, phi, c = cost.G.copy(), cost.r.copy(), 0.0
     for k in range(grid.N - 1, -1, -1):
         t_left = float(grid.nodes[k])
-        A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = _freeze(coeffs, cost, t_left)
+        A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = _freeze(spec, t_left)
         Abar = A + B @ Theta
         Cbar = C + np.einsum("inm,mk->ink", D, Theta)
         bbar = b + B @ theta
@@ -324,15 +295,6 @@ def lq_policy_value(lq: LQData, coeffs, grid: TimeGrid, Theta, theta=None, subst
         return 0.5 * float(x @ P @ x) + float(phi @ x) + c
 
     return value, (P, phi, c)
-
-
-def lqdata_from_spec(spec) -> LQData:
-    """Extract LQData from a quadratic-family ProblemSpec."""
-    cost = spec.cost
-    if cost.family != "quadratic":
-        raise StructuralError(f"spec cost family {cost.family!r} is not quadratic")
-    return LQData(horizon=spec.horizon, coeffs=spec.coeffs, G=cost.G, r=cost.r, Q=cost.Q,
-                  S=cost.S, R=cost.R, q=cost.q, rho=cost.rho)
 
 
 def riccati_to_csv(ric: RiccatiSolution, path):

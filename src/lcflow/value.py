@@ -22,7 +22,7 @@ from .descent import DescentConfig, solve_hamiltonian
 from .errors import LcflowError
 from .grids import TimeGrid
 from .paths import BrownianEnsemble, mc_stderr
-from .riccati import RiccatiSolution, lq_value, lq_value_batch
+from .riccati import RiccatiSolution, lq_value
 from .variational import freeze_second_order, hessian_from_derivative, solve_linear_hamiltonian
 
 
@@ -36,8 +36,6 @@ class ValueSample:
     stderr_V: float
     diagnostics: dict = field(default_factory=dict)
     per_path_cost: Optional[np.ndarray] = field(default=None, repr=False)
-    solution: object = field(default=None, repr=False)
-    derivative: object = field(default=None, repr=False)
 
 
 def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
@@ -62,7 +60,6 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
         "DxV_cross_path_std": float(Y0.std(axis=0).max()),
     }
     DxxV = None
-    deriv = None
     if with_hessian:
         frozen = freeze_second_order(spec, sol)
         deriv = solve_linear_hamiltonian(spec, grid, W, basis, sol, frozen, cfg)
@@ -72,7 +69,7 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
         diagnostics["DxxV_cross_path_std"] = hess.cross_path_std
     return ValueSample(t=float(t), x=np.asarray(x, dtype=float).reshape(-1), V=V, DxV=DxV,
                        DxxV=DxxV, stderr_V=stderr, diagnostics=diagnostics,
-                       per_path_cost=per_path, solution=sol, derivative=deriv)
+                       per_path_cost=per_path)
 
 
 class RiccatiValueSource:
@@ -88,18 +85,13 @@ class RiccatiValueSource:
         return V, 0.0
 
     def value_batch(self, t, X):
-        return lq_value_batch(self.ric, t, X)
+        return lq_value(self.ric, t, X)[0]
 
     def derivatives(self, t, x):
-        _, DxV, DxxV = lq_value(self.ric, t, x)
-        return DxV, DxxV
+        return lq_value(self.ric, t, x)[1:]
 
     def derivatives_batch(self, t, X):
-        P = self.ric.P_at(t)
-        phi = self.ric.phi_at(t)
-        DxV = X @ P.T + phi
-        DxxV = np.broadcast_to(P, (X.shape[0],) + P.shape)
-        return DxV, DxxV
+        return lq_value(self.ric, t, X)[1:]
 
 
 class SolverValueSource:
@@ -180,10 +172,8 @@ def generator_and_hamiltonian(spec, t, x, DxV, DxxV):
     coeffs = spec.coeffs
     A = coeffs.A.at(t)
     b = coeffs.b.at(t)
-    C = coeffs.C.at(t)
-    sigma = coeffs.sigma.at(t)
     x = np.asarray(x, dtype=float).reshape(-1)
-    drift_lin = np.einsum("inj,j->in", C, x) + sigma            # [d, n]
+    drift_lin = coeffs.state_diffusion(t, x[None])[0]           # [d, n]
     LV = float(DxV @ (A @ x + b)) + 0.5 * float(np.einsum("in,nk,ik->", drift_lin, DxxV, drift_lin))
     query = assemble_query(spec, t, x[None], np.asarray(DxV)[None], np.asarray(DxxV)[None])
     u_star = minimize_hamiltonian_in_u(spec, query)[0]
@@ -318,22 +308,18 @@ class ConvexityProbeReport:
 
 def convexity_probe(spec, grid: TimeGrid, t: float, x_pairs, lambdas,
                     W: BrownianEnsemble, basis: RegressionBasis,
-                    cfg: DescentConfig, warm: dict = None) -> ConvexityProbeReport:
+                    cfg: DescentConfig) -> ConvexityProbeReport:
     """Midpoint convexity gaps of x -> V(t, x) on common noise.
 
     gap = lam V(x1) + (1-lam) V(x0) - V(lam x1 + (1-lam) x0), reported with
     the standard error of the pathwise combination; convex values keep the
-    gap above -4 stderr.  warm may pre-seed the per-point cost cache,
-    keyed by the rounded initial-state tuple.
+    gap above -4 stderr.  Each point is solved once, however many pairs and
+    lambdas share it.
     """
-    cache = dict(warm) if warm else {}
+    source = SolverValueSource(spec, grid, W, basis, cfg)
 
     def costs_at(x):
-        key = tuple(np.round(np.atleast_1d(np.asarray(x, dtype=float)), 12))
-        if key not in cache:
-            vs = evaluate_value(spec, grid, t, x, W, basis, cfg, with_hessian=False)
-            cache[key] = vs.per_path_cost
-        return cache[key]
+        return source.sample(t, x).per_path_cost
 
     report = ConvexityProbeReport()
     for (x0, x1) in x_pairs:

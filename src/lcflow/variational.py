@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -179,12 +179,7 @@ def solve_linear_hamiltonian(spec, grid: TimeGrid, W: BrownianEnsemble,
                 k_hat = estimate_lipschitz_core(core, W.increments, basis,
                                                 cfg.lipschitz_probes, cfg.probe_seed,
                                                 cfg.probe_scale)
-            sub_cfg = DescentConfig(
-                eta=spec.certificate.delta / k_hat, max_iter=cfg.max_iter,
-                tol_grad=cfg.tol_grad, tol_step=cfg.tol_step,
-                lipschitz_probes=cfg.lipschitz_probes, probe_scale=cfg.probe_scale,
-                probe_seed=cfg.probe_seed, backtracking=cfg.backtracking,
-            )
+            sub_cfg = replace(cfg, eta=spec.certificate.delta / k_hat)
         try:
             dsol = descend(core, W.increments, basis, sub_cfg, producer="variational")
         except Exception as exc:

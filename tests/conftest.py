@@ -12,8 +12,7 @@ from lcflow import (
     generate_brownian,
     solve_hamiltonian,
 )
-from lcflow.presets import linear_terminal, p1, p1_d_variant, p1_data, p2, zero_problem
-from lcflow.riccati import LQData
+from lcflow.presets import linear_terminal, p1, p1_d_variant, p2, zero_problem
 
 
 @pytest.fixture(scope="session")
@@ -55,11 +54,11 @@ def spec_p1_d():
 @pytest.fixture(scope="session")
 def spec_p1_piecewise():
     # P1 with the state weight doubled from t = 0.5 on
-    data = p1_data()
-    lq = LQData(horizon=data.horizon, coeffs=data.coeffs, G=data.G, r=data.r,
-                Q=PiecewiseConstant([[[1.0]], [[2.0]]], [0.0, 0.5]), S=data.S, R=data.R,
-                q=data.q, rho=data.rho)
-    return build_lq_problem(lq, delta=1.0, mode="case1", label="P1-piecewise")
+    data = p1()
+    return build_lq_problem(horizon=data.horizon, coeffs=data.coeffs, G=data.cost.G, r=data.cost.r,
+                            Q=PiecewiseConstant([[[1.0]], [[2.0]]], [0.0, 0.5]), S=data.cost.S,
+                            R=data.cost.R, q=data.cost.q, rho=data.cost.rho,
+                            delta=1.0, mode="case1", label="P1-piecewise")
 
 
 @pytest.fixture(scope="session")
@@ -75,15 +74,15 @@ def rich_lq():
         b=[0.1, -0.05],
         sigma=[[0.2, 0.1], [0.05, 0.15]],
     )
-    lq = LQData(
+    return build_lq_problem(
         horizon=1.0, coeffs=coeffs,
         G=np.array([[1.0, 0.1], [0.1, 0.8]]), r=np.array([0.2, -0.1]),
         Q=np.array([[1.0, 0.0], [0.0, 1.2]]),
         S=np.array([[0.2, 0.1], [0.0, 0.2]]),
         R=np.array([[1.0, 0.0], [0.0, 1.0]]),
         q=np.array([0.1, 0.0]), rho=np.array([0.0, -0.1]),
+        delta=0.5, mode="case1", label="rich-2d",
     )
-    return build_lq_problem(lq, delta=0.5, mode="case1", label="rich-2d")
 
 
 @pytest.fixture(scope="session")

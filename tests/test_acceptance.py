@@ -39,7 +39,6 @@ from lcflow.problem import problem_to_json
 from lcflow.riccati import (
     lq_policy_value,
     lq_value,
-    lqdata_from_spec,
     solve_riccati_ode,
 )
 from lcflow.value import RiccatiValueSource, SolverValueSource, fd_gradient_of_value
@@ -116,7 +115,7 @@ def cfg_p2(sol_p2):
 
 @pytest.fixture(scope="session")
 def ric_p1(spec_p1_a, desk_grid):
-    return solve_riccati_ode(lqdata_from_spec(spec_p1_a), grid=desk_grid)
+    return solve_riccati_ode(spec_p1_a, grid=desk_grid)
 
 
 @pytest.fixture(scope="session")
@@ -277,8 +276,7 @@ def test_criterion_10_verification(spec_p1_a, desk_grid, w_desk, desk_basis, cfg
     assert abs(report.gap_closed_value) <= budget
     for p in report.perturbed:
         assert p.gap_vs_closed >= -4.0 * p.stderr_gap - budget
-    lq = lqdata_from_spec(spec_p1_a)
-    wrong_value, _ = lq_policy_value(lq, spec_p1_a.coeffs, desk_grid, [[-1.3]])
+    wrong_value, _ = lq_policy_value(spec_p1_a, desk_grid, [[-1.3]])
     oracle_gap = wrong_value([0.0]) - report.value
     strict = report.scaled_gain
     assert strict.gap_vs_closed > 4.0 * strict.stderr_gap

@@ -17,7 +17,7 @@ from lcflow import (
     problem_to_json,
 )
 from lcflow.costs import GridCost
-from lcflow.riccati import LQData, lqdata_from_spec, solve_riccati_ode
+from lcflow.riccati import solve_riccati_ode
 
 
 def _round_trip(spec):
@@ -49,8 +49,8 @@ def test_piecewise_cost_round_trips_into_the_oracle(spec_p1_piecewise):
     assert float(spec.cost.l(0.25, np.array([1.0]), np.array([0.0]))) == 0.5
     assert float(spec.cost.l(0.5, np.array([1.0]), np.array([0.0]))) == 1.0
     grid = TimeGrid(0.0, 1.0, 20)
-    ric = solve_riccati_ode(lqdata_from_spec(spec), grid=grid)
-    ref = solve_riccati_ode(lqdata_from_spec(spec_p1_piecewise), grid=grid)
+    ric = solve_riccati_ode(spec, grid=grid)
+    ref = solve_riccati_ode(spec_p1_piecewise, grid=grid)
     np.testing.assert_array_equal(ric.P, ref.P)
     # P' = P^2 - Q(t) with P(1) = 1: the doubled weight lifts P above one
     assert ric.P_at(0.0)[0, 0] > 1.0
@@ -75,22 +75,22 @@ def _random_lq(n, m, d, breakpoints, seed):
         C=rng.normal(scale=0.1, size=(d, n, n)), D=rng.normal(scale=0.1, size=(d, n, m)),
         b=rng.normal(scale=0.1, size=n), sigma=rng.normal(scale=0.2, size=(d, n)),
     )
-    lq = LQData(
+    spec = build_lq_problem(
         horizon=1.0, coeffs=coeffs, G=L @ L.T, r=rng.normal(size=n),
         Q=piecewise([J[:n, :n] for J in blocks]), S=piecewise([J[n:, :n] for J in blocks]),
         R=piecewise([J[n:, n:] for J in blocks]),
         q=piecewise([rng.normal(size=n) for _ in times]),
         rho=piecewise([rng.normal(size=m) for _ in times]),
+        delta=0.5, mode="declared",
     )
-    return lq, times, rng
+    return spec, times, rng
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
        breakpoints=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
-    lq, times, rng = _random_lq(n, m, d, breakpoints, seed)
-    spec = build_lq_problem(lq, delta=0.5, mode="declared")
+    spec, times, rng = _random_lq(n, m, d, breakpoints, seed)
     back = _round_trip(spec)
     ts = list(times) + rng.uniform(0.0, 1.0, size=4).tolist()
     for t in ts:
@@ -101,7 +101,7 @@ def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
                                           getattr(spec.cost, name)(t, x, u))
         np.testing.assert_array_equal(back.cost.g(x), spec.cost.g(x))
     grid = TimeGrid(0.0, 1.0, 8)
-    ric = solve_riccati_ode(lqdata_from_spec(back), grid=grid, substeps=1)
-    ref = solve_riccati_ode(lq, grid=grid, substeps=1)
+    ric = solve_riccati_ode(back, grid=grid, substeps=1)
+    ref = solve_riccati_ode(spec, grid=grid, substeps=1)
     for field in ("P", "phi", "c", "theta_gain", "theta_offset"):
         np.testing.assert_array_equal(getattr(ric, field), getattr(ref, field))

@@ -18,7 +18,6 @@ from lcflow import (
 )
 from lcflow.budgets import contraction_bound
 from lcflow.paths import l2_norm_array
-from lcflow.riccati import LQData
 
 
 def _decoupled_spec():
@@ -26,10 +25,9 @@ def _decoupled_spec():
     # the identity plus the control-cost derivative
     dims = Dimensions(1, 1, 1)
     coeffs = CoefficientSet.build(dims, A=[[0.0]], sigma=[[0.2]])
-    lq = LQData(horizon=1.0, coeffs=coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
-                Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
-                q=np.zeros(1), rho=np.zeros(1))
-    return build_lq_problem(lq, delta=1.0)
+    return build_lq_problem(horizon=1.0, coeffs=coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
+                            Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
+                            q=np.zeros(1), rho=np.zeros(1), delta=1.0)
 
 
 def test_zero_problem_converges_immediately(grid, basis, spec_zero):

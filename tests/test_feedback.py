@@ -12,13 +12,13 @@ from lcflow import (
 )
 from lcflow.feedback import feedback_field_to_csv
 from lcflow.paths import l2_norm_array
-from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, lqdata_from_spec, solve_riccati_ode
+from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, solve_riccati_ode
 from lcflow.value import RiccatiValueSource
 
 
 @pytest.fixture(scope="module")
 def oracle_p1(grid, spec_p1):
-    return RiccatiValueSource(solve_riccati_ode(lqdata_from_spec(spec_p1), grid=grid))
+    return RiccatiValueSource(solve_riccati_ode(spec_p1, grid=grid))
 
 
 def test_quadratic_minimizer_one_step(spec_p1):
@@ -101,7 +101,7 @@ def test_feedback_map_p1(spec_p1, oracle_p1):
 
 
 def test_feedback_map_linear_terminal(spec_linear_terminal, grid):
-    ric = solve_riccati_ode(lqdata_from_spec(spec_linear_terminal), grid=grid)
+    ric = solve_riccati_ode(spec_linear_terminal, grid=grid)
     source = RiccatiValueSource(ric)
     for t, x in ((0.0, 0.0), (0.4, 2.0), (0.8, -1.0)):
         u = feedback_map(spec_linear_terminal, source, t, [x])
@@ -109,7 +109,7 @@ def test_feedback_map_linear_terminal(spec_linear_terminal, grid):
 
 
 def test_closed_loop_zero_problem(spec_zero, grid, w_small):
-    ric = solve_riccati_ode(lqdata_from_spec(spec_zero), grid=grid)
+    ric = solve_riccati_ode(spec_zero, grid=grid)
     res = simulate_closed_loop(spec_zero, grid, 0.0, [1.0], w_small,
                                RiccatiValueSource(ric))
     assert np.max(np.abs(res.controls.values)) == 0.0
@@ -118,8 +118,7 @@ def test_closed_loop_zero_problem(spec_zero, grid, w_small):
 
 def test_closed_loop_matches_oracle_trajectory(spec_p1, grid, w_small, oracle_p1):
     res = simulate_closed_loop(spec_p1, grid, 0.0, [0.0], w_small, oracle_p1)
-    lq = lqdata_from_spec(spec_p1)
-    ref = lq_optimal_trajectory(oracle_p1.ric, spec_p1.coeffs, grid, [0.0], w_small, lq=lq)
+    ref = lq_optimal_trajectory(oracle_p1.ric, spec_p1, grid, [0.0], w_small)
     num = l2_norm_array(res.states.values - ref.states.values, grid.dt)
     den = max(l2_norm_array(ref.states.values, grid.dt), 1e-12)
     assert num / den <= 0.05
@@ -136,8 +135,7 @@ def test_verify_optimality_p1(spec_p1, grid, basis, cfg, w_small, oracle_p1, sol
     for p in report.perturbed:
         assert p.gap_vs_closed >= -4 * p.stderr_gap
     # wrong-gain loop is strictly worse, by the amount the policy oracle says
-    lq = lqdata_from_spec(spec_p1)
-    wrong, _ = lq_policy_value(lq, spec_p1.coeffs, grid, [[-1.3]])
+    wrong, _ = lq_policy_value(spec_p1, grid, [[-1.3]])
     oracle_gap = wrong([0.0]) - 0.045
     run = report.scaled_gain
     assert run.gap_vs_closed > 4 * run.stderr_gap

@@ -27,7 +27,7 @@ from lcflow import (
     validate_problem,
 )
 from lcflow.paths import l2_norm_array, mc_stderr
-from lcflow.riccati import lq_value, lqdata_from_spec, solve_riccati_ode
+from lcflow.riccati import lq_value, solve_riccati_ode
 from lcflow.value import RiccatiValueSource, hjb_residual
 
 
@@ -38,7 +38,7 @@ def grid30():
 
 @pytest.fixture(scope="module")
 def ric_rich(rich_lq, grid30):
-    return solve_riccati_ode(lqdata_from_spec(rich_lq), grid=grid30)
+    return solve_riccati_ode(rich_lq, grid=grid30)
 
 
 @pytest.fixture(scope="module")

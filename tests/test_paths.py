@@ -15,16 +15,14 @@ from lcflow import (
     simulate_forward,
 )
 from lcflow.paths import mc_stderr, paths_to_csv
-from lcflow.riccati import LQData
 
 
 def _scalar_spec(A=0.0, B=0.0, b=0.0, sigma=0.0):
     dims = Dimensions(1, 1, 1)
     coeffs = CoefficientSet.build(dims, A=[[A]], B=[[B]], b=[b], sigma=[[sigma]])
-    lq = LQData(horizon=1.0, coeffs=coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
-                Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
-                q=np.zeros(1), rho=np.zeros(1))
-    return build_lq_problem(lq, delta=1.0)
+    return build_lq_problem(horizon=1.0, coeffs=coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
+                            Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
+                            q=np.zeros(1), rho=np.zeros(1), delta=1.0)
 
 
 def _zero_controls(grid, M):
@@ -120,14 +118,12 @@ def test_superposition_of_affine_dynamics():
         b=rng.uniform(-1, 1, 2), sigma=rng.uniform(-0.5, 0.5, (2, 2)),
     )
     hom = CoefficientSet.build(dims, A=coeffs.A, B=coeffs.B, C=coeffs.C, D=coeffs.D)
-    lq = LQData(horizon=1.0, coeffs=coeffs, G=np.zeros((2, 2)), r=np.zeros(2),
-                Q=np.zeros((2, 2)), S=np.zeros((1, 2)), R=np.eye(1),
-                q=np.zeros(2), rho=np.zeros(1))
-    spec = build_lq_problem(lq, delta=1.0, mode="declared")
-    lq_h = LQData(horizon=1.0, coeffs=hom, G=np.zeros((2, 2)), r=np.zeros(2),
-                  Q=np.zeros((2, 2)), S=np.zeros((1, 2)), R=np.eye(1),
-                  q=np.zeros(2), rho=np.zeros(1))
-    spec_h = build_lq_problem(lq_h, delta=1.0, mode="declared")
+    spec = build_lq_problem(horizon=1.0, coeffs=coeffs, G=np.zeros((2, 2)), r=np.zeros(2),
+                            Q=np.zeros((2, 2)), S=np.zeros((1, 2)), R=np.eye(1),
+                            q=np.zeros(2), rho=np.zeros(1), delta=1.0, mode="declared")
+    spec_h = build_lq_problem(horizon=1.0, coeffs=hom, G=np.zeros((2, 2)), r=np.zeros(2),
+                              Q=np.zeros((2, 2)), S=np.zeros((1, 2)), R=np.eye(1),
+                              q=np.zeros(2), rho=np.zeros(1), delta=1.0, mode="declared")
     grid = TimeGrid(0.0, 1.0, 30)
     M = 32
     W = generate_brownian(grid, M, seed=21, d=2)
@@ -146,10 +142,9 @@ def test_superposition_of_affine_dynamics():
 def _run_geometric(a, c, N, inc, x0=1.0, T=1.0):
     dims = Dimensions(1, 1, 1)
     coeffs = CoefficientSet.build(dims, A=[[a]], C=[[[c]]])
-    lq = LQData(horizon=T, coeffs=coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
-                Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
-                q=np.zeros(1), rho=np.zeros(1))
-    spec = build_lq_problem(lq, delta=1.0, mode="declared")
+    spec = build_lq_problem(horizon=T, coeffs=coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
+                            Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
+                            q=np.zeros(1), rho=np.zeros(1), delta=1.0, mode="declared")
     grid = TimeGrid(0.0, T, N)
     M = inc.shape[0]
     from lcflow.paths import BrownianEnsemble

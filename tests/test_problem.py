@@ -17,8 +17,7 @@ from lcflow import (
 )
 from lcflow.cli import main
 from lcflow.costs import pseudo_huber, pseudo_huber_d2
-from lcflow.presets import p1, p1_data, p2
-from lcflow.riccati import LQData
+from lcflow.presets import p1, p2
 
 
 def test_dimensions_reject_nonpositive():
@@ -36,10 +35,10 @@ def test_p1_validates_clean(spec_p1):
 def test_case1_with_weak_control_curvature_fails():
     # Duu_l = 0.5 I against a declared modulus of 1: margin -0.5 on the
     # shifted control block
-    data = p1_data()
-    weak = LQData(horizon=data.horizon, coeffs=data.coeffs, G=data.G, r=data.r,
-                  Q=data.Q, S=data.S, R=np.array([[0.5]]), q=data.q, rho=data.rho)
-    spec = build_lq_problem(weak, delta=1.0, mode="case1")
+    data = p1()
+    spec = build_lq_problem(horizon=data.horizon, coeffs=data.coeffs, G=data.cost.G, r=data.cost.r,
+                            Q=data.cost.Q, S=data.cost.S, R=np.array([[0.5]]), q=data.cost.q,
+                            rho=data.cost.rho, delta=1.0, mode="case1")
     report = validate_problem(spec, samples=40)
     assert not report.passed
     failed = {c.name: c for c in report.checks if not c.passed}
@@ -64,11 +63,10 @@ def test_build_lq_realizes_quadratic_derivatives(spec_p1):
 
 
 def test_build_lq_zero_weights_gives_pure_control_penalty():
-    data = p1_data()
-    lq = LQData(horizon=1.0, coeffs=data.coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
-                Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
-                q=np.zeros(1), rho=np.zeros(1))
-    spec = build_lq_problem(lq, delta=1.0)
+    data = p1()
+    spec = build_lq_problem(horizon=1.0, coeffs=data.coeffs, G=np.zeros((1, 1)), r=np.zeros(1),
+                            Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
+                            q=np.zeros(1), rho=np.zeros(1), delta=1.0)
     u = np.array([2.0])
     assert float(spec.cost.l(0.0, np.array([5.0]), u)) == pytest.approx(2.0)
     assert float(spec.cost.g(np.array([5.0]))) == 0.0
@@ -78,33 +76,27 @@ def test_rectangular_cross_weight():
     # n=2, m=1, S = [1 0]: Du_l(t, (1,5), u) = 1 + R u
     dims = Dimensions(2, 1, 1)
     coeffs = CoefficientSet.build(dims, B=[[1.0], [0.0]])
-    lq = LQData(horizon=1.0, coeffs=coeffs, G=np.zeros((2, 2)), r=np.zeros(2),
-                Q=np.zeros((2, 2)), S=np.array([[1.0, 0.0]]), R=np.array([[2.0]]),
-                q=np.zeros(2), rho=np.zeros(1))
-    spec = build_lq_problem(lq, delta=1.0, mode="declared")
+    spec = build_lq_problem(horizon=1.0, coeffs=coeffs, G=np.zeros((2, 2)), r=np.zeros(2),
+                            Q=np.zeros((2, 2)), S=np.array([[1.0, 0.0]]), R=np.array([[2.0]]),
+                            q=np.zeros(2), rho=np.zeros(1), delta=1.0, mode="declared")
     u = np.array([3.0])
     assert spec.cost.du_l(0.1, np.array([1.0, 5.0]), u) == pytest.approx([1.0 + 2.0 * 3.0])
 
 
 def test_asymmetric_weight_warns_and_symmetrizes():
-    data = p1_data()
-    lq = LQData(horizon=1.0, coeffs=data.coeffs, G=np.array([[1.0]]), r=np.zeros(1),
-                Q=np.array([[1.0]]), S=np.zeros((1, 1)), R=np.array([[1.0]]),
-                q=np.zeros(1), rho=np.zeros(1))
     dims = Dimensions(2, 2, 1)
     coeffs = CoefficientSet.build(dims, B=np.eye(2), sigma=[[0.1, 0.1]])
-    skew = LQData(horizon=1.0, coeffs=coeffs, G=np.array([[1.0, 0.3], [0.0, 1.0]]),
-                  r=np.zeros(2), Q=np.eye(2), S=np.zeros((2, 2)), R=np.eye(2),
-                  q=np.zeros(2), rho=np.zeros(2))
     with pytest.warns(UserWarning):
-        spec = build_lq_problem(skew, delta=1.0)
+        spec = build_lq_problem(horizon=1.0, coeffs=coeffs, G=np.array([[1.0, 0.3], [0.0, 1.0]]),
+                                r=np.zeros(2), Q=np.eye(2), S=np.zeros((2, 2)), R=np.eye(2),
+                                q=np.zeros(2), rho=np.zeros(2), delta=1.0)
     assert spec.cost.dx_g(np.array([0.0, 1.0])) == pytest.approx([0.15, 1.0])
 
 
 def test_smooth_family_degenerates_to_quadratic():
     spec = build_smooth_convex_problem(
         "case1_smooth", Dimensions(1, 1, 1),
-        1.0, p1_data().coeffs, delta=1.0, kappa_x=0.0, kappa_u=0.0, kappa_g=0.0,
+        1.0, p1().coeffs, delta=1.0, kappa_x=0.0, kappa_u=0.0, kappa_g=0.0,
     )
     u = np.array([1.5])
     assert float(spec.cost.l(0.0, np.array([3.0]), u)) == pytest.approx(0.5 * 1.5**2)
@@ -113,7 +105,7 @@ def test_smooth_family_degenerates_to_quadratic():
 def test_case2_without_control_noise_rejected():
     with pytest.raises(ValidationFailure):
         build_smooth_convex_problem(
-            "case2_smooth", Dimensions(1, 1, 1), 1.0, p1_data().coeffs,
+            "case2_smooth", Dimensions(1, 1, 1), 1.0, p1().coeffs,
             delta=1.0, kappa_g=0.5, r_u=0.25,
         )
 

@@ -10,10 +10,11 @@ from lcflow import (
     regularity_margin,
 )
 from lcflow.budgets import dpp_budget
-from lcflow.riccati import lqdata_from_spec, solve_riccati_ode
+from lcflow.riccati import solve_riccati_ode
 from lcflow.value import (
     RiccatiValueSource,
     SolverValueSource,
+    ValueSample,
     fd_gradient_of_value,
     value_surface_to_csv,
 )
@@ -21,7 +22,7 @@ from lcflow.value import (
 
 @pytest.fixture(scope="module")
 def oracle_p1(grid, spec_p1):
-    return RiccatiValueSource(solve_riccati_ode(lqdata_from_spec(spec_p1), grid=grid))
+    return RiccatiValueSource(solve_riccati_ode(spec_p1, grid=grid))
 
 
 def test_zero_problem_value_sample(spec_zero, grid, basis, w_small):
@@ -119,7 +120,7 @@ def test_regularity_margin_d_variant(spec_p1_d, grid, basis, cfg, w_small):
     vs = evaluate_value(spec_p1_d, grid, 0.0, [0.0], w_small, basis, cfg)
     margin = regularity_margin(spec_p1_d, vs, u_box=3.0, samples=32)
     # oracle start-node curvature is 1.1043, so the exact margin is 1.2761
-    ric = solve_riccati_ode(lqdata_from_spec(spec_p1_d), grid=grid)
+    ric = solve_riccati_ode(spec_p1_d, grid=grid)
     target = 1.0 + 0.25 * float(ric.P_at(0.0)[0, 0])
     assert margin == pytest.approx(target, abs=0.05 * target)
     assert margin == pytest.approx(1.25, abs=0.0625)
@@ -156,3 +157,26 @@ def test_value_surface_csv(tmp_path, spec_zero, grid, basis, w_small):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("t,x_0,V,stderr_V")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("lambdas, solves", [([0.5], 3), ([0.25, 0.5], 4)])
+def test_convexity_probe_solves_each_point_once(monkeypatch, spec_p1, grid, basis, cfg,
+                                                w_small, lambdas, solves):
+    # a stand-in for the solve: per-path cost |x|^2 on every path, so the
+    # gap of the pair (-1, 1) is 1 - (2 lam - 1)^2
+    calls = []
+
+    def fake_evaluate_value(spec, grid, t, x, W, basis, cfg, with_hessian=True, sol=None):
+        assert not with_hessian
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        calls.append(x.copy())
+        cost = np.full(W.M, float(x @ x))
+        return ValueSample(t=t, x=x, V=float(x @ x), DxV=2.0 * x, DxxV=None, stderr_V=0.0,
+                           per_path_cost=cost)
+
+    monkeypatch.setattr("lcflow.value.evaluate_value", fake_evaluate_value)
+    rep = convexity_probe(spec_p1, grid, 0.0, [(np.array([-1.0]), np.array([1.0]))],
+                          lambdas, w_small, basis, cfg)
+    assert len(calls) == solves
+    for entry, lam in zip(rep.entries, lambdas):
+        assert entry.gap == pytest.approx(1.0 - (2.0 * lam - 1.0) ** 2, abs=1e-15)

@@ -12,7 +12,7 @@ from lcflow import (
     solve_linear_hamiltonian,
 )
 from lcflow.paths import l2_norm_array
-from lcflow.riccati import lqdata_from_spec, solve_riccati_ode
+from lcflow.riccati import solve_riccati_ode
 from lcflow.value import fd_gradient_of_value
 
 
@@ -102,7 +102,7 @@ def test_hessian_from_derivative_p1(deriv_p1):
 
 
 def test_riccati_state_check_p1(deriv_p1, grid, spec_p1):
-    ric = solve_riccati_ode(lqdata_from_spec(spec_p1), grid=grid)
+    ric = solve_riccati_ode(spec_p1, grid=grid)
     rep = riccati_state_check(deriv_p1, oracle=ric)
     assert rep.min_abs_det > 0.0
     assert not rep.invertibility_flagged
@@ -166,10 +166,10 @@ def test_variational_carries_reports(deriv_p1):
 
 
 def test_riccati_state_csv(tmp_path, deriv_p1, grid, spec_p1):
-    from lcflow.riccati import lqdata_from_spec, solve_riccati_ode
+    from lcflow.riccati import solve_riccati_ode
     from lcflow.variational import riccati_state_to_csv
 
-    ric = solve_riccati_ode(lqdata_from_spec(spec_p1), grid=grid)
+    ric = solve_riccati_ode(spec_p1, grid=grid)
     rep = riccati_state_check(deriv_p1, oracle=ric)
     out = tmp_path / "pstate.csv"
     riccati_state_to_csv(rep, out)
