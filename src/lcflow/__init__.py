@@ -33,7 +33,6 @@ from .errors import (
     ConditioningError,
     ConvergenceError,
     LcflowError,
-    NoiseError,
     RegularityError,
     SchemaError,
     StructuralError,
@@ -42,7 +41,6 @@ from .errors import (
 from .feedback import (
     FeedbackQuery,
     LatticeValueSource,
-    NewtonConfig,
     build_lattice_source,
     feedback_map,
     minimize_hamiltonian_in_u,

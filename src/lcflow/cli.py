@@ -281,7 +281,6 @@ class Runner:
 
     def cmd_hjb_check(self):
         checks = self.cfg["checks"]
-        h_t = float(checks.get("h_t", 2.0 * self.grid.dt))
         samples = checks.get("hjb_samples")
         if samples is None:
             ts = np.linspace(0.15, 0.85, 3) * self.spec.horizon
@@ -289,10 +288,15 @@ class Runner:
         source_kind = checks.get("source", "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
         if source_kind == "riccati_oracle":
             source = RiccatiValueSource(self._oracle())
+            # the oracle stores V at sub-step spacing; a wider difference in t
+            # adds an O(h_t^2) error wherever P(t) is not constant
+            h_t = self.grid.dt / int(checks.get("substeps", 4))
             tol = float(checks.get("oracle_tol", 1e-6))
         else:
             source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
+            h_t = 2.0 * self.grid.dt
             tol = None
+        h_t = float(checks.get("h_t", h_t))
         report = hjb_residual(self.spec, source, [(float(t), np.asarray(x, dtype=float)) for t, x in samples], h_t)
         rep = report.to_dict()
         if tol is None:

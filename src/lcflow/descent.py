@@ -37,6 +37,9 @@ from .paths import (
 )
 from .problem import StepCoeffs, materialize
 
+# seed of the Lipschitz probe controls, so that eta="auto" is reproducible
+PROBE_SEED = 17
+
 
 @dataclass(frozen=True)
 class DescentConfig:
@@ -45,8 +48,6 @@ class DescentConfig:
     tol_grad: float = 1e-3
     tol_step: float = 1e-9
     lipschitz_probes: int = 4
-    probe_scale: float = 1.0
-    probe_seed: int = 17
     backtracking: bool = False
 
     def __post_init__(self):
@@ -199,8 +200,7 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
     dt = core.grid.dt
     report = DescentReport()
     if cfg.eta == "auto":
-        report.k_hat = estimate_lipschitz_core(core, dW, basis, cfg.lipschitz_probes,
-                                               cfg.probe_seed, cfg.probe_scale)
+        report.k_hat = estimate_lipschitz_core(core, dW, basis, cfg.lipschitz_probes, PROBE_SEED)
         eta = core.delta / report.k_hat
     else:
         eta = float(cfg.eta)
@@ -253,7 +253,7 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
 
 
 def estimate_lipschitz(spec, grid: TimeGrid, x0, W: BrownianEnsemble,
-                       basis: RegressionBasis, probes: int = 4, seed: int = 17,
+                       basis: RegressionBasis, probes: int = 4, seed: int = PROBE_SEED,
                        scale: float = 1.0) -> float:
     core = core_from_spec(spec, grid, x0)
     return estimate_lipschitz_core(core, W.increments, basis, probes, seed, scale)

@@ -45,6 +45,3 @@ class ConvergenceError(LcflowError):
 class RegularityError(LcflowError):
     """The curvature floor required by a Newton solve was violated."""
 
-
-class NoiseError(LcflowError):
-    """A quantity that should be deterministic across paths was too noisy."""

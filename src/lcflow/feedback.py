@@ -35,11 +35,10 @@ from .problem import materialize
 from .variational import freeze_second_order, solve_linear_hamiltonian
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol_factor: float = 1e-10
-    max_iter: int = 100
-    max_damping: int = 40
+# damped Newton: relative residual tolerance, iteration cap, halvings per step
+NEWTON_TOL_FACTOR = 1e-10
+NEWTON_MAX_ITER = 100
+NEWTON_MAX_DAMPING = 40
 
 
 @dataclass(frozen=True)
@@ -54,18 +53,17 @@ class FeedbackQuery:
     x: np.ndarray
     p: np.ndarray          # linear coefficient of the reduced objective
     q_mat: np.ndarray      # symmetric curvature bump
-    delta_query: Optional[float] = None
 
 
 def _res_norm(r):
     return np.linalg.norm(r, axis=-1)
 
 
-def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = NewtonConfig()):
+def newton_minimize_batch(cost, t, X, P, Qm, delta):
     """Batched damped Newton on the reduced objective; X [B,n], P [B,m], Qm [B,m,m].
 
-    Stops when every row satisfies |p + Q u + Du_l| <= tol_factor (1 + |p|);
-    a curvature sample below delta_query / 2 raises RegularityError.
+    Stops when every row satisfies |p + Q u + Du_l| <= NEWTON_TOL_FACTOR (1 + |p|);
+    a curvature sample below delta / 2 raises RegularityError.
     """
     B, m = P.shape
     u = np.zeros((B, m))
@@ -76,15 +74,15 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
 
     r = residual(u)
     rn = _res_norm(r)
-    tol = cfg.tol_factor * (1.0 + _res_norm(P))
-    for _ in range(cfg.max_iter):
+    tol = NEWTON_TOL_FACTOR * (1.0 + _res_norm(P))
+    for _ in range(NEWTON_MAX_ITER):
         active = rn > tol
         if not active.any():
             return u
         H = Qm[active] + lt.hess_uu(X[active], u[active])
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
         eigmin = np.linalg.eigvalsh(H)[:, 0]
-        floor = (delta_query or 0.0) / 2.0
+        floor = delta / 2.0
         if float(eigmin.min()) < floor:
             raise RegularityError(
                 f"reduced objective curvature {float(eigmin.min()):.3e} fell below "
@@ -97,7 +95,7 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
         p_act = P[active]
         q_act = Qm[active]
         rn_act = rn[active]
-        for _damp in range(cfg.max_damping):
+        for _damp in range(NEWTON_MAX_DAMPING):
             u_try = u_act - alpha[:, None] * step
             r_try = p_act + np.einsum("bij,bj->bi", q_act, u_try) + lt.grad_u(x_act, u_try)
             better = _res_norm(r_try) <= rn_act * (1.0 - 1e-10) + 1e-300
@@ -112,21 +110,19 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta_query, cfg: NewtonConfig = Ne
         r = r_full
         rn = _res_norm(r)
     raise ConvergenceError(
-        f"Newton did not reach tolerance in {cfg.max_iter} iterations "
+        f"Newton did not reach tolerance in {NEWTON_MAX_ITER} iterations "
         f"(worst residual {float(rn.max()):.3e})"
     )
 
 
-def minimize_hamiltonian_in_u(spec, query: FeedbackQuery,
-                              newton_cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
+def minimize_hamiltonian_in_u(spec, query: FeedbackQuery) -> np.ndarray:
     """The unique minimizer of the reduced objective: [m] for one point, [B, m] for a batch."""
-    delta_q = query.delta_query if query.delta_query is not None else spec.certificate.delta
     p = np.atleast_2d(np.asarray(query.p, dtype=float))
     B, m = p.shape
     x = np.asarray(query.x, dtype=float).reshape(B, -1)
     q = np.asarray(query.q_mat, dtype=float).reshape(B, m, m)
     q = 0.5 * (q + np.swapaxes(q, -1, -2))
-    u = newton_minimize_batch(spec.cost, float(query.t), x, p, q, delta_q, newton_cfg)
+    u = newton_minimize_batch(spec.cost, float(query.t), x, p, q, spec.certificate.delta)
     return u if np.ndim(query.p) == 2 else u[0]
 
 
@@ -145,18 +141,13 @@ def assemble_query(spec, t, X, DxV, DxxV) -> FeedbackQuery:
     return FeedbackQuery(t=float(t), x=X, p=p, q_mat=0.5 * (q + np.swapaxes(q, -1, -2)))
 
 
-def feedback_map(spec, value_source, t, x, newton_cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """The state-feedback control at (t, x) for the given value source."""
+def feedback_map(spec, value_source, t, x) -> np.ndarray:
+    """The state-feedback control of the value source: [m] at one point x [n], [B, m] at X [B, n]."""
     x = np.asarray(x, dtype=float)
-    DxV, DxxV = value_source.derivatives(float(t), x)
-    query = assemble_query(spec, t, x.reshape(1, -1), np.asarray(DxV)[None],
-                           np.asarray(DxxV)[None])
-    return minimize_hamiltonian_in_u(spec, query, newton_cfg)[0]
-
-
-def _feedback_batch(spec, value_source, t, X, newton_cfg: NewtonConfig):
-    DxV, DxxV = value_source.derivatives_batch(t, X)
-    return minimize_hamiltonian_in_u(spec, assemble_query(spec, t, X, DxV, DxxV), newton_cfg)
+    X = x.reshape(-1, spec.dims.n)
+    DxV, DxxV = value_source.derivatives(float(t), X)
+    u = minimize_hamiltonian_in_u(spec, assemble_query(spec, t, X, DxV, DxxV))
+    return u if x.ndim == 2 else u[0]
 
 
 class LatticeValueSource:
@@ -204,20 +195,14 @@ class LatticeValueSource:
 
     def value(self, t, x):
         fv, _, _ = self._tables(self._snap(t))
-        return float(fv(self._clamp(x))[0]), np.nan
-
-    def value_batch(self, t, X):
-        fv, _, _ = self._tables(self._snap(t))
-        return fv(self._clamp(X))
+        V = fv(self._clamp(x))
+        return V if np.ndim(x) == 2 else float(V[0])
 
     def derivatives(self, t, x):
-        dxv, dxxv = self.derivatives_batch(t, np.atleast_2d(x))
-        return dxv[0], dxxv[0]
-
-    def derivatives_batch(self, t, X):
         _, fg, fh = self._tables(self._snap(t))
-        Xc = self._clamp(X)
-        return fg(Xc), fh(Xc)
+        Xc = self._clamp(x)
+        DxV, DxxV = fg(Xc), fh(Xc)
+        return (DxV, DxxV) if np.ndim(x) == 2 else (DxV[0], DxxV[0])
 
 
 def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
@@ -277,8 +262,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
 
 
 def simulate_closed_loop(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
-                         value_source, newton_cfg: NewtonConfig = NewtonConfig(),
-                         control_override=None) -> ClosedLoopResult:
+                         value_source, control_override=None) -> ClosedLoopResult:
     """Euler-Maruyama under the pointwise feedback of the value source.
 
     control_override(t, X, u_feedback) may reshape the control per step; it
@@ -297,7 +281,7 @@ def simulate_closed_loop(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     dt = wgrid.dt
     for k in range(wgrid.N):
         t = float(wgrid.nodes[k])
-        u_fb = _feedback_batch(spec, value_source, t, X[:, k], newton_cfg)
+        u_fb = feedback_map(spec, value_source, t, X[:, k])
         if control_override is not None:
             u_fb = control_override(t, X[:, k], u_fb)
         U[:, k] = u_fb
@@ -364,22 +348,21 @@ def verify_optimality(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
         spec, grid, t0, x0, W, basis, cfg)
     open_costs = per_path_costs(spec, sol.states, sol.controls)
     j_open = float(open_costs.mean())
-    V, _ = value_source.value(t0, np.asarray(x0, dtype=float))
+    V = value_source.value(t0, np.asarray(x0, dtype=float))
+
+    def probe(override):
+        run = simulate_closed_loop(spec, grid, t0, x0, W, value_source, control_override=override)
+        diff = run.per_path_cost - closed.per_path_cost
+        return PerturbedRun(cost=run.cost, gap_vs_closed=float(diff.mean()),
+                            stderr_gap=mc_stderr(diff, W.antithetic))
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     n, m = spec.dims.n, spec.dims.m
     perturbed = []
     for _ in range(n_perturbed):
         d_th = rng.uniform(-perturb_scale, perturb_scale, size=(m, n))
         d_of = rng.uniform(-perturb_scale, perturb_scale, size=m)
-
-        def override(t, X, u_fb, d_th=d_th, d_of=d_of):
-            return u_fb + X @ d_th.T + d_of
-
-        run = simulate_closed_loop(spec, grid, t0, x0, W, value_source,
-                                   control_override=override)
-        diff = run.per_path_cost - closed.per_path_cost
-        perturbed.append(PerturbedRun(cost=run.cost, gap_vs_closed=float(diff.mean()),
-                                      stderr_gap=mc_stderr(diff, W.antithetic)))
+        perturbed.append(probe(lambda t, X, u_fb, d_th=d_th, d_of=d_of: u_fb + X @ d_th.T + d_of))
     report = VerificationReport(
         j_closed=closed.cost, j_open=j_open, value=float(V),
         stderr_closed=closed.stderr, stderr_open=mc_stderr(open_costs, W.antithetic),
@@ -387,20 +370,12 @@ def verify_optimality(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
         perturbed=perturbed,
     )
     if gain_scale is not None:
-        def scale_override(t, X, u_fb):
-            return gain_scale * u_fb
-
-        run = simulate_closed_loop(spec, grid, t0, x0, W, value_source,
-                                   control_override=scale_override)
-        diff = run.per_path_cost - closed.per_path_cost
-        report.scaled_gain = PerturbedRun(cost=run.cost, gap_vs_closed=float(diff.mean()),
-                                          stderr_gap=mc_stderr(diff, W.antithetic))
+        report.scaled_gain = probe(lambda t, X, u_fb: gain_scale * u_fb)
         report.scale = gain_scale
     return report
 
 
-def feedback_field_to_csv(spec, value_source, times, xs, path,
-                          newton_cfg: NewtonConfig = NewtonConfig()):
+def feedback_field_to_csv(spec, value_source, times, xs, path):
     """Tabulated feedback (t, x..., u...) on the given lattice."""
     n = spec.dims.n
     m = spec.dims.m
@@ -409,7 +384,7 @@ def feedback_field_to_csv(spec, value_source, times, xs, path,
         writer.writerow(["t"] + [f"x_{i}" for i in range(n)] + [f"u_{j}" for j in range(m)])
         for t in times:
             for x in xs:
-                u = feedback_map(spec, value_source, float(t), x, newton_cfg)
+                u = feedback_map(spec, value_source, float(t), x)
                 row = [repr(float(t))] + [repr(float(v)) for v in np.atleast_1d(x)]
                 row += [repr(float(v)) for v in u]
                 writer.writerow(row)

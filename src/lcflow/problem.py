@@ -282,17 +282,23 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
             m_joint = min(m_joint, check_psd(stacked_hessian(cost, t, x, u)))
         add("case2_terminal_minus_delta_psd", m_term, f"worst eigenvalue margin {m_term:.3g}")
         add("case2_joint_hessian_psd", m_joint, f"worst eigenvalue margin {m_joint:.3g}")
-        grid = TimeGrid(0.0, spec.horizon, 32)
-        dtd_margin = np.inf
-        for t in grid.nodes[:-1]:
-            D = spec.coeffs.D.at(float(t))
-            dtd = np.einsum("inm,ink->mk", D, D)
-            dtd_margin = min(dtd_margin, check_psd(dtd, shift=delta))
+        dtd_margin = _dtd_margin(spec.coeffs, spec.horizon, delta)
         add("case2_dtd_lower_bound", dtd_margin, f"min eig(D^T D) - delta = {dtd_margin:.3g} over grid")
     else:
         add("certificate_declared", 0.0, "mode 'declared': delta taken on trust")
 
     return ValidationReport(checks=checks)
+
+
+def _dtd_margin(coeffs: CoefficientSet, horizon: float, delta: float) -> float:
+    """Smallest eigenvalue of D^T D - delta I over the left nodes of a 32-step grid."""
+    grid = TimeGrid(0.0, horizon, 32)
+    worst = np.inf
+    for t in grid.nodes[:-1]:
+        D = coeffs.D.at(float(t))
+        dtd = np.einsum("inm,ink->mk", D, D)
+        worst = min(worst, check_psd(dtd, shift=delta))
+    return worst
 
 
 def build_lq_problem(*, coeffs: CoefficientSet, horizon: float, delta: float, G=None, r=None,
@@ -334,12 +340,7 @@ def build_smooth_convex_problem(
     elif family == "case2_smooth":
         cost = case2_smooth_cost(dims.n, dims.m, delta, kappa_g=kappa_g, kappa_x=kappa_x,
                                  kappa_u=kappa_u, r_u=r_u)
-        grid = TimeGrid(0.0, horizon, 32)
-        worst = np.inf
-        for t in grid.nodes[:-1]:
-            D = coeffs.D.at(float(t))
-            dtd = np.einsum("inm,ink->mk", D, D)
-            worst = min(worst, check_psd(dtd, shift=delta))
+        worst = _dtd_margin(coeffs, horizon, delta)
         if worst < -1e-10:
             raise ValidationFailure(
                 f"case2_smooth requires D^T D >= delta I on the grid; margin {worst:.3g}"

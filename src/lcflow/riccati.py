@@ -217,8 +217,10 @@ def lq_value(ric: RiccatiSolution, t: float, x) -> tuple:
     phi = ric.phi_at(t)
     x = np.asarray(x, dtype=float)
     X = x.reshape(-1, P.shape[0])
-    V = 0.5 * np.einsum("pi,ij,pj->p", X, P, X) + X @ phi + ric.c_at(t)
-    DxV = X @ P + phi                      # P is symmetric
+    # einsum, not a BLAS product: a row's result does not depend on the batch size
+    XP = np.einsum("pi,ij->pj", X, P)      # P is symmetric
+    V = 0.5 * (XP * X).sum(axis=1) + np.einsum("pi,i->p", X, phi) + ric.c_at(t)
+    DxV = XP + phi
     if x.ndim == 2:
         return V, DxV, np.broadcast_to(P, (X.shape[0],) + P.shape)
     return float(V[0]), DxV[0], P

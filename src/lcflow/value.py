@@ -73,7 +73,11 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
 
 
 class RiccatiValueSource:
-    """Value, gradient and curvature read off the quadratic oracle."""
+    """Value, gradient and curvature read off the quadratic oracle.
+
+    Value sources have a `kind`, `value(t, x)` -> V and `derivatives(t, x)`
+    -> (DxV, DxxV), at one point x [n] or, shaped as in lq_value, X [B, n].
+    """
 
     kind = "riccati_oracle"
 
@@ -81,21 +85,14 @@ class RiccatiValueSource:
         self.ric = ric
 
     def value(self, t, x):
-        V, _, _ = lq_value(self.ric, t, x)
-        return V, 0.0
-
-    def value_batch(self, t, X):
-        return lq_value(self.ric, t, X)[0]
+        return lq_value(self.ric, t, x)[0]
 
     def derivatives(self, t, x):
         return lq_value(self.ric, t, x)[1:]
 
-    def derivatives_batch(self, t, X):
-        return lq_value(self.ric, t, X)[1:]
-
 
 class SolverValueSource:
-    """Value samples from fresh optimality solves, cached per (t, x)."""
+    """Value samples from fresh optimality solves, cached per (t, x); one point at a time."""
 
     kind = "solver"
 
@@ -118,8 +115,7 @@ class SolverValueSource:
         return vs
 
     def value(self, t, x):
-        vs = self.sample(t, x, with_hessian=False)
-        return vs.V, vs.stderr_V
+        return self.sample(t, x, with_hessian=False).V
 
     def derivatives(self, t, x):
         vs = self.sample(t, x, with_hessian=True)
@@ -185,7 +181,7 @@ def generator_and_hamiltonian(spec, t, x, DxV, DxxV):
     return LV, H, u_star
 
 
-def hjb_residual(spec, value_fn_source, samples, h_t: float, h_x: float = None) -> HJBResidualReport:
+def hjb_residual(spec, value_fn_source, samples, h_t: float) -> HJBResidualReport:
     """Pointwise residual dV/dt + LV + H at the given (t, x) samples.
 
     The time derivative is a central difference of the source's value with
@@ -195,7 +191,7 @@ def hjb_residual(spec, value_fn_source, samples, h_t: float, h_x: float = None) 
     """
     if h_t <= 0:
         raise ValueError("h_t must be positive")
-    report = HJBResidualReport(h_t=h_t, source=getattr(value_fn_source, "kind", "unknown"))
+    report = HJBResidualReport(h_t=h_t, source=value_fn_source.kind)
     T = spec.horizon
     for (t, x) in samples:
         t = float(t)
@@ -203,16 +199,16 @@ def hjb_residual(spec, value_fn_source, samples, h_t: float, h_x: float = None) 
         DxV, DxxV = value_fn_source.derivatives(t, x)
         lo, hi = t - h_t, t + h_t
         if lo < 0.0:
-            v_hi, _ = value_fn_source.value(t + h_t, x)
-            v_lo, _ = value_fn_source.value(t, x)
+            v_hi = value_fn_source.value(t + h_t, x)
+            v_lo = value_fn_source.value(t, x)
             dtV = (v_hi - v_lo) / h_t
         elif hi > T:
-            v_hi, _ = value_fn_source.value(t, x)
-            v_lo, _ = value_fn_source.value(t - h_t, x)
+            v_hi = value_fn_source.value(t, x)
+            v_lo = value_fn_source.value(t - h_t, x)
             dtV = (v_hi - v_lo) / h_t
         else:
-            v_hi, _ = value_fn_source.value(hi, x)
-            v_lo, _ = value_fn_source.value(lo, x)
+            v_hi = value_fn_source.value(hi, x)
+            v_lo = value_fn_source.value(lo, x)
             dtV = (v_hi - v_lo) / (2.0 * h_t)
         LV, H, u_star = generator_and_hamiltonian(spec, t, x, DxV, DxxV)
         report.entries.append(HJBResidualEntry(
@@ -256,7 +252,7 @@ def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
         reg = StepRegression(X[:, kh:kh + 1], basis, first_step=kh)
         cont = reg.fit(0, tail)
     else:
-        cont = value_fn_source.value_batch(t_mid, X[:, kh])
+        cont = value_fn_source.value(t_mid, X[:, kh])
     return V - float((head + cont).mean())
 
 

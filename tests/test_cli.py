@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lcflow.cli import main
-from lcflow.presets import p1, p2
+from lcflow.presets import p1, p1_d_variant, p2
 from lcflow.problem import problem_to_json
 
 
@@ -148,6 +148,20 @@ def test_hjb_command_oracle(workdir):
     assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["max_abs_residual"] <= report["tolerance"]
+
+
+@pytest.mark.parametrize("N", [20, 50])
+def test_hjb_command_oracle_with_time_varying_riccati_state(workdir, N):
+    # P(t) of P1-D varies; a difference in t over 2 dt failed the exact oracle
+    (workdir / "problems" / "p1d.json").write_text(
+        json.dumps(problem_to_json(p1_d_variant())), encoding="utf-8")
+    cfg = _config(workdir, problem="problems/p1d.json", grid={"N": N},
+                  initial={"t": 0.0, "x": [0.4]})
+    out = workdir / "hjbd"
+    code = main(["hjb-check", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert code == 0, report
+    assert report["h_t"] == pytest.approx(1.0 / (4 * N), rel=1e-12)
 
 
 def test_feedback_command(workdir):

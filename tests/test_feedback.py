@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from lcflow import (
+    DescentConfig,
     FeedbackQuery,
+    RegressionBasis,
     RegularityError,
+    TimeGrid,
     build_lattice_source,
     feedback_map,
+    generate_brownian,
     minimize_hamiltonian_in_u,
     simulate_closed_loop,
     verify_optimality,
@@ -152,7 +156,7 @@ def test_lattice_source_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):
     # the feedback loop reproduces the open-loop optimum within the budget
     assert abs(res.cost - j_open) <= max(3 * grid.dt * abs(j_open) + 0.003,
                                          4 * max(res.stderr, 1e-12))
-    v_fit, _ = source.value(0.0, np.array([0.3]))
+    v_fit = source.value(0.0, np.array([0.3]))
     assert abs(v_fit - j_open) <= 0.01 * (1 + abs(j_open))
 
 
@@ -162,3 +166,46 @@ def test_feedback_field_csv(tmp_path, spec_p1, oracle_p1):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,x_0,u_0"
     assert len(lines) == 7
+
+
+@pytest.fixture(scope="module")
+def lattice_p2(spec_p2):
+    grid = TimeGrid(0.0, 1.0, 20)
+    W = generate_brownian(grid, 1000, seed=3, antithetic=True, d=1)
+    return build_lattice_source(spec_p2, grid, 0.0, [0.3], W, RegressionBasis(degree=2, ridge=1e-8),
+                                DescentConfig(eta="auto", max_iter=80, tol_grad=1e-3))
+
+
+def _sources(spec_p1, spec_p2, rich_lq, lattice_p2):
+    grid = TimeGrid(0.0, 1.0, 30)
+    return [
+        (spec_p1, RiccatiValueSource(solve_riccati_ode(spec_p1, grid=grid))),
+        (rich_lq, RiccatiValueSource(solve_riccati_ode(rich_lq, grid=grid))),
+        (spec_p2, lattice_p2),
+    ]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.55, 1.0])
+def test_value_sources_answer_a_batch_bitwise(spec_p1, spec_p2, rich_lq, lattice_p2, t):
+    for spec, source in _sources(spec_p1, spec_p2, rich_lq, lattice_p2):
+        X = np.random.Generator(np.random.Philox(key=41)).normal(size=(13, spec.dims.n))
+        V = source.value(t, X)
+        DxV, DxxV = source.derivatives(t, X)
+        U = feedback_map(spec, source, t, X)
+        n, m = spec.dims.n, spec.dims.m
+        assert V.shape == (13,) and DxV.shape == (13, n) and DxxV.shape == (13, n, n)
+        assert U.shape == (13, m)
+        for b, x in enumerate(X):
+            v = source.value(t, x)
+            dxv, dxxv = source.derivatives(t, x)
+            assert isinstance(v, float), source.kind
+            assert V[b] == v, source.kind
+            np.testing.assert_array_equal(DxV[b], dxv)
+            np.testing.assert_array_equal(DxxV[b], dxxv)
+            u = feedback_map(spec, source, t, x)
+            if m == 1:
+                np.testing.assert_array_equal(U[b], u)
+            else:
+                # a BLAS matrix product inside the cost's Du_l may round a row
+                # differently with the batch size
+                np.testing.assert_allclose(U[b], u, rtol=1e-13, atol=0.0)

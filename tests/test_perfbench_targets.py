@@ -1,15 +1,21 @@
-"""The benchmark's span wrappers still find every name they patch.
+"""The benchmark's span wrappers still find every name they patch, and fire.
 
 perfbench/spans.py patches each (module, attribute) in WRAPPED at install
 time; a renamed target would only surface there, after a long traced run.
-The file is executed read-only here and nothing is patched.
+The files are executed read-only here and nothing in this process is
+patched.  The self-check of perfbench/run.py runs each workload once at a
+tiny path count in a worker process and fails when a wrapped name does not
+fire where it should, for instance after a call is routed around it.
 """
 
 import importlib
 import runpy
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_wrapped_target_resolves():
@@ -22,3 +28,12 @@ def test_every_wrapped_target_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("workload", ["p1-verify", "p2-feedback", "p2-convexity"])
+def test_benchmark_self_check(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = runpy.run_path(str(PERFBENCH / "run.py"))
+    call = run["smoke"](run["WORKLOADS"][workload], tmp_path, 201)
+    assert call["error"] is None
+    assert call["trace"]["spans"]["cli.main"]["calls"] == 1

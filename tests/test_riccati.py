@@ -167,7 +167,7 @@ def test_lq_value_answers_a_batch(rich_lq, t):
     X = np.random.Generator(np.random.Philox(key=31)).normal(size=(17, 2))
     V, DxV, DxxV = lq_value(ric, t, X)
     assert V.shape == (17,) and DxV.shape == (17, 2) and DxxV.shape == (17, 2, 2)
-    src_DxV, src_DxxV = RiccatiValueSource(ric).derivatives_batch(t, X)
+    src_DxV, src_DxxV = RiccatiValueSource(ric).derivatives(t, X)
     for b, x in enumerate(X):
         v, dxv, dxxv = lq_value(ric, t, x)
         assert isinstance(v, float)
