@@ -24,7 +24,6 @@ from .descent import (
     DescentReport,
     HamiltonianSolution,
     descent_step,
-    estimate_lipschitz,
     solve_hamiltonian,
     uniform_convexity_gap,
 )

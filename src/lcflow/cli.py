@@ -156,7 +156,8 @@ class Runner:
             sol = self._solve()
         except ConvergenceError as exc:
             return {"converged": False, "error": str(exc),
-                    "grad_norm_history": list(exc.history)}, False
+                    "grad_norm_history": list(exc.history),
+                    "eta": exc.eta, "k_hat": exc.k_hat}, False
         rep = json.loads(sol.report.to_json())
         rep["converged"] = True
         rep["cost"] = float(per_path_costs(self.spec, sol.states, sol.controls).mean())

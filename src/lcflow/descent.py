@@ -4,8 +4,9 @@ Each sweep re-simulates the forward state on the fixed Brownian ensemble,
 re-solves the adjoint by regression, assembles the control gradient and
 takes a damped-free step.  Under uniform convexity with modulus delta and
 gradient Lipschitz-squared constant K, the map is a contraction for
-eta = delta / K, which is what the auto step size targets with an
-empirically estimated, safety-inflated K.
+eta = delta / K, which is what the auto step size targets: with the
+certificate's declared K when there is one, else with an empirically
+estimated, safety-inflated K probed around the starting control.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class DescentReport:
     final_residual: float = np.inf
     eta: float = np.nan
     k_hat: Optional[float] = None
+    probe_ratios: list = field(default_factory=list)
     wall_time: float = 0.0
     converged: bool = False
     reason: str = ""
@@ -80,6 +82,7 @@ class DescentReport:
                 ],
                 "eta": self.eta,
                 "k_hat": self.k_hat,
+                "probe_ratios": self.probe_ratios,
                 "final_residual": self.final_residual,
                 "converged": self.converged,
                 "reason": self.reason,
@@ -110,6 +113,8 @@ class CoreProblem:
     cost_eval implements terminal_value/terminal_gradient/running_value/
     running_grad_x/running_grad_u; features_fn optionally maps the state
     array [M, N+1, n] to regression features (defaults to the state itself).
+    k_lip, when known, is the gradient's Lipschitz-squared constant K; the
+    auto step size then uses it instead of probing.
     """
 
     sc: StepCoeffs
@@ -118,6 +123,7 @@ class CoreProblem:
     delta: float
     x0: np.ndarray
     features_fn: Optional[object] = None
+    k_lip: Optional[float] = None
 
     def features(self, X):
         return None if self.features_fn is None else self.features_fn(X)
@@ -130,6 +136,7 @@ def core_from_spec(spec, grid: TimeGrid, x0) -> CoreProblem:
         cost_eval=GridCost(spec.cost, grid),
         delta=spec.certificate.delta,
         x0=np.asarray(x0, dtype=float),
+        k_lip=None if spec.certificate.k_lip == "auto" else float(spec.certificate.k_lip),
     )
 
 
@@ -160,38 +167,44 @@ def _probe_controls(shape_nm, count, scale, seed, demean=False):
 
 
 def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int,
-                            scale: float = 1.0) -> float:
-    """Safety-inflated squared-norm ratio max ||D[u+v]-D[u]||^2 / ||v||^2."""
+                            scale: float = 1.0, base=None):
+    """Safety-inflated squared-norm ratio max ||D[u+v]-D[u]||^2 / ||v||^2.
+
+    The probes share one base control u: base is (U, D[U]) as already
+    evaluated by the caller, else u = 0 is evaluated here.  Returns the
+    estimate 2 * max ratio and the raw ratios.
+    """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     M = dW.shape[0]
     N = core.grid.N
     m = core.sc.B.shape[2]
     dt = core.grid.dt
+    if base is None:
+        U0 = np.zeros((M, N, m))
+        base = (U0, _evaluate_gradient(core, U0, dW, basis)[3])
+    U0, D0 = base
     ratios = []
-    bases = _probe_controls((N, m), probes, scale, seed)
-    bumps = _probe_controls((N, m), probes, scale, seed + 1, demean=True)
-    for ub, vb in zip(bases, bumps):
+    for vb in _probe_controls((N, m), probes, scale, seed + 1, demean=True):
         vnorm = l2_norm_array(np.broadcast_to(vb, (1, N, m)), dt)
         if vnorm <= 1e-14:
             continue
-        U1 = np.broadcast_to(ub, (M, N, m))
-        U2 = np.broadcast_to(ub + vb, (M, N, m))
-        *_, D1, _ = _evaluate_gradient(core, U1, dW, basis)
-        *_, D2, _ = _evaluate_gradient(core, U2, dW, basis)
-        ratios.append(l2_norm_array(D2 - D1, dt) ** 2 / vnorm**2)
+        *_, D1, _ = _evaluate_gradient(core, U0 + vb, dW, basis)
+        ratios.append(float(l2_norm_array(D1 - D0, dt) ** 2 / vnorm**2))
     if not ratios:
         raise ValueError("all probe perturbations were degenerate")
-    return 2.0 * float(max(ratios))
+    return 2.0 * max(ratios), ratios
 
 
 def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
             producer: str = "descent", u0: np.ndarray = None):
-    """Iterate the gradient map from u = 0 until stationarity.
+    """Iterate the gradient map from u = 0 (or u0) until stationarity.
 
+    Iteration 0's evaluation doubles as the base of the Lipschitz probes.
     Convergence is declared on the stationarity residual (the gradient's
-    integrated norm) or on the step size; hitting the iteration cap raises
-    ConvergenceError carrying the residual history.
+    integrated norm) or on the step size; a non-finite residual or hitting
+    the iteration cap raises ConvergenceError carrying the residual
+    history, eta and K.
     """
     t_start = time.perf_counter()
     M = dW.shape[0]
@@ -199,20 +212,33 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
     m = core.sc.B.shape[2]
     dt = core.grid.dt
     report = DescentReport()
+    U = np.zeros((M, N, m)) if u0 is None else np.broadcast_to(
+        np.asarray(u0, dtype=float), (M, N, m)).copy()
+    evaluation = _evaluate_gradient(core, U, dW, basis)
     if cfg.eta == "auto":
-        report.k_hat = estimate_lipschitz_core(core, dW, basis, cfg.lipschitz_probes, PROBE_SEED)
+        if core.k_lip is None:
+            report.k_hat, report.probe_ratios = estimate_lipschitz_core(
+                core, dW, basis, cfg.lipschitz_probes, PROBE_SEED, base=(U, evaluation[3]))
+        else:
+            report.k_hat = core.k_lip
         eta = core.delta / report.k_hat
     else:
         eta = float(cfg.eta)
     report.eta = eta
 
-    U = np.zeros((M, N, m)) if u0 is None else np.broadcast_to(
-        np.asarray(u0, dtype=float), (M, N, m)).copy()
+    def failure(message):
+        return ConvergenceError(message, history=report.grad_norms, eta=report.eta,
+                                k_hat=report.k_hat)
+
     prev = None  # (U, D, J)
     step_norm = np.inf
     for it in range(cfg.max_iter + 1):
-        X, Y, Z, D, diag = _evaluate_gradient(core, U, dW, basis)
+        if it:
+            evaluation = _evaluate_gradient(core, U, dW, basis)
+        X, Y, Z, D, _ = evaluation
         gnorm = l2_norm_array(D, dt)
+        if not np.isfinite(gnorm):
+            raise failure(f"non-finite residual {gnorm} at iteration {it}")
         J = float(per_path_cost_core(core.cost_eval, core.grid, X, U).mean())
         if cfg.backtracking and prev is not None and J > prev[2] + 1e-12 and eta > 1e-8:
             eta *= 0.5
@@ -239,24 +265,14 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
         prev = (U, D, J)
         U = U - eta * D
         step_norm = eta * gnorm
-    report.final_residual = report.grad_norms[-1]
-    report.wall_time = time.perf_counter() - t_start
-    raise ConvergenceError(
+    raise failure(
         f"no stationarity after {cfg.max_iter} iterations "
-        f"(last residual {report.grad_norms[-1]:.3e}, tol {cfg.tol_grad:.1e})",
-        history=report.grad_norms,
+        f"(last residual {report.grad_norms[-1]:.3e}, tol {cfg.tol_grad:.1e})"
     )
 
 
 # ---------------------------------------------------------------------------
 # public operations on a ProblemSpec
-
-
-def estimate_lipschitz(spec, grid: TimeGrid, x0, W: BrownianEnsemble,
-                       basis: RegressionBasis, probes: int = 4, seed: int = PROBE_SEED,
-                       scale: float = 1.0) -> float:
-    core = core_from_spec(spec, grid, x0)
-    return estimate_lipschitz_core(core, W.increments, basis, probes, seed, scale)
 
 
 def descent_step(spec, X: StateEnsemble, u: ControlEnsemble, adj: AdjointEnsemble,

@@ -35,11 +35,17 @@ class ConditioningError(LcflowError):
 
 
 class ConvergenceError(LcflowError):
-    """An iteration hit its cap before reaching tolerance."""
+    """An iteration hit its cap, or its residual left the finite range.
 
-    def __init__(self, message, history=None):
+    Carries the residual history and, for a descent, its step size eta and
+    Lipschitz constant k_hat (None when the step size was fixed).
+    """
+
+    def __init__(self, message, history=None, eta=None, k_hat=None):
         super().__init__(message)
         self.history = history or []
+        self.eta = eta
+        self.k_hat = k_hat
 
 
 class RegularityError(LcflowError):

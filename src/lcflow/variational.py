@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,25 +166,23 @@ def solve_linear_hamiltonian(spec, grid: TimeGrid, W: BrownianEnsemble,
     grad_u = np.empty((M, N, m, n))
     reports = []
 
-    k_hat = None
+    def direction_core(i, k_lip):
+        return CoreProblem(sc=sc, grid=wgrid, cost_eval=frozen, delta=spec.certificate.delta,
+                           x0=np.eye(n)[i], features_fn=features_fn, k_lip=k_lip)
+
+    # the frozen problem is the primal gradient map linearised along the
+    # optimum: same modulus, and the same K, which the primal solve carries
+    k_hat = sol.report.k_hat
+    if k_hat is None and cfg.eta == "auto":
+        k_hat, _ = estimate_lipschitz_core(direction_core(0, None), W.increments, basis,
+                                           cfg.lipschitz_probes, PROBE_SEED)
     for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        core = CoreProblem(sc=sc, grid=wgrid, cost_eval=frozen,
-                           delta=spec.certificate.delta, x0=e_i, features_fn=features_fn)
-        sub_cfg = cfg
-        if cfg.eta == "auto":
-            if k_hat is None:
-                k_hat = estimate_lipschitz_core(core, W.increments, basis,
-                                                cfg.lipschitz_probes, PROBE_SEED)
-            sub_cfg = replace(cfg, eta=spec.certificate.delta / k_hat)
         try:
-            dsol = descend(core, W.increments, basis, sub_cfg, producer="variational")
+            dsol = descend(direction_core(i, k_hat), W.increments, basis, cfg,
+                           producer="variational")
         except Exception as exc:
             exc.args = (f"direction {i}: {exc.args[0]}",) + exc.args[1:]
             raise
-        if dsol.report.k_hat is None:
-            dsol.report.k_hat = k_hat
         grad_X[..., i] = dsol.states.values
         grad_Y[..., i] = dsol.adjoint.Y
         grad_Z[..., i] = dsol.adjoint.Z

@@ -81,6 +81,7 @@ def test_solve_exhaustion_exits_one(workdir):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is False
     assert "grad_norm_history" in report
+    assert report["eta"] == 0.05 and report["k_hat"] is None
 
 
 def test_solve_success(workdir):
@@ -233,3 +234,43 @@ def test_one_solve_per_command(command, checks, workdir, monkeypatch):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert "error" not in report, report
     assert len(calls) == 1
+
+
+def _count_evaluations(monkeypatch):
+    """Record gradient evaluations and the iterations of every descend call."""
+    import lcflow.descent
+    import lcflow.variational
+
+    evals, iterations = [], []
+    evaluate, descend = lcflow.descent._evaluate_gradient, lcflow.descent.descend
+
+    def counting_evaluate(*args, **kwargs):
+        evals.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counting_descend(*args, **kwargs):
+        sol = descend(*args, **kwargs)
+        iterations.append(sol.report.iterations)
+        return sol
+
+    monkeypatch.setattr(lcflow.descent, "_evaluate_gradient", counting_evaluate)
+    for module in (lcflow.descent, lcflow.variational):
+        monkeypatch.setattr(module, "descend", counting_descend)
+    return evals, iterations
+
+
+@pytest.mark.parametrize("command, problem, checks, probe_evals, solves", [
+    # the derivative solve reuses the primal K: only the primal solve probes
+    ("verify-lq", "problems/p1.json", {"with_derivative": True}, 4, 2),
+    ("convexity-check", "problems/p2.json", {}, 3 * 4, 3),
+])
+def test_probe_evaluations_per_command(command, problem, checks, probe_evals, solves,
+                                       workdir, monkeypatch):
+    evals, iterations = _count_evaluations(monkeypatch)
+    cfg = _config(workdir, problem=problem, monte_carlo={"M": 500}, checks=checks)
+    out = workdir / command
+    main([command, "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert "error" not in report, report
+    assert len(iterations) == solves
+    assert len(evals) == probe_evals + sum(it + 1 for it in iterations)

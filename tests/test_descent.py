@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from lcflow import (
     Dimensions,
     build_lq_problem,
     descent_step,
-    estimate_lipschitz,
     generate_brownian,
     simulate_forward,
     solve_adjoint,
@@ -17,6 +18,7 @@ from lcflow import (
     uniform_convexity_gap,
 )
 from lcflow.budgets import contraction_bound
+from lcflow.descent import core_from_spec, estimate_lipschitz_core
 from lcflow.paths import l2_norm_array
 
 
@@ -43,7 +45,8 @@ def test_zero_problem_converges_immediately(grid, basis, spec_zero):
 def test_lipschitz_identity_operator(grid, basis):
     spec = _decoupled_spec()
     W = generate_brownian(grid, 1000, seed=2)
-    k_hat = estimate_lipschitz(spec, grid, [0.0], W, basis, probes=3, seed=5)
+    k_hat, _ = estimate_lipschitz_core(core_from_spec(spec, grid, [0.0]), W.increments, basis,
+                                       probes=3, seed=5)
     # raw squared ratio is exactly one, doubled by the safety factor
     assert k_hat == pytest.approx(2.0, abs=1e-9)
 
@@ -51,8 +54,9 @@ def test_lipschitz_identity_operator(grid, basis):
 def test_lipschitz_ratio_scale_invariant_for_lq(grid, basis):
     spec = _decoupled_spec()
     W = generate_brownian(grid, 1000, seed=2)
-    a = estimate_lipschitz(spec, grid, [0.0], W, basis, probes=3, seed=5, scale=0.5)
-    b = estimate_lipschitz(spec, grid, [0.0], W, basis, probes=3, seed=5, scale=1.0)
+    core = core_from_spec(spec, grid, [0.0])
+    a, _ = estimate_lipschitz_core(core, W.increments, basis, probes=3, seed=5, scale=0.5)
+    b, _ = estimate_lipschitz_core(core, W.increments, basis, probes=3, seed=5, scale=1.0)
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -62,6 +66,10 @@ def test_auto_eta_is_delta_over_k(grid, basis, spec_p1):
     sol = solve_hamiltonian(spec_p1, grid, 0.0, [0.0], W, basis, cfg)
     assert sol.report.k_hat is not None
     assert sol.report.eta == pytest.approx(spec_p1.certificate.delta / sol.report.k_hat)
+    # the raw ratios of the 4 probes are kept, and K is twice the largest
+    assert len(sol.report.probe_ratios) == 4
+    assert sol.report.k_hat == 2.0 * max(sol.report.probe_ratios)
+    assert json.loads(sol.report.to_json())["probe_ratios"] == sol.report.probe_ratios
 
 
 def test_single_step_deterministic_profile(grid, basis, spec_p1_nonoise):
@@ -165,6 +173,38 @@ def test_max_iter_exhaustion_raises_with_history(grid, basis, spec_p2):
     assert len(err.value.history) >= 1
 
 
+def test_max_iter_error_carries_eta_and_k(grid, basis, spec_p1):
+    W = generate_brownian(grid, 512, seed=10)
+    cfg = DescentConfig(eta="auto", max_iter=2, tol_grad=1e-9)
+    with pytest.raises(ConvergenceError) as err:
+        solve_hamiltonian(spec_p1, grid, 0.0, [0.3], W, basis, cfg)
+    assert len(err.value.history) == 3
+    assert err.value.k_hat > 0
+    assert err.value.eta == spec_p1.certificate.delta / err.value.k_hat
+
+
+def test_non_finite_residual_raises_at_once(grid, basis, spec_p1, monkeypatch):
+    import lcflow.descent
+
+    calls = []
+    evaluate = lcflow.descent._evaluate_gradient
+
+    def poisoned(*args):
+        calls.append(1)
+        X, Y, Z, D, diag = evaluate(*args)
+        return X, Y, Z, (D if len(calls) < 3 else np.full_like(D, np.nan)), diag
+
+    monkeypatch.setattr(lcflow.descent, "_evaluate_gradient", poisoned)
+    W = generate_brownian(grid, 256, seed=10)
+    cfg = DescentConfig(eta=0.5, max_iter=50, tol_grad=1e-9)
+    with pytest.raises(ConvergenceError, match="non-finite residual nan at iteration 2") as err:
+        solve_hamiltonian(spec_p1, grid, 0.0, [0.3], W, basis, cfg)
+    assert len(calls) == 3
+    assert len(err.value.history) == 2
+    assert err.value.eta == 0.5
+    assert err.value.k_hat is None
+
+
 def test_backtracking_recovers_from_large_eta(grid, basis, spec_p1):
     W = generate_brownian(grid, 1000, seed=11, antithetic=True)
     cfg = DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3, backtracking=True)
@@ -204,6 +244,7 @@ def test_stationarity_invariant_of_solution(sol_p1_small, grid, basis, spec_p1):
 
 def test_lipschitz_estimate_stable_across_seeds(grid, basis, spec_p1):
     W = generate_brownian(grid, 4000, seed=20, antithetic=True)
-    a = estimate_lipschitz(spec_p1, grid, [0.0], W, basis, probes=8, seed=101)
-    b = estimate_lipschitz(spec_p1, grid, [0.0], W, basis, probes=8, seed=202)
+    core = core_from_spec(spec_p1, grid, [0.0])
+    a, _ = estimate_lipschitz_core(core, W.increments, basis, probes=8, seed=101)
+    b, _ = estimate_lipschitz_core(core, W.increments, basis, probes=8, seed=202)
     assert abs(a - b) <= 0.10 * max(a, b)

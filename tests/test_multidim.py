@@ -6,6 +6,8 @@ scalar presets with zero drift offsets.  The problem is the rich_lq
 fixture of conftest.py.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,15 +96,34 @@ def test_solver_control_matches_oracle_gain(rich_lq, ric_rich, grid30, sol_rich)
     assert rel <= 0.07
 
 
-def test_curvature_matches_oracle_state(rich_lq, ric_rich, grid30, sol_rich):
+@pytest.fixture(scope="module")
+def deriv_rich(rich_lq, grid30, sol_rich):
     sol, W, basis, cfg = sol_rich
     frozen = freeze_second_order(rich_lq, sol)
+    return frozen, solve_linear_hamiltonian(rich_lq, grid30, W, basis, sol, frozen, cfg)
+
+
+def test_curvature_matches_oracle_state(ric_rich, deriv_rich):
+    frozen, deriv = deriv_rich
     assert frozen.is_constant
-    deriv = solve_linear_hamiltonian(rich_lq, grid30, W, basis, sol, frozen, cfg)
     hess = hessian_from_derivative(deriv)
     P0 = ric_rich.P_at(0.0)
     assert np.max(np.abs(hess.matrix - P0)) <= 0.07 * max(1.0, float(np.linalg.norm(P0)))
     assert hess.asymmetry <= 0.05
+
+
+def test_derivative_solve_reuses_the_primal_k(rich_lq, grid30, sol_rich, deriv_rich):
+    # C != 0, so the probe base is not removed by the feature normalization;
+    # the derivative problem's own K still agrees with the primal one
+    sol, W, basis, cfg = sol_rich
+    frozen, reused = deriv_rich
+    no_k = replace(sol, report=replace(sol.report, k_hat=None))
+    probed = solve_linear_hamiltonian(rich_lq, grid30, W, basis, no_k, frozen, cfg)
+    k_primal = sol.report.k_hat
+    assert [r.k_hat for r in reused.reports] == [k_primal, k_primal]
+    assert abs(probed.reports[0].k_hat - k_primal) <= 0.01 * k_primal
+    assert [r.iterations for r in reused.reports] == [r.iterations for r in probed.reports]
+    np.testing.assert_allclose(reused.grad_Y[:, 0], probed.grad_Y[:, 0], rtol=0, atol=1e-6)
 
 
 def test_closed_loop_matches_oracle(rich_lq, ric_rich, grid30, sol_rich):

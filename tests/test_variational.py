@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,9 +162,35 @@ def test_curvature_continuity_under_refinement(spec_p2, grid, basis, cfg, w_smal
     assert narrow <= wide + 0.04
 
 
-def test_variational_carries_reports(deriv_p1):
+def test_variational_carries_reports(deriv_p1, sol_p1_small):
     assert len(deriv_p1.reports) == 1
     assert deriv_p1.reports[0].converged
+    # the derivative solve steps with the primal K and probes nothing
+    assert deriv_p1.reports[0].k_hat == sol_p1_small.report.k_hat
+    assert deriv_p1.reports[0].probe_ratios == []
+
+
+def test_declared_k_lip_skips_every_probe(spec_p2, grid, basis, monkeypatch):
+    import lcflow.descent
+    import lcflow.variational
+    from lcflow.problem import problem_from_json, problem_to_json
+
+    doc = problem_to_json(spec_p2)
+    doc["certificate"]["k_lip"] = 2.0
+    spec = problem_from_json(json.loads(json.dumps(doc)))
+    probes = []
+    for module in (lcflow.descent, lcflow.variational):
+        monkeypatch.setattr(module, "estimate_lipschitz_core",
+                            lambda *args, **kwargs: probes.append(args))
+    W = generate_brownian(grid, 500, seed=31, antithetic=True)
+    cfg = DescentConfig(eta="auto", max_iter=80, tol_grad=1e-3)
+    sol = solve_hamiltonian(spec, grid, 0.0, [0.3], W, basis, cfg)
+    deriv = solve_linear_hamiltonian(spec, grid, W, basis, sol,
+                                     freeze_second_order(spec, sol), cfg)
+    assert probes == []
+    eta = spec.certificate.delta / 2.0
+    assert (sol.report.eta, sol.report.k_hat, sol.report.probe_ratios) == (eta, 2.0, [])
+    assert [(r.eta, r.k_hat) for r in deriv.reports] == [(eta, 2.0)]
 
 
 def test_riccati_state_csv(tmp_path, deriv_p1, grid, spec_p1):
