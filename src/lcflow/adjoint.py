@@ -18,6 +18,10 @@ so constant terminal data yields Z identically zero.
 
 Y is stored per path as the fitted value plus the driver increment, never
 as the raw rollback, which keeps Y_k a function of the step's information.
+
+Only the recursion runs step by step: Dx_l is evaluated for the whole path
+before the sweep, the diagnostics once per regression block, and the
+finiteness check once after the sweep.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .costs import GridCost
-from .errors import ConditioningError
+from .errors import BlowupError, ConditioningError
 from .grids import TimeGrid
 from .paths import BrownianEnsemble, ControlEnsemble, StateEnsemble
 from .problem import StepCoeffs, materialize
@@ -72,6 +76,9 @@ def _monomial_exponents(q: int, degree: int):
 # features path-contiguous and holds their design, so the block size bounds
 # the extra memory at about this many steps' worth of design.
 BLOCK_STEPS = 10
+
+# the LAPACK routine scipy's cho_solve wraps, called without the wrapper
+_POTRS, = get_lapack_funcs(("potrs",), (np.empty(0),))
 
 
 class StepRegression:
@@ -148,7 +155,7 @@ class StepRegression:
         return Phi
 
     def _coef(self, j: int, y: np.ndarray) -> np.ndarray:
-        return cho_solve((self._chol[j], True), self.Phi[j] @ y)
+        return _POTRS(self._chol[j], self.Phi[j] @ y, lower=True, overwrite_b=True)[0]
 
     def fit(self, j: int, targets: np.ndarray) -> np.ndarray:
         """Fitted values at step j of the block of one or more targets; targets [M] or [M, r]."""
@@ -205,39 +212,48 @@ class AdjointDiagnostics:
 
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,
                    dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None):
-    """Core backward sweep; returns (Y, Z, diagnostics)."""
+    """Core backward sweep; returns (Y, Z, diagnostics).
+
+    A non-finite Y or Z raises BlowupError at the first step the sweep reached.
+    """
     M, _, n = X.shape
     d = dW.shape[2]
     N = grid.N
     dt = grid.dt
     Y = np.empty((M, N + 1, n))
     Z = np.empty((M, N, d, n))
+    resid = np.empty((BLOCK_STEPS, M, n))      # a block's residuals, each step contiguous
+    cond, rmean, rbound = np.empty(N), np.empty(N), np.empty(N)
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
+    Y[:, :N] = cost_eval.running_grad_x(X[:, :N], U)     # Dx_l, until step k overwrites Y_k
+    with_c = bool(sc.C.any())
     F = features if features is not None else X
-    diag = AdjointDiagnostics(basis_size=0)
     k0 = N
     for k in range(N - 1, -1, -1):
         if k < k0:
             k0 = max(k + 1 - BLOCK_STEPS, 0)
             reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0)
-            diag.basis_size = reg.Phi.shape[1]
         j = k - k0
         m_fit = reg.fit(j, Y[:, k + 1])
-        resid = Y[:, k + 1] - m_fit
-        diag.cond.append(float(reg.cond[j]))
-        diag.residual_mean.append(float(np.max(np.abs(resid.mean(axis=0)))))
-        diag.residual_bound.append(float(4.0 * resid.std(axis=0).max() / np.sqrt(M)))
-        zt = (resid[:, None, :] * dW[:, k, :, None]) / dt          # [M, d, n]
+        r = np.subtract(Y[:, k + 1], m_fit, out=resid[j])
+        zt = (r[:, None, :] * dW[:, k, :, None]) / dt             # [M, d, n]
         Z[:, k] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
-        driver = (
-            m_fit @ sc.A[k]
-            + np.einsum("pij,ijn->pn", Z[:, k], sc.C[k])
-            + cost_eval.running_grad_x(k, X[:, k], U[:, k])
-        )
-        Y[:, k] = m_fit + driver * dt
-    diag.cond.reverse()
-    diag.residual_mean.reverse()
-    diag.residual_bound.reverse()
+        driver = m_fit @ sc.A[k]
+        if with_c:
+            driver = driver + np.einsum("pij,ijn->pn", Z[:, k], sc.C[k])
+        Y[:, k] = m_fit + (driver + Y[:, k]) * dt
+        if j == 0:      # the block is done: its diagnostics in one pass
+            R, block = resid[:len(reg.cond)], slice(k0, k0 + len(reg.cond))
+            cond[block] = reg.cond
+            rmean[block] = np.abs(R.mean(axis=1)).max(axis=1)
+            rbound[block] = 4.0 * R.std(axis=1).max(axis=1) / np.sqrt(M)
+    bad = ~np.isfinite(Y).all(axis=2)                           # [M, N+1]
+    bad[:, :N] |= ~np.isfinite(Z).all(axis=(2, 3))
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=0))[-1])
+        p = int(np.argmax(bad[:, k]))
+        raise BlowupError(f"adjoint left the finite range at path {p}, step {k}", path=p, step=k)
+    diag = AdjointDiagnostics(reg.Phi.shape[1], cond.tolist(), rmean.tolist(), rbound.tolist())
     return Y, Z, diag
 
 
@@ -245,16 +261,16 @@ def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z) -> np.n
     """Cost gradient in the control: B^T Y + D^T Z + Du_l, per (path, step)."""
     N = grid.N
     D = np.einsum("pkn,knm->pkm", Y[:, :N], sc.B) + np.einsum("pkij,kijm->pkm", Z, sc.D)
-    for k in range(N):
-        D[:, k] += cost_eval.running_grad_u(k, X[:, k], U[:, k])
-    return D
+    return D + cost_eval.running_grad_u(X[:, :N], U)
 
 
 def per_path_cost_core(cost_eval, grid: TimeGrid, X, U) -> np.ndarray:
     total = cost_eval.terminal_value(X[:, -1]).astype(float)
+    running = cost_eval.running_value(X[:, :grid.N], U)
     dt = grid.dt
+    # a sequential sum in time order, which fixes the rounding of every reported cost
     for k in range(grid.N):
-        total = total + cost_eval.running_value(k, X[:, k], U[:, k]) * dt
+        total = total + running[:, k] * dt
     return total
 
 

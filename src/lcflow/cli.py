@@ -23,7 +23,7 @@ from . import __version__
 from .adjoint import RegressionBasis, per_path_costs
 from .budgets import dpp_budget, hjb_solver_budget, lq_value_budget, mc_term, relative_budget
 from .descent import DescentConfig, solve_hamiltonian
-from .errors import ConvergenceError, LcflowError, SchemaError
+from .errors import BlowupError, ConvergenceError, LcflowError, SchemaError
 from .feedback import build_lattice_source, feedback_field_to_csv, verify_optimality
 from .grids import TimeGrid
 from .paths import generate_brownian, l2_norm_array, mc_stderr
@@ -142,6 +142,7 @@ class Runner:
         self.t0 = float(init.get("t", 0.0))
         x = init.get("x")
         self.x0 = np.zeros(self.spec.dims.n) if x is None else np.asarray(x, dtype=float)
+        self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
 
     # -- commands ----------------------------------------------------------
 
@@ -154,10 +155,14 @@ class Runner:
     def cmd_solve(self):
         try:
             sol = self._solve()
-        except ConvergenceError as exc:
-            return {"converged": False, "error": str(exc),
-                    "grad_norm_history": list(exc.history),
-                    "eta": exc.eta, "k_hat": exc.k_hat}, False
+        except (BlowupError, ConvergenceError) as exc:
+            rep = {"converged": False, "error": str(exc),
+                   "grad_norm_history": list(exc.history),
+                   "eta": exc.eta, "k_hat": exc.k_hat}
+            if isinstance(exc, BlowupError):
+                rep.update(path=exc.path, step=exc.step)
+            return rep, False
+        self.timings["descent_wall_time_s"] = sol.report.wall_time
         rep = json.loads(sol.report.to_json())
         rep["converged"] = True
         rep["cost"] = float(per_path_costs(self.spec, sol.states, sol.controls).mean())
@@ -184,10 +189,8 @@ class Runner:
         y0 = sol.adjoint.Y[:, 0].mean(axis=0)
         # reference control from the oracle gains along the solver's own paths
         wgrid = sol.grid
-        ref = np.empty_like(sol.controls.values)
-        for k in range(wgrid.N):
-            Theta, theta = ric.gain_at(float(wgrid.nodes[k]))
-            ref[:, k] = sol.states.values[:, k] @ Theta.T + theta
+        Theta, theta = (np.stack(g) for g in zip(*map(ric.gain_at, wgrid.nodes[:-1].tolist())))
+        ref = np.einsum("kmn,pkn->pkm", Theta, sol.states.values[:, :-1]) + theta
         dt = wgrid.dt
         num = l2_norm_array(sol.controls.values - ref, dt)
         den = max(l2_norm_array(ref, dt), 1e-12)
@@ -400,6 +403,7 @@ def main(argv=None) -> int:
         "numpy_version": np.__version__,
         "threads": args.threads,
         "wall_time_s": time.perf_counter() - t_start,
+        **runner.timings,
     }
     (out_dir / "run-metadata.json").write_text(json.dumps(meta, indent=2, default=str) + "\n",
                                                encoding="utf-8")

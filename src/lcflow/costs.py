@@ -13,9 +13,10 @@ function ph(z) = sqrt(1 + z^2) - 1, whose second derivative
 second derivatives bounded and lets derivative consistency be certified
 by sampling.  The LQ family is the case where every weight is zero.
 
-Each formula of the running cost is written once, on the blocks frozen at
-one time (RunningCost); CostModel looks the blocks up by time, GridCost
-by grid step.  Terms whose weight is zero are skipped, not multiplied by 0.
+Each formula of the running cost is written once, on frozen blocks
+(RunningCost): CostModel looks the blocks up at one time, GridCost stacks
+them per grid node and evaluates a whole path [M, N, .] in one call.  Terms
+whose weight is zero are skipped, not multiplied by 0.
 
 All evaluations are vectorized: x has shape (..., n), u has shape (..., m),
 values come back with shape (...), gradients with a trailing n or m axis,
@@ -52,12 +53,12 @@ def _sym(a):
 
 def _quad_form(mat, v):
     # 1/2 <M v, v> over the trailing axis
-    return 0.5 * np.einsum("...i,ij,...j->...", v, mat, v)
+    return 0.5 * np.einsum("...i,...ij,...j->...", v, mat, v)
 
 
 def _hessian(base, z, kappa):
     """base broadcast over the batch axes of z, plus kappa ph''(z) on the diagonal."""
-    out = np.broadcast_to(base, z.shape[:-1] + base.shape).copy()
+    out = np.broadcast_to(base, z.shape[:-1] + base.shape[-2:]).copy()
     if kappa:
         idx = np.arange(z.shape[-1])
         out[..., idx, idx] += kappa * pseudo_huber_d2(z)
@@ -75,27 +76,33 @@ def _symmetrized(pw: PiecewiseConstant, name: str, tol=1e-12) -> PiecewiseConsta
 
 @dataclass(frozen=True, eq=False)
 class RunningCost:
-    """The running cost l(t, ., .) with its quadratic blocks frozen at one time."""
+    """The running cost l with its quadratic blocks frozen.
+
+    Blocks may carry leading axes ([N] per grid node, [M, N] per path and
+    node) that broadcast against those of x and u; q and rho may be None.
+    """
 
     Q: np.ndarray
     S: np.ndarray
     R: np.ndarray
-    q: np.ndarray
-    rho: np.ndarray
-    delta_u: float
-    kappa_x: float
-    kappa_u: float
+    q: np.ndarray = None
+    rho: np.ndarray = None
+    delta_u: float = 0.0
+    kappa_x: float = 0.0
+    kappa_u: float = 0.0
 
     def value(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         val = (
             _quad_form(self.Q, x)
-            + np.einsum("...i,ij,...j->...", u, self.S, x)
+            + np.einsum("...i,...ij,...j->...", u, self.S, x)
             + _quad_form(self.R, u)
-            + x @ self.q
-            + u @ self.rho
         )
+        if self.q is not None:
+            val = val + np.einsum("...i,...i->...", x, self.q)
+        if self.rho is not None:
+            val = val + np.einsum("...i,...i->...", u, self.rho)
         if self.delta_u:
             val = val + 0.5 * self.delta_u * (u * u).sum(axis=-1)
         if self.kappa_x:
@@ -107,7 +114,9 @@ class RunningCost:
     def grad_x(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        out = x @ self.Q.T + u @ self.S + self.q
+        out = np.einsum("...ij,...j->...i", self.Q, x) + np.einsum("...ji,...j->...i", self.S, u)
+        if self.q is not None:
+            out = out + self.q
         if self.kappa_x:
             out = out + self.kappa_x * pseudo_huber_d1(x)
         return out
@@ -115,7 +124,9 @@ class RunningCost:
     def grad_u(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        out = x @ self.S.T + u @ self.R.T + self.rho
+        out = np.einsum("...ij,...j->...i", self.S, x) + np.einsum("...ij,...j->...i", self.R, u)
+        if self.rho is not None:
+            out = out + self.rho
         if self.delta_u:
             out = out + self.delta_u * u
         if self.kappa_u:
@@ -126,15 +137,13 @@ class RunningCost:
         return _hessian(self.Q, np.asarray(x, dtype=float), self.kappa_x)
 
     def hess_xu(self, x, u):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.S.T, x.shape[:-1] + self.S.T.shape).copy()
+        return _hessian(np.swapaxes(self.S, -1, -2), np.asarray(x, dtype=float), 0.0)
 
     def hess_ux(self, x, u):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.S, x.shape[:-1] + self.S.shape).copy()
+        return _hessian(self.S, np.asarray(x, dtype=float), 0.0)
 
     def hess_uu(self, x, u):
-        base = self.R + self.delta_u * np.eye(self.R.shape[0]) if self.delta_u else self.R
+        base = self.R + self.delta_u * np.eye(self.R.shape[-1]) if self.delta_u else self.R
         return _hessian(base, np.asarray(u, dtype=float), self.kappa_u)
 
 
@@ -247,33 +256,38 @@ class CostModel:
         return self.at(t).hess_uu(x, u)
 
 
-class GridCost:
-    """Step-indexed view of a CostModel on a fixed grid.
+class PathCost:
+    """The running cost of a whole path, X [M, N, n] and U [M, N, m] at the left nodes.
 
-    This is the interface the backward solver and the descent loop consume:
-    everything keyed by step index k, vectorized over an ensemble axis.  The
-    running blocks are looked up once per grid node, at construction.
+    This is the interface the backward solver and the descent loop consume;
+    a subclass supplies the frozen blocks as `running`.
     """
+
+    def running_value(self, X, U):
+        return self.running.value(X, U)
+
+    def running_grad_x(self, X, U):
+        return self.running.grad_x(X, U)
+
+    def running_grad_u(self, X, U):
+        return self.running.grad_u(X, U)
+
+
+class GridCost(PathCost):
+    """A CostModel on a fixed grid, its blocks looked up once per node and stacked [N, ...]."""
 
     def __init__(self, cost: CostModel, grid):
         self.cost = cost
         self.grid = grid
-        self.steps = [cost.at(float(t)) for t in grid.nodes]
+        stack = lambda pw: np.stack([pw.at(float(t)) for t in grid.nodes[:-1]])
+        self.running = RunningCost(stack(cost.Q), stack(cost.S), stack(cost.R), stack(cost.q),
+                                   stack(cost.rho), cost.delta_u, cost.kappa_x, cost.kappa_u)
 
     def terminal_value(self, xT):
         return self.cost.g(xT)
 
     def terminal_gradient(self, xT):
         return self.cost.dx_g(xT)
-
-    def running_value(self, k, x, u):
-        return self.steps[k].value(x, u)
-
-    def running_grad_x(self, k, x, u):
-        return self.steps[k].grad_x(x, u)
-
-    def running_grad_u(self, k, x, u):
-        return self.steps[k].grad_u(x, u)
 
 
 def check_psd(mat, shift=0.0, tol=1e-10):

@@ -27,7 +27,7 @@ from .adjoint import (
     per_path_cost_core,
 )
 from .costs import GridCost
-from .errors import ConvergenceError
+from .errors import BlowupError, ConvergenceError
 from .grids import TimeGrid
 from .paths import (
     BrownianEnsemble,
@@ -68,7 +68,7 @@ class DescentReport:
     eta: float = np.nan
     k_hat: Optional[float] = None
     probe_ratios: list = field(default_factory=list)
-    wall_time: float = 0.0
+    wall_time: float = 0.0      # kept out of to_json, which a rerun reproduces byte for byte
     converged: bool = False
     reason: str = ""
 
@@ -86,7 +86,6 @@ class DescentReport:
                 "final_residual": self.final_residual,
                 "converged": self.converged,
                 "reason": self.reason,
-                "wall_time": self.wall_time,
             }
         )
 
@@ -110,8 +109,8 @@ class HamiltonianSolution:
 class CoreProblem:
     """Everything the iteration needs, independent of where the data came from.
 
-    cost_eval implements terminal_value/terminal_gradient/running_value/
-    running_grad_x/running_grad_u; features_fn optionally maps the state
+    cost_eval is a costs.PathCost (whole-path running methods) with
+    terminal_value/terminal_gradient; features_fn optionally maps the state
     array [M, N+1, n] to regression features (defaults to the state itself).
     k_lip, when known, is the gradient's Lipschitz-squared constant K; the
     auto step size then uses it instead of probing.
@@ -202,9 +201,9 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
 
     Iteration 0's evaluation doubles as the base of the Lipschitz probes.
     Convergence is declared on the stationarity residual (the gradient's
-    integrated norm) or on the step size; a non-finite residual or hitting
-    the iteration cap raises ConvergenceError carrying the residual
-    history, eta and K.
+    integrated norm) or on the step size.  A non-finite residual or hitting
+    the iteration cap raises ConvergenceError; it, and a BlowupError of an
+    iterate, carry the residual history, eta and K.
     """
     t_start = time.perf_counter()
     M = dW.shape[0]
@@ -226,19 +225,22 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
         eta = float(cfg.eta)
     report.eta = eta
 
-    def failure(message):
-        return ConvergenceError(message, history=report.grad_norms, eta=report.eta,
-                                k_hat=report.k_hat)
+    def failure(exc):
+        exc.history, exc.eta, exc.k_hat = report.grad_norms, report.eta, report.k_hat
+        return exc
 
     prev = None  # (U, D, J)
     step_norm = np.inf
     for it in range(cfg.max_iter + 1):
         if it:
-            evaluation = _evaluate_gradient(core, U, dW, basis)
+            try:
+                evaluation = _evaluate_gradient(core, U, dW, basis)
+            except BlowupError as exc:
+                raise failure(exc)
         X, Y, Z, D, _ = evaluation
         gnorm = l2_norm_array(D, dt)
         if not np.isfinite(gnorm):
-            raise failure(f"non-finite residual {gnorm} at iteration {it}")
+            raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
         J = float(per_path_cost_core(core.cost_eval, core.grid, X, U).mean())
         if cfg.backtracking and prev is not None and J > prev[2] + 1e-12 and eta > 1e-8:
             eta *= 0.5
@@ -265,10 +267,10 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
         prev = (U, D, J)
         U = U - eta * D
         step_norm = eta * gnorm
-    raise failure(
+    raise failure(ConvergenceError(
         f"no stationarity after {cfg.max_iter} iterations "
         f"(last residual {report.grad_norms[-1]:.3e}, tol {cfg.tol_grad:.1e})"
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,16 @@ class ValidationFailure(LcflowError):
 
 
 class BlowupError(LcflowError):
-    """A simulated quantity left the finite range."""
+    """A simulated quantity left the finite range, first at (path, step).
+
+    `descend` fills in its residual history, eta and k_hat (else [] and None).
+    """
 
     def __init__(self, message, path=None, step=None):
         super().__init__(message)
         self.path = path
         self.step = step
+        self.history, self.eta, self.k_hat = [], None, None
 
 
 class ConditioningError(LcflowError):

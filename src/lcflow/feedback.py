@@ -229,9 +229,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     N = wgrid.N
     dt = wgrid.dt
     ctg = cost_eval.terminal_value(X[:, -1]).astype(float)
-    run = np.empty((M, N))
-    for k in range(N):
-        run[:, k] = cost_eval.running_value(k, X[:, k], sol.controls.values[:, k]) * dt
+    run = cost_eval.running_value(X[:, :N], sol.controls.values) * dt
     # P along paths: gradY (gradX)^{-1}
     Pt = np.linalg.solve(np.swapaxes(deriv.grad_X, -1, -2), np.swapaxes(deriv.grad_Y, -1, -2))
     P_paths = np.swapaxes(Pt, -1, -2)
@@ -239,15 +237,8 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     v_tab = np.empty((N + 1,) + shape)
     dxv_tab = np.empty((N + 1,) + shape + (n,))
     dxxv_tab = np.empty((N + 1,) + shape + (n, n))
-    L = mesh.shape[0]
     ctg_k = ctg + run.sum(axis=1)
-    for k in range(N + 1):
-        t = float(wgrid.nodes[k])
-        if k == N:
-            v_tab[k] = cost_eval.terminal_value(mesh).reshape(shape)
-            dxv_tab[k] = cost_eval.terminal_gradient(mesh).reshape(shape + (n,))
-            dxxv_tab[k] = spec.cost.dxx_g(mesh).reshape(shape + (n, n))
-            break
+    for k in range(N):
         if k % BLOCK_STEPS == 0:
             reg = StepRegression(X[:, k:min(k + BLOCK_STEPS, N)], basis, first_step=k)
         targets = np.concatenate(
@@ -258,6 +249,9 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
         dxv_tab[k] = lattice_reg[:, 1:1 + n].reshape(shape + (n,))
         dxxv_tab[k] = lattice_reg[:, 1 + n:].reshape(shape + (n, n))
         ctg_k = ctg_k - run[:, k]
+    v_tab[N] = cost_eval.terminal_value(mesh).reshape(shape)
+    dxv_tab[N] = cost_eval.terminal_gradient(mesh).reshape(shape + (n,))
+    dxxv_tab[N] = spec.cost.dxx_g(mesh).reshape(shape + (n, n))
     return LatticeValueSource(wgrid, axes, v_tab, dxv_tab, dxxv_tab)
 
 

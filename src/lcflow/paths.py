@@ -4,7 +4,9 @@ One Brownian ensemble is generated per study and reused across control
 iterates, finite-difference probes and derivative solves (common random
 numbers), which is what makes pathwise differences of solutions nearly
 noise-free.  Variates come from a counter-based generator keyed by the
-seed, so the ensemble is reproducible bit for bit.
+seed, so the ensemble is reproducible bit for bit.  The forward sweep
+computes the control's terms for the whole path before its loop and checks
+for blow-up once, after it.
 """
 
 from __future__ import annotations
@@ -103,31 +105,37 @@ def generate_brownian(grid: TimeGrid, M: int, seed: int, antithetic: bool = Fals
 
 def _euler_step(sc: StepCoeffs, k: int, X, U, dWk, dt: float):
     """One explicit Euler-Maruyama step, coefficients frozen at the left node."""
-    drift = X @ sc.A[k].T + U @ sc.B[k].T + sc.b[k]
-    Xn = X + drift * dt
+    return _advance(sc, k, X, U @ sc.B[k].T, np.einsum("inj,pj->pin", sc.D[k], U), dWk, dt)
+
+
+def _advance(sc: StepCoeffs, k: int, X, BU, DU, dWk, dt: float):
+    """The Euler-Maruyama step from X, given the control's terms B u [M, n] and D_i u [M, d, n]."""
+    Xn = X + (X @ sc.A[k].T + BU + sc.b[k]) * dt
     # diffusion: sum_i (C_i X + D_i U + sigma_i) dW^i
-    diff = np.einsum("inj,pj->pin", sc.C[k], X) + np.einsum("inj,pj->pin", sc.D[k], U) + sc.sigma[k]
-    Xn = Xn + np.einsum("pin,pi->pn", diff, dWk)
-    return Xn
+    diff = np.einsum("inj,pj->pin", sc.C[k], X) + DU + sc.sigma[k]
+    return Xn + np.einsum("pin,pi->pn", diff, dWk)
 
 
 def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Forward sweep of the controlled linear SDE; returns [M, N+1, n]."""
+    """Forward sweep of the controlled linear SDE; returns [M, N+1, n].
+
+    A state beyond BLOWUP_LIMIT raises BlowupError at its first step and path.
+    """
     M = U.shape[0]
     n = sc.A.shape[1]
     X = np.empty((M, grid.N + 1, n))
     x0 = np.asarray(x0, dtype=float)
     X[:, 0] = x0 if x0.ndim == 2 else np.broadcast_to(x0.reshape(n), (M, n))
-    dt = grid.dt
-    for k in range(grid.N):
-        Xn = _euler_step(sc, k, X[:, k], U[:, k], dW[:, k], dt)
-        if not np.all(np.isfinite(Xn)) or np.max(np.abs(Xn)) > BLOWUP_LIMIT:
-            bad = ~np.isfinite(Xn).all(axis=1) | (np.abs(Xn).max(axis=1) > BLOWUP_LIMIT)
-            p = int(np.argmax(bad))
-            raise BlowupError(
-                f"state blew up at path {p}, step {k + 1}", path=p, step=k + 1
-            )
-        X[:, k + 1] = Xn
+    BU = np.einsum("kij,pkj->pki", sc.B, U)
+    DU = np.einsum("kinm,pkm->pkin", sc.D, U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.N):
+            X[:, k + 1] = _advance(sc, k, X[:, k], BU[:, k], DU[:, k], dW[:, k], grid.dt)
+        bad = ~(np.abs(X[:, 1:]) <= BLOWUP_LIMIT).all(axis=2)     # NaN compares False
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            p = int(np.argmax(bad[:, k]))
+            raise BlowupError(f"state blew up at path {p}, step {k + 1}", path=p, step=k + 1)
     return X
 
 

@@ -221,31 +221,27 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
     add("hessian_bound", cost.k_hess - worst, f"max sampled second derivative {worst:.4g} vs declared {cost.k_hess:.4g}")
 
     # finite-difference consistency of gradients and Hessians
+    def rel_err(fd, exact):
+        return float(np.max(np.abs(fd - exact))) / (1.0 + float(np.max(np.abs(exact))))
+
     fd_n = min(samples, 25)
     grad_err = 0.0
     hess_err = 0.0
+    h = 1e-4
     for t, x, u in zip(ts[:fd_n], xs[:fd_n], us[:fd_n]):
-        h = 1e-4
-        fd_gx = _fd_gradient(lambda z: float(cost.g(z)), x.copy(), h)
-        scale = 1.0 + float(np.max(np.abs(cost.dx_g(x))))
-        grad_err = max(grad_err, float(np.max(np.abs(fd_gx - cost.dx_g(x)))) / scale)
-        fd_lx = _fd_gradient(lambda z: float(cost.l(t, z, u)), x.copy(), h)
-        scale = 1.0 + float(np.max(np.abs(cost.dx_l(t, x, u))))
-        grad_err = max(grad_err, float(np.max(np.abs(fd_lx - cost.dx_l(t, x, u)))) / scale)
-        fd_lu = _fd_gradient(lambda z: float(cost.l(t, x, z)), u.copy(), h)
-        scale = 1.0 + float(np.max(np.abs(cost.du_l(t, x, u))))
-        grad_err = max(grad_err, float(np.max(np.abs(fd_lu - cost.du_l(t, x, u)))) / scale)
+        grad_err = max(
+            grad_err,
+            rel_err(_fd_gradient(lambda z: float(cost.g(z)), x.copy(), h), cost.dx_g(x)),
+            rel_err(_fd_gradient(lambda z: float(cost.l(t, z, u)), x.copy(), h), cost.dx_l(t, x, u)),
+            rel_err(_fd_gradient(lambda z: float(cost.l(t, x, z)), u.copy(), h), cost.du_l(t, x, u)),
+        )
         # Hessian rows against finite differences of the gradients
-        fd_hxx = np.stack([
-            _fd_gradient(lambda z: float(cost.dx_l(t, z, u)[i]), x.copy(), h) for i in range(n)
-        ])
-        scale = 1.0 + float(np.max(np.abs(cost.dxx_l(t, x, u))))
-        hess_err = max(hess_err, float(np.max(np.abs(fd_hxx - cost.dxx_l(t, x, u)))) / scale)
-        fd_huu = np.stack([
-            _fd_gradient(lambda z: float(cost.du_l(t, x, z)[i]), u.copy(), h) for i in range(m)
-        ])
-        scale = 1.0 + float(np.max(np.abs(cost.duu_l(t, x, u))))
-        hess_err = max(hess_err, float(np.max(np.abs(fd_huu - cost.duu_l(t, x, u)))) / scale)
+        fd_hxx = np.stack([_fd_gradient(lambda z: float(cost.dx_l(t, z, u)[i]), x.copy(), h)
+                           for i in range(n)])
+        fd_huu = np.stack([_fd_gradient(lambda z: float(cost.du_l(t, x, z)[i]), u.copy(), h)
+                           for i in range(m)])
+        hess_err = max(hess_err, rel_err(fd_hxx, cost.dxx_l(t, x, u)),
+                       rel_err(fd_huu, cost.duu_l(t, x, u)))
     add("gradient_fd_consistency", 1e-5 - grad_err, f"worst relative gradient FD error {grad_err:.2e}")
     add("hessian_fd_consistency", 1e-4 - hess_err, f"worst relative Hessian FD error {hess_err:.2e}")
 

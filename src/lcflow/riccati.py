@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel
+from .costs import CostModel, _sym
 from .errors import LcflowError, StructuralError
 from .grids import TimeGrid
 
@@ -81,10 +81,6 @@ class RiccatiSolution:
 
     def gain_at(self, t):
         return self._interp(self.theta_gain, t), self._interp(self.theta_offset, t)
-
-
-def _sym(mat):
-    return 0.5 * (mat + mat.T)
 
 
 def _quadratic_cost(spec) -> CostModel:

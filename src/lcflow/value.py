@@ -239,13 +239,13 @@ def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
     cost_eval = GridCost(spec.cost, wgrid)
     X = sol.states.values
     U = sol.controls.values
-    M = X.shape[0]
-    head = np.zeros(M)
+    running = cost_eval.running_value(X[:, :wgrid.N], U)
+    head = np.zeros(X.shape[0])
     for k in range(kh):
-        head += cost_eval.running_value(k, X[:, k], U[:, k]) * dt
+        head += running[:, k] * dt
     tail = cost_eval.terminal_value(X[:, -1]).astype(float)
     for k in range(kh, wgrid.N):
-        tail += cost_eval.running_value(k, X[:, k], U[:, k]) * dt
+        tail += running[:, k] * dt
     V = float((head + tail).mean())
     t_mid = float(wgrid.nodes[kh])
     if value_fn_source == "fitted":
@@ -267,12 +267,8 @@ def regularity_margin(spec, value_sample: ValueSample, u_box: float = 3.0,
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = spec.dims.m
     us = np.concatenate([np.zeros((1, m)), rng.uniform(-u_box, u_box, size=(samples, m))])
-    worst = np.inf
-    for u in us:
-        H = spec.cost.duu_l(t, x, u) + bump
-        w = np.linalg.eigvalsh(0.5 * (H + H.T))
-        worst = min(worst, float(w[0]))
-    return worst
+    H = spec.cost.duu_l(t, np.broadcast_to(x, (len(us), x.shape[0])), us) + bump
+    return float(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))[:, 0].min())
 
 
 @dataclass

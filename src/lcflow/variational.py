@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import RegressionBasis
+from .costs import GridCost, PathCost, RunningCost, _sym
 from .descent import (PROBE_SEED, CoreProblem, DescentConfig, HamiltonianSolution, descend,
                       estimate_lipschitz_core)
 from .grids import TimeGrid
@@ -30,11 +31,11 @@ from .problem import StepCoeffs, materialize
 
 
 @dataclass(frozen=True)
-class FrozenQuadratic:
+class FrozenQuadratic(PathCost):
     """Second derivatives of the costs along (X*, u*), one block per (path, step).
 
-    Doubles as the cost evaluator of the induced linear-quadratic problem:
-    quadratic values, linear gradients, all indexed by the path axis.
+    Doubles as the whole-path cost evaluator of the induced linear-quadratic
+    problem: the running cost's formulas on the quadratic blocks alone.
     """
 
     grid: TimeGrid
@@ -44,24 +45,15 @@ class FrozenQuadratic:
     Gh: np.ndarray   # [M, n, n]
     is_constant: bool = False
 
+    @property
+    def running(self) -> RunningCost:
+        return RunningCost(self.Qh, self.Sh, self.Rh)
+
     def terminal_value(self, xT):
         return 0.5 * np.einsum("pi,pij,pj->p", xT, self.Gh, xT)
 
     def terminal_gradient(self, xT):
         return np.einsum("pij,pj->pi", self.Gh, xT)
-
-    def running_value(self, k, x, u):
-        return (
-            0.5 * np.einsum("pi,pij,pj->p", x, self.Qh[:, k], x)
-            + np.einsum("pi,pij,pj->p", u, self.Sh[:, k], x)
-            + 0.5 * np.einsum("pi,pij,pj->p", u, self.Rh[:, k], u)
-        )
-
-    def running_grad_x(self, k, x, u):
-        return np.einsum("pij,pj->pi", self.Qh[:, k], x) + np.einsum("pji,pj->pi", self.Sh[:, k], u)
-
-    def running_grad_u(self, k, x, u):
-        return np.einsum("pij,pj->pi", self.Sh[:, k], x) + np.einsum("pij,pj->pi", self.Rh[:, k], u)
 
 
 @dataclass(frozen=True)
@@ -76,43 +68,19 @@ class DerivativeSolution:
     reports: tuple = ()
 
 
-def _sym_batch(a):
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
 def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
     """Evaluate and symmetrize the cost Hessians along the optimal ensemble."""
-    grid = sol.grid
     X = sol.states.values
     U = sol.controls.values
-    M, _, n = X.shape
-    m = U.shape[2]
-    N = grid.N
-    cost = spec.cost
-    Qh = np.empty((M, N, n, n))
-    Sh = np.empty((M, N, m, n))
-    Rh = np.empty((M, N, m, m))
-    worst_asym = 0.0
-    worst_entry = 0.0
-    for k in range(N):
-        t = float(grid.nodes[k])
-        qk = cost.dxx_l(t, X[:, k], U[:, k])
-        rk = cost.duu_l(t, X[:, k], U[:, k])
-        worst_asym = max(
-            worst_asym,
-            float(np.max(np.abs(qk - np.swapaxes(qk, -1, -2)))) if n > 1 else 0.0,
-            float(np.max(np.abs(rk - np.swapaxes(rk, -1, -2)))) if m > 1 else 0.0,
-        )
-        Qh[:, k] = _sym_batch(qk)
-        Rh[:, k] = _sym_batch(rk)
-        Sh[:, k] = cost.dux_l(t, X[:, k], U[:, k])
-        worst_entry = max(worst_entry, float(np.max(np.abs(qk))), float(np.max(np.abs(rk))),
-                          float(np.max(np.abs(Sh[:, k]))))
-    gk = cost.dxx_g(X[:, N])
-    if n > 1:
-        worst_asym = max(worst_asym, float(np.max(np.abs(gk - np.swapaxes(gk, -1, -2)))))
-    Gh = _sym_batch(gk)
-    worst_entry = max(worst_entry, float(np.max(np.abs(gk))))
+    N = sol.grid.N
+    running = GridCost(spec.cost, sol.grid).running
+    qh = running.hess_xx(X[:, :N], U)
+    rh = running.hess_uu(X[:, :N], U)
+    Sh = running.hess_ux(X[:, :N], U)
+    gh = spec.cost.dxx_g(X[:, N])
+    worst_asym = max(float(np.max(np.abs(a - np.swapaxes(a, -1, -2)))) for a in (qh, rh, gh))
+    worst_entry = max(float(np.max(np.abs(a))) for a in (qh, rh, Sh, gh))
+    Qh, Rh, Gh = _sym(qh), _sym(rh), _sym(gh)
     if worst_asym > 1e-10:
         warnings.warn(f"Hessian asymmetry {worst_asym:.2e} before symmetrization")
     if worst_entry > spec.cost.k_hess * 1.01:
@@ -126,7 +94,7 @@ def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
         and np.allclose(Rh, Rh[:1, :1], atol=1e-12)
         and np.allclose(Gh, Gh[:1], atol=1e-12)
     )
-    return FrozenQuadratic(grid=grid, Qh=Qh, Sh=Sh, Rh=Rh, Gh=Gh, is_constant=is_const)
+    return FrozenQuadratic(grid=sol.grid, Qh=Qh, Sh=Sh, Rh=Rh, Gh=Gh, is_constant=is_const)
 
 
 def _zero_inhomogeneity(sc: StepCoeffs) -> StepCoeffs:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lcflow import (
+    BlowupError,
     ConditioningError,
     ControlEnsemble,
     RegressionBasis,
@@ -13,9 +14,11 @@ from lcflow import (
     simulate_forward,
     solve_adjoint,
 )
-from lcflow.adjoint import StepRegression
+from lcflow.adjoint import BLOCK_STEPS, StepRegression, backward_solve
+from lcflow.costs import GridCost
 from lcflow.paths import l2_norm_array
 from lcflow.presets import linear_terminal
+from lcflow.problem import materialize
 
 
 def _controls(grid, M, values=0.0):
@@ -76,6 +79,51 @@ def test_martingale_mean_of_residuals(grid, basis, spec_p1):
     _, diag = solve_adjoint(spec_p1, X, u, W, basis)
     for rm, rb in zip(diag.residual_mean, diag.residual_bound):
         assert rm <= rb + 1e-14
+
+
+@pytest.mark.parametrize("name", ["spec_p1", "rich_lq"])
+def test_diagnostics_equal_the_per_step_formulas(name, grid, basis, request):
+    # the sweep's vectorized diagnostics against the formulas applied step by step
+    spec = request.getfixturevalue(name)
+    M, n, m = 1000, spec.dims.n, spec.dims.m
+    W = generate_brownian(grid, M, seed=6, d=spec.dims.d)
+    u = _controls(grid, M, np.full((M, grid.N, m), 0.1))
+    X = simulate_forward(spec, grid, np.full(n, 0.2), u, W)
+    adj, diag = solve_adjoint(spec, X, u, W, basis)
+    cond, mean, bound = {}, {}, {}
+    k0 = grid.N
+    for k in range(grid.N - 1, -1, -1):
+        if k < k0:
+            k0 = max(k + 1 - BLOCK_STEPS, 0)
+            reg = StepRegression(X.values[:, k0:k + 1], basis, first_step=k0)
+        resid = adj.Y[:, k + 1] - reg.fit(k - k0, adj.Y[:, k + 1])
+        cond[k] = float(reg.cond[k - k0])
+        mean[k] = float(np.max(np.abs(resid.mean(axis=0))))
+        bound[k] = float(4.0 * resid.std(axis=0).max() / np.sqrt(M))
+    steps = range(grid.N)
+    np.testing.assert_array_equal(diag.cond, [cond[k] for k in steps])
+    np.testing.assert_allclose(diag.residual_mean, [mean[k] for k in steps], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(diag.residual_bound, [bound[k] for k in steps], rtol=1e-12, atol=0)
+
+
+def test_non_finite_adjoint_raises_at_the_first_step_reached(grid, basis, spec_p1):
+    # a NaN driver at (path 5, step 30) spreads to every path at earlier
+    # steps through the regressions; the error names where it entered
+    M = 500
+    W = generate_brownian(grid, M, seed=6)
+    u = _controls(grid, M, 0.1)
+    X = simulate_forward(spec_p1, grid, [0.2], u, W)
+
+    class PoisonedCost(GridCost):
+        def running_grad_x(self, X, U):
+            out = super().running_grad_x(X, U)
+            out[5, 30] = np.nan
+            return out
+
+    with pytest.raises(BlowupError, match="path 5, step 30") as err:
+        backward_solve(materialize(spec_p1.coeffs, grid), PoisonedCost(spec_p1.cost, grid), grid,
+                       X.values, u.values, W.increments, basis)
+    assert (err.value.path, err.value.step) == (5, 30)
 
 
 def test_adjoint_superposition_for_lq(grid, basis, spec_p1):

@@ -274,3 +274,25 @@ def test_probe_evaluations_per_command(command, problem, checks, probe_evals, so
     assert "error" not in report, report
     assert len(iterations) == solves
     assert len(evals) == probe_evals + sum(it + 1 for it in iterations)
+
+
+def test_solve_rerun_is_bit_identical(workdir):
+    # the descent's wall time goes to run-metadata.json, never to report.json
+    cfg = _config(workdir, grid={"N": 50}, monte_carlo={"M": 1000, "seed": 7})
+    out1, out2 = workdir / "a", workdir / "b"
+    assert main(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    meta = json.loads((out1 / "run-metadata.json").read_text(encoding="utf-8"))
+    assert meta["descent_wall_time_s"] > 0.0
+
+
+def test_solve_blowup_reports_its_history(workdir):
+    cfg = _config(workdir, grid={"N": 50}, monte_carlo={"M": 1000, "seed": 7},
+                  descent={"eta": 10.0})
+    out = workdir / "blowup"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["converged"] is False
+    assert f"path {report['path']}, step {report['step']}" in report["error"]
+    assert report["grad_norm_history"] and report["eta"] == 10.0 and report["k_hat"] is None

@@ -1,4 +1,4 @@
-"""The structured cost: step lookups, JSON round trips and the Riccati oracle."""
+"""The structured cost: whole-path evaluation, JSON round trips and the Riccati oracle."""
 
 import json
 
@@ -18,6 +18,7 @@ from lcflow import (
 )
 from lcflow.costs import GridCost
 from lcflow.riccati import solve_riccati_ode
+from lcflow.variational import FrozenQuadratic
 
 
 def _round_trip(spec):
@@ -26,18 +27,52 @@ def _round_trip(spec):
 
 @pytest.mark.parametrize("name", ["spec_p1", "spec_p2", "rich_lq", "spec_p1_piecewise"])
 def test_grid_cost_equals_pointwise_cost(name, request):
+    # one whole-path call answers every node exactly as the pointwise cost does
     spec = request.getfixturevalue(name)
     cost = spec.cost
     grid = TimeGrid(0.0, spec.horizon, 20)
     view = GridCost(cost, grid)
     rng = np.random.Generator(np.random.Philox(key=12))
+    X = rng.normal(size=(64, grid.N, spec.dims.n))
+    U = rng.normal(size=(64, grid.N, spec.dims.m))
+    value, grad_x, grad_u = (view.running_value(X, U), view.running_grad_x(X, U),
+                             view.running_grad_u(X, U))
+    assert value.shape == (64, grid.N)
+    assert grad_x.shape == X.shape and grad_u.shape == U.shape
     for k in range(grid.N):
         t = float(grid.nodes[k])
-        x = rng.normal(size=(64, spec.dims.n))
-        u = rng.normal(size=(64, spec.dims.m))
-        np.testing.assert_array_equal(view.running_value(k, x, u), cost.l(t, x, u))
-        np.testing.assert_array_equal(view.running_grad_x(k, x, u), cost.dx_l(t, x, u))
-        np.testing.assert_array_equal(view.running_grad_u(k, x, u), cost.du_l(t, x, u))
+        x, u = X[:, k], U[:, k]
+        np.testing.assert_array_equal(value[:, k], cost.l(t, x, u))
+        np.testing.assert_array_equal(grad_x[:, k], cost.dx_l(t, x, u))
+        np.testing.assert_array_equal(grad_u[:, k], cost.du_l(t, x, u))
+
+
+def test_frozen_quadratic_whole_path_matches_per_path_forms():
+    M, N, n, m = 5, 4, 2, 3
+    rng = np.random.Generator(np.random.Philox(key=13))
+    Qh = rng.normal(size=(M, N, n, n))
+    Qh = Qh + np.swapaxes(Qh, -1, -2)
+    Sh = rng.normal(size=(M, N, m, n))
+    Rh = rng.normal(size=(M, N, m, m))
+    Rh = Rh + np.swapaxes(Rh, -1, -2)
+    Gh = rng.normal(size=(M, n, n))
+    Gh = Gh + np.swapaxes(Gh, -1, -2)
+    frozen = FrozenQuadratic(TimeGrid(0.0, 1.0, N), Qh, Sh, Rh, Gh)
+    X = rng.normal(size=(M, N, n))
+    U = rng.normal(size=(M, N, m))
+    value, grad_x, grad_u = (frozen.running_value(X, U), frozen.running_grad_x(X, U),
+                             frozen.running_grad_u(X, U))
+    xT = rng.normal(size=(M, n))
+    close = dict(rtol=1e-13, atol=1e-13)
+    for p in range(M):
+        np.testing.assert_allclose(frozen.terminal_value(xT)[p], 0.5 * xT[p] @ Gh[p] @ xT[p], **close)
+        np.testing.assert_allclose(frozen.terminal_gradient(xT)[p], Gh[p] @ xT[p], **close)
+        for k in range(N):
+            x, u, Q, S, R = X[p, k], U[p, k], Qh[p, k], Sh[p, k], Rh[p, k]
+            np.testing.assert_allclose(value[p, k], 0.5 * x @ Q @ x + u @ S @ x + 0.5 * u @ R @ u,
+                                       **close)
+            np.testing.assert_allclose(grad_x[p, k], Q @ x + S.T @ u, **close)
+            np.testing.assert_allclose(grad_u[p, k], S @ x + R @ u, **close)
 
 
 def test_piecewise_cost_round_trips_into_the_oracle(spec_p1_piecewise):

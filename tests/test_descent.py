@@ -248,3 +248,32 @@ def test_lipschitz_estimate_stable_across_seeds(grid, basis, spec_p1):
     a, _ = estimate_lipschitz_core(core, W.increments, basis, probes=8, seed=101)
     b, _ = estimate_lipschitz_core(core, W.increments, basis, probes=8, seed=202)
     assert abs(a - b) <= 0.10 * max(a, b)
+
+
+def test_cost_is_evaluated_per_whole_path(grid, basis, cfg, spec_p2, monkeypatch):
+    # a gradient evaluation asks the cost 3 times (Dx_g, Dx_l, Du_l) and a
+    # cost evaluation twice (g, l), whatever the step count: a per-step loop
+    # over the cost would multiply these by N
+    import lcflow.descent
+    from lcflow.costs import GridCost
+
+    counts = {"cost": 0, "grad": 0, "cost_eval": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for meth in ("terminal_value", "terminal_gradient", "running_value", "running_grad_x",
+                 "running_grad_u"):
+        monkeypatch.setattr(GridCost, meth, counting("cost", getattr(GridCost, meth)))
+    monkeypatch.setattr(lcflow.descent, "_evaluate_gradient",
+                        counting("grad", lcflow.descent._evaluate_gradient))
+    monkeypatch.setattr(lcflow.descent, "per_path_cost_core",
+                        counting("cost_eval", lcflow.descent.per_path_cost_core))
+    W = generate_brownian(grid, 400, seed=201, antithetic=True)
+    sol = solve_hamiltonian(spec_p2, grid, 0.0, [0.3], W, basis, cfg)
+    assert grid.N == 50 and sol.report.converged
+    assert counts["grad"] > 0 and counts["cost_eval"] > 0
+    assert counts["cost"] <= 3 * counts["grad"] + 2 * counts["cost_eval"], counts

@@ -14,7 +14,8 @@ from lcflow import (
     load_ensemble,
     simulate_forward,
 )
-from lcflow.paths import mc_stderr, paths_to_csv
+from lcflow.paths import BLOWUP_LIMIT, _euler_step, mc_stderr, paths_to_csv
+from lcflow.problem import materialize
 
 
 def _scalar_spec(A=0.0, B=0.0, b=0.0, sigma=0.0):
@@ -188,12 +189,24 @@ def test_euler_weak_order_geometric():
 
 
 def test_blowup_names_first_offender():
-    spec = _scalar_spec(A=80.0)
+    spec = _scalar_spec(A=80.0, sigma=1.0)
     grid = TimeGrid(0.0, 1.0, 10)
     W = generate_brownian(grid, 4, seed=1)
-    with pytest.raises(BlowupError) as err:
-        simulate_forward(spec, grid, [1e9], _zero_controls(grid, 4), W)
-    assert err.value.step is not None and err.value.path is not None
+    x0 = np.array([[1e6], [2e10], [1e9], [3e10]])
+    U = _zero_controls(grid, 4)
+    # the per-step reference: check every path after every step
+    sc = materialize(spec.coeffs, grid)
+    x = x0
+    for k in range(grid.N):
+        x = _euler_step(sc, k, x, U.values[:, k], W.increments[:, k], grid.dt)
+        bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > BLOWUP_LIMIT)
+        if bad.any():
+            expected = (int(np.argmax(bad)), k + 1)
+            break
+    assert expected == (1, 2)      # paths 1 and 3 leave the range together
+    with pytest.raises(BlowupError, match="path 1, step 2") as err:
+        simulate_forward(spec, grid, x0, U, W)
+    assert (err.value.path, err.value.step) == expected
 
 
 def test_binary_dump_round_trip(tmp_path):
