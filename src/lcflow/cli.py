@@ -153,15 +153,7 @@ class Runner:
         return report.to_dict(), report.passed
 
     def cmd_solve(self):
-        try:
-            sol = self._solve()
-        except (BlowupError, ConvergenceError) as exc:
-            rep = {"converged": False, "error": str(exc),
-                   "grad_norm_history": list(exc.history),
-                   "eta": exc.eta, "k_hat": exc.k_hat}
-            if isinstance(exc, BlowupError):
-                rep.update(path=exc.path, step=exc.step)
-            return rep, False
+        sol = self._solve()
         self.timings["descent_wall_time_s"] = sol.report.wall_time
         rep = json.loads(sol.report.to_json())
         rep["converged"] = True
@@ -222,11 +214,8 @@ class Runner:
         ts = lattice.get("t", [self.t0])
         xs = lattice.get("x", [self.x0.tolist()])
         with_hessian = bool(checks.get("with_hessian", False))
-        samples = []
-        for t in ts:
-            for x in xs:
-                samples.append(evaluate_value(self.spec, self.grid, float(t), x, self.W,
-                                              self.basis, self.dcfg, with_hessian=with_hessian))
+        source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
+        samples = [source.sample(float(t), x, with_hessian=with_hessian) for t in ts for x in xs]
         if "csv" in self.cfg["output"].get("formats", []):
             self.tables_dir.mkdir(parents=True, exist_ok=True)
             value_surface_to_csv(samples, self.tables_dir / "value_surface.csv")
@@ -343,17 +332,7 @@ class Runner:
         return rep, report.passed()
 
     def run(self, command: str):
-        fn = {
-            "validate": self.cmd_validate,
-            "solve": self.cmd_solve,
-            "value": self.cmd_value,
-            "feedback": self.cmd_feedback,
-            "verify-lq": self.cmd_verify_lq,
-            "hjb-check": self.cmd_hjb_check,
-            "dpp-check": self.cmd_dpp_check,
-            "convexity-check": self.cmd_convexity_check,
-        }[command]
-        return fn()
+        return getattr(self, "cmd_" + command.replace("-", "_"))()
 
 
 def main(argv=None) -> int:
@@ -391,7 +370,14 @@ def main(argv=None) -> int:
         report, passed = runner.run(args.command)
         error = None
     except LcflowError as exc:
-        report, passed, error = {"error": str(exc)}, False, str(exc)
+        passed, error = False, str(exc)
+        report = {"error": error}
+        if isinstance(exc, (BlowupError, ConvergenceError)):
+            # a failed descent, from any command: the history that led to it, eta and K
+            report = {"converged": False, "error": error, "grad_norm_history": list(exc.history),
+                      "eta": exc.eta, "k_hat": exc.k_hat}
+            if isinstance(exc, BlowupError):
+                report.update(path=exc.path, step=exc.step)
 
     report = {"command": args.command, "config_hash": chash, **report}
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, default=str) + "\n",

@@ -35,16 +35,16 @@ from .grids import PiecewiseConstant, as_piecewise
 
 
 def pseudo_huber(z):
-    """sqrt(1 + z^2) - 1, a smooth convex proxy for |z|."""
-    return np.hypot(1.0, z) - 1.0
+    """sqrt(1 + z^2) - 1, a smooth convex proxy for |z|, in a form that does not cancel near 0."""
+    return z * z / (1.0 + np.sqrt(1.0 + z * z))
 
 
 def pseudo_huber_d1(z):
-    return z / np.hypot(1.0, z)
+    return z / np.sqrt(1.0 + z * z)
 
 
 def pseudo_huber_d2(z):
-    return np.hypot(1.0, z) ** -3
+    return (1.0 + z * z) ** -1.5
 
 
 def _sym(a):

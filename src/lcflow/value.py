@@ -11,7 +11,7 @@ convexity probes in the initial state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -57,6 +57,7 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
         "iterations": sol.report.iterations,
         "final_residual": sol.report.final_residual,
         "eta": sol.report.eta,
+        "k_hat": sol.report.k_hat,
         "DxV_cross_path_std": float(Y0.std(axis=0).max()),
     }
     DxxV = None
@@ -92,7 +93,11 @@ class RiccatiValueSource:
 
 
 class SolverValueSource:
-    """Value samples from fresh optimality solves, cached per (t, x); one point at a time."""
+    """Value samples from optimality solves, cached per (t, x); one point at a time.
+
+    Only the first solve from each start time probes K; later ones declare
+    it.  With linear dynamics K hardly moves with x; a new t changes the subgrid.
+    """
 
     kind = "solver"
 
@@ -103,14 +108,20 @@ class SolverValueSource:
         self.basis = basis
         self.cfg = cfg
         self._cache = {}
+        self._k_hat = {}     # start time -> K of its first solve
 
     def sample(self, t, x, with_hessian=False) -> ValueSample:
         key = (round(float(t), 12), tuple(np.round(np.atleast_1d(np.asarray(x, dtype=float)), 12)))
         hit = self._cache.get(key)
         if hit is not None and (hit.DxxV is not None or not with_hessian):
             return hit
-        vs = evaluate_value(self.spec, self.grid, t, x, self.W, self.basis, self.cfg,
+        spec = self.spec
+        k_hat = self._k_hat.get(key[0])
+        if k_hat is not None:
+            spec = replace(spec, certificate=replace(spec.certificate, k_lip=k_hat))
+        vs = evaluate_value(spec, self.grid, t, x, self.W, self.basis, self.cfg,
                             with_hessian=with_hessian)
+        self._k_hat.setdefault(key[0], vs.diagnostics.get("k_hat"))
         self._cache[key] = vs
         return vs
 
@@ -333,6 +344,7 @@ def fd_gradient_of_value(spec, grid, x, h, W, basis, cfg, t: float = None):
     """Central difference of V(t, .) on common noise; returns (fd, stderr)."""
     t = grid.t0 if t is None else t
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    source = SolverValueSource(spec, grid, W, basis, cfg)
     n = x.shape[0]
     fd = np.empty(n)
     se = np.empty(n)
@@ -340,9 +352,7 @@ def fd_gradient_of_value(spec, grid, x, h, W, basis, cfg, t: float = None):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        cp = evaluate_value(spec, grid, t, xp, W, basis, cfg, with_hessian=False).per_path_cost
-        cm = evaluate_value(spec, grid, t, xm, W, basis, cfg, with_hessian=False).per_path_cost
-        diff = (cp - cm) / (2.0 * h)
+        diff = (source.sample(t, xp).per_path_cost - source.sample(t, xm).per_path_cost) / (2.0 * h)
         fd[i] = float(diff.mean())
         se[i] = mc_stderr(diff, W.antithetic)
     return fd, se

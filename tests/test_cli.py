@@ -262,7 +262,10 @@ def _count_evaluations(monkeypatch):
 @pytest.mark.parametrize("command, problem, checks, probe_evals, solves", [
     # the derivative solve reuses the primal K: only the primal solve probes
     ("verify-lq", "problems/p1.json", {"with_derivative": True}, 4, 2),
-    ("convexity-check", "problems/p2.json", {}, 3 * 4, 3),
+    # multi-point commands probe once per start time and reuse that K
+    ("convexity-check", "problems/p2.json", {}, 4, 3),
+    ("value", "problems/p2.json", {"value_lattice": {"t": [0.0], "x": [[-1.0], [0.0], [1.0]]}},
+     4, 3),
 ])
 def test_probe_evaluations_per_command(command, problem, checks, probe_evals, solves,
                                        workdir, monkeypatch):
@@ -292,6 +295,17 @@ def test_solve_blowup_reports_its_history(workdir):
                   descent={"eta": 10.0})
     out = workdir / "blowup"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["converged"] is False
+    assert f"path {report['path']}, step {report['step']}" in report["error"]
+    assert report["grad_norm_history"] and report["eta"] == 10.0 and report["k_hat"] is None
+
+
+def test_descent_failure_reports_its_history_from_any_command(workdir):
+    cfg = _config(workdir, grid={"N": 50}, monte_carlo={"M": 1000, "seed": 7},
+                  descent={"eta": 10.0})
+    out = workdir / "blowup-lq"
+    assert main(["verify-lq", "--config", str(cfg), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["converged"] is False
     assert f"path {report['path']}, step {report['step']}" in report["error"]

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcflow import (
@@ -16,7 +16,7 @@ from lcflow import (
     problem_from_json,
     problem_to_json,
 )
-from lcflow.costs import GridCost
+from lcflow.costs import GridCost, pseudo_huber, pseudo_huber_d1, pseudo_huber_d2
 from lcflow.riccati import solve_riccati_ode
 from lcflow.variational import FrozenQuadratic
 
@@ -140,3 +140,20 @@ def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
     ref = solve_riccati_ode(spec, grid=grid, substeps=1)
     for field in ("P", "phi", "c", "theta_gain", "theta_offset"):
         np.testing.assert_array_equal(getattr(ric, field), getattr(ref, field))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z=st.floats(-1e-4, 1e-4))
+@example(z=1e-9)
+def test_pseudo_huber_does_not_cancel_near_zero(z):
+    # sqrt(1 + z^2) - 1 written without the subtraction keeps its Taylor series
+    assert pseudo_huber(np.float64(z)) == pytest.approx(z * z / 2 - z**4 / 8, rel=1e-12, abs=0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z=st.floats(-20.0, 20.0))
+def test_pseudo_huber_derivatives(z):
+    h = 1e-5 * (1.0 + abs(z))
+    central = (pseudo_huber(np.float64(z + h)) - pseudo_huber(np.float64(z - h))) / (2 * h)
+    assert pseudo_huber_d1(np.float64(z)) == pytest.approx(central, abs=1e-8)
+    assert 0.0 < pseudo_huber_d2(np.float64(z)) <= 1.0

@@ -10,6 +10,7 @@ from lcflow import (
     regularity_margin,
 )
 from lcflow.budgets import dpp_budget
+from lcflow.descent import PROBE_SEED, core_from_spec, estimate_lipschitz_core
 from lcflow.riccati import solve_riccati_ode
 from lcflow.value import (
     RiccatiValueSource,
@@ -180,3 +181,46 @@ def test_convexity_probe_solves_each_point_once(monkeypatch, spec_p1, grid, basi
     assert len(calls) == solves
     for entry, lam in zip(rep.entries, lambdas):
         assert entry.gap == pytest.approx(1.0 - (2.0 * lam - 1.0) ** 2, abs=1e-15)
+
+
+def _count_probes(monkeypatch):
+    import lcflow.descent
+
+    calls = []
+    probe = lcflow.descent.estimate_lipschitz_core
+
+    def counting(core, *args, **kwargs):
+        calls.append(float(core.grid.t0))
+        return probe(core, *args, **kwargs)
+
+    monkeypatch.setattr(lcflow.descent, "estimate_lipschitz_core", counting)
+    return calls
+
+
+def test_fd_gradient_probes_once(monkeypatch, spec_p1, grid, basis, cfg, w_small):
+    calls = _count_probes(monkeypatch)
+    fd_gradient_of_value(spec_p1, grid, [0.5], 0.05, w_small, basis, cfg)
+    assert calls == [0.0]
+
+
+def test_solver_source_probes_once_per_start_time(monkeypatch, spec_p1, grid, basis, cfg,
+                                                  w_small):
+    calls = _count_probes(monkeypatch)
+    source = SolverValueSource(spec_p1, grid, w_small, basis, cfg)
+    samples = [source.sample(t, [x]) for t in (0.0, 0.5) for x in (-0.5, 0.5)]
+    assert calls == [0.0, 0.5]
+    k_hat = [vs.diagnostics["k_hat"] for vs in samples]
+    assert k_hat[0] == k_hat[1] and k_hat[2] == k_hat[3]
+
+
+def test_p2_lipschitz_constant_barely_moves_with_x(spec_p2, grid, basis, cfg, w_small):
+    # sharing one K per start time rests on this: probed on its own, each
+    # convexity point's K is within 5% of the shared one
+    source = SolverValueSource(spec_p2, grid, w_small, basis, cfg)
+    shared = {source.sample(0.0, [x]).diagnostics["k_hat"] for x in (1.0, -1.0, 0.0)}
+    assert len(shared) == 1
+    shared = shared.pop()
+    for x in (-1.0, 0.0, 1.0):
+        own, _ = estimate_lipschitz_core(core_from_spec(spec_p2, grid, [x]), w_small.increments,
+                                         basis, cfg.lipschitz_probes, PROBE_SEED)
+        assert own == pytest.approx(shared, rel=0.05)
