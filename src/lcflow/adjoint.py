@@ -33,7 +33,6 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .costs import GridCost
 from .errors import BlowupError, ConditioningError
@@ -77,9 +76,6 @@ def _monomial_exponents(q: int, degree: int):
 # the extra memory at about this many steps' worth of design.
 BLOCK_STEPS = 10
 
-# the LAPACK routine scipy's cho_solve wraps, called without the wrapper
-_POTRS, = get_lapack_funcs(("potrs",), (np.empty(0),))
-
 
 class StepRegression:
     """The normal equations of K consecutive steps, shared across all regression targets.
@@ -89,8 +85,10 @@ class StepRegression:
     built in one vectorized pass.  Features are centered and scaled by each
     step's ensemble mean and std before monomials are formed; degenerate
     coordinates collapse onto the intercept.  The intercept column is never
-    ridge-penalized, so constants are reproduced exactly.  fit and predict
-    take the step's index j within the block.
+    ridge-penalized, so constants are reproduced exactly.  The batched
+    Cholesky factor L of each step's normal matrix A tests it for positive
+    definiteness and gives its inverse A^-1 = L^-T L^-1, so a fit is
+    products only.  fit and predict take the step's index j within the block.
     """
 
     def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0):
@@ -113,17 +111,19 @@ class StepRegression:
         finite = np.isfinite(A).all(axis=(1, 2))
         A = np.where(finite[:, None, None], A, np.eye(p))
         try:
-            self._chol = np.linalg.cholesky(A)
+            L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            self._chol = None
+            L = None
         with np.errstate(all="ignore"):
-            self.cond = np.linalg.cond(A / M)                   # [K]
+            # A is symmetric: its 2-norm condition number is its |eigenvalue| ratio
+            lam = np.abs(np.linalg.eigvalsh(A))
+            self.cond = lam.max(axis=1) / lam.min(axis=1)       # [K]
         # checked in the order the backward sweep visits the steps
         for j in range(K - 1, -1, -1):
             step = first_step + j
             if not finite[j]:
                 raise ConditioningError(f"non-finite normal equations at step {step}", step=step)
-            if self._chol is None:
+            if L is None:
                 try:
                     np.linalg.cholesky(A[j])
                 except np.linalg.LinAlgError as exc:
@@ -137,6 +137,8 @@ class StepRegression:
                     f"(cond {self.cond[j]:.2e})",
                     step=step,
                 )
+        Linv = np.linalg.inv(L)
+        self._Ainv = np.swapaxes(Linv, 1, 2) @ Linv             # [K, p, p]
 
     def _design(self, F: np.ndarray, j) -> np.ndarray:
         """Monomials of F [..., q, L], normalized with step j's training mean and std.
@@ -155,7 +157,7 @@ class StepRegression:
         return Phi
 
     def _coef(self, j: int, y: np.ndarray) -> np.ndarray:
-        return _POTRS(self._chol[j], self.Phi[j] @ y, lower=True, overwrite_b=True)[0]
+        return self._Ainv[j] @ (self.Phi[j] @ y)
 
     def fit(self, j: int, targets: np.ndarray) -> np.ndarray:
         """Fitted values at step j of the block of one or more targets; targets [M] or [M, r]."""

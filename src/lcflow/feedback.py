@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -156,52 +157,49 @@ class LatticeValueSource:
     Built from a single open-loop solve: along optimal paths the adjoint is
     the value gradient and the derivative ratio is its curvature, so
     per-step regressions of those quantities, evaluated on the lattice,
-    tabulate DxV and DxxV without re-solving anything.  Lookups snap t to
-    the nearest node and interpolate linearly in x (clamped at the lattice
-    edge).
+    tabulate DxV and DxxV without re-solving anything.  table
+    [N+1, P..., 1 + n + n^2] holds V, DxV and the rows of DxxV at each node
+    and lattice point.  Lookups snap t to the nearest node and interpolate
+    multilinearly in x, clamped at the lattice edge.
     """
 
     kind = "lattice"
 
-    def __init__(self, grid, axes, v_tab, dxv_tab, dxxv_tab):
-        from scipy.interpolate import RegularGridInterpolator
-
+    def __init__(self, grid, axes, table):
         self.grid = grid
         self.axes = axes
-        self.v_tab = v_tab
-        self.dxv_tab = dxv_tab
-        self.dxxv_tab = dxxv_tab
-        self._interp = {}
-        self._mk = lambda table: RegularGridInterpolator(
-            axes, table, method="linear", bounds_error=False, fill_value=None
-        )
-
-    def _tables(self, k):
-        if k not in self._interp:
-            self._interp[k] = (
-                self._mk(self.v_tab[k]), self._mk(self.dxv_tab[k]), self._mk(self.dxxv_tab[k])
-            )
-        return self._interp[k]
+        self.table = table
 
     def _snap(self, t):
         k = int(round((t - self.grid.t0) / self.grid.dt))
         return min(max(k, 0), self.grid.N)
 
-    def _clamp(self, X):
-        Xc = np.array(np.atleast_2d(X), dtype=float)
-        for i, ax in enumerate(self.axes):
-            Xc[:, i] = np.clip(Xc[:, i], ax[0], ax[-1])
-        return Xc
+    def _lookup(self, t, x, columns):
+        """The table's columns at node t, interpolated at the points of x [n] or [B, n]: [B, c]."""
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        idx, w = [], []
+        for ax, xi in zip(self.axes, X.T):
+            xi = np.clip(xi, ax[0], ax[-1])
+            i = np.minimum(np.searchsorted(ax, xi, side="right") - 1, len(ax) - 2)
+            idx.append(i)
+            w.append((xi - ax[i]) / (ax[i + 1] - ax[i]))
+        tab = self.table[self._snap(t)][..., columns]
+        out = 0.0
+        for corner in product((0, 1), repeat=len(idx)):
+            weight = 1.0
+            for c, wi in zip(corner, w):
+                weight = weight * (wi if c else 1.0 - wi)
+            out = out + tab[tuple(i + c for i, c in zip(idx, corner))] * weight[:, None]
+        return out
 
     def value(self, t, x):
-        fv, _, _ = self._tables(self._snap(t))
-        V = fv(self._clamp(x))
+        V = self._lookup(t, x, slice(0, 1))[:, 0]
         return V if np.ndim(x) == 2 else float(V[0])
 
     def derivatives(self, t, x):
-        _, fg, fh = self._tables(self._snap(t))
-        Xc = self._clamp(x)
-        DxV, DxxV = fg(Xc), fh(Xc)
+        n = len(self.axes)
+        D = self._lookup(t, x, slice(1, None))
+        DxV, DxxV = D[:, :n], D[:, n:].reshape(-1, n, n)
         return (DxV, DxxV) if np.ndim(x) == 2 else (DxV[0], DxxV[0])
 
 
@@ -234,9 +232,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     Pt = np.linalg.solve(np.swapaxes(deriv.grad_X, -1, -2), np.swapaxes(deriv.grad_Y, -1, -2))
     P_paths = np.swapaxes(Pt, -1, -2)
 
-    v_tab = np.empty((N + 1,) + shape)
-    dxv_tab = np.empty((N + 1,) + shape + (n,))
-    dxxv_tab = np.empty((N + 1,) + shape + (n, n))
+    table = np.empty((N + 1,) + shape + (1 + n + n * n,))
     ctg_k = ctg + run.sum(axis=1)
     for k in range(N):
         if k % BLOCK_STEPS == 0:
@@ -244,15 +240,13 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
         targets = np.concatenate(
             [ctg_k[:, None], sol.adjoint.Y[:, k], P_paths[:, k].reshape(M, n * n)], axis=1
         )
-        lattice_reg = reg.predict(k % BLOCK_STEPS, mesh, targets)
-        v_tab[k] = lattice_reg[:, 0].reshape(shape)
-        dxv_tab[k] = lattice_reg[:, 1:1 + n].reshape(shape + (n,))
-        dxxv_tab[k] = lattice_reg[:, 1 + n:].reshape(shape + (n, n))
+        table[k] = reg.predict(k % BLOCK_STEPS, mesh, targets).reshape(table.shape[1:])
         ctg_k = ctg_k - run[:, k]
-    v_tab[N] = cost_eval.terminal_value(mesh).reshape(shape)
-    dxv_tab[N] = cost_eval.terminal_gradient(mesh).reshape(shape + (n,))
-    dxxv_tab[N] = spec.cost.dxx_g(mesh).reshape(shape + (n, n))
-    return LatticeValueSource(wgrid, axes, v_tab, dxv_tab, dxxv_tab)
+    table[N] = np.concatenate(
+        [cost_eval.terminal_value(mesh)[:, None], cost_eval.terminal_gradient(mesh),
+         spec.cost.dxx_g(mesh).reshape(-1, n * n)], axis=1,
+    ).reshape(table.shape[1:])
+    return LatticeValueSource(wgrid, axes, table)
 
 
 def simulate_closed_loop(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,

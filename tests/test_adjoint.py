@@ -1,5 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcflow import (
     BlowupError,
@@ -276,6 +280,37 @@ def test_regression_predict_matches_fit():
     np.testing.assert_allclose(reg.predict(0, G, quad(F)), quad(G), rtol=0, atol=1e-6)
 
 
+def _rms(v):
+    return float(np.sqrt(np.mean(v ** 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(q=st.sampled_from([1, 2]), degree=st.sampled_from([1, 2]),
+       ridge=st.sampled_from([0.0, 1e-10, 1e-8, 1e-6]),
+       loc=st.floats(-3.0, 3.0), scale=st.floats(0.2, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_regression_reproduces_polynomials_of_its_degree(q, degree, ridge, loc, scale, seed):
+    # Tolerance.  The ridge term ridge * M on the non-intercept coefficients
+    # is the only bias: with G = Phi Phi^T / M the Gram matrix of the
+    # normalized basis, the RMS error of the fit over the training points is
+    # at most ridge * |G^-1| * RMS(y), and |G^-1| <= cond(G) because G's
+    # intercept entry is 1.  The test allows twice that, with cond(G) read
+    # from reg.cond, plus 1e-13 * cond for rounding; fresh points from the
+    # same distribution get ten times the training bound.
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    exps = [e for e in product(range(degree + 1), repeat=q) if sum(e) <= degree]
+    coef = rng.normal(size=len(exps))
+
+    def poly(F):
+        return sum(c * np.prod(F ** np.array(e), axis=1) for c, e in zip(coef, exps))
+
+    F, G = (loc + scale * rng.normal(size=(L, q)) for L in (200, 100))
+    reg = StepRegression(F[:, None], RegressionBasis(degree=degree, ridge=ridge))
+    y = poly(F)
+    tol = 2.0 * (ridge + 1e-13) * reg.cond[0] * _rms(y)
+    assert _rms(reg.fit(0, y) - y) <= tol
+    assert _rms(reg.predict(0, G, y) - poly(G)) <= 10.0 * tol
+
+
 def _block_features(M=600, K=10, seed=21):
     rng = np.random.Generator(np.random.Philox(key=seed))
     # per-step location and scale, so every step has its own normalization
@@ -298,6 +333,19 @@ def test_block_regression_matches_single_steps():
         np.testing.assert_allclose(block.predict(j, G, targets), single.predict(0, G, targets),
                                    rtol=0, atol=1e-12)
         assert block.cond[j] == pytest.approx(single.cond[0], rel=1e-9)
+
+
+def test_condition_numbers_are_those_of_the_normal_matrices():
+    F = _block_features()
+    F[:, 6, 1] = F[:, 6, 0] + 1e-2 * F[:, 6, 1]      # nearly collinear at step 6
+    basis = RegressionBasis(degree=2, ridge=1e-8)
+    reg = StepRegression(F, basis)
+    M, K, _ = F.shape
+    penalty = np.diag([0.0] + [1.0] * (reg.Phi.shape[1] - 1))
+    for j in range(K):
+        A = reg.Phi[j] @ reg.Phi[j].T + basis.ridge * M * penalty
+        assert reg.cond[j] == pytest.approx(np.linalg.cond(A), rel=1e-6)
+    assert reg.cond[6] > 1e5 > reg.cond[5]
 
 
 def test_blocked_sweep_matches_single_step_sweep(basis, spec_p1, monkeypatch):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcflow
 from lcflow.cli import main
 from lcflow.presets import p1, p1_d_variant, p2
 from lcflow.problem import problem_to_json
@@ -310,3 +315,34 @@ def test_descent_failure_reports_its_history_from_any_command(workdir):
     assert report["converged"] is False
     assert f"path {report['path']}, step {report['step']}" in report["error"]
     assert report["grad_norm_history"] and report["eta"] == 10.0 and report["k_hat"] is None
+
+
+_SCIPY_GUARD = """
+import json, sys
+from lcflow import cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"import": scipy_modules()}
+cfg, out = sys.argv[1:]
+for command in ("feedback", "convexity-check"):
+    cli.main([command, "--config", cfg, "--out", out + "/" + command])
+    seen[command] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_runs_without_loading_scipy(workdir):
+    # lcflow needs numpy alone; scipy is a test dependency, so the check
+    # runs in a fresh interpreter that the test session has not touched
+    cfg = _config(workdir, problem="problems/p2.json", grid={"N": 10},
+                  monte_carlo={"M": 200}, initial={"t": 0.0, "x": [0.3]})
+    src = str(Path(lcflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(cfg), str(workdir / "out")],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=300)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": [], "feedback": [], "convexity-check": []}
+    for command in ("feedback", "convexity-check"):
+        assert (workdir / "out" / command / "report.json").is_file()

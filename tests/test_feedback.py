@@ -14,7 +14,7 @@ from lcflow import (
     simulate_closed_loop,
     verify_optimality,
 )
-from lcflow.feedback import feedback_field_to_csv
+from lcflow.feedback import LatticeValueSource, feedback_field_to_csv
 from lcflow.paths import l2_norm_array
 from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, solve_riccati_ode
 from lcflow.value import RiccatiValueSource
@@ -166,6 +166,40 @@ def test_feedback_field_csv(tmp_path, spec_p1, oracle_p1):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,x_0,u_0"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_lookup_equals_scipy_interpolation(n):
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.Generator(np.random.Philox(key=60 + n))
+    grid = TimeGrid(0.0, 1.0, 4)
+    axes = tuple(np.linspace(a, b, P) for a, b, P in [(-1.3, 1.6, 9), (0.2, 0.9, 6)][:n])
+    # entries in [1, 2], so every interpolant is at least 1 and a relative bound is meaningful
+    shape = (grid.N + 1,) + tuple(len(a) for a in axes) + (1 + n + n * n,)
+    table = rng.uniform(1.0, 2.0, size=shape)
+    source = LatticeValueSource(grid, axes, table)
+    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    inside = rng.uniform(lo, hi, size=(40, n))
+    edge = inside.copy()
+    edge[:20, 0], edge[20:, -1] = lo[0], hi[-1]
+    # beyond the edge in the first coordinate: below it in the first 20 rows, above in the rest
+    below = np.arange(40) < 20
+    outside = rng.uniform(lo - 2.0, hi + 2.0, size=(40, n))
+    outside[:, 0] = np.where(below, lo[0] - 1.0, hi[0] + 1.0) + rng.uniform(-0.9, 0.9, 40)
+    X = np.concatenate([nodes, inside, edge, outside])
+    for k in range(grid.N + 1):
+        t = float(grid.nodes[k]) + 0.3 * grid.dt       # snaps to node k
+        ref = lambda cols: RegularGridInterpolator(
+            axes, table[k][..., cols], method="linear", bounds_error=False, fill_value=None
+        )(np.clip(X, lo, hi))
+        DxV, DxxV = source.derivatives(t, X)
+        np.testing.assert_allclose(source.value(t, X), ref(0), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(DxV, ref(slice(1, 1 + n)), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(DxxV.reshape(-1, n * n), ref(slice(1 + n, None)),
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(source.value(t, nodes), table[k][..., 0].reshape(-1))
 
 
 @pytest.fixture(scope="module")
