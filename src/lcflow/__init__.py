@@ -23,7 +23,6 @@ from .descent import (
     DescentConfig,
     DescentReport,
     HamiltonianSolution,
-    descent_step,
     solve_hamiltonian,
     uniform_convexity_gap,
 )
@@ -51,10 +50,8 @@ from .paths import (
     BrownianEnsemble,
     ControlEnsemble,
     StateEnsemble,
-    dump_ensemble,
     generate_brownian,
     l2_norm,
-    load_ensemble,
     simulate_forward,
 )
 from .problem import (

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjoint import RegressionBasis, per_path_costs
+from .adjoint import RegressionBasis
 from .budgets import dpp_budget, hjb_solver_budget, lq_value_budget, mc_term, relative_budget
 from .descent import DescentConfig, solve_hamiltonian
 from .errors import BlowupError, ConvergenceError, LcflowError, SchemaError
@@ -55,7 +55,7 @@ _DEFAULTS = {
 }
 
 _ALLOWED_TOP = {"problem", "command", "grid", "monte_carlo", "basis", "descent",
-                "initial", "checks", "output", "threads"}
+                "initial", "checks", "output"}
 
 
 class ConfigError(Exception):
@@ -125,22 +125,22 @@ class Runner:
         self.grid = TimeGrid(0.0, self.spec.horizon, int(cfg["grid"]["N"]))
         mc = cfg["monte_carlo"]
         self.W = generate_brownian(self.grid, int(mc["M"]), int(mc["seed"]),
-                                   bool(mc.get("antithetic", True)), d=self.spec.dims.d)
+                                   bool(mc["antithetic"]), d=self.spec.dims.d)
         b = cfg["basis"]
         self.basis = RegressionBasis(degree=int(b["degree"]), ridge=float(b["ridge"]))
         dsc = cfg["descent"]
-        eta = dsc.get("eta", "auto")
+        eta = dsc["eta"]
         self.dcfg = DescentConfig(
             eta=eta if eta == "auto" else float(eta),
-            max_iter=int(dsc.get("max_iter", 80)),
-            tol_grad=float(dsc.get("tol_grad", 1e-3)),
-            tol_step=float(dsc.get("tol_step", 1e-9)),
-            lipschitz_probes=int(dsc.get("lipschitz_probes", 4)),
-            backtracking=bool(dsc.get("backtracking", False)),
+            max_iter=int(dsc["max_iter"]),
+            tol_grad=float(dsc["tol_grad"]),
+            tol_step=float(dsc["tol_step"]),
+            lipschitz_probes=int(dsc["lipschitz_probes"]),
+            backtracking=bool(dsc["backtracking"]),
         )
         init = cfg["initial"]
-        self.t0 = float(init.get("t", 0.0))
-        x = init.get("x")
+        self.t0 = float(init["t"])
+        x = init["x"]
         self.x0 = np.zeros(self.spec.dims.n) if x is None else np.asarray(x, dtype=float)
         self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
 
@@ -157,7 +157,7 @@ class Runner:
         self.timings["descent_wall_time_s"] = sol.report.wall_time
         rep = json.loads(sol.report.to_json())
         rep["converged"] = True
-        rep["cost"] = float(per_path_costs(self.spec, sol.states, sol.controls).mean())
+        rep["cost"] = float(sol.per_path_cost.mean())
         return rep, True
 
     def cmd_verify_lq(self):
@@ -168,13 +168,12 @@ class Runner:
             from .variational import freeze_second_order, solve_linear_hamiltonian
 
             frozen = freeze_second_order(self.spec, sol)
-            deriv = solve_linear_hamiltonian(self.spec, self.grid, self.W, self.basis,
-                                             sol, frozen, self.dcfg)
+            deriv = solve_linear_hamiltonian(self.spec, self.basis, sol, frozen, self.dcfg)
             deriv_report = riccati_state_check(deriv, oracle=ric)
-            if "csv" in self.cfg["output"].get("formats", []):
+            if "csv" in self.cfg["output"]["formats"]:
                 self.tables_dir.mkdir(parents=True, exist_ok=True)
                 riccati_state_to_csv(deriv_report, self.tables_dir / "riccati_state.csv")
-        costs = per_path_costs(self.spec, sol.states, sol.controls)
+        costs = sol.per_path_cost
         j_solver = float(costs.mean())
         stderr = mc_stderr(costs, self.W.antithetic)
         V, DxV, _ = lq_value(ric, self.t0, self.x0)
@@ -200,7 +199,7 @@ class Runner:
         if deriv_report is not None:
             checks["riccati_state_err_max"] = deriv_report.oracle_err_max
             checks["riccati_state_ok"] = deriv_report.oracle_err_max <= 0.07
-        if "csv" in self.cfg["output"].get("formats", []):
+        if "csv" in self.cfg["output"]["formats"]:
             self.tables_dir.mkdir(parents=True, exist_ok=True)
             riccati_to_csv(ric, self.tables_dir / "riccati.csv")
         ok = checks["cost_ok"] and checks["y0_ok"] and checks["control_ok"]
@@ -216,7 +215,7 @@ class Runner:
         with_hessian = bool(checks.get("with_hessian", False))
         source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
         samples = [source.sample(float(t), x, with_hessian=with_hessian) for t in ts for x in xs]
-        if "csv" in self.cfg["output"].get("formats", []):
+        if "csv" in self.cfg["output"]["formats"]:
             self.tables_dir.mkdir(parents=True, exist_ok=True)
             value_surface_to_csv(samples, self.tables_dir / "value_surface.csv")
         rep = {
@@ -251,10 +250,10 @@ class Runner:
         sol = self._solve()
         source = self._value_source(sol)
         report = verify_optimality(
-            self.spec, self.grid, self.t0, self.x0, self.W, source, self.basis, self.dcfg,
+            self.spec, sol, source,
             n_perturbed=int(checks.get("perturbations", 10)),
             perturb_scale=float(checks.get("perturb_scale", 0.25)),
-            gain_scale=checks.get("gain_scale"), open_loop_sol=sol,
+            gain_scale=checks.get("gain_scale"),
         )
         dt = self.grid.dt
         budget = lq_value_budget(dt, report.value, max(report.stderr_closed, report.stderr_open))
@@ -264,7 +263,7 @@ class Runner:
         rep["budget"] = budget
         rep["agreement_ok"] = bool(ok)
         rep["suboptimality_ok"] = bool(sub_ok)
-        if "csv" in self.cfg["output"].get("formats", []):
+        if "csv" in self.cfg["output"]["formats"]:
             self.tables_dir.mkdir(parents=True, exist_ok=True)
             xs = checks.get("field_x") or [self.x0.tolist()]
             ts = checks.get("field_t") or [float(t) for t in self.grid.nodes[:-1:10]]
@@ -344,8 +343,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override monte_carlo.seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="1 is the bit-exact mode; higher values only annotate the metadata")
     args = parser.parse_args(argv)
 
     t_start = time.perf_counter()
@@ -356,7 +353,7 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(os.environ.get("LCFLOW_OUT") or args.out
-                   or cfg["output"].get("directory", "out"))
+                   or cfg["output"]["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
@@ -387,7 +384,6 @@ def main(argv=None) -> int:
         "config_hash": chash,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "threads": args.threads,
         "wall_time_s": time.perf_counter() - t_start,
         **runner.timings,
     }

@@ -91,21 +91,6 @@ class DescentReport:
 
 
 @dataclass
-class HamiltonianSolution:
-    """Converged quadruple of the coupled forward/backward optimality system."""
-
-    states: StateEnsemble
-    adjoint: AdjointEnsemble
-    controls: ControlEnsemble
-    gradient: GradientEnsemble
-    report: DescentReport
-
-    @property
-    def grid(self):
-        return self.states.grid
-
-
-@dataclass
 class CoreProblem:
     """Everything the iteration needs, independent of where the data came from.
 
@@ -126,6 +111,30 @@ class CoreProblem:
 
     def features(self, X):
         return None if self.features_fn is None else self.features_fn(X)
+
+
+@dataclass
+class HamiltonianSolution:
+    """Converged quadruple of the coupled forward/backward optimality system.
+
+    It carries what it was solved on, so that its consumers rebuild nothing:
+    the subproblem (core: subgrid, step coefficients, cost evaluator, x0),
+    the Brownian ensemble on that subgrid (W) and the converged iterate's
+    per-path cost, whose mean is the reported J.
+    """
+
+    states: StateEnsemble
+    adjoint: AdjointEnsemble
+    controls: ControlEnsemble
+    gradient: GradientEnsemble
+    report: DescentReport
+    core: CoreProblem
+    W: BrownianEnsemble
+    per_path_cost: np.ndarray
+
+    @property
+    def grid(self):
+        return self.core.grid
 
 
 def core_from_spec(spec, grid: TimeGrid, x0) -> CoreProblem:
@@ -195,10 +204,11 @@ def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int
     return 2.0 * max(ratios), ratios
 
 
-def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
-            producer: str = "descent", u0: np.ndarray = None):
+def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg: DescentConfig,
+            u0: np.ndarray = None):
     """Iterate the gradient map from u = 0 (or u0) until stationarity.
 
+    W is the Brownian ensemble on core.grid; the solution carries both.
     Iteration 0's evaluation doubles as the base of the Lipschitz probes.
     Convergence is declared on the stationarity residual (the gradient's
     integrated norm) or on the step size.  A non-finite residual or hitting
@@ -206,7 +216,8 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
     iterate, carry the residual history, eta and K.
     """
     t_start = time.perf_counter()
-    M = dW.shape[0]
+    dW = W.increments
+    M = W.M
     N = core.grid.N
     m = core.sc.B.shape[2]
     dt = core.grid.dt
@@ -241,7 +252,8 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
         gnorm = l2_norm_array(D, dt)
         if not np.isfinite(gnorm):
             raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
-        J = float(per_path_cost_core(core.cost_eval, core.grid, X, U).mean())
+        costs = per_path_cost_core(core.cost_eval, core.grid, X, U)
+        J = float(costs.mean())
         if cfg.backtracking and prev is not None and J > prev[2] + 1e-12 and eta > 1e-8:
             eta *= 0.5
             report.eta = eta
@@ -256,14 +268,13 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
             report.converged = True
             report.reason = "stationarity" if gnorm <= cfg.tol_grad else "step_size"
             report.wall_time = time.perf_counter() - t_start
-            sol = HamiltonianSolution(
+            return HamiltonianSolution(
                 states=StateEnsemble(grid=core.grid, values=X),
                 adjoint=AdjointEnsemble(grid=core.grid, Y=Y, Z=Z),
-                controls=ControlEnsemble(grid=core.grid, values=U, producer=producer),
+                controls=ControlEnsemble(grid=core.grid, values=U),
                 gradient=GradientEnsemble(grid=core.grid, values=D),
-                report=report,
+                report=report, core=core, W=W, per_path_cost=costs,
             )
-            return sol
         prev = (U, D, J)
         U = U - eta * D
         step_norm = eta * gnorm
@@ -275,17 +286,6 @@ def descend(core: CoreProblem, dW, basis: RegressionBasis, cfg: DescentConfig,
 
 # ---------------------------------------------------------------------------
 # public operations on a ProblemSpec
-
-
-def descent_step(spec, X: StateEnsemble, u: ControlEnsemble, adj: AdjointEnsemble,
-                 eta: float) -> ControlEnsemble:
-    """One update u - eta * D[u] on the current ensembles."""
-    from .adjoint import frechet_gradient
-
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    D = frechet_gradient(spec, X, u, adj)
-    return ControlEnsemble(grid=u.grid, values=u.values - eta * D.values, producer="descent")
 
 
 def solve_hamiltonian(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
@@ -300,37 +300,31 @@ def solve_hamiltonian(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
     k0 = grid.index_of(t0)
     if k0 >= grid.N:
         raise ValueError("t0 must be strictly before the horizon")
-    wgrid = grid.subgrid(k0)
-    Wsub = W.slice_from(k0)
-    core = core_from_spec(spec, wgrid, x0)
-    return descend(core, Wsub.increments, basis, cfg, u0=u0)
+    core = core_from_spec(spec, grid.subgrid(k0), x0)
+    return descend(core, W.slice_from(k0), basis, cfg, u0=u0)
 
 
-def uniform_convexity_gap(spec, grid: TimeGrid, x0, W: BrownianEnsemble,
-                          basis: RegressionBasis, sol: HamiltonianSolution,
-                          trials: int = 20, seed: int = 23, scale: float = 0.5) -> float:
+def uniform_convexity_gap(sol: HamiltonianSolution, trials: int = 20, seed: int = 23,
+                          scale: float = 0.5) -> float:
     """min over random perturbations v of [J(u*+v) - J(u*)] / (||v||^2 / 2).
 
     A certificate with modulus delta promises the result is >= delta up to
     Monte Carlo slack.  Perturbations are deterministic step functions of
-    time, so they are admissible controls.
+    time, so they are admissible controls; each runs on the solution's own
+    subproblem and noise.
     """
-    wgrid = sol.grid
-    Wsub = W.slice_from(grid.index_of(wgrid.t0)) if grid.N != wgrid.N else W
-    core = core_from_spec(spec, wgrid, x0)
-    M = Wsub.M
-    N = wgrid.N
+    core = sol.core
+    N = core.grid.N
     m = core.sc.B.shape[2]
-    dt = wgrid.dt
-    base_cost = per_path_cost_core(core.cost_eval, wgrid, sol.states.values,
-                                   sol.controls.values).mean()
+    dt = core.grid.dt
+    base_cost = sol.per_path_cost.mean()
     worst = np.inf
     for v in _probe_controls((N, m), trials, scale, seed):
         vnorm2 = l2_norm_array(np.broadcast_to(v, (1, N, m)), dt) ** 2
         if vnorm2 <= 1e-14:
             continue
         U = sol.controls.values + v
-        X = _simulate_core(core.sc, wgrid, core.x0, U, Wsub.increments)
-        J = per_path_cost_core(core.cost_eval, wgrid, X, U).mean()
+        X = _simulate_core(core.sc, core.grid, core.x0, U, sol.W.increments)
+        J = per_path_cost_core(core.cost_eval, core.grid, X, U).mean()
         worst = min(worst, float((J - base_cost) / (0.5 * vnorm2)))
     return worst

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import BLOCK_STEPS, RegressionBasis, StepRegression, per_path_costs
-from .costs import GridCost
 from .descent import DescentConfig, solve_hamiltonian
 from .errors import ConvergenceError, RegularityError
 from .grids import TimeGrid
@@ -206,13 +205,14 @@ class LatticeValueSource:
 def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
                          basis: RegressionBasis, cfg: DescentConfig,
                          points_per_dim: int = 21, margin_std: float = 4.0,
-                         sol=None, deriv=None) -> LatticeValueSource:
-    """Tabulate the value derivatives on an auto-sized rectangular lattice."""
+                         sol=None) -> LatticeValueSource:
+    """Tabulate the value derivatives on an auto-sized rectangular lattice.
+
+    A precomputed optimality solve from (t0, x0) may be passed in as sol.
+    """
     if sol is None:
         sol = solve_hamiltonian(spec, grid, t0, x0, W, basis, cfg)
-    if deriv is None:
-        frozen = freeze_second_order(spec, sol)
-        deriv = solve_linear_hamiltonian(spec, grid, W, basis, sol, frozen, cfg)
+    deriv = solve_linear_hamiltonian(spec, basis, sol, freeze_second_order(spec, sol), cfg)
     wgrid = sol.grid
     n = spec.dims.n
     X = sol.states.values
@@ -222,7 +222,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     shape = (points_per_dim,) * n
 
-    cost_eval = GridCost(spec.cost, wgrid)
+    cost_eval = sol.core.cost_eval
     M = X.shape[0]
     N = wgrid.N
     dt = wgrid.dt
@@ -275,7 +275,7 @@ def simulate_closed_loop(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
         U[:, k] = u_fb
         X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], Wsub.increments[:, k], dt)
     states = StateEnsemble(grid=wgrid, values=X)
-    controls = ControlEnsemble(grid=wgrid, values=U, producer="feedback")
+    controls = ControlEnsemble(grid=wgrid, values=U)
     per_path = per_path_costs(spec, states, controls)
     return ClosedLoopResult(states=states, controls=controls, cost=float(per_path.mean()),
                             per_path_cost=per_path, stderr=mc_stderr(per_path, Wsub.antithetic))
@@ -320,23 +320,21 @@ class VerificationReport:
         return out
 
 
-def verify_optimality(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
-                      value_source, basis: RegressionBasis, cfg: DescentConfig,
-                      n_perturbed: int = 10, seed: int = 11, perturb_scale: float = 0.25,
-                      gain_scale: Optional[float] = None, open_loop_sol=None) -> VerificationReport:
-    """Closed loop vs open loop vs value, plus suboptimality of perturbations.
+def verify_optimality(spec, sol, value_source, n_perturbed: int = 10, seed: int = 11,
+                      perturb_scale: float = 0.25,
+                      gain_scale: Optional[float] = None) -> VerificationReport:
+    """Closed loop vs the open-loop solution sol vs value, plus suboptimality of perturbations.
 
-    Perturbed runs share the Brownian ensemble with the closed loop, so the
-    pathwise cost differences carry far less noise than the costs
-    themselves; gain_scale (when set) additionally runs the feedback scaled
-    by that factor, the classic wrong-gain probe.
+    The closed loops run from the solution's start point on its subgrid and
+    share its noise, so the pathwise cost differences of the perturbed runs
+    carry far less noise than the costs themselves; gain_scale (when set) additionally
+    runs the feedback scaled by that factor, the classic wrong-gain probe.
     """
+    grid, t0, x0, W = sol.grid, sol.grid.t0, sol.core.x0, sol.W
     closed = simulate_closed_loop(spec, grid, t0, x0, W, value_source)
-    sol = open_loop_sol if open_loop_sol is not None else solve_hamiltonian(
-        spec, grid, t0, x0, W, basis, cfg)
-    open_costs = per_path_costs(spec, sol.states, sol.controls)
+    open_costs = sol.per_path_cost
     j_open = float(open_costs.mean())
-    V = value_source.value(t0, np.asarray(x0, dtype=float))
+    V = value_source.value(t0, x0)
 
     def probe(override):
         run = simulate_closed_loop(spec, grid, t0, x0, W, value_source, control_override=override)

@@ -11,8 +11,6 @@ for blow-up once, after it.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +21,6 @@ from .grids import TimeGrid
 from .problem import StepCoeffs, materialize
 
 BLOWUP_LIMIT = 1e12
-_MAGIC = b"LCF1"
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class StateEnsemble:
 class ControlEnsemble:
     grid: TimeGrid
     values: np.ndarray              # [M, N, m], control held on [t_k, t_{k+1})
-    producer: str = "unspecified"   # provenance: who guaranteed adaptedness
 
     @property
     def M(self):
@@ -176,35 +172,3 @@ def mc_stderr(per_path: np.ndarray, antithetic: bool = False) -> float:
     if v.shape[0] < 2:
         return 0.0
     return float(v.std(ddof=1) / np.sqrt(v.shape[0]))
-
-
-def dump_ensemble(path, values: np.ndarray):
-    """Binary dump: magic 'LCF1', uint64 (M, N, dim), little-endian float64."""
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    if arr.ndim != 3:
-        raise ValueError("expected a [M, N, dim] array")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQQ", *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def load_ensemble(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        M, N, dim = struct.unpack("<QQQ", fh.read(24))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(int(M), int(N), int(dim))
-
-
-def paths_to_csv(path, ens: StateEnsemble, max_paths: int = 50):
-    """Per-path trajectories for plotting, one row per (path, node)."""
-    n = ens.values.shape[2]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "t"] + [f"x_{i}" for i in range(n)])
-        for p in range(min(ens.M, max_paths)):
-            for k, t in enumerate(ens.grid.nodes):
-                writer.writerow([p, repr(float(t))] + [repr(float(v)) for v in ens.values[p, k]])

@@ -247,7 +247,7 @@ def lq_optimal_trajectory(ric: RiccatiSolution, spec, grid: TimeGrid, x0, W):
         U[:, k] = X[:, k] @ Theta.T + theta
         X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt)
     states = StateEnsemble(grid=grid, values=X)
-    controls = ControlEnsemble(grid=grid, values=U, producer="riccati_feedback")
+    controls = ControlEnsemble(grid=grid, values=U)
     per_path = per_path_cost_core(GridCost(cost, grid), grid, X, U)
     return ClosedLoopResult(states=states, controls=controls, cost=float(per_path.mean()),
                             per_path_cost=per_path, stderr=mc_stderr(per_path, W.antithetic))

@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import RegressionBasis, StepRegression, per_path_costs
-from .costs import GridCost
+from .adjoint import RegressionBasis, StepRegression
 from .descent import DescentConfig, solve_hamiltonian
 from .errors import LcflowError
 from .grids import TimeGrid
@@ -48,9 +47,9 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
     """
     if sol is None:
         sol = solve_hamiltonian(spec, grid, t, x, W, basis, cfg)
-    per_path = per_path_costs(spec, sol.states, sol.controls)
+    per_path = sol.per_path_cost
     V = float(per_path.mean())
-    stderr = mc_stderr(per_path, W.antithetic)
+    stderr = mc_stderr(per_path, sol.W.antithetic)
     Y0 = sol.adjoint.Y[:, 0]
     DxV = Y0.mean(axis=0)
     diagnostics = {
@@ -63,7 +62,7 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
     DxxV = None
     if with_hessian:
         frozen = freeze_second_order(spec, sol)
-        deriv = solve_linear_hamiltonian(spec, grid, W, basis, sol, frozen, cfg)
+        deriv = solve_linear_hamiltonian(spec, basis, sol, frozen, cfg)
         hess = hessian_from_derivative(deriv)
         DxxV = hess.matrix
         diagnostics["DxxV_asymmetry"] = hess.asymmetry
@@ -247,7 +246,7 @@ def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
         raise ValueError(f"h={h} must be a step multiple inside (0, T - t)")
     if abs(kh * dt - h) > 1e-9:
         raise ValueError(f"h={h} is not a multiple of dt={dt}")
-    cost_eval = GridCost(spec.cost, wgrid)
+    cost_eval = sol.core.cost_eval
     X = sol.states.values
     U = sol.controls.values
     running = cost_eval.running_value(X[:, :wgrid.N], U)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import RegressionBasis
-from .costs import GridCost, PathCost, RunningCost, _sym
+from .costs import PathCost, RunningCost, _sym
 from .descent import (PROBE_SEED, CoreProblem, DescentConfig, HamiltonianSolution, descend,
                       estimate_lipschitz_core)
 from .grids import TimeGrid
-from .paths import BrownianEnsemble
-from .problem import StepCoeffs, materialize
+from .problem import StepCoeffs
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class FrozenQuadratic(PathCost):
     Sh: np.ndarray   # [M, N, m, n]
     Rh: np.ndarray   # [M, N, m, m]
     Gh: np.ndarray   # [M, n, n]
-    is_constant: bool = False
 
     @property
     def running(self) -> RunningCost:
@@ -73,7 +71,7 @@ def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
     X = sol.states.values
     U = sol.controls.values
     N = sol.grid.N
-    running = GridCost(spec.cost, sol.grid).running
+    running = sol.core.cost_eval.running
     qh = running.hess_xx(X[:, :N], U)
     rh = running.hess_uu(X[:, :N], U)
     Sh = running.hess_ux(X[:, :N], U)
@@ -88,13 +86,7 @@ def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
             f"sampled second derivative {worst_entry:.4g} exceeds declared bound "
             f"{spec.cost.k_hess:.4g}"
         )
-    is_const = bool(
-        np.allclose(Qh, Qh[:1, :1], atol=1e-12)
-        and np.allclose(Sh, Sh[:1, :1], atol=1e-12)
-        and np.allclose(Rh, Rh[:1, :1], atol=1e-12)
-        and np.allclose(Gh, Gh[:1], atol=1e-12)
-    )
-    return FrozenQuadratic(grid=sol.grid, Qh=Qh, Sh=Sh, Rh=Rh, Gh=Gh, is_constant=is_const)
+    return FrozenQuadratic(grid=sol.grid, Qh=Qh, Sh=Sh, Rh=Rh, Gh=Gh)
 
 
 def _zero_inhomogeneity(sc: StepCoeffs) -> StepCoeffs:
@@ -102,24 +94,22 @@ def _zero_inhomogeneity(sc: StepCoeffs) -> StepCoeffs:
                       b=np.zeros_like(sc.b), sigma=np.zeros_like(sc.sigma))
 
 
-def solve_linear_hamiltonian(spec, grid: TimeGrid, W: BrownianEnsemble,
-                             basis: RegressionBasis, sol: HamiltonianSolution,
+def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolution,
                              frozen: FrozenQuadratic, cfg: DescentConfig) -> DerivativeSolution:
     """Solve the frozen-coefficient system once per basis direction.
 
-    All directions share the Brownian ensemble of the base solve.  The
-    regression features are the pair (direction state, base state): the
-    adjoint of the frozen problem is a function of both when the frozen
-    coefficients vary along the path, and the pure-direction monomials are
-    still in the span, so the constant-coefficient case stays exact.
+    All directions run on the base solve's subproblem, its inhomogeneity
+    zeroed, and share its Brownian ensemble.  The regression features are
+    the pair (direction state, base state): the adjoint of the frozen
+    problem is a function of both when the frozen coefficients vary along
+    the path, and the pure-direction monomials are still in the span, so
+    the constant-coefficient case stays exact.
     """
     wgrid = sol.grid
-    if W.grid.N != wgrid.N:
-        k0 = grid.index_of(wgrid.t0)
-        W = W.slice_from(k0)
+    W = sol.W
     n = spec.dims.n
     base_X = sol.states.values
-    sc = _zero_inhomogeneity(materialize(spec.coeffs, wgrid))
+    sc = _zero_inhomogeneity(sol.core.sc)
 
     def features_fn(Xv):
         return np.concatenate([Xv, base_X], axis=2)
@@ -146,8 +136,7 @@ def solve_linear_hamiltonian(spec, grid: TimeGrid, W: BrownianEnsemble,
                                            cfg.lipschitz_probes, PROBE_SEED)
     for i in range(n):
         try:
-            dsol = descend(direction_core(i, k_hat), W.increments, basis, cfg,
-                           producer="variational")
+            dsol = descend(direction_core(i, k_hat), W, basis, cfg)
         except Exception as exc:
             exc.args = (f"direction {i}: {exc.args[0]}",) + exc.args[1:]
             raise

@@ -27,7 +27,7 @@ from lcflow.problem import materialize
 
 def _controls(grid, M, values=0.0):
     vals = np.full((M, grid.N, 1), values) if np.isscalar(values) else values
-    return ControlEnsemble(grid=grid, values=vals, producer="test")
+    return ControlEnsemble(grid=grid, values=vals)
 
 
 def test_constant_terminal_gradient_reproduced_exactly(grid, basis):

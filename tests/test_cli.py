@@ -284,6 +284,47 @@ def test_probe_evaluations_per_command(command, problem, checks, probe_evals, so
     assert len(evals) == probe_evals + sum(it + 1 for it in iterations)
 
 
+def _count_rebuilds(monkeypatch):
+    """Count GridCost constructions and materialize calls, wherever lcflow looks them up."""
+    import lcflow.costs
+    import lcflow.problem
+
+    counts = {"GridCost": 0, "materialize": 0}
+    init, materialize = lcflow.costs.GridCost.__init__, lcflow.problem.materialize
+
+    def counting_init(self, *args, **kwargs):
+        counts["GridCost"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_materialize(*args, **kwargs):
+        counts["materialize"] += 1
+        return materialize(*args, **kwargs)
+
+    monkeypatch.setattr(lcflow.costs.GridCost, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lcflow") and getattr(module, "materialize", None) is materialize:
+            monkeypatch.setattr(module, "materialize", counting_materialize)
+    return counts
+
+
+@pytest.mark.parametrize("command, problem, checks, grid_costs, materialized", [
+    # the derivative solve, the curvature freeze and the reported costs all
+    # read the subproblem the primal solve carries
+    ("verify-lq", "problems/p1.json", {"with_derivative": True}, 1, 1),
+    # one subproblem per solved point, its per-path cost read off the solution
+    ("convexity-check", "problems/p2.json", {}, 3, 3),
+])
+def test_solution_subproblem_is_built_once(command, problem, checks, grid_costs, materialized,
+                                           workdir, monkeypatch):
+    counts = _count_rebuilds(monkeypatch)
+    cfg = _config(workdir, problem=problem, monte_carlo={"M": 500}, checks=checks)
+    out = workdir / command
+    main([command, "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert "error" not in report, report
+    assert counts == {"GridCost": grid_costs, "materialize": materialized}
+
+
 def test_solve_rerun_is_bit_identical(workdir):
     # the descent's wall time goes to run-metadata.json, never to report.json
     cfg = _config(workdir, grid={"N": 50}, monte_carlo={"M": 1000, "seed": 7})

@@ -9,9 +9,10 @@ from lcflow import (
     ConvergenceError,
     DescentConfig,
     Dimensions,
+    TimeGrid,
     build_lq_problem,
-    descent_step,
     generate_brownian,
+    per_path_costs,
     simulate_forward,
     solve_adjoint,
     solve_hamiltonian,
@@ -72,28 +73,6 @@ def test_auto_eta_is_delta_over_k(grid, basis, spec_p1):
     assert json.loads(sol.report.to_json())["probe_ratios"] == sol.report.probe_ratios
 
 
-def test_single_step_deterministic_profile(grid, basis, spec_p1_nonoise):
-    # from u = 0 with eta = 0.25: u_1(t_k) = -0.25 (2 - t_k)
-    M = 64
-    W = generate_brownian(grid, M, seed=4)
-    u = ControlEnsemble(grid=grid, values=np.zeros((M, grid.N, 1)), producer="test")
-    X = simulate_forward(spec_p1_nonoise, grid, [1.0], u, W)
-    adj, _ = solve_adjoint(spec_p1_nonoise, X, u, W, basis)
-    u1 = descent_step(spec_p1_nonoise, X, u, adj, eta=0.25)
-    expected = -0.25 * (2.0 - grid.nodes[:-1])
-    assert np.max(np.abs(u1.values[0, :, 0] - expected)) <= 2 * grid.dt
-
-
-def test_fixed_point_property(grid, basis, spec_zero):
-    M = 64
-    W = generate_brownian(grid, M, seed=5)
-    u = ControlEnsemble(grid=grid, values=np.zeros((M, grid.N, 1)), producer="test")
-    X = simulate_forward(spec_zero, grid, [1.0], u, W)
-    adj, _ = solve_adjoint(spec_zero, X, u, W, basis)
-    u1 = descent_step(spec_zero, X, u, adj, eta=0.7)
-    np.testing.assert_array_equal(u1.values, u.values)
-
-
 def test_p1_small_scale_matches_oracle(sol_p1_small, grid, spec_p1):
     from lcflow import evaluate_cost
 
@@ -125,8 +104,7 @@ def test_affine_map_is_contractive(grid, basis, spec_p1):
     rng = np.random.Generator(np.random.Philox(key=7))
 
     def apply_map(vals):
-        u = ControlEnsemble(grid=grid, values=np.broadcast_to(vals, (M, grid.N, 1)).copy(),
-                            producer="test")
+        u = ControlEnsemble(grid=grid, values=np.broadcast_to(vals, (M, grid.N, 1)).copy())
         X = simulate_forward(spec_p1, grid, [0.2], u, W)
         adj, _ = solve_adjoint(spec_p1, X, u, W, basis)
         from lcflow import frechet_gradient
@@ -219,16 +197,14 @@ def test_uniform_convexity_gap_decoupled_exact(grid, basis):
     W = generate_brownian(grid, M, seed=12)
     cfg = DescentConfig(eta=0.5, max_iter=40, tol_grad=1e-6)
     sol = solve_hamiltonian(spec, grid, 0.0, [0.0], W, basis, cfg)
-    gap = uniform_convexity_gap(spec, grid, [0.0], W, basis, sol, trials=8, seed=13)
+    gap = uniform_convexity_gap(sol, trials=8, seed=13)
     assert gap == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("which", ["p1", "p2"])
-def test_uniform_convexity_gap_presets(which, grid, basis, w_small,
-                                       sol_p1_small, sol_p2_small, spec_p1, spec_p2):
-    spec, sol, x0 = ((spec_p1, sol_p1_small, [0.0]) if which == "p1"
-                     else (spec_p2, sol_p2_small, [0.3]))
-    gap = uniform_convexity_gap(spec, grid, x0, w_small, basis, sol, trials=20, seed=14)
+def test_uniform_convexity_gap_presets(which, sol_p1_small, sol_p2_small, spec_p1, spec_p2):
+    spec, sol = (spec_p1, sol_p1_small) if which == "p1" else (spec_p2, sol_p2_small)
+    gap = uniform_convexity_gap(sol, trials=20, seed=14)
     assert gap >= spec.certificate.delta - 0.05
 
 
@@ -277,3 +253,18 @@ def test_cost_is_evaluated_per_whole_path(grid, basis, cfg, spec_p2, monkeypatch
     assert grid.N == 50 and sol.report.converged
     assert counts["grad"] > 0 and counts["cost_eval"] > 0
     assert counts["cost"] <= 3 * counts["grad"] + 2 * counts["cost_eval"], counts
+
+
+@pytest.mark.parametrize("which", ["p1", "p2"])
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+def test_solution_carries_its_per_path_cost(which, t0, spec_p1, spec_p2, basis, cfg):
+    # the per-path cost descend computed for J is the one a consumer would
+    # recompute from the spec, bit for bit, on the solution's own subgrid
+    grid = TimeGrid(0.0, 1.0, 20)
+    W = generate_brownian(grid, 500, seed=41, antithetic=True)
+    spec, x0 = (spec_p1, [0.0]) if which == "p1" else (spec_p2, [0.3])
+    sol = solve_hamiltonian(spec, grid, t0, x0, W, basis, cfg)
+    assert sol.grid.t0 == pytest.approx(t0) and sol.grid.N == sol.W.increments.shape[1]
+    np.testing.assert_array_equal(sol.per_path_cost,
+                                  per_path_costs(spec, sol.states, sol.controls))
+    assert sol.report.costs[-1] == float(sol.per_path_cost.mean())

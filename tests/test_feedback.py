@@ -12,8 +12,10 @@ from lcflow import (
     generate_brownian,
     minimize_hamiltonian_in_u,
     simulate_closed_loop,
+    solve_hamiltonian,
     verify_optimality,
 )
+from lcflow.budgets import lq_value_budget
 from lcflow.feedback import LatticeValueSource, feedback_field_to_csv
 from lcflow.paths import l2_norm_array
 from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, solve_riccati_ode
@@ -130,8 +132,7 @@ def test_closed_loop_matches_oracle_trajectory(spec_p1, grid, w_small, oracle_p1
 
 
 def test_verify_optimality_p1(spec_p1, grid, basis, cfg, w_small, oracle_p1, sol_p1_small):
-    report = verify_optimality(spec_p1, grid, 0.0, [0.0], w_small, oracle_p1, basis, cfg,
-                               n_perturbed=5, gain_scale=1.3, open_loop_sol=sol_p1_small)
+    report = verify_optimality(spec_p1, sol_p1_small, oracle_p1, n_perturbed=5, gain_scale=1.3)
     budget = max(2 * grid.dt * abs(report.value) + 0.002,
                  4 * max(report.stderr_closed, report.stderr_open))
     assert abs(report.gap_closed_open) <= budget
@@ -144,6 +145,29 @@ def test_verify_optimality_p1(spec_p1, grid, basis, cfg, w_small, oracle_p1, sol
     run = report.scaled_gain
     assert run.gap_vs_closed > 4 * run.stderr_gap
     assert run.gap_vs_closed == pytest.approx(oracle_gap, rel=0.5)
+
+
+def test_verify_optimality_runs_on_the_solution_subgrid(monkeypatch, spec_p1, grid, basis, cfg,
+                                                        w_small, oracle_p1):
+    import lcflow.feedback
+
+    sol = solve_hamiltonian(spec_p1, grid, 0.5, [0.0], w_small, basis, cfg)
+    loops = []
+    simulate = lcflow.feedback.simulate_closed_loop
+
+    def recording(spec, grid, t0, x0, W, *args, **kwargs):
+        loops.append((grid, t0, W))
+        return simulate(spec, grid, t0, x0, W, *args, **kwargs)
+
+    monkeypatch.setattr(lcflow.feedback, "simulate_closed_loop", recording)
+    report = verify_optimality(spec_p1, sol, oracle_p1, n_perturbed=2)
+    assert sol.grid.N == grid.N // 2
+    assert len(loops) == 3
+    for loop_grid, t0, W in loops:
+        assert loop_grid is sol.grid and t0 == sol.grid.t0 and W is sol.W
+    budget = lq_value_budget(sol.grid.dt, report.value,
+                             max(report.stderr_closed, report.stderr_open))
+    assert abs(report.gap_closed_value) <= budget
 
 
 def test_lattice_source_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):

@@ -97,28 +97,31 @@ def test_solver_control_matches_oracle_gain(rich_lq, ric_rich, grid30, sol_rich)
 
 
 @pytest.fixture(scope="module")
-def deriv_rich(rich_lq, grid30, sol_rich):
-    sol, W, basis, cfg = sol_rich
+def deriv_rich(rich_lq, sol_rich):
+    sol, _, basis, cfg = sol_rich
     frozen = freeze_second_order(rich_lq, sol)
-    return frozen, solve_linear_hamiltonian(rich_lq, grid30, W, basis, sol, frozen, cfg)
+    return frozen, solve_linear_hamiltonian(rich_lq, basis, sol, frozen, cfg)
 
 
 def test_curvature_matches_oracle_state(ric_rich, deriv_rich):
     frozen, deriv = deriv_rich
-    assert frozen.is_constant
+    # quadratic costs: every frozen block equals its first (path, step) block
+    for block, first in ((frozen.Qh, frozen.Qh[:1, :1]), (frozen.Sh, frozen.Sh[:1, :1]),
+                         (frozen.Rh, frozen.Rh[:1, :1]), (frozen.Gh, frozen.Gh[:1])):
+        np.testing.assert_allclose(block, np.broadcast_to(first, block.shape), rtol=0, atol=1e-12)
     hess = hessian_from_derivative(deriv)
     P0 = ric_rich.P_at(0.0)
     assert np.max(np.abs(hess.matrix - P0)) <= 0.07 * max(1.0, float(np.linalg.norm(P0)))
     assert hess.asymmetry <= 0.05
 
 
-def test_derivative_solve_reuses_the_primal_k(rich_lq, grid30, sol_rich, deriv_rich):
+def test_derivative_solve_reuses_the_primal_k(rich_lq, sol_rich, deriv_rich):
     # C != 0, so the probe base is not removed by the feature normalization;
     # the derivative problem's own K still agrees with the primal one
-    sol, W, basis, cfg = sol_rich
+    sol, _, basis, cfg = sol_rich
     frozen, reused = deriv_rich
     no_k = replace(sol, report=replace(sol.report, k_hat=None))
-    probed = solve_linear_hamiltonian(rich_lq, grid30, W, basis, no_k, frozen, cfg)
+    probed = solve_linear_hamiltonian(rich_lq, basis, no_k, frozen, cfg)
     k_primal = sol.report.k_hat
     assert [r.k_hat for r in reused.reports] == [k_primal, k_primal]
     assert abs(probed.reports[0].k_hat - k_primal) <= 0.01 * k_primal

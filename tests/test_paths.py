@@ -8,13 +8,11 @@ from lcflow import (
     Dimensions,
     TimeGrid,
     build_lq_problem,
-    dump_ensemble,
     generate_brownian,
     l2_norm,
-    load_ensemble,
     simulate_forward,
 )
-from lcflow.paths import BLOWUP_LIMIT, _euler_step, mc_stderr, paths_to_csv
+from lcflow.paths import BLOWUP_LIMIT, _euler_step, mc_stderr
 from lcflow.problem import materialize
 
 
@@ -27,7 +25,7 @@ def _scalar_spec(A=0.0, B=0.0, b=0.0, sigma=0.0):
 
 
 def _zero_controls(grid, M):
-    return ControlEnsemble(grid=grid, values=np.zeros((M, grid.N, 1)), producer="test")
+    return ControlEnsemble(grid=grid, values=np.zeros((M, grid.N, 1)))
 
 
 def test_grid_nodes_and_lookup():
@@ -97,7 +95,7 @@ def test_l2_norm_exact_cases(grid):
     M = 16
     zero = _zero_controls(grid, M)
     assert l2_norm(zero) == 0.0
-    const = ControlEnsemble(grid=grid, values=np.full((M, grid.N, 1), -2.0), producer="test")
+    const = ControlEnsemble(grid=grid, values=np.full((M, grid.N, 1), -2.0))
     assert l2_norm(const) == pytest.approx(2.0 * np.sqrt(1.0), rel=1e-12)
 
 
@@ -105,7 +103,7 @@ def test_l2_norm_quadrature():
     # u(t) = t on [0, 1]: the integral of t^2 is 1/3
     grid = TimeGrid(0.0, 1.0, 2000)
     vals = np.broadcast_to(grid.nodes[:-1][None, :, None], (3, grid.N, 1)).copy()
-    ens = ControlEnsemble(grid=grid, values=vals, producer="test")
+    ens = ControlEnsemble(grid=grid, values=vals)
     assert l2_norm(ens) == pytest.approx(np.sqrt(1.0 / 3.0), abs=2.0 / grid.N)
 
 
@@ -132,11 +130,11 @@ def test_superposition_of_affine_dynamics():
     u2 = rng.standard_normal((M, grid.N, 1))
     x1, x2 = np.array([0.4, -0.2]), np.array([-1.0, 0.7])
     full = simulate_forward(spec, grid, x1 + x2,
-                            ControlEnsemble(grid=grid, values=u1 + u2, producer="t"), W)
+                            ControlEnsemble(grid=grid, values=u1 + u2), W)
     base = simulate_forward(spec, grid, x1,
-                            ControlEnsemble(grid=grid, values=u1, producer="t"), W)
+                            ControlEnsemble(grid=grid, values=u1), W)
     extra = simulate_forward(spec_h, grid, x2,
-                             ControlEnsemble(grid=grid, values=u2, producer="t"), W)
+                             ControlEnsemble(grid=grid, values=u2), W)
     np.testing.assert_allclose(full.values, base.values + extra.values, atol=1e-12)
 
 
@@ -207,27 +205,6 @@ def test_blowup_names_first_offender():
     with pytest.raises(BlowupError, match="path 1, step 2") as err:
         simulate_forward(spec, grid, x0, U, W)
     assert (err.value.path, err.value.step) == expected
-
-
-def test_binary_dump_round_trip(tmp_path):
-    rng = np.random.Generator(np.random.Philox(key=1))
-    arr = rng.standard_normal((5, 7, 2))
-    path = tmp_path / "ens.lcf"
-    dump_ensemble(path, arr)
-    back = load_ensemble(path)
-    np.testing.assert_array_equal(arr, back)
-    raw = path.read_bytes()
-    assert raw[:4] == b"LCF1"
-
-
-def test_paths_csv_has_header(tmp_path, grid):
-    from lcflow.paths import StateEnsemble
-
-    ens = StateEnsemble(grid=grid, values=np.zeros((3, grid.N + 1, 1)))
-    out = tmp_path / "paths.csv"
-    paths_to_csv(out, ens, max_paths=2)
-    first = out.read_text(encoding="utf-8").splitlines()[0]
-    assert first == "path,t,x_0"
 
 
 def test_mc_stderr_antithetic_pairs_counted_once():
