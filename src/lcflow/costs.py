@@ -16,7 +16,8 @@ by sampling.  The LQ family is the case where every weight is zero.
 Each formula of the running cost is written once, on frozen blocks
 (RunningCost): CostModel looks the blocks up at one time, GridCost stacks
 them per grid node and evaluates a whole path [M, N, .] in one call.  Terms
-whose weight is zero are skipped, not multiplied by 0.
+whose weight is zero are skipped, not multiplied by 0, and so are the S, q
+and rho terms when their block is identically zero where it was frozen.
 
 All evaluations are vectorized: x has shape (..., n), u has shape (..., m),
 values come back with shape (...), gradients with a trailing n or m axis,
@@ -65,6 +66,11 @@ def _hessian(base, z, kappa):
     return out
 
 
+def _nonzero(block):
+    """The frozen block, or None when it is identically zero and its terms can be dropped."""
+    return block if block.any() else None
+
+
 def _symmetrized(pw: PiecewiseConstant, name: str, tol=1e-12) -> PiecewiseConstant:
     """Symmetrize every value, warning when the asymmetry is beyond rounding noise."""
     vals = pw.values
@@ -79,7 +85,8 @@ class RunningCost:
     """The running cost l with its quadratic blocks frozen.
 
     Blocks may carry leading axes ([N] per grid node, [M, N] per path and
-    node) that broadcast against those of x and u; q and rho may be None.
+    node) that broadcast against those of x and u; S, q and rho may be None,
+    which stands for an all-zero block.
     """
 
     Q: np.ndarray
@@ -94,11 +101,10 @@ class RunningCost:
     def value(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        val = (
-            _quad_form(self.Q, x)
-            + np.einsum("...i,...ij,...j->...", u, self.S, x)
-            + _quad_form(self.R, u)
-        )
+        val = _quad_form(self.Q, x)
+        if self.S is not None:
+            val = val + np.einsum("...i,...ij,...j->...", u, self.S, x)
+        val = val + _quad_form(self.R, u)
         if self.q is not None:
             val = val + np.einsum("...i,...i->...", x, self.q)
         if self.rho is not None:
@@ -114,7 +120,9 @@ class RunningCost:
     def grad_x(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        out = np.einsum("...ij,...j->...i", self.Q, x) + np.einsum("...ji,...j->...i", self.S, u)
+        out = np.einsum("...ij,...j->...i", self.Q, x)
+        if self.S is not None:
+            out = out + np.einsum("...ji,...j->...i", self.S, u)
         if self.q is not None:
             out = out + self.q
         if self.kappa_x:
@@ -124,7 +132,9 @@ class RunningCost:
     def grad_u(self, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        out = np.einsum("...ij,...j->...i", self.S, x) + np.einsum("...ij,...j->...i", self.R, u)
+        out = np.einsum("...ij,...j->...i", self.R, u)
+        if self.S is not None:
+            out = out + np.einsum("...ij,...j->...i", self.S, x)
         if self.rho is not None:
             out = out + self.rho
         if self.delta_u:
@@ -136,11 +146,16 @@ class RunningCost:
     def hess_xx(self, x, u):
         return _hessian(self.Q, np.asarray(x, dtype=float), self.kappa_x)
 
+    def _cross(self, x):
+        return np.zeros((self.R.shape[-1], x.shape[-1])) if self.S is None else self.S
+
     def hess_xu(self, x, u):
-        return _hessian(np.swapaxes(self.S, -1, -2), np.asarray(x, dtype=float), 0.0)
+        x = np.asarray(x, dtype=float)
+        return _hessian(np.swapaxes(self._cross(x), -1, -2), x, 0.0)
 
     def hess_ux(self, x, u):
-        return _hessian(self.S, np.asarray(x, dtype=float), 0.0)
+        x = np.asarray(x, dtype=float)
+        return _hessian(self._cross(x), x, 0.0)
 
     def hess_uu(self, x, u):
         base = self.R + self.delta_u * np.eye(self.R.shape[-1]) if self.delta_u else self.R
@@ -209,8 +224,9 @@ class CostModel:
 
     def at(self, t: float) -> RunningCost:
         """The running cost with its blocks looked up at time t."""
-        return RunningCost(self.Q.at(t), self.S.at(t), self.R.at(t), self.q.at(t),
-                           self.rho.at(t), self.delta_u, self.kappa_x, self.kappa_u)
+        return RunningCost(self.Q.at(t), _nonzero(self.S.at(t)), self.R.at(t),
+                           _nonzero(self.q.at(t)), _nonzero(self.rho.at(t)),
+                           self.delta_u, self.kappa_x, self.kappa_u)
 
     def g(self, x):
         x = np.asarray(x, dtype=float)
@@ -280,8 +296,9 @@ class GridCost(PathCost):
         self.cost = cost
         self.grid = grid
         stack = lambda pw: np.stack([pw.at(float(t)) for t in grid.nodes[:-1]])
-        self.running = RunningCost(stack(cost.Q), stack(cost.S), stack(cost.R), stack(cost.q),
-                                   stack(cost.rho), cost.delta_u, cost.kappa_x, cost.kappa_u)
+        self.running = RunningCost(stack(cost.Q), _nonzero(stack(cost.S)), stack(cost.R),
+                                   _nonzero(stack(cost.q)), _nonzero(stack(cost.rho)),
+                                   cost.delta_u, cost.kappa_x, cost.kappa_u)
 
     def terminal_value(self, xT):
         return self.cost.g(xT)
@@ -290,11 +307,28 @@ class GridCost(PathCost):
         return self.cost.dx_g(xT)
 
 
+def min_eigenvalue(K):
+    """The smallest eigenvalue of each symmetric K [..., m, m]; a 1 x 1 matrix is its own."""
+    return K[..., 0, 0] if K.shape[-1] == 1 else np.linalg.eigvalsh(K)[..., 0]
+
+
+def solve_spd(K, b):
+    """np.linalg.solve(K, b) for symmetric positive definite K [..., m, m].
+
+    b is [m] or [..., m, k], as for np.linalg.solve.  A 1 x 1 system skips
+    LAPACK and does what OpenBLAS does, so the result is the same bits: one
+    right-hand side is divided by K, several are multiplied by 1 / K.
+    """
+    if K.shape[-1] != 1:
+        return np.linalg.solve(K, b)
+    if b.ndim == 1:
+        return b / K[..., 0]
+    return b / K if b.shape[-1] == 1 else b * (1.0 / K)
+
+
 def check_psd(mat, shift=0.0, tol=1e-10):
     """Smallest eigenvalue of sym(mat) - shift*I; psd iff return >= -tol."""
-    mat = _sym(np.asarray(mat, dtype=float))
-    w = np.linalg.eigvalsh(mat)
-    return float(w[0] - shift)
+    return float(min_eigenvalue(_sym(np.asarray(mat, dtype=float))) - shift)
 
 
 def stacked_hessian(cost: CostModel, t, x, u):

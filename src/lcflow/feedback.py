@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import BLOCK_STEPS, RegressionBasis, StepRegression, per_path_costs
-from .descent import DescentConfig, solve_hamiltonian
+from .adjoint import BLOCK_STEPS, RegressionBasis, StepRegression, per_path_cost_core
+from .costs import min_eigenvalue, solve_spd
+from .descent import CoreProblem, DescentConfig, solve_hamiltonian
 from .errors import ConvergenceError, RegularityError
 from .grids import TimeGrid
 from .paths import (
@@ -31,7 +32,6 @@ from .paths import (
     _euler_step,
     mc_stderr,
 )
-from .problem import materialize
 from .variational import freeze_second_order, solve_linear_hamiltonian
 
 
@@ -56,14 +56,15 @@ class FeedbackQuery:
 
 
 def _res_norm(r):
-    return np.linalg.norm(r, axis=-1)
+    return np.abs(r[:, 0]) if r.shape[1] == 1 else np.linalg.norm(r, axis=-1)
 
 
 def newton_minimize_batch(cost, t, X, P, Qm, delta):
     """Batched damped Newton on the reduced objective; X [B,n], P [B,m], Qm [B,m,m].
 
     Stops when every row satisfies |p + Q u + Du_l| <= NEWTON_TOL_FACTOR (1 + |p|);
-    a curvature sample below delta / 2 raises RegularityError.
+    a curvature sample below delta / 2 raises RegularityError.  An iteration
+    in which every row is still active works on the whole arrays.
     """
     B, m = P.shape
     u = np.zeros((B, m))
@@ -75,26 +76,27 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta):
     r = residual(u)
     rn = _res_norm(r)
     tol = NEWTON_TOL_FACTOR * (1.0 + _res_norm(P))
+    floor = delta / 2.0
     for _ in range(NEWTON_MAX_ITER):
         active = rn > tol
         if not active.any():
             return u
-        H = Qm[active] + lt.hess_uu(X[active], u[active])
+        rows = slice(None) if active.all() else active
+        u_act = u[rows]
+        x_act = X[rows]
+        p_act = P[rows]
+        q_act = Qm[rows]
+        rn_act = rn[rows]
+        H = q_act + lt.hess_uu(x_act, u_act)
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
-        eigmin = np.linalg.eigvalsh(H)[:, 0]
-        floor = delta / 2.0
+        eigmin = min_eigenvalue(H)
         if float(eigmin.min()) < floor:
             raise RegularityError(
                 f"reduced objective curvature {float(eigmin.min()):.3e} fell below "
                 f"{floor:.3e} during Newton"
             )
-        step = np.linalg.solve(H, r[active][..., None])[..., 0]
+        step = solve_spd(H, r[rows][..., None])[..., 0]
         alpha = np.ones(step.shape[0])
-        u_act = u[active]
-        x_act = X[active]
-        p_act = P[active]
-        q_act = Qm[active]
-        rn_act = rn[active]
         for _damp in range(NEWTON_MAX_DAMPING):
             u_try = u_act - alpha[:, None] * step
             r_try = p_act + np.einsum("bij,bj->bi", q_act, u_try) + lt.grad_u(x_act, u_try)
@@ -102,12 +104,8 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta):
             if better.all():
                 break
             alpha[~better] *= 0.5
-        u_new = u.copy()
-        u_new[active] = u_try
-        u = u_new
-        r_full = r.copy()
-        r_full[active] = r_try
-        r = r_full
+        u[rows] = u_try
+        r[rows] = r_try
         rn = _res_norm(r)
     raise ConvergenceError(
         f"Newton did not reach tolerance in {NEWTON_MAX_ITER} iterations "
@@ -182,13 +180,16 @@ class LatticeValueSource:
             i = np.minimum(np.searchsorted(ax, xi, side="right") - 1, len(ax) - 2)
             idx.append(i)
             w.append((xi - ax[i]) / (ax[i + 1] - ax[i]))
-        tab = self.table[self._snap(t)][..., columns]
+        tab = self.table[self._snap(t)]
+        shape = tab.shape[:-1]
+        flat = tab.reshape(-1, tab.shape[-1])[:, columns]
+        base = np.ravel_multi_index(idx, shape)
         out = 0.0
         for corner in product((0, 1), repeat=len(idx)):
             weight = 1.0
             for c, wi in zip(corner, w):
                 weight = weight * (wi if c else 1.0 - wi)
-            out = out + tab[tuple(i + c for i, c in zip(idx, corner))] * weight[:, None]
+            out = out + flat.take(base + np.ravel_multi_index(corner, shape), axis=0) * weight[:, None]
         return out
 
     def value(self, t, x):
@@ -249,36 +250,37 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     return LatticeValueSource(wgrid, axes, table)
 
 
-def simulate_closed_loop(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
-                         value_source, control_override=None) -> ClosedLoopResult:
+def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_source,
+                         control_override=None) -> ClosedLoopResult:
     """Euler-Maruyama under the pointwise feedback of the value source.
 
+    The loop runs on the subproblem core (its grid, step coefficients, cost
+    and start point) with the increments of W, an ensemble on that grid.
     control_override(t, X, u_feedback) may reshape the control per step; it
     is how perturbed-feedback suboptimality probes are generated.
     """
-    k0 = grid.index_of(t0)
-    wgrid = grid.subgrid(k0)
-    Wsub = W.slice_from(k0)
-    sc = materialize(spec.coeffs, wgrid)
-    M = Wsub.M
+    grid, sc = core.grid, core.sc
+    if W.grid.N != grid.N or W.grid.t0 != grid.t0:
+        raise ValueError("the Brownian ensemble is not on the loop's grid")
+    M = W.M
     n = spec.dims.n
     m = spec.dims.m
-    X = np.empty((M, wgrid.N + 1, n))
-    U = np.empty((M, wgrid.N, m))
-    X[:, 0] = np.asarray(x0, dtype=float).reshape(n)
-    dt = wgrid.dt
-    for k in range(wgrid.N):
-        t = float(wgrid.nodes[k])
+    X = np.empty((M, grid.N + 1, n))
+    U = np.empty((M, grid.N, m))
+    X[:, 0] = core.x0.reshape(n)
+    dt = grid.dt
+    for k in range(grid.N):
+        t = float(grid.nodes[k])
         u_fb = feedback_map(spec, value_source, t, X[:, k])
         if control_override is not None:
             u_fb = control_override(t, X[:, k], u_fb)
         U[:, k] = u_fb
-        X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], Wsub.increments[:, k], dt)
-    states = StateEnsemble(grid=wgrid, values=X)
-    controls = ControlEnsemble(grid=wgrid, values=U)
-    per_path = per_path_costs(spec, states, controls)
-    return ClosedLoopResult(states=states, controls=controls, cost=float(per_path.mean()),
-                            per_path_cost=per_path, stderr=mc_stderr(per_path, Wsub.antithetic))
+        X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt)
+    per_path = per_path_cost_core(core.cost_eval, grid, X, U)
+    return ClosedLoopResult(states=StateEnsemble(grid=grid, values=X),
+                            controls=ControlEnsemble(grid=grid, values=U),
+                            cost=float(per_path.mean()), per_path_cost=per_path,
+                            stderr=mc_stderr(per_path, W.antithetic))
 
 
 @dataclass
@@ -330,14 +332,14 @@ def verify_optimality(spec, sol, value_source, n_perturbed: int = 10, seed: int 
     carry far less noise than the costs themselves; gain_scale (when set) additionally
     runs the feedback scaled by that factor, the classic wrong-gain probe.
     """
-    grid, t0, x0, W = sol.grid, sol.grid.t0, sol.core.x0, sol.W
-    closed = simulate_closed_loop(spec, grid, t0, x0, W, value_source)
+    core, W = sol.core, sol.W
+    closed = simulate_closed_loop(spec, core, W, value_source)
     open_costs = sol.per_path_cost
     j_open = float(open_costs.mean())
-    V = value_source.value(t0, x0)
+    V = value_source.value(sol.grid.t0, core.x0)
 
     def probe(override):
-        run = simulate_closed_loop(spec, grid, t0, x0, W, value_source, control_override=override)
+        run = simulate_closed_loop(spec, core, W, value_source, control_override=override)
         diff = run.per_path_cost - closed.per_path_cost
         return PerturbedRun(cost=run.cost, gap_vs_closed=float(diff.mean()),
                             stderr_gap=mc_stderr(diff, W.antithetic))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostModel, _sym
+from .costs import CostModel, _sym, min_eigenvalue, solve_spd
 from .errors import LcflowError, StructuralError
 from .grids import TimeGrid
 
@@ -92,11 +92,9 @@ def _quadratic_cost(spec) -> CostModel:
 
 def _freeze(spec, t):
     """Coefficient and cost matrices of spec at time t (right-continuous)."""
-    coeffs, lt = spec.coeffs, spec.cost.at(t)
-    return (
-        coeffs.A.at(t), coeffs.B.at(t), coeffs.C.at(t), coeffs.D.at(t),
-        coeffs.b.at(t), coeffs.sigma.at(t), lt.Q, lt.S, lt.R, lt.q, lt.rho,
-    )
+    coeffs, cost = spec.coeffs, spec.cost
+    return tuple(pw.at(t) for pw in (coeffs.A, coeffs.B, coeffs.C, coeffs.D, coeffs.b,
+                                     coeffs.sigma, cost.Q, cost.S, cost.R, cost.q, cost.rho))
 
 
 def _kmat(Rt, D, P):
@@ -145,17 +143,17 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
 
         def rhs(P, phi, c):
             Kmat = _kmat(Rt, D, P)
-            w = np.linalg.eigvalsh(_sym(Kmat))
-            margin[0] = min(margin[0], float(w[0]))
-            if w[0] < 1e-12:
+            w0 = float(min_eigenvalue(_sym(Kmat)))
+            margin[0] = min(margin[0], w0)
+            if w0 < 1e-12:
                 raise RiccatiSingularError(
-                    f"R + D^T P D lost positivity (min eig {w[0]:.3e}) near t={t_stamp:.6g}",
+                    f"R + D^T P D lost positivity (min eig {w0:.3e}) near t={t_stamp:.6g}",
                     t=t_stamp,
                 )
             Mx = B.T @ P + np.einsum("inm,nj,ijk->mk", D, P, C) + St
             mv = B.T @ phi + np.einsum("inm,nj,ij->m", D, P, sigma) + rhot
-            Kinv_Mx = np.linalg.solve(Kmat, Mx)
-            Kinv_mv = np.linalg.solve(Kmat, mv)
+            Kinv_Mx = solve_spd(Kmat, Mx)
+            Kinv_mv = solve_spd(Kmat, mv)
             dP = -(P @ A + A.T @ P + np.einsum("ijn,jk,ikl->nl", C, P, C) + Qt - Mx.T @ Kinv_Mx)
             dphi = -(A.T @ phi + P @ b + np.einsum("ijn,jk,ik->n", C, P, sigma) + qt - Mx.T @ Kinv_mv)
             dc = -(float(phi @ b) + 0.5 * float(np.einsum("ij,jk,ik->", sigma, P, sigma))
@@ -166,7 +164,7 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
             Kmat = _kmat(Rt, D, P)
             Mx = B.T @ P + np.einsum("inm,nj,ijk->mk", D, P, C) + St
             mv = B.T @ phi + np.einsum("inm,nj,ij->m", D, P, sigma) + rhot
-            return -np.linalg.solve(Kmat, Mx), -np.linalg.solve(Kmat, mv)
+            return -solve_spd(Kmat, Mx), -solve_spd(Kmat, mv)
 
         return rhs, gains
 
@@ -178,7 +176,7 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
 
     last_frozen = _freeze(spec, float(grid.nodes[grid.N - 1]))
     Kterm = _kmat(last_frozen[8], last_frozen[3], G)
-    if np.linalg.eigvalsh(_sym(Kterm))[0] < 1e-12:
+    if min_eigenvalue(_sym(Kterm)) < 1e-12:
         raise RiccatiSingularError("R + D^T G D is singular at the terminal time", t=grid.T)
     _, gains_fn = make_rhs(last_frozen, grid.T)
     th_out[idx], to_out[idx] = gains_fn(P, phi)

@@ -313,6 +313,8 @@ def _count_rebuilds(monkeypatch):
     ("verify-lq", "problems/p1.json", {"with_derivative": True}, 1, 1),
     # one subproblem per solved point, its per-path cost read off the solution
     ("convexity-check", "problems/p2.json", {}, 3, 3),
+    # the closed loops run on the subproblem the open-loop solve carries
+    ("feedback", "problems/p2.json", {"perturbations": 10}, 1, 1),
 ])
 def test_solution_subproblem_is_built_once(command, problem, checks, grid_costs, materialized,
                                            workdir, monkeypatch):

@@ -16,7 +16,7 @@ from lcflow import (
     problem_from_json,
     problem_to_json,
 )
-from lcflow.costs import GridCost, pseudo_huber, pseudo_huber_d1, pseudo_huber_d2
+from lcflow.costs import GridCost, RunningCost, pseudo_huber, pseudo_huber_d1, pseudo_huber_d2
 from lcflow.riccati import solve_riccati_ode
 from lcflow.variational import FrozenQuadratic
 
@@ -45,6 +45,27 @@ def test_grid_cost_equals_pointwise_cost(name, request):
         np.testing.assert_array_equal(value[:, k], cost.l(t, x, u))
         np.testing.assert_array_equal(grad_x[:, k], cost.dx_l(t, x, u))
         np.testing.assert_array_equal(grad_u[:, k], cost.du_l(t, x, u))
+
+
+@pytest.mark.parametrize("name", ["spec_p1", "rich_lq"])
+def test_all_zero_blocks_are_dropped_where_frozen(name, request):
+    spec = request.getfixturevalue(name)
+    grid = TimeGrid(0.0, spec.horizon, 20)
+    n, m = spec.dims.n, spec.dims.m
+    running = GridCost(spec.cost, grid).running
+    for frozen in (running, spec.cost.at(0.4)):
+        kept = [block is not None for block in (frozen.S, frozen.q, frozen.rho)]
+        assert kept == ([False] * 3 if name == "spec_p1" else [True] * 3)
+    # dropping a zero block changes no bit of a value, gradient or Hessian
+    zeros = lambda a, shape: np.zeros((grid.N,) + shape) if a is None else a
+    explicit = RunningCost(running.Q, zeros(running.S, (m, n)), running.R,
+                           zeros(running.q, (n,)), zeros(running.rho, (m,)))
+    rng = np.random.Generator(np.random.Philox(key=14))
+    X = rng.normal(size=(16, grid.N, n))
+    U = rng.normal(size=(16, grid.N, m))
+    for method in ("value", "grad_x", "grad_u", "hess_xu", "hess_ux"):
+        np.testing.assert_array_equal(getattr(running, method)(X, U),
+                                      getattr(explicit, method)(X, U))
 
 
 def test_frozen_quadratic_whole_path_matches_per_path_forms():

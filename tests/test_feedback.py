@@ -3,11 +3,13 @@ import pytest
 
 from lcflow import (
     DescentConfig,
+    Dimensions,
     FeedbackQuery,
     RegressionBasis,
     RegularityError,
     TimeGrid,
     build_lattice_source,
+    build_smooth_convex_problem,
     feedback_map,
     generate_brownian,
     minimize_hamiltonian_in_u,
@@ -16,7 +18,14 @@ from lcflow import (
     verify_optimality,
 )
 from lcflow.budgets import lq_value_budget
-from lcflow.feedback import LatticeValueSource, feedback_field_to_csv
+from lcflow.costs import min_eigenvalue, solve_spd
+from lcflow.descent import core_from_spec
+from lcflow.feedback import (
+    NEWTON_TOL_FACTOR,
+    LatticeValueSource,
+    feedback_field_to_csv,
+    newton_minimize_batch,
+)
 from lcflow.paths import l2_norm_array
 from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, solve_riccati_ode
 from lcflow.value import RiccatiValueSource
@@ -100,6 +109,88 @@ def test_regularity_floor_enforced(spec_p1):
         minimize_hamiltonian_in_u(spec_p1, q)
 
 
+class _Recording:
+    """A running cost, frozen at one t, that records the batch size of each Newton call."""
+
+    def __init__(self, running):
+        self.running = running
+        self.grad_sizes, self.hess_sizes = [], []
+
+    def at(self, t):
+        return self
+
+    def grad_u(self, x, u):
+        self.grad_sizes.append(len(u))
+        return self.running.grad_u(x, u)
+
+    def hess_uu(self, x, u):
+        self.hess_sizes.append(len(u))
+        return self.running.hess_uu(x, u)
+
+
+class _Quartic:
+    """l(u) = u^4 / 4 + u^2 / 2, whose curvature grows away from u = 0."""
+
+    def grad_u(self, x, u):
+        return u ** 3 + u
+
+    def hess_uu(self, x, u):
+        return (3.0 * u * u + 1.0)[..., None]
+
+
+@pytest.mark.parametrize("kind", ["pseudo_huber", "quartic"])
+def test_scalar_newton_rows_equal_single_row_calls(spec_p2, kind):
+    # the pseudo-Huber control term makes rows converge at different
+    # iterations; its curvature falls away from u = 0, so Newton from 0
+    # never overshoots, and the quartic is the cost that makes it damp
+    t = 0.3
+    if kind == "pseudo_huber":
+        spec = build_smooth_convex_problem("case1_smooth", Dimensions(1, 1, 1), 1.0, spec_p2.coeffs,
+                                           delta=1.0, kappa_x=0.5, kappa_u=2.0, kappa_g=1.0)
+        running = spec.cost.at(t)
+    else:
+        running = _Quartic()
+    rng = np.random.Generator(np.random.Philox(key=71))
+    B = 300
+    X = rng.normal(size=(B, 1))
+    P = rng.normal(size=(B, 1)) * 10.0 ** rng.uniform(-3, 2, size=(B, 1))
+    Q = rng.uniform(-0.4, 2.0, size=(B, 1, 1))
+    cost = _Recording(running)
+    U = newton_minimize_batch(cost, t, X, P, Q, 1.0)
+    assert any(0 < size < B for size in cost.hess_sizes)             # partial masks
+    damped = len(cost.grad_sizes) > len(cost.hess_sizes) + 1
+    assert damped == (kind == "quartic")
+    residual = P + Q[:, :, 0] * U + running.grad_u(X, U)
+    assert np.all(np.abs(residual) <= NEWTON_TOL_FACTOR * (1.0 + np.abs(P)))
+    for b in range(B):
+        row = slice(b, b + 1)
+        np.testing.assert_array_equal(newton_minimize_batch(cost, t, X[row], P[row], Q[row], 1.0),
+                                      U[row])
+
+
+def test_scalar_newton_curvature_floor(spec_p2):
+    # on P2, Duu l = 1, so the curvature is 1 + q and the floor delta / 2 is 0.5
+    X, P = np.zeros((3, 1)), np.ones((3, 1))
+    Q = np.array([0.0, 1.0, -0.5]).reshape(3, 1, 1)
+    U = newton_minimize_batch(spec_p2.cost, 0.2, X, P, Q, 1.0)
+    np.testing.assert_allclose(U[:, 0], -1.0 / (1.0 + Q[:, 0, 0]), rtol=1e-12)
+    Q[2] = np.nextafter(-0.5, -1.0)
+    with pytest.raises(RegularityError):
+        newton_minimize_batch(spec_p2.cost, 0.2, X, P, Q, 1.0)
+
+
+@pytest.mark.parametrize("rhs", [1, 3])
+def test_scalar_spd_solve_equals_lapack_bitwise(rhs):
+    rng = np.random.Generator(np.random.Philox(key=72 + rhs))
+    K = np.exp(3.0 * rng.normal(size=(500, 1, 1)))
+    b = rng.normal(size=(500, 1, rhs)) * 10.0 ** rng.uniform(-5, 5, size=(500, 1, 1))
+    np.testing.assert_array_equal(solve_spd(K, b), np.linalg.solve(K, b))
+    np.testing.assert_array_equal(min_eigenvalue(K), np.linalg.eigvalsh(K)[:, 0])
+    for k, v in zip(K[:50], b[:50]):
+        np.testing.assert_array_equal(solve_spd(k, v), np.linalg.solve(k, v))
+        np.testing.assert_array_equal(solve_spd(k, v[:, 0]), np.linalg.solve(k, v[:, 0]))
+
+
 def test_feedback_map_p1(spec_p1, oracle_p1):
     for t, x in ((0.0, 0.7), (0.5, -1.2), (0.9, 0.1)):
         u = feedback_map(spec_p1, oracle_p1, t, [x])
@@ -116,14 +207,22 @@ def test_feedback_map_linear_terminal(spec_linear_terminal, grid):
 
 def test_closed_loop_zero_problem(spec_zero, grid, w_small):
     ric = solve_riccati_ode(spec_zero, grid=grid)
-    res = simulate_closed_loop(spec_zero, grid, 0.0, [1.0], w_small,
+    res = simulate_closed_loop(spec_zero, core_from_spec(spec_zero, grid, [1.0]), w_small,
                                RiccatiValueSource(ric))
     assert np.max(np.abs(res.controls.values)) == 0.0
     assert res.cost == 0.0
 
 
+def test_closed_loop_needs_the_ensemble_on_its_grid(spec_p1, grid, w_small, oracle_p1):
+    core = core_from_spec(spec_p1, grid.subgrid(grid.N // 2), [0.0])
+    with pytest.raises(ValueError, match="not on the loop's grid"):
+        simulate_closed_loop(spec_p1, core, w_small, oracle_p1)
+    res = simulate_closed_loop(spec_p1, core, w_small.slice_from(grid.N // 2), oracle_p1)
+    assert res.states.grid is core.grid
+
+
 def test_closed_loop_matches_oracle_trajectory(spec_p1, grid, w_small, oracle_p1):
-    res = simulate_closed_loop(spec_p1, grid, 0.0, [0.0], w_small, oracle_p1)
+    res = simulate_closed_loop(spec_p1, core_from_spec(spec_p1, grid, [0.0]), w_small, oracle_p1)
     ref = lq_optimal_trajectory(oracle_p1.ric, spec_p1, grid, [0.0], w_small)
     num = l2_norm_array(res.states.values - ref.states.values, grid.dt)
     den = max(l2_norm_array(ref.states.values, grid.dt), 1e-12)
@@ -155,16 +254,16 @@ def test_verify_optimality_runs_on_the_solution_subgrid(monkeypatch, spec_p1, gr
     loops = []
     simulate = lcflow.feedback.simulate_closed_loop
 
-    def recording(spec, grid, t0, x0, W, *args, **kwargs):
-        loops.append((grid, t0, W))
-        return simulate(spec, grid, t0, x0, W, *args, **kwargs)
+    def recording(spec, core, W, *args, **kwargs):
+        loops.append((core, W))
+        return simulate(spec, core, W, *args, **kwargs)
 
     monkeypatch.setattr(lcflow.feedback, "simulate_closed_loop", recording)
     report = verify_optimality(spec_p1, sol, oracle_p1, n_perturbed=2)
     assert sol.grid.N == grid.N // 2
     assert len(loops) == 3
-    for loop_grid, t0, W in loops:
-        assert loop_grid is sol.grid and t0 == sol.grid.t0 and W is sol.W
+    for core, W in loops:
+        assert core is sol.core and core.grid is sol.grid and W is sol.W
     budget = lq_value_budget(sol.grid.dt, report.value,
                              max(report.stderr_closed, report.stderr_open))
     assert abs(report.gap_closed_value) <= budget
@@ -173,7 +272,7 @@ def test_verify_optimality_runs_on_the_solution_subgrid(monkeypatch, spec_p1, gr
 def test_lattice_source_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):
     source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg,
                                   points_per_dim=15, sol=sol_p2_small)
-    res = simulate_closed_loop(spec_p2, grid, 0.0, [0.3], w_small, source)
+    res = simulate_closed_loop(spec_p2, core_from_spec(spec_p2, grid, [0.3]), w_small, source)
     from lcflow import per_path_costs
 
     j_open = float(per_path_costs(spec_p2, sol_p2_small.states, sol_p2_small.controls).mean())

@@ -28,6 +28,7 @@ from lcflow import (
     solve_linear_hamiltonian,
     validate_problem,
 )
+from lcflow.descent import core_from_spec
 from lcflow.paths import l2_norm_array, mc_stderr
 from lcflow.riccati import lq_value, solve_riccati_ode
 from lcflow.value import RiccatiValueSource, hjb_residual
@@ -131,7 +132,7 @@ def test_derivative_solve_reuses_the_primal_k(rich_lq, sol_rich, deriv_rich):
 
 def test_closed_loop_matches_oracle(rich_lq, ric_rich, grid30, sol_rich):
     _, W, *_ = sol_rich
-    res = simulate_closed_loop(rich_lq, grid30, 0.0, [0.3, -0.2], W,
+    res = simulate_closed_loop(rich_lq, core_from_spec(rich_lq, grid30, [0.3, -0.2]), W,
                                RiccatiValueSource(ric_rich))
     V, _, _ = lq_value(ric_rich, 0.0, [0.3, -0.2])
     assert abs(res.cost - V) <= max(3 * grid30.dt * abs(V) + 0.003, 4 * res.stderr)
