@@ -228,7 +228,7 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     cond, rmean, rbound = np.empty(N), np.empty(N), np.empty(N)
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
     Y[:, :N] = cost_eval.running_grad_x(X[:, :N], U)     # Dx_l, until step k overwrites Y_k
-    with_c = bool(sc.C.any())
+    Yk = Y[:, N].copy()                                   # the current Y, contiguous
     F = features if features is not None else X
     k0 = N
     for k in range(N - 1, -1, -1):
@@ -236,14 +236,18 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
             k0 = max(k + 1 - BLOCK_STEPS, 0)
             reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0)
         j = k - k0
-        m_fit = reg.fit(j, Y[:, k + 1])
-        r = np.subtract(Y[:, k + 1], m_fit, out=resid[j])
+        m_fit = reg.fit(j, Yk)
+        r = np.subtract(Yk, m_fit, out=resid[j])
         zt = (r[:, None, :] * dW[:, k, :, None]) / dt             # [M, d, n]
-        Z[:, k] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
-        driver = m_fit @ sc.A[k]
-        if with_c:
-            driver = driver + np.einsum("pij,ijn->pn", Z[:, k], sc.C[k])
-        Y[:, k] = m_fit + (driver + Y[:, k]) * dt
+        Zk = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
+        Z[:, k] = Zk
+        # A^T m + sum_i C_i^T Z^i, without the terms of a zero A or C block
+        driver = m_fit @ sc.A[k] if sc.A_nonzero[k] else None
+        if sc.C_nonzero[k]:
+            zc = np.einsum("pij,ijn->pn", Zk, sc.C[k])
+            driver = zc if driver is None else driver + zc
+        Yk = m_fit + (Y[:, k] if driver is None else driver + Y[:, k]) * dt
+        Y[:, k] = Yk
         if j == 0:      # the block is done: its diagnostics in one pass
             R, block = resid[:len(reg.cond)], slice(k0, k0 + len(reg.cond))
             cond[block] = reg.cond
@@ -268,11 +272,11 @@ def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z) -> np.n
 
 def per_path_cost_core(cost_eval, grid: TimeGrid, X, U) -> np.ndarray:
     total = cost_eval.terminal_value(X[:, -1]).astype(float)
-    running = cost_eval.running_value(X[:, :grid.N], U)
-    dt = grid.dt
+    # one contiguous row per step
+    running = np.multiply(cost_eval.running_value(X[:, :grid.N], U).T, grid.dt, order="C")
     # a sequential sum in time order, which fixes the rounding of every reported cost
-    for k in range(grid.N):
-        total = total + running[:, k] * dt
+    for row in running:
+        total += row
     return total
 
 

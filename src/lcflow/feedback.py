@@ -267,15 +267,17 @@ def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_sou
     m = spec.dims.m
     X = np.empty((M, grid.N + 1, n))
     U = np.empty((M, grid.N, m))
-    X[:, 0] = core.x0.reshape(n)
+    Xk = np.array(np.broadcast_to(core.x0.reshape(n), (M, n)))    # the current state, contiguous
+    X[:, 0] = Xk
     dt = grid.dt
     for k in range(grid.N):
         t = float(grid.nodes[k])
-        u_fb = feedback_map(spec, value_source, t, X[:, k])
+        u_fb = feedback_map(spec, value_source, t, Xk)
         if control_override is not None:
-            u_fb = control_override(t, X[:, k], u_fb)
+            u_fb = control_override(t, Xk, u_fb)
         U[:, k] = u_fb
-        X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt)
+        Xk = _euler_step(sc, k, Xk, U[:, k], W.increments[:, k], dt)
+        X[:, k + 1] = Xk
     per_path = per_path_cost_core(core.cost_eval, grid, X, U)
     return ClosedLoopResult(states=StateEnsemble(grid=grid, values=X),
                             controls=ControlEnsemble(grid=grid, values=U),

@@ -4,9 +4,11 @@ One Brownian ensemble is generated per study and reused across control
 iterates, finite-difference probes and derivative solves (common random
 numbers), which is what makes pathwise differences of solutions nearly
 noise-free.  Variates come from a counter-based generator keyed by the
-seed, so the ensemble is reproducible bit for bit.  The forward sweep
-computes the control's terms for the whole path before its loop and checks
-for blow-up once, after it.
+seed, so the ensemble is reproducible bit for bit.  The increments are
+stored step-major, so one step's increments are contiguous.  The forward
+sweep computes the control's terms for the whole path before its loop,
+step-major, carries the current state in a contiguous [M, n] array, and
+checks for blow-up once, after the loop.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ BLOWUP_LIMIT = 1e12
 class BrownianEnsemble:
     grid: TimeGrid
     M: int
-    increments: np.ndarray          # [M, N, d], units sqrt(time)
+    increments: np.ndarray          # [M, N, d], units sqrt(time); a view of [N, M, d] storage
     seed: int
     antithetic: bool = False
 
@@ -78,7 +80,9 @@ def generate_brownian(grid: TimeGrid, M: int, seed: int, antithetic: bool = Fals
     """i.i.d. normal(0, dt) increments, deterministic in (grid, M, seed, d).
 
     With antithetic pairing, path 2j+1 is the negation of path 2j, so M must
-    be even.
+    be even.  The variates are drawn path by path and stored step-major:
+    increments is the [M, N, d] view of a C-contiguous [N, M, d] array, so
+    increments[:, k] is contiguous.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -86,17 +90,18 @@ def generate_brownian(grid: TimeGrid, M: int, seed: int, antithetic: bool = Fals
         raise ValueError(f"d must be >= 1, got {d}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     scale = np.sqrt(grid.dt)
+    if antithetic and M % 2 != 0:
+        raise ValueError("antithetic pairing needs an even path count")
+    inc = np.empty((grid.N, M, d))
     if antithetic:
-        if M % 2 != 0:
-            raise ValueError("antithetic pairing needs an even path count")
-        base = rng.standard_normal((M // 2, grid.N, d)) * scale
-        inc = np.empty((M, grid.N, d))
-        inc[0::2] = base
-        inc[1::2] = -base
+        np.multiply(rng.standard_normal((M // 2, grid.N, d)).transpose(1, 0, 2), scale,
+                    out=inc[:, 0::2])
+        np.negative(inc[:, 0::2], out=inc[:, 1::2])
     else:
-        inc = rng.standard_normal((M, grid.N, d)) * scale
+        np.multiply(rng.standard_normal((M, grid.N, d)).transpose(1, 0, 2), scale, out=inc)
     inc.flags.writeable = False
-    return BrownianEnsemble(grid=grid, M=M, increments=inc, seed=seed, antithetic=antithetic)
+    return BrownianEnsemble(grid=grid, M=M, increments=inc.transpose(1, 0, 2), seed=seed,
+                            antithetic=antithetic)
 
 
 def _euler_step(sc: StepCoeffs, k: int, X, U, dWk, dt: float):
@@ -105,28 +110,37 @@ def _euler_step(sc: StepCoeffs, k: int, X, U, dWk, dt: float):
 
 
 def _advance(sc: StepCoeffs, k: int, X, BU, DU, dWk, dt: float):
-    """The Euler-Maruyama step from X, given the control's terms B u [M, n] and D_i u [M, d, n]."""
-    Xn = X + (X @ sc.A[k].T + BU + sc.b[k]) * dt
+    """The Euler-Maruyama step from X, given the control's terms B u [M, n] and D_i u [M, d, n].
+
+    The A x and C_i x terms are dropped at a step whose A or C block is
+    zero; the other sums keep their order, so the result is the same bits.
+    """
+    drift = X @ sc.A[k].T + BU if sc.A_nonzero[k] else BU
+    Xn = X + (drift + sc.b[k]) * dt
     # diffusion: sum_i (C_i X + D_i U + sigma_i) dW^i
-    diff = np.einsum("inj,pj->pin", sc.C[k], X) + DU + sc.sigma[k]
-    return Xn + np.einsum("pin,pi->pn", diff, dWk)
+    diff = np.einsum("inj,pj->pin", sc.C[k], X) + DU if sc.C_nonzero[k] else DU
+    return Xn + np.einsum("pin,pi->pn", diff + sc.sigma[k], dWk)
 
 
 def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """Forward sweep of the controlled linear SDE; returns [M, N+1, n].
 
-    A state beyond BLOWUP_LIMIT raises BlowupError at its first step and path.
+    The sweep carries the current state in a contiguous [M, n] array and
+    stores it into the path-major result once per step.  A state beyond
+    BLOWUP_LIMIT raises BlowupError at its first step and path.
     """
     M = U.shape[0]
     n = sc.A.shape[1]
     X = np.empty((M, grid.N + 1, n))
     x0 = np.asarray(x0, dtype=float)
-    X[:, 0] = x0 if x0.ndim == 2 else np.broadcast_to(x0.reshape(n), (M, n))
-    BU = np.einsum("kij,pkj->pki", sc.B, U)
-    DU = np.einsum("kinm,pkm->pkin", sc.D, U)
+    Xk = np.array(np.broadcast_to(x0 if x0.ndim == 2 else x0.reshape(n), (M, n)))
+    X[:, 0] = Xk
+    BU = np.einsum("kij,pkj->kpi", sc.B, U, order="C")          # step-major
+    DU = np.einsum("kinm,pkm->kpin", sc.D, U, order="C")
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.N):
-            X[:, k + 1] = _advance(sc, k, X[:, k], BU[:, k], DU[:, k], dW[:, k], grid.dt)
+            Xk = _advance(sc, k, Xk, BU[k], DU[k], dW[:, k], grid.dt)
+            X[:, k + 1] = Xk
         bad = ~(np.abs(X[:, 1:]) <= BLOWUP_LIMIT).all(axis=2)     # NaN compares False
         if bad.any():
             k = int(np.argmax(bad.any(axis=0)))

@@ -8,6 +8,7 @@ and audited over a box, it is never derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,16 @@ class StepCoeffs:
     D: np.ndarray      # [N, d, n, m]
     b: np.ndarray      # [N, n]
     sigma: np.ndarray  # [N, d, n]
+
+    @cached_property
+    def A_nonzero(self) -> list:
+        """Per step, whether A_k has a nonzero entry; the step loops drop a zero block's terms."""
+        return self.A.any(axis=(1, 2)).tolist()
+
+    @cached_property
+    def C_nonzero(self) -> list:
+        """Per step, whether some C_k^i has a nonzero entry."""
+        return self.C.any(axis=(1, 2, 3)).tolist()
 
 
 def materialize(coeffs: CoefficientSet, grid: TimeGrid) -> StepCoeffs:

@@ -97,10 +97,6 @@ def _freeze(spec, t):
                                      coeffs.sigma, cost.Q, cost.S, cost.R, cost.q, cost.rho))
 
 
-def _kmat(Rt, D, P):
-    return Rt + np.einsum("inm,nj,ijk->mk", D, P, D)
-
-
 def _rk4(rhs, state, h, substeps):
     """Generic RK4 over one frozen-coefficient interval; state is a tuple."""
     P, phi, c = state
@@ -137,12 +133,28 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
     th_out = np.empty((K_total + 1, m, n))
     to_out = np.empty((K_total + 1, m))
     margin = [np.inf]
+    # The gains at a stored state are -K^-1 Mx and -K^-1 mv there.  Unless
+    # the state ends its interval, the next RK4 stage k1 solves for exactly
+    # those, at the same state with the same frozen coefficients, and
+    # stores them at the index left here.
+    pending = [None]
 
     def make_rhs(frozen, t_stamp):
         A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = frozen
+        with_c, with_d = bool(C.any()), bool(D.any())
+
+        def forms(P, phi):
+            """K, Mx and mv at (P, phi), without the terms of a zero C or D block."""
+            Kmat, Mx, mv = Rt, B.T @ P, B.T @ phi
+            if with_d:
+                Kmat = Kmat + np.einsum("inm,nj,ijk->mk", D, P, D)
+                if with_c:
+                    Mx = Mx + np.einsum("inm,nj,ijk->mk", D, P, C)
+                mv = mv + np.einsum("inm,nj,ij->m", D, P, sigma)
+            return Kmat, Mx + St, mv + rhot
 
         def rhs(P, phi, c):
-            Kmat = _kmat(Rt, D, P)
+            Kmat, Mx, mv = forms(P, phi)
             w0 = float(min_eigenvalue(_sym(Kmat)))
             margin[0] = min(margin[0], w0)
             if w0 < 1e-12:
@@ -150,23 +162,27 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
                     f"R + D^T P D lost positivity (min eig {w0:.3e}) near t={t_stamp:.6g}",
                     t=t_stamp,
                 )
-            Mx = B.T @ P + np.einsum("inm,nj,ijk->mk", D, P, C) + St
-            mv = B.T @ phi + np.einsum("inm,nj,ij->m", D, P, sigma) + rhot
             Kinv_Mx = solve_spd(Kmat, Mx)
             Kinv_mv = solve_spd(Kmat, mv)
-            dP = -(P @ A + A.T @ P + np.einsum("ijn,jk,ikl->nl", C, P, C) + Qt - Mx.T @ Kinv_Mx)
-            dphi = -(A.T @ phi + P @ b + np.einsum("ijn,jk,ik->n", C, P, sigma) + qt - Mx.T @ Kinv_mv)
+            if pending[0] is not None:
+                th_out[pending[0]], to_out[pending[0]] = -Kinv_Mx, -Kinv_mv
+                pending[0] = None
+            dP = P @ A + A.T @ P
+            dphi = A.T @ phi + P @ b
+            if with_c:
+                dP = dP + np.einsum("ijn,jk,ikl->nl", C, P, C)
+                dphi = dphi + np.einsum("ijn,jk,ik->n", C, P, sigma)
+            dP = -(dP + Qt - Mx.T @ Kinv_Mx)
+            dphi = -(dphi + qt - Mx.T @ Kinv_mv)
             dc = -(float(phi @ b) + 0.5 * float(np.einsum("ij,jk,ik->", sigma, P, sigma))
                    - 0.5 * float(mv @ Kinv_mv))
             return _sym(dP), dphi, dc
 
         def gains(P, phi):
-            Kmat = _kmat(Rt, D, P)
-            Mx = B.T @ P + np.einsum("inm,nj,ijk->mk", D, P, C) + St
-            mv = B.T @ phi + np.einsum("inm,nj,ij->m", D, P, sigma) + rhot
+            Kmat, Mx, mv = forms(P, phi)
             return -solve_spd(Kmat, Mx), -solve_spd(Kmat, mv)
 
-        return rhs, gains
+        return rhs, forms, gains
 
     G = cost.G
     P, phi, c = G.copy(), cost.r.copy(), 0.0
@@ -174,25 +190,26 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
     times[idx] = grid.T
     P_out[idx], phi_out[idx], c_out[idx] = P, phi, c
 
-    last_frozen = _freeze(spec, float(grid.nodes[grid.N - 1]))
-    Kterm = _kmat(last_frozen[8], last_frozen[3], G)
-    if min_eigenvalue(_sym(Kterm)) < 1e-12:
+    # the last interval's coefficients: its first stage k1 supplies the terminal gains
+    _, forms_fn, _ = make_rhs(_freeze(spec, float(grid.nodes[grid.N - 1])), grid.T)
+    if min_eigenvalue(_sym(forms_fn(G, phi)[0])) < 1e-12:
         raise RiccatiSingularError("R + D^T G D is singular at the terminal time", t=grid.T)
-    _, gains_fn = make_rhs(last_frozen, grid.T)
-    th_out[idx], to_out[idx] = gains_fn(P, phi)
+    pending[0] = idx
 
     for k in range(grid.N - 1, -1, -1):
         t_left = float(grid.nodes[k])
-        frozen = _freeze(spec, t_left)
-        rhs, gains_fn = make_rhs(frozen, t_left)
+        rhs, _, gains_fn = make_rhs(_freeze(spec, t_left), t_left)
         h = -(float(grid.nodes[k + 1]) - t_left) / substeps
         t_cur = float(grid.nodes[k + 1])
-        for P, phi, c in _rk4(rhs, (P, phi, c), h, substeps):
+        for s, (P, phi, c) in enumerate(_rk4(rhs, (P, phi, c), h, substeps), 1):
             t_cur += h
             idx -= 1
             times[idx] = t_cur
             P_out[idx], phi_out[idx], c_out[idx] = P, phi, c
-            th_out[idx], to_out[idx] = gains_fn(P, phi)
+            if s < substeps:
+                pending[0] = idx
+            else:
+                th_out[idx], to_out[idx] = gains_fn(P, phi)
     times[0] = grid.t0
 
     return RiccatiSolution(

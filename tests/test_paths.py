@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,25 @@ def test_brownian_antithetic_pairs(grid):
     np.testing.assert_array_equal(w.increments[1], -w.increments[0])
     with pytest.raises(ValueError):
         generate_brownian(grid, 3, seed=3, antithetic=True)
+
+
+@pytest.mark.parametrize("grid_args, M, seed, antithetic, d, digest", [
+    ((0.0, 1.0, 7), 6, 13, False, 2, "e4f9b6d7ef999280b6309d5bb1e20e64fdeb969be1e43406dfcb118b1f421758"),
+    ((0.0, 1.0, 7), 6, 13, True, 2, "bc92cefecc2dfd5d99482b6cfee2fb7515830f47588cb3e8e9caa23e700169ff"),
+    ((0.5, 2.0, 5), 10, 4, True, 1, "d3077076921fb1700240f19cf518b48eb59a29330c11769fb4b4b482194f42c1"),
+])
+def test_brownian_variates_are_pinned(grid_args, M, seed, antithetic, d, digest):
+    # digests of the [M, N, d] increments as the path-major layout stored them
+    grid = TimeGrid(*grid_args)
+    W = generate_brownian(grid, M, seed=seed, antithetic=antithetic, d=d)
+    assert W.increments.shape == (M, grid.N, d)
+    assert hashlib.sha256(np.ascontiguousarray(W.increments).tobytes()).hexdigest() == digest
+    assert not W.increments.flags.writeable
+    with pytest.raises(ValueError):
+        W.increments[0, 0, 0] = 1.0
+    assert W.increments[:, 2].flags.c_contiguous           # one step's increments are contiguous
+    for k in (1, 3):
+        assert np.array_equal(W.slice_from(k).increments, W.increments[:, k:])
 
 
 def test_brownian_moments():
