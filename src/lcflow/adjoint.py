@@ -21,7 +21,10 @@ as the raw rollback, which keeps Y_k a function of the step's information.
 
 Only the recursion runs step by step: Dx_l is evaluated for the whole path
 before the sweep, the diagnostics once per regression block, and the
-finiteness check once after the sweep.
+finiteness check once after the sweep.  X, U, Y, Z, the gradient and the
+regression features are step-major (paths.step_major), so every step
+reads and writes whole contiguous rows Y[:, k], Z[:, k], and a regression
+block of one feature coordinate is used in place.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from .costs import GridCost
 from .errors import BlowupError, ConditioningError
 from .grids import TimeGrid
-from .paths import BrownianEnsemble, ControlEnsemble, StateEnsemble
+from .paths import BrownianEnsemble, ControlEnsemble, StateEnsemble, step_major
 from .problem import StepCoeffs, materialize
 
 
@@ -71,17 +74,27 @@ def _monomial_exponents(q: int, degree: int):
     return tuple(exps)
 
 
-# Steps per regression build in a backward sweep.  A build copies its
-# features path-contiguous and holds their design, so the block size bounds
-# the extra memory at about this many steps' worth of design.
+# Steps per regression build in a backward sweep.  A build holds its design
+# (and a copy of its features when they have several coordinates), so the
+# block size bounds the extra memory at about this many steps' worth of it.
 BLOCK_STEPS = 10
+
+
+def _feature_block(features: np.ndarray) -> np.ndarray:
+    """The features [M, K, q] of a block as [K, q, M], each step's coordinate contiguous.
+
+    Step-major features of one coordinate are that layout already, and are
+    not copied.
+    """
+    return np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
 
 
 class StepRegression:
     """The normal equations of K consecutive steps, shared across all regression targets.
 
-    features [M, K, q] holds steps first_step .. first_step + K - 1; they are
-    copied once into a path-contiguous [K, q, M] array and every step is
+    features [M, K, q] holds steps first_step .. first_step + K - 1, read as
+    [K, q, M] with every step's coordinate contiguous (_feature_block: a view
+    of step-major features when q = 1, a copy otherwise); every step is
     built in one vectorized pass.  Features are centered and scaled by each
     step's ensemble mean and std before monomials are formed; degenerate
     coordinates collapse onto the intercept.  The intercept column is never
@@ -92,7 +105,7 @@ class StepRegression:
     """
 
     def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0):
-        F = np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
+        F = _feature_block(features)
         K, q, M = F.shape
         p = basis.size(q)
         if M < p:
@@ -175,8 +188,8 @@ class StepRegression:
 @dataclass(frozen=True)
 class AdjointEnsemble:
     grid: TimeGrid
-    Y: np.ndarray      # [M, N+1, n]
-    Z: np.ndarray      # [M, N, d, n], block i is the loading on dW^i
+    Y: np.ndarray      # [M, N+1, n], step-major
+    Z: np.ndarray      # [M, N, d, n], step-major; block i is the loading on dW^i
 
     @property
     def M(self):
@@ -186,7 +199,7 @@ class AdjointEnsemble:
 @dataclass(frozen=True)
 class GradientEnsemble:
     grid: TimeGrid
-    values: np.ndarray  # [M, N, m]
+    values: np.ndarray  # [M, N, m], step-major
 
     @property
     def M(self):
@@ -214,7 +227,7 @@ class AdjointDiagnostics:
 
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,
                    dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None):
-    """Core backward sweep; returns (Y, Z, diagnostics).
+    """Core backward sweep; returns (Y, Z, diagnostics), Y and Z step-major.
 
     A non-finite Y or Z raises BlowupError at the first step the sweep reached.
     """
@@ -222,13 +235,12 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     d = dW.shape[2]
     N = grid.N
     dt = grid.dt
-    Y = np.empty((M, N + 1, n))
-    Z = np.empty((M, N, d, n))
+    Y = step_major(M, N + 1, n)
+    Z = step_major(M, N, d, n)
     resid = np.empty((BLOCK_STEPS, M, n))      # a block's residuals, each step contiguous
     cond, rmean, rbound = np.empty(N), np.empty(N), np.empty(N)
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
     Y[:, :N] = cost_eval.running_grad_x(X[:, :N], U)     # Dx_l, until step k overwrites Y_k
-    Yk = Y[:, N].copy()                                   # the current Y, contiguous
     F = features if features is not None else X
     k0 = N
     for k in range(N - 1, -1, -1):
@@ -236,18 +248,17 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
             k0 = max(k + 1 - BLOCK_STEPS, 0)
             reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0)
         j = k - k0
-        m_fit = reg.fit(j, Yk)
-        r = np.subtract(Yk, m_fit, out=resid[j])
+        Yn, Yk, Zk = Y[:, k + 1], Y[:, k], Z[:, k]
+        m_fit = reg.fit(j, Yn)
+        r = np.subtract(Yn, m_fit, out=resid[j])
         zt = (r[:, None, :] * dW[:, k, :, None]) / dt             # [M, d, n]
-        Zk = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
-        Z[:, k] = Zk
+        Zk[...] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
         # A^T m + sum_i C_i^T Z^i, without the terms of a zero A or C block
         driver = m_fit @ sc.A[k] if sc.A_nonzero[k] else None
         if sc.C_nonzero[k]:
             zc = np.einsum("pij,ijn->pn", Zk, sc.C[k])
             driver = zc if driver is None else driver + zc
-        Yk = m_fit + (Y[:, k] if driver is None else driver + Y[:, k]) * dt
-        Y[:, k] = Yk
+        np.add(m_fit, (Yk if driver is None else driver + Yk) * dt, out=Yk)
         if j == 0:      # the block is done: its diagnostics in one pass
             R, block = resid[:len(reg.cond)], slice(k0, k0 + len(reg.cond))
             cond[block] = reg.cond
@@ -264,16 +275,22 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
 
 
 def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z) -> np.ndarray:
-    """Cost gradient in the control: B^T Y + D^T Z + Du_l, per (path, step)."""
+    """Cost gradient in the control: B^T Y + D^T Z + Du_l, per (path, step), step-major.
+
+    The D^T Z term is not formed when D is zero at every step.
+    """
     N = grid.N
-    D = np.einsum("pkn,knm->pkm", Y[:, :N], sc.B) + np.einsum("pkij,kijm->pkm", Z, sc.D)
-    return D + cost_eval.running_grad_u(X[:, :N], U)
+    D = np.einsum("pkn,knm->pkm", Y[:, :N], sc.B, out=step_major(X.shape[0], N, sc.B.shape[2]))
+    if any(sc.D_nonzero):
+        D += np.einsum("pkij,kijm->pkm", Z, sc.D)
+    D += cost_eval.running_grad_u(X[:, :N], U)
+    return D
 
 
 def per_path_cost_core(cost_eval, grid: TimeGrid, X, U) -> np.ndarray:
     total = cost_eval.terminal_value(X[:, -1]).astype(float)
-    # one contiguous row per step
-    running = np.multiply(cost_eval.running_value(X[:, :grid.N], U).T, grid.dt, order="C")
+    # one row per step, contiguous for step-major paths
+    running = cost_eval.running_value(X[:, :grid.N], U).T * grid.dt
     # a sequential sum in time order, which fixes the rounding of every reported cost
     for row in running:
         total += row

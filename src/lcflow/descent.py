@@ -35,6 +35,7 @@ from .paths import (
     StateEnsemble,
     _simulate_core,
     l2_norm_array,
+    step_major,
 )
 from .problem import StepCoeffs, materialize
 
@@ -96,7 +97,8 @@ class CoreProblem:
 
     cost_eval is a costs.PathCost (whole-path running methods) with
     terminal_value/terminal_gradient; features_fn optionally maps the state
-    array [M, N+1, n] to regression features (defaults to the state itself).
+    array [M, N+1, n] to step-major regression features [M, N+1, q], used
+    until the next call (defaults to the state itself).
     k_lip, when known, is the gradient's Lipschitz-squared constant K; the
     auto step size then uses it instead of probing.
     """
@@ -189,7 +191,8 @@ def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int
     m = core.sc.B.shape[2]
     dt = core.grid.dt
     if base is None:
-        U0 = np.zeros((M, N, m))
+        U0 = step_major(M, N, m)
+        U0[...] = 0.0
         base = (U0, _evaluate_gradient(core, U0, dW, basis)[3])
     U0, D0 = base
     ratios = []
@@ -222,8 +225,8 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
     m = core.sc.B.shape[2]
     dt = core.grid.dt
     report = DescentReport()
-    U = np.zeros((M, N, m)) if u0 is None else np.broadcast_to(
-        np.asarray(u0, dtype=float), (M, N, m)).copy()
+    U = step_major(M, N, m)
+    U[...] = 0.0 if u0 is None else np.asarray(u0, dtype=float)
     evaluation = _evaluate_gradient(core, U, dW, basis)
     if cfg.eta == "auto":
         if core.k_lip is None:
@@ -276,7 +279,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
                 report=report, core=core, W=W, per_path_cost=costs,
             )
         prev = (U, D, J)
-        U = U - eta * D
+        U = U - eta * D             # step-major, as U and D are
         step_norm = eta * gnorm
     raise failure(ConvergenceError(
         f"no stationarity after {cfg.max_iter} iterations "

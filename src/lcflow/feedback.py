@@ -31,6 +31,7 @@ from .paths import (
     StateEnsemble,
     _euler_step,
     mc_stderr,
+    step_major,
 )
 from .variational import freeze_second_order, solve_linear_hamiltonian
 
@@ -217,8 +218,10 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     wgrid = sol.grid
     n = spec.dims.n
     X = sol.states.values
-    lo = X.mean(axis=(0, 1)) - margin_std * X.std(axis=(0, 1)) - 1e-6
-    hi = X.mean(axis=(0, 1)) + margin_std * X.std(axis=(0, 1)) + 1e-6
+    Xp = np.ascontiguousarray(X)    # path-major: the mean and std sum in the order they always did
+    mu, sd = Xp.mean(axis=(0, 1)), Xp.std(axis=(0, 1))
+    lo = mu - margin_std * sd - 1e-6
+    hi = mu + margin_std * sd + 1e-6
     axes = tuple(np.linspace(lo[i], hi[i], points_per_dim) for i in range(n))
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     shape = (points_per_dim,) * n
@@ -228,7 +231,8 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     N = wgrid.N
     dt = wgrid.dt
     ctg = cost_eval.terminal_value(X[:, -1]).astype(float)
-    run = cost_eval.running_value(X[:, :N], sol.controls.values) * dt
+    # path-major, so that run.sum(axis=1) keeps its summation order
+    run = np.multiply(cost_eval.running_value(X[:, :N], sol.controls.values), dt, order="C")
     # P along paths: gradY (gradX)^{-1}
     Pt = np.linalg.solve(np.swapaxes(deriv.grad_X, -1, -2), np.swapaxes(deriv.grad_Y, -1, -2))
     P_paths = np.swapaxes(Pt, -1, -2)
@@ -263,21 +267,18 @@ def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_sou
     if W.grid.N != grid.N or W.grid.t0 != grid.t0:
         raise ValueError("the Brownian ensemble is not on the loop's grid")
     M = W.M
-    n = spec.dims.n
-    m = spec.dims.m
-    X = np.empty((M, grid.N + 1, n))
-    U = np.empty((M, grid.N, m))
-    Xk = np.array(np.broadcast_to(core.x0.reshape(n), (M, n)))    # the current state, contiguous
-    X[:, 0] = Xk
+    X = step_major(M, grid.N + 1, spec.dims.n)
+    U = step_major(M, grid.N, spec.dims.m)
+    X[:, 0] = core.x0.reshape(-1)
     dt = grid.dt
     for k in range(grid.N):
         t = float(grid.nodes[k])
+        Xk = X[:, k]
         u_fb = feedback_map(spec, value_source, t, Xk)
         if control_override is not None:
             u_fb = control_override(t, Xk, u_fb)
         U[:, k] = u_fb
-        Xk = _euler_step(sc, k, Xk, U[:, k], W.increments[:, k], dt)
-        X[:, k + 1] = Xk
+        _euler_step(sc, k, Xk, U[:, k], W.increments[:, k], dt, out=X[:, k + 1])
     per_path = per_path_cost_core(core.cost_eval, grid, X, U)
     return ClosedLoopResult(states=StateEnsemble(grid=grid, values=X),
                             controls=ControlEnsemble(grid=grid, values=U),

@@ -4,11 +4,15 @@ One Brownian ensemble is generated per study and reused across control
 iterates, finite-difference probes and derivative solves (common random
 numbers), which is what makes pathwise differences of solutions nearly
 noise-free.  Variates come from a counter-based generator keyed by the
-seed, so the ensemble is reproducible bit for bit.  The increments are
-stored step-major, so one step's increments are contiguous.  The forward
-sweep computes the control's terms for the whole path before its loop,
-step-major, carries the current state in a contiguous [M, n] array, and
-checks for blow-up once, after the loop.
+seed, so the ensemble is reproducible bit for bit.
+
+Every whole-path array of the gradient evaluation (increments, states,
+controls, adjoints, gradients and regression features) is allocated by
+step_major: it is stored C-contiguous as [steps, M, ...] and handled as
+its [M, steps, ...] view, so one step's slice a[:, k] is contiguous and
+the step loops read and write whole rows.  The forward sweep computes the
+control's terms for the whole path before its loop, drops the terms of a
+zero A, C or D block, and checks for blow-up once, after the loop.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ BLOWUP_LIMIT = 1e12
 class BrownianEnsemble:
     grid: TimeGrid
     M: int
-    increments: np.ndarray          # [M, N, d], units sqrt(time); a view of [N, M, d] storage
+    increments: np.ndarray          # [M, N, d], units sqrt(time); read-only, step-major
     seed: int
     antithetic: bool = False
 
@@ -49,7 +53,7 @@ class BrownianEnsemble:
 @dataclass(frozen=True)
 class StateEnsemble:
     grid: TimeGrid
-    values: np.ndarray              # [M, N+1, n]
+    values: np.ndarray              # [M, N+1, n], step-major
 
     @property
     def M(self):
@@ -59,7 +63,7 @@ class StateEnsemble:
 @dataclass(frozen=True)
 class ControlEnsemble:
     grid: TimeGrid
-    values: np.ndarray              # [M, N, m], control held on [t_k, t_{k+1})
+    values: np.ndarray              # [M, N, m], step-major; control held on [t_k, t_{k+1})
 
     @property
     def M(self):
@@ -75,14 +79,21 @@ class ClosedLoopResult:
     stderr: float = np.nan
 
 
+def step_major(M: int, steps: int, *tail: int) -> np.ndarray:
+    """An uninitialised whole-path array [M, steps, *tail].
+
+    It is the view of C-contiguous [steps, M, *tail] storage, so a[:, k]
+    is contiguous.  Elementwise results of such arrays keep the layout.
+    """
+    return np.empty((steps, M) + tail).swapaxes(0, 1)
+
+
 def generate_brownian(grid: TimeGrid, M: int, seed: int, antithetic: bool = False,
                       d: int = 1) -> BrownianEnsemble:
     """i.i.d. normal(0, dt) increments, deterministic in (grid, M, seed, d).
 
     With antithetic pairing, path 2j+1 is the negation of path 2j, so M must
-    be even.  The variates are drawn path by path and stored step-major:
-    increments is the [M, N, d] view of a C-contiguous [N, M, d] array, so
-    increments[:, k] is contiguous.
+    be even.  The variates are drawn path by path and stored step-major.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
@@ -92,55 +103,60 @@ def generate_brownian(grid: TimeGrid, M: int, seed: int, antithetic: bool = Fals
     scale = np.sqrt(grid.dt)
     if antithetic and M % 2 != 0:
         raise ValueError("antithetic pairing needs an even path count")
-    inc = np.empty((grid.N, M, d))
+    inc = step_major(M, grid.N, d)
     if antithetic:
-        np.multiply(rng.standard_normal((M // 2, grid.N, d)).transpose(1, 0, 2), scale,
-                    out=inc[:, 0::2])
-        np.negative(inc[:, 0::2], out=inc[:, 1::2])
+        np.multiply(rng.standard_normal((M // 2, grid.N, d)), scale, out=inc[0::2])
+        np.negative(inc[0::2], out=inc[1::2])
     else:
-        np.multiply(rng.standard_normal((M, grid.N, d)).transpose(1, 0, 2), scale, out=inc)
+        np.multiply(rng.standard_normal((M, grid.N, d)), scale, out=inc)
     inc.flags.writeable = False
-    return BrownianEnsemble(grid=grid, M=M, increments=inc.transpose(1, 0, 2), seed=seed,
-                            antithetic=antithetic)
+    return BrownianEnsemble(grid=grid, M=M, increments=inc, seed=seed, antithetic=antithetic)
 
 
-def _euler_step(sc: StepCoeffs, k: int, X, U, dWk, dt: float):
+def _euler_step(sc: StepCoeffs, k: int, X, U, dWk, dt: float, out=None):
     """One explicit Euler-Maruyama step, coefficients frozen at the left node."""
-    return _advance(sc, k, X, U @ sc.B[k].T, np.einsum("inj,pj->pin", sc.D[k], U), dWk, dt)
+    DU = np.einsum("inj,pj->pin", sc.D[k], U) if sc.D_nonzero[k] else None
+    return _advance(sc, k, X, U @ sc.B[k].T, DU, dWk, dt, out)
 
 
-def _advance(sc: StepCoeffs, k: int, X, BU, DU, dWk, dt: float):
-    """The Euler-Maruyama step from X, given the control's terms B u [M, n] and D_i u [M, d, n].
+def _advance(sc: StepCoeffs, k: int, X, BU, DU, dWk, dt: float, out=None):
+    """The Euler-Maruyama step from X [M, n], into out if given.
 
-    The A x and C_i x terms are dropped at a step whose A or C block is
-    zero; the other sums keep their order, so the result is the same bits.
+    BU [M, n] is B u; DU [M, d, n] is D_i u, or None where D is zero.  The
+    A x, C_i x and D_i u terms are dropped at a step whose block is zero;
+    the other sums keep their order, so the result is the same bits.
     """
     drift = X @ sc.A[k].T + BU if sc.A_nonzero[k] else BU
     Xn = X + (drift + sc.b[k]) * dt
     # diffusion: sum_i (C_i X + D_i U + sigma_i) dW^i
-    diff = np.einsum("inj,pj->pin", sc.C[k], X) + DU if sc.C_nonzero[k] else DU
-    return Xn + np.einsum("pin,pi->pn", diff + sc.sigma[k], dWk)
+    diff = np.einsum("inj,pj->pin", sc.C[k], X) if sc.C_nonzero[k] else None
+    if DU is not None:
+        diff = DU if diff is None else diff + DU
+    if diff is None:
+        noise = np.einsum("in,pi->pn", sc.sigma[k], dWk)
+    else:
+        noise = np.einsum("pin,pi->pn", diff + sc.sigma[k], dWk)
+    return np.add(Xn, noise, out=out)
 
 
 def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Forward sweep of the controlled linear SDE; returns [M, N+1, n].
+    """Forward sweep of the controlled linear SDE; returns X [M, N+1, n], step-major.
 
-    The sweep carries the current state in a contiguous [M, n] array and
-    stores it into the path-major result once per step.  A state beyond
-    BLOWUP_LIMIT raises BlowupError at its first step and path.
+    Each step reads the state row X[:, k] and writes X[:, k + 1] in place.
+    A state beyond BLOWUP_LIMIT raises BlowupError at its first step and path.
     """
     M = U.shape[0]
-    n = sc.A.shape[1]
-    X = np.empty((M, grid.N + 1, n))
-    x0 = np.asarray(x0, dtype=float)
-    Xk = np.array(np.broadcast_to(x0 if x0.ndim == 2 else x0.reshape(n), (M, n)))
-    X[:, 0] = Xk
-    BU = np.einsum("kij,pkj->kpi", sc.B, U, order="C")          # step-major
-    DU = np.einsum("kinm,pkm->kpin", sc.D, U, order="C")
+    N = grid.N
+    d, n = sc.sigma.shape[1:]
+    X = step_major(M, N + 1, n)
+    X[:, 0] = np.asarray(x0, dtype=float).reshape(-1, n)
+    BU = np.einsum("kij,pkj->pki", sc.B, U, out=step_major(M, N, n))
+    D_nonzero = sc.D_nonzero
+    DU = np.einsum("kinm,pkm->pkin", sc.D, U, out=step_major(M, N, d, n)) if any(D_nonzero) else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.N):
-            Xk = _advance(sc, k, Xk, BU[k], DU[k], dW[:, k], grid.dt)
-            X[:, k + 1] = Xk
+        for k in range(N):
+            _advance(sc, k, X[:, k], BU[:, k], DU[:, k] if D_nonzero[k] else None, dW[:, k],
+                     grid.dt, out=X[:, k + 1])
         bad = ~(np.abs(X[:, 1:]) <= BLOWUP_LIMIT).all(axis=2)     # NaN compares False
         if bad.any():
             k = int(np.argmax(bad.any(axis=0)))
@@ -169,13 +185,12 @@ def l2_norm(ens) -> float:
     sqrt( (1/M) sum_p sum_k |v[p][k]|^2 dt ), the norm the descent theory
     contracts in.
     """
-    vals = ens.values
-    dt = ens.grid.dt
-    return float(np.sqrt((vals * vals).sum() * dt / vals.shape[0]))
+    return l2_norm_array(ens.values, ens.grid.dt)
 
 
 def l2_norm_array(arr: np.ndarray, dt: float) -> float:
-    return float(np.sqrt((arr * arr).sum() * dt / arr.shape[0]))
+    # the squares are laid out path-major, so the sum has one order whatever arr's layout
+    return float(np.sqrt(np.square(arr, order="C").sum() * dt / arr.shape[0]))
 
 
 def mc_stderr(per_path: np.ndarray, antithetic: bool = False) -> float:

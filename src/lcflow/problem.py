@@ -90,6 +90,11 @@ class StepCoeffs:
         """Per step, whether some C_k^i has a nonzero entry."""
         return self.C.any(axis=(1, 2, 3)).tolist()
 
+    @cached_property
+    def D_nonzero(self) -> list:
+        """Per step, whether some D_k^i has a nonzero entry."""
+        return self.D.any(axis=(1, 2, 3)).tolist()
+
 
 def materialize(coeffs: CoefficientSet, grid: TimeGrid) -> StepCoeffs:
     ts = grid.nodes[:-1]

@@ -245,7 +245,8 @@ def lq_optimal_trajectory(ric: RiccatiSolution, spec, grid: TimeGrid, x0, W):
     """
     from .adjoint import per_path_cost_core
     from .costs import GridCost
-    from .paths import ClosedLoopResult, ControlEnsemble, StateEnsemble, _euler_step, mc_stderr
+    from .paths import (ClosedLoopResult, ControlEnsemble, StateEnsemble, _euler_step, mc_stderr,
+                        step_major)
     from .problem import materialize
 
     cost = _quadratic_cost(spec)
@@ -253,14 +254,14 @@ def lq_optimal_trajectory(ric: RiccatiSolution, spec, grid: TimeGrid, x0, W):
     M = W.M
     n = sc.A.shape[1]
     m = sc.B.shape[2]
-    X = np.empty((M, grid.N + 1, n))
-    U = np.empty((M, grid.N, m))
+    X = step_major(M, grid.N + 1, n)
+    U = step_major(M, grid.N, m)
     X[:, 0] = np.asarray(x0, dtype=float).reshape(n)
     dt = grid.dt
     for k in range(grid.N):
         Theta, theta = ric.gain_at(float(grid.nodes[k]))
         U[:, k] = X[:, k] @ Theta.T + theta
-        X[:, k + 1] = _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt)
+        _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt, out=X[:, k + 1])
     states = StateEnsemble(grid=grid, values=X)
     controls = ControlEnsemble(grid=grid, values=U)
     per_path = per_path_cost_core(GridCost(cost, grid), grid, X, U)

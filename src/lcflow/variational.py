@@ -26,12 +26,13 @@ from .costs import PathCost, RunningCost, _sym
 from .descent import (PROBE_SEED, CoreProblem, DescentConfig, HamiltonianSolution, descend,
                       estimate_lipschitz_core)
 from .grids import TimeGrid
+from .paths import step_major
 from .problem import StepCoeffs
 
 
 @dataclass(frozen=True)
 class FrozenQuadratic(PathCost):
-    """Second derivatives of the costs along (X*, u*), one block per (path, step).
+    """Second derivatives of the costs along (X*, u*), one block per (path, step), step-major.
 
     Doubles as the whole-path cost evaluator of the induced linear-quadratic
     problem: the running cost's formulas on the quadratic blocks alone.
@@ -67,14 +68,25 @@ class DerivativeSolution:
 
 
 def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
-    """Evaluate and symmetrize the cost Hessians along the optimal ensemble."""
+    """Evaluate and symmetrize the cost Hessians along the optimal ensemble.
+
+    The per-step blocks are stored step-major like the paths they are
+    evaluated with, so the derivative solve's cost terms are step-major too.
+    """
     X = sol.states.values
     U = sol.controls.values
+    M = X.shape[0]
     N = sol.grid.N
     running = sol.core.cost_eval.running
-    qh = running.hess_xx(X[:, :N], U)
-    rh = running.hess_uu(X[:, :N], U)
-    Sh = running.hess_ux(X[:, :N], U)
+
+    def blocks(a):
+        out = step_major(M, N, *a.shape[2:])
+        out[...] = a
+        return out
+
+    qh = blocks(running.hess_xx(X[:, :N], U))
+    rh = blocks(running.hess_uu(X[:, :N], U))
+    Sh = blocks(running.hess_ux(X[:, :N], U))
     gh = spec.cost.dxx_g(X[:, N])
     worst_asym = max(float(np.max(np.abs(a - np.swapaxes(a, -1, -2)))) for a in (qh, rh, gh))
     worst_entry = max(float(np.max(np.abs(a))) for a in (qh, rh, Sh, gh))
@@ -103,19 +115,23 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
     the pair (direction state, base state): the adjoint of the frozen
     problem is a function of both when the frozen coefficients vary along
     the path, and the pure-direction monomials are still in the span, so
-    the constant-coefficient case stays exact.
+    the constant-coefficient case stays exact.  Their step-major storage
+    holds the base state from the start; an evaluation writes only its
+    direction state.
     """
     wgrid = sol.grid
     W = sol.W
     n = spec.dims.n
-    base_X = sol.states.values
     sc = _zero_inhomogeneity(sol.core.sc)
-
-    def features_fn(Xv):
-        return np.concatenate([Xv, base_X], axis=2)
-
     M = W.M
     N = wgrid.N
+    features = step_major(M, N + 1, 2 * n)
+    features[..., n:] = sol.states.values
+
+    def features_fn(Xv):
+        features[..., :n] = Xv
+        return features
+
     m = spec.dims.m
     d = W.d
     grad_X = np.empty((M, N + 1, n, n))

@@ -100,12 +100,16 @@ def test_solve_success(workdir):
 
 
 def test_rerun_is_bit_identical(workdir):
-    cfg = _config(workdir)
-    out1, out2 = workdir / "a", workdir / "b"
-    assert main(["verify-lq", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["verify-lq", "--config", str(cfg), "--out", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "tables" / "riccati.csv").read_bytes() == (out2 / "tables" / "riccati.csv").read_bytes()
+    runs = [("verify-lq", "problems/p1.json", {}, 2000, ["riccati.csv"]),
+            ("feedback", "problems/p2.json", {"perturbations": 2}, 400, ["feedback_field.csv"]),
+            ("convexity-check", "problems/p2.json", {}, 400, [])]
+    for command, problem, checks, M, tables in runs:
+        cfg = _config(workdir, problem=problem, checks=checks, monte_carlo={"M": M})
+        out1, out2 = workdir / command / "a", workdir / command / "b"
+        assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0, command
+        assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0, command
+        for name in ["report.json"] + [f"tables/{t}" for t in tables]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
 def test_seed_override_changes_numbers(workdir):

@@ -1,26 +1,36 @@
 """The step loops against reference copies of their earlier path-major form.
 
-The forward sweep, the backward sweep and the cost sum carry each step in
-a contiguous array and drop the terms of a zero A or C block.  Neither
-may change a bit: every output here must equal the reference loops below,
-which read and write the path-major columns [:, k] and form every term.
+The forward sweep, the backward sweep, the closed loop, the gradient and
+the cost sum work on step-major arrays (paths.step_major) and drop the
+terms of a zero A, C or D block.  Neither may change a bit: every output
+here must equal the reference loops below, which read and write path-major
+arrays [M, N, .] column by column and form every term.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcflow import RegressionBasis, TimeGrid, generate_brownian
+from lcflow import (CoefficientSet, Dimensions, RegressionBasis, TimeGrid, generate_brownian,
+                    solve_hamiltonian)
 from lcflow.adjoint import (
     BLOCK_STEPS,
     AdjointDiagnostics,
     StepRegression,
+    _feature_block,
     backward_solve,
+    gradient_core,
     per_path_cost_core,
 )
 from lcflow.costs import CostModel, GridCost
-from lcflow.paths import _euler_step, _simulate_core
+from lcflow.descent import CoreProblem
+from lcflow.errors import ConditioningError
+from lcflow.feedback import feedback_map, simulate_closed_loop
+from lcflow.paths import _euler_step, _simulate_core, step_major
 from lcflow.problem import StepCoeffs
+from lcflow.variational import freeze_second_order
 
 # ---------------------------------------------------------------------------
 # reference loops: path-major columns, every term formed
@@ -49,7 +59,7 @@ def _ref_simulate(sc, grid, x0, U, dW):
     return X
 
 
-def _ref_backward(sc, cost_eval, grid, X, U, dW, basis):
+def _ref_backward(sc, cost_eval, grid, X, U, dW, basis, features=None):
     M, _, n = X.shape
     d = dW.shape[2]
     N = grid.N
@@ -61,11 +71,12 @@ def _ref_backward(sc, cost_eval, grid, X, U, dW, basis):
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
     Y[:, :N] = cost_eval.running_grad_x(X[:, :N], U)
     with_c = bool(sc.C.any())
+    F = X if features is None else features
     k0 = N
     for k in range(N - 1, -1, -1):
         if k < k0:
             k0 = max(k + 1 - BLOCK_STEPS, 0)
-            reg = StepRegression(X[:, k0:k + 1], basis, first_step=k0)
+            reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0)
         j = k - k0
         m_fit = reg.fit(j, Y[:, k + 1])
         r = np.subtract(Y[:, k + 1], m_fit, out=resid[j])
@@ -83,6 +94,12 @@ def _ref_backward(sc, cost_eval, grid, X, U, dW, basis):
     return Y, Z, AdjointDiagnostics(reg.Phi.shape[1], cond.tolist(), rmean.tolist(), rbound.tolist())
 
 
+def _ref_gradient(sc, cost_eval, grid, X, U, Y, Z):
+    N = grid.N
+    D = np.einsum("pkn,knm->pkm", Y[:, :N], sc.B) + np.einsum("pkij,kijm->pkm", Z, sc.D)
+    return D + cost_eval.running_grad_u(X[:, :N], U)
+
+
 def _ref_cost(cost_eval, grid, X, U):
     total = cost_eval.terminal_value(X[:, -1]).astype(float)
     running = cost_eval.running_value(X[:, :grid.N], U)
@@ -91,9 +108,47 @@ def _ref_cost(cost_eval, grid, X, U):
     return total
 
 
+def _ref_closed_loop(spec, sc, grid, x0, dW, value_source, override):
+    M = dW.shape[0]
+    n, m = spec.dims.n, spec.dims.m
+    X = np.empty((M, grid.N + 1, n))
+    U = np.empty((M, grid.N, m))
+    X[:, 0] = x0
+    for k in range(grid.N):
+        t = float(grid.nodes[k])
+        u = feedback_map(spec, value_source, t, X[:, k])
+        U[:, k] = u if override is None else override(t, X[:, k], u)
+        X[:, k + 1] = _ref_euler_step(sc, k, X[:, k], U[:, k], dW[:, k], grid.dt)
+    return X, U
+
+
 # ---------------------------------------------------------------------------
 
-# a block is zero, random at every step, or random at every other step
+
+def _same(a, b):
+    """Equal shapes and bits, so a -0.0 against a 0.0 is a difference."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _or_error(fn, *args, **kwargs):
+    """fn's result, or the message of the ConditioningError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ConditioningError as exc:
+        return str(exc)
+
+
+class _QuadraticValue:
+    """V(t, x) = x^T P x / 2 + p^T x: DxV and DxxV for the feedback law."""
+
+    def __init__(self, P, p):
+        self.P, self.p = P, p
+
+    def derivatives(self, t, X):
+        return X @ self.P + self.p, np.broadcast_to(self.P, (X.shape[0],) + self.P.shape)
+
+
+# a block is zero, random at every step, or random at every other step (from step 0 or 1)
 BLOCK = st.sampled_from(["zero", "random", "alternate"])
 
 
@@ -102,44 +157,97 @@ def _block(rng, kind, shape, scale):
     if kind != "zero":
         out[:] = scale * rng.standard_normal(shape)
     if kind == "alternate":
-        out[1::2] = 0.0
+        out[rng.integers(2)::2] = 0.0
     return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
-       A=BLOCK, C=BLOCK, D=BLOCK, b=BLOCK, N=st.sampled_from([3, 12]),
-       antithetic=st.booleans(), seed=st.integers(0, 2**16))
-def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, N, antithetic, seed):
+       A=BLOCK, C=BLOCK, D=BLOCK, b=BLOCK, sigma=BLOCK, N=st.sampled_from([3, 12]),
+       zero_start=st.booleans(), antithetic=st.booleans(), seed=st.integers(0, 2**16))
+def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, N, zero_start,
+                                                antithetic, seed):
     rng = np.random.default_rng(seed)
     M = 40
     grid = TimeGrid(0.0, 1.0, N)
     sc = StepCoeffs(A=_block(rng, A, (N, n, n), 0.5), B=rng.standard_normal((N, n, m)),
                     C=_block(rng, C, (N, d, n, n), 0.3), D=_block(rng, D, (N, d, n, m), 0.3),
-                    b=_block(rng, b, (N, n), 1.0), sigma=0.3 * rng.standard_normal((N, d, n)))
+                    b=_block(rng, b, (N, n), 1.0), sigma=_block(rng, sigma, (N, d, n), 0.3))
     W = generate_brownian(grid, M, seed=seed, antithetic=antithetic, d=d)
-    path_major = np.array(W.increments)             # the same increments in the earlier layout
-    U = rng.standard_normal((M, N, m))
-    x0 = rng.standard_normal(n)
-    cost_eval = GridCost(CostModel(n, m, G=np.eye(n), r=rng.standard_normal(n), Q=0.5 * np.eye(n),
-                                   R=np.eye(m), q=rng.standard_normal(n)), grid)
+    dW_pm = np.array(W.increments)                  # the same increments, path-major
+    # a zero start with a -0.0 control keeps signed zeros in the paths where b and sigma vanish
+    x0 = np.zeros(n) if zero_start else rng.standard_normal(n)
+    U_pm = np.full((M, N, m), -0.0) if zero_start else rng.standard_normal((M, N, m))
+    U = step_major(M, N, m)
+    U[...] = U_pm
+    cost = CostModel(n, m, G=np.eye(n), r=rng.standard_normal(n), Q=0.5 * np.eye(n), R=np.eye(m),
+                     q=rng.standard_normal(n))
+    cost_eval = GridCost(cost, grid)
     basis = RegressionBasis(degree=2, ridge=1e-8)
 
-    X_ref = _ref_simulate(sc, grid, x0, U, path_major)
-    for dW in (W.increments, path_major):
-        assert np.array_equal(_simulate_core(sc, grid, x0, U, dW), X_ref)
+    X_ref = _ref_simulate(sc, grid, x0, U_pm, dW_pm)
+    X = _simulate_core(sc, grid, x0, U, W.increments)
+    assert _same(X, X_ref) and _same(_simulate_core(sc, grid, x0, U, dW_pm), X_ref)
 
     for k in range(N):
-        assert np.array_equal(
-            _euler_step(sc, k, np.ascontiguousarray(X_ref[:, k]), np.ascontiguousarray(U[:, k]),
-                        W.increments[:, k], grid.dt),
-            _ref_euler_step(sc, k, X_ref[:, k], U[:, k], path_major[:, k], grid.dt))
+        assert _same(_euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], grid.dt),
+                     _ref_euler_step(sc, k, X_ref[:, k], U_pm[:, k], dW_pm[:, k], grid.dt))
 
-    Y_ref, Z_ref, diag_ref = _ref_backward(sc, cost_eval, grid, X_ref, U, path_major, basis)
-    for dW in (W.increments, path_major):
-        Y, Z, diag = backward_solve(sc, cost_eval, grid, X_ref, U, dW, basis)
-        assert np.array_equal(Y, Y_ref) and np.array_equal(Z, Z_ref)
+    Y_ref, Z_ref, diag_ref = _ref_backward(sc, cost_eval, grid, X_ref, U_pm, dW_pm, basis)
+    for dW in (W.increments, dW_pm):
+        Y, Z, diag = backward_solve(sc, cost_eval, grid, X, U, dW, basis)
+        assert _same(Y, Y_ref) and _same(Z, Z_ref)
         assert diag.to_json() == diag_ref.to_json()
 
-    assert np.array_equal(per_path_cost_core(cost_eval, grid, X_ref, U),
-                          _ref_cost(cost_eval, grid, X_ref, U))
+    assert _same(gradient_core(sc, cost_eval, grid, X, U, Y, Z),
+                 _ref_gradient(sc, cost_eval, grid, X_ref, U_pm, Y_ref, Z_ref))
+    assert _same(per_path_cost_core(cost_eval, grid, X, U), _ref_cost(cost_eval, grid, X_ref, U_pm))
+
+    # the derivative solve's features: (direction state, base state), q = 2n
+    base = _simulate_core(sc, grid, rng.standard_normal(n), rng.standard_normal((M, N, m)),
+                          W.increments)
+    features = step_major(M, N + 1, 2 * n)
+    features[..., :n], features[..., n:] = X, base
+    features_ref = np.concatenate([X_ref, np.array(base)], axis=2)
+    got = _or_error(backward_solve, sc, cost_eval, grid, X, U, W.increments, basis, features)
+    ref = _or_error(_ref_backward, sc, cost_eval, grid, X_ref, U_pm, dW_pm, basis, features_ref)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert all(_same(a, b) for a, b in zip(got[:2], ref[:2]))
+        assert got[2].to_json() == ref[2].to_json()
+
+    # the closed loop under a quadratic value's feedback, with and without a perturbation
+    dims = Dimensions(n, m, d)
+    spec = SimpleNamespace(dims=dims, cost=cost, certificate=SimpleNamespace(delta=1.0),
+                           coeffs=CoefficientSet.build(dims, A=sc.A[0], B=sc.B[0], C=sc.C[0],
+                                                       D=sc.D[0], b=sc.b[0], sigma=sc.sigma[0]))
+    P = rng.standard_normal((n, n))
+    value_source = _QuadraticValue(np.eye(n) + 0.1 * (P @ P.T), rng.standard_normal(n))
+    core = CoreProblem(sc=sc, grid=grid, cost_eval=cost_eval, delta=1.0, x0=x0)
+    K, c = rng.uniform(-0.25, 0.25, (m, n)), rng.uniform(-0.25, 0.25, m)
+    for override in (None, lambda t, Xk, u: u + Xk @ K.T + c):
+        run = simulate_closed_loop(spec, core, W, value_source, control_override=override)
+        X_cl, U_cl = _ref_closed_loop(spec, sc, grid, x0, dW_pm, value_source, override)
+        assert _same(run.states.values, X_cl) and _same(run.controls.values, U_cl)
+        assert _same(run.per_path_cost, _ref_cost(cost_eval, grid, X_cl, U_cl))
+
+
+def _is_step_major(a):
+    """a [M, steps, ...] is the view of C-contiguous [steps, M, ...] storage."""
+    return a.swapaxes(0, 1).flags.c_contiguous and not a.flags.c_contiguous
+
+
+def test_whole_path_arrays_are_step_major(spec_p2, basis, cfg):
+    grid = TimeGrid(0.0, 1.0, 12)
+    W = generate_brownian(grid, 200, seed=3, antithetic=True)
+    sol = solve_hamiltonian(spec_p2, grid, 0.0, [0.3], W, basis, cfg)
+    X = sol.states.values
+    for a in (W.increments, X, sol.controls.values, sol.adjoint.Y, sol.adjoint.Z,
+              sol.gradient.values):
+        assert _is_step_major(a)
+    frozen = freeze_second_order(spec_p2, sol)
+    assert all(_is_step_major(a) for a in (frozen.Qh, frozen.Sh, frozen.Rh))
+    # a regression block of one feature coordinate is read in place
+    block = _feature_block(X[:, 2:2 + BLOCK_STEPS])
+    assert block.shape == (BLOCK_STEPS, 1, 200) and np.shares_memory(block, X)
