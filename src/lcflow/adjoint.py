@@ -112,12 +112,17 @@ class StepRegression:
             raise ValueError(
                 f"path count {M} below basis size {p} at step {first_step + K - 1}"
             )
+        # the centered features serve the std (numpy's own steps: subtract the
+        # mean, square, sum, divide, root) and then the design
         self._mu = F.mean(axis=2)
-        sd = F.std(axis=2)
+        Z = F - self._mu[:, :, None]
+        sd = np.sqrt(np.square(Z).sum(axis=2) / M)
         self._degenerate = sd < 1e-12 * (1.0 + np.abs(self._mu))
         self._sd = np.where(self._degenerate, 1.0, sd)
         self._degree = basis.degree
-        self.Phi = Phi = self._design(F, slice(None))          # [K, p, M]
+        Z /= self._sd[:, :, None]
+        Z[self._degenerate] = 0.0
+        self.Phi = Phi = self._monomials(Z)                    # [K, p, M]
         penalty = np.ones(p)
         penalty[0] = 0.0
         A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * np.diag(penalty)
@@ -153,21 +158,30 @@ class StepRegression:
         Linv = np.linalg.inv(L)
         self._Ainv = np.swapaxes(Linv, 1, 2) @ Linv             # [K, p, p]
 
-    def _design(self, F: np.ndarray, j) -> np.ndarray:
-        """Monomials of F [..., q, L], normalized with step j's training mean and std.
+    def _monomials(self, Z: np.ndarray) -> np.ndarray:
+        """The monomials [..., p, L] of the normalized features Z [..., q, L], intercept first.
 
-        j is a step index (F [q, L]) or slice(None) for the whole block
-        (F [K, q, L]); the result is [..., p, L].
+        Each column is written from its first factor on, so no column is
+        filled with ones and multiplied by them.
         """
+        def factor(i, power):
+            return Z[..., i, :] if power == 1 else Z[..., i, :] ** power
+
+        exps = _monomial_exponents(Z.shape[-2], self._degree)
+        Phi = np.empty(Z.shape[:-2] + (len(exps), Z.shape[-1]))
+        Phi[..., 0, :] = 1.0
+        for col, e in enumerate(exps[1:], start=1):
+            (i, power), *rest = [(i, power) for i, power in enumerate(e) if power]
+            Phi[..., col, :] = factor(i, power)
+            for i, power in rest:
+                Phi[..., col, :] *= factor(i, power)
+        return Phi
+
+    def _design(self, F: np.ndarray, j: int) -> np.ndarray:
+        """Monomials [p, L] of F [q, L], normalized with step j's training mean and std."""
         Z = (F - self._mu[j, :, None]) / self._sd[j, :, None]
         Z[self._degenerate[j]] = 0.0
-        exps = _monomial_exponents(F.shape[-2], self._degree)
-        Phi = np.ones(F.shape[:-2] + (len(exps), F.shape[-1]))
-        for col, e in enumerate(exps):
-            for i, power in enumerate(e):
-                if power:
-                    Phi[..., col, :] *= Z[..., i, :] ** power
-        return Phi
+        return self._monomials(Z)
 
     def _coef(self, j: int, y: np.ndarray) -> np.ndarray:
         return self._Ainv[j] @ (self.Phi[j] @ y)

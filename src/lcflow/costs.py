@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,17 @@ def _quad_form(mat, v):
 
 
 def _hessian(base, z, kappa):
-    """base broadcast over the batch axes of z, plus kappa ph''(z) on the diagonal."""
-    out = np.broadcast_to(base, z.shape[:-1] + base.shape[-2:]).copy()
+    """base broadcast over the batch axes of z, plus kappa ph''(z) on the diagonal.
+
+    The result's batch axes are laid out in memory as z's are (outermost
+    stride first), so the Hessian of a step-major path is step-major.
+    """
+    batch = z.shape[:-1]
+    outer = sorted(range(len(batch)), key=lambda a: z.strides[a], reverse=True)
+    out = np.empty(tuple(batch[a] for a in outer) + base.shape[-2:])
+    if outer != sorted(outer):
+        out = out.transpose(tuple(np.argsort(outer)) + (-2, -1))
+    out[...] = base
     if kappa:
         idx = np.arange(z.shape[-1])
         out[..., idx, idx] += kappa * pseudo_huber_d2(z)
@@ -157,9 +167,13 @@ class RunningCost:
         x = np.asarray(x, dtype=float)
         return _hessian(self._cross(x), x, 0.0)
 
+    @cached_property
+    def _uu(self):
+        """The constant part of Duu_l: R + delta_u I."""
+        return self.R + self.delta_u * np.eye(self.R.shape[-1]) if self.delta_u else self.R
+
     def hess_uu(self, x, u):
-        base = self.R + self.delta_u * np.eye(self.R.shape[-1]) if self.delta_u else self.R
-        return _hessian(base, np.asarray(u, dtype=float), self.kappa_u)
+        return _hessian(self._uu, np.asarray(u, dtype=float), self.kappa_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +313,21 @@ class GridCost(PathCost):
         self.running = RunningCost(stack(cost.Q), _nonzero(stack(cost.S)), stack(cost.R),
                                    _nonzero(stack(cost.q)), _nonzero(stack(cost.rho)),
                                    cost.delta_u, cost.kappa_x, cost.kappa_u)
+
+    @cached_property
+    def steps(self) -> list:
+        """The running cost frozen at each left node: row k of every stacked block.
+
+        A block that is zero at node k is dropped for that row, as
+        CostModel.at drops it, so row k is what CostModel.at(t_k) returns.
+        """
+        r = self.running
+
+        def row(block, k):
+            return None if block is None else _nonzero(block[k])
+
+        return [RunningCost(r.Q[k], row(r.S, k), r.R[k], row(r.q, k), row(r.rho, k),
+                            r.delta_u, r.kappa_x, r.kappa_u) for k in range(self.grid.N)]
 
     def terminal_value(self, xT):
         return self.cost.g(xT)

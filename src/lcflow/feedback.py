@@ -7,7 +7,9 @@ The pointwise control is the minimizer of the reduced objective
 with p and Q assembled from the value function's gradient and curvature.
 Uniform positivity of Q + Duu_l makes damped Newton from u = 0 globally
 convergent, and the same solve runs batched across paths during
-closed-loop simulation.
+closed-loop simulation.  One feedback step (feedback_step) takes the
+blocks frozen at its time: the closed loop passes its step's rows of the
+solution's step coefficients and GridCost, feedback_map looks them up at t.
 """
 
 from __future__ import annotations
@@ -60,21 +62,24 @@ def _res_norm(r):
     return np.abs(r[:, 0]) if r.shape[1] == 1 else np.linalg.norm(r, axis=-1)
 
 
-def newton_minimize_batch(cost, t, X, P, Qm, delta):
-    """Batched damped Newton on the reduced objective; X [B,n], P [B,m], Qm [B,m,m].
+def newton_minimize_batch(running, X, P, Qm, delta):
+    """Batched damped Newton on the reduced objective; X [B,n], P [B,m], Qm [B,m,m] or None.
 
+    running is the running cost frozen at the points' time (a
+    costs.RunningCost, e.g. CostModel.at(t) or a GridCost step); Qm None
+    stands for a zero curvature bump, whose terms are then not formed.
     Stops when every row satisfies |p + Q u + Du_l| <= NEWTON_TOL_FACTOR (1 + |p|);
     a curvature sample below delta / 2 raises RegularityError.  An iteration
     in which every row is still active works on the whole arrays.
     """
     B, m = P.shape
     u = np.zeros((B, m))
-    lt = cost.at(t)
 
-    def residual(uv):
-        return P + np.einsum("bij,bj->bi", Qm, uv) + lt.grad_u(X, uv)
+    def residual(x, p, q, uv):
+        r = p if q is None else p + np.einsum("bij,bj->bi", q, uv)
+        return r + running.grad_u(x, uv)
 
-    r = residual(u)
+    r = residual(X, P, Qm, u)
     rn = _res_norm(r)
     tol = NEWTON_TOL_FACTOR * (1.0 + _res_norm(P))
     floor = delta / 2.0
@@ -86,9 +91,11 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta):
         u_act = u[rows]
         x_act = X[rows]
         p_act = P[rows]
-        q_act = Qm[rows]
+        q_act = None if Qm is None else Qm[rows]
         rn_act = rn[rows]
-        H = q_act + lt.hess_uu(x_act, u_act)
+        H = running.hess_uu(x_act, u_act)
+        if q_act is not None:
+            H = q_act + H
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
         eigmin = min_eigenvalue(H)
         if float(eigmin.min()) < floor:
@@ -100,7 +107,7 @@ def newton_minimize_batch(cost, t, X, P, Qm, delta):
         alpha = np.ones(step.shape[0])
         for _damp in range(NEWTON_MAX_DAMPING):
             u_try = u_act - alpha[:, None] * step
-            r_try = p_act + np.einsum("bij,bj->bi", q_act, u_try) + lt.grad_u(x_act, u_try)
+            r_try = residual(x_act, p_act, q_act, u_try)
             better = _res_norm(r_try) <= rn_act * (1.0 - 1e-10) + 1e-300
             if better.all():
                 break
@@ -121,8 +128,30 @@ def minimize_hamiltonian_in_u(spec, query: FeedbackQuery) -> np.ndarray:
     x = np.asarray(query.x, dtype=float).reshape(B, -1)
     q = np.asarray(query.q_mat, dtype=float).reshape(B, m, m)
     q = 0.5 * (q + np.swapaxes(q, -1, -2))
-    u = newton_minimize_batch(spec.cost, float(query.t), x, p, q, spec.certificate.delta)
+    u = newton_minimize_batch(spec.cost.at(float(query.t)), x, p, q, spec.certificate.delta)
     return u if np.ndim(query.p) == 2 else u[0]
+
+
+def _reduced_objective(X, DxV, DxxV, B, C, D, sigma):
+    """p [B, m] and the symmetric curvature bump [B, m, m] at the points X [B, n].
+
+    B, C, D and sigma are the dynamics' blocks at the points' time; D is None
+    where it is zero, and then p is DxV B and the bump is None.
+    """
+    p = DxV @ B
+    if D is None:
+        return p, None
+    drift_lin = np.einsum("inj,bj->bin", C, X) + sigma                 # C x + sigma, [B, d, n]
+    p = p + np.einsum("inm,bnk,bik->bm", D, DxxV, drift_lin)
+    q = np.einsum("inm,bnk,ikl->bml", D, DxxV, D)
+    return p, 0.5 * (q + np.swapaxes(q, -1, -2))
+
+
+def _blocks_at(spec, t):
+    """The dynamics' B, C, D (None where zero) and sigma, looked up at time t."""
+    coeffs = spec.coeffs
+    D = coeffs.D.at(t)
+    return coeffs.B.at(t), coeffs.C.at(t), D if D.any() else None, coeffs.sigma.at(t)
 
 
 def assemble_query(spec, t, X, DxV, DxxV) -> FeedbackQuery:
@@ -130,22 +159,36 @@ def assemble_query(spec, t, X, DxV, DxxV) -> FeedbackQuery:
 
     X and DxV are [B, n], DxxV is [B, n, n].
     """
-    coeffs = spec.coeffs
-    B = coeffs.B.at(t)
-    D = coeffs.D.at(t)
     X = np.asarray(X, dtype=float)
-    drift_lin = coeffs.state_diffusion(t, X)                          # [B, d, n]
-    p = DxV @ B + np.einsum("inm,bnk,bik->bm", D, DxxV, drift_lin)
-    q = np.einsum("inm,bnk,ikl->bml", D, DxxV, D)
-    return FeedbackQuery(t=float(t), x=X, p=p, q_mat=0.5 * (q + np.swapaxes(q, -1, -2)))
+    p, q = _reduced_objective(X, DxV, DxxV, *_blocks_at(spec, t))
+    if q is None:
+        q = np.zeros((X.shape[0],) + (p.shape[1],) * 2)
+    return FeedbackQuery(t=float(t), x=X, p=p, q_mat=q)
+
+
+def feedback_step(value_source, t, X, blocks, running, delta) -> np.ndarray:
+    """The feedback control [B, m] at the points X [B, n] at time t: one Newton call.
+
+    blocks are the dynamics' (B, C, D, sigma) at t, D None where it is zero,
+    and running is the running cost frozen at t (costs.RunningCost).  The
+    closed loop passes its step's rows of the step coefficients and of the
+    GridCost; feedback_map looks them up at t.
+    """
+    DxV, DxxV = value_source.derivatives(t, X)
+    p, q = _reduced_objective(X, DxV, DxxV, *blocks)
+    return newton_minimize_batch(running, X, p, q, delta)
 
 
 def feedback_map(spec, value_source, t, x) -> np.ndarray:
-    """The state-feedback control of the value source: [m] at one point x [n], [B, m] at X [B, n]."""
+    """The state-feedback control of the value source: [m] at one point x [n], [B, m] at X [B, n].
+
+    The dynamics blocks and the running cost are looked up at t, and the
+    feedback step is the closed loop's.
+    """
     x = np.asarray(x, dtype=float)
-    X = x.reshape(-1, spec.dims.n)
-    DxV, DxxV = value_source.derivatives(float(t), X)
-    u = minimize_hamiltonian_in_u(spec, assemble_query(spec, t, X, DxV, DxxV))
+    t = float(t)
+    u = feedback_step(value_source, t, x.reshape(-1, spec.dims.n), _blocks_at(spec, t),
+                      spec.cost.at(t), spec.certificate.delta)
     return u if x.ndim == 2 else u[0]
 
 
@@ -158,7 +201,9 @@ class LatticeValueSource:
     tabulate DxV and DxxV without re-solving anything.  table
     [N+1, P..., 1 + n + n^2] holds V, DxV and the rows of DxxV at each node
     and lattice point.  Lookups snap t to the nearest node and interpolate
-    multilinearly in x, clamped at the lattice edge.
+    multilinearly in x, clamped at the lattice edge.  The axes are uniform
+    (np.linspace), so a point's cell is found from the spacing and then
+    checked against the nodes, which gives np.searchsorted's cell exactly.
     """
 
     kind = "lattice"
@@ -167,30 +212,54 @@ class LatticeValueSource:
         self.grid = grid
         self.axes = axes
         self.table = table
+        shape = table.shape[1:-1]
+        # per axis: the node spacing's inverse, for a first guess at the cell,
+        # each cell's width, and each cell's upper node (+inf for the last cell)
+        self._cells = [((len(ax) - 1) / (ax[-1] - ax[0]), ax[1:] - ax[:-1],
+                        np.append(ax[1:-1], np.inf)) for ax in axes]
+        # the flat table offset of each corner of a cell from its lower corner
+        self._corners = [(corner, int(np.ravel_multi_index(corner, shape)))
+                         for corner in product((0, 1), repeat=len(axes))]
 
     def _snap(self, t):
         k = int(round((t - self.grid.t0) / self.grid.dt))
         return min(max(k, 0), self.grid.N)
 
+    def _cell(self, ax, cells, x):
+        """The cell i of each point on the uniform axis ax, and its weight.
+
+        The point is clamped to the axis first; i is the last node at or
+        below it (np.searchsorted(ax, x, "right") - 1) but at most the last
+        cell.  It is first guessed from the spacing, which can land a cell
+        off near a node, and then moved until the nodes bracket the point.
+        """
+        inv_h, width, upper = cells
+        x = np.clip(x, ax[0], ax[-1])
+        # fmin sends a NaN to the last cell, as searchsorted does
+        i = np.fmin((x - ax[0]) * inv_h, len(ax) - 2).astype(np.intp)
+        left = ax[i]
+        down, up = left > x, upper[i] <= x
+        while np.count_nonzero(down) or np.count_nonzero(up):
+            i += up
+            i -= down
+            left = ax[i]
+            down, up = left > x, upper[i] <= x
+        return i, (x - left) / width[i]
+
     def _lookup(self, t, x, columns):
         """The table's columns at node t, interpolated at the points of x [n] or [B, n]: [B, c]."""
         X = np.atleast_2d(np.asarray(x, dtype=float))
-        idx, w = [], []
-        for ax, xi in zip(self.axes, X.T):
-            xi = np.clip(xi, ax[0], ax[-1])
-            i = np.minimum(np.searchsorted(ax, xi, side="right") - 1, len(ax) - 2)
-            idx.append(i)
-            w.append((xi - ax[i]) / (ax[i + 1] - ax[i]))
+        idx, w = zip(*(self._cell(ax, cells, xi)
+                       for ax, cells, xi in zip(self.axes, self._cells, X.T)))
         tab = self.table[self._snap(t)]
-        shape = tab.shape[:-1]
         flat = tab.reshape(-1, tab.shape[-1])[:, columns]
-        base = np.ravel_multi_index(idx, shape)
-        out = 0.0
-        for corner in product((0, 1), repeat=len(idx)):
+        base = idx[0] if len(idx) == 1 else np.ravel_multi_index(idx, tab.shape[:-1])
+        out = np.zeros((X.shape[0], flat.shape[1]))
+        for corner, offset in self._corners:
             weight = 1.0
             for c, wi in zip(corner, w):
                 weight = weight * (wi if c else 1.0 - wi)
-            out = out + flat.take(base + np.ravel_multi_index(corner, shape), axis=0) * weight[:, None]
+            out += flat.take(base + offset, axis=0) * weight[:, None]
         return out
 
     def value(self, t, x):
@@ -260,6 +329,9 @@ def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_sou
 
     The loop runs on the subproblem core (its grid, step coefficients, cost
     and start point) with the increments of W, an ensemble on that grid.
+    Step k's feedback reads row k of the step coefficients and the GridCost
+    row core.cost_eval.steps[k], so nothing is looked up at t; a zero D
+    block drops the reduced objective's D terms.
     control_override(t, X, u_feedback) may reshape the control per step; it
     is how perturbed-feedback suboptimality probes are generated.
     """
@@ -271,10 +343,12 @@ def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_sou
     U = step_major(M, grid.N, spec.dims.m)
     X[:, 0] = core.x0.reshape(-1)
     dt = grid.dt
+    running = core.cost_eval.steps
     for k in range(grid.N):
         t = float(grid.nodes[k])
         Xk = X[:, k]
-        u_fb = feedback_map(spec, value_source, t, Xk)
+        blocks = (sc.B[k], sc.C[k], sc.D[k] if sc.D_nonzero[k] else None, sc.sigma[k])
+        u_fb = feedback_step(value_source, t, Xk, blocks, running[k], core.delta)
         if control_override is not None:
             u_fb = control_override(t, Xk, u_fb)
         U[:, k] = u_fb
@@ -330,10 +404,11 @@ def verify_optimality(spec, sol, value_source, n_perturbed: int = 10, seed: int 
                       gain_scale: Optional[float] = None) -> VerificationReport:
     """Closed loop vs the open-loop solution sol vs value, plus suboptimality of perturbations.
 
-    The closed loops run from the solution's start point on its subgrid and
-    share its noise, so the pathwise cost differences of the perturbed runs
-    carry far less noise than the costs themselves; gain_scale (when set) additionally
-    runs the feedback scaled by that factor, the classic wrong-gain probe.
+    The closed loops run from the solution's start point on its subgrid,
+    read its step coefficients and cost rows, and share its noise, so the
+    pathwise cost differences of the perturbed runs carry far less noise
+    than the costs themselves; gain_scale (when set) additionally runs the
+    feedback scaled by that factor, the classic wrong-gain probe.
     """
     core, W = sol.core, sol.W
     closed = simulate_closed_loop(spec, core, W, value_source)

@@ -70,23 +70,17 @@ class DerivativeSolution:
 def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
     """Evaluate and symmetrize the cost Hessians along the optimal ensemble.
 
-    The per-step blocks are stored step-major like the paths they are
-    evaluated with, so the derivative solve's cost terms are step-major too.
+    The per-step blocks come out step-major like the paths they are
+    evaluated on (costs._hessian keeps its argument's layout), so the
+    derivative solve's cost terms are step-major too.
     """
     X = sol.states.values
     U = sol.controls.values
-    M = X.shape[0]
     N = sol.grid.N
     running = sol.core.cost_eval.running
-
-    def blocks(a):
-        out = step_major(M, N, *a.shape[2:])
-        out[...] = a
-        return out
-
-    qh = blocks(running.hess_xx(X[:, :N], U))
-    rh = blocks(running.hess_uu(X[:, :N], U))
-    Sh = blocks(running.hess_ux(X[:, :N], U))
+    qh = running.hess_xx(X[:, :N], U)
+    rh = running.hess_uu(X[:, :N], U)
+    Sh = running.hess_ux(X[:, :N], U)
     gh = spec.cost.dxx_g(X[:, N])
     worst_asym = max(float(np.max(np.abs(a - np.swapaxes(a, -1, -2)))) for a in (qh, rh, gh))
     worst_entry = max(float(np.max(np.abs(a))) for a in (qh, rh, Sh, gh))

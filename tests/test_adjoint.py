@@ -18,9 +18,9 @@ from lcflow import (
     simulate_forward,
     solve_adjoint,
 )
-from lcflow.adjoint import BLOCK_STEPS, StepRegression, backward_solve
+from lcflow.adjoint import BLOCK_STEPS, StepRegression, _monomial_exponents, backward_solve
 from lcflow.costs import GridCost
-from lcflow.paths import l2_norm_array
+from lcflow.paths import l2_norm_array, step_major
 from lcflow.presets import linear_terminal
 from lcflow.problem import materialize
 
@@ -415,3 +415,65 @@ def test_diagnostics_json_round_trip(grid, basis, spec_p1):
     assert doc["basis_size"] == 3
     assert len(doc["steps"]) == grid.N
     assert all(s["cond"] >= 1.0 for s in doc["steps"])
+
+
+class _RefStepRegression(StepRegression):
+    """StepRegression's feature build in its earlier form: np.std on the raw features, and
+    the design filled with ones and multiplied by every factor, for the whole block at once."""
+
+    def __init__(self, features, basis, first_step=0):
+        F = np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
+        M = F.shape[2]
+        p = basis.size(F.shape[1])
+        self._mu = F.mean(axis=2)
+        sd = F.std(axis=2)
+        self._degenerate = sd < 1e-12 * (1.0 + np.abs(self._mu))
+        self._sd = np.where(self._degenerate, 1.0, sd)
+        self._degree = basis.degree
+        self.Phi = Phi = self._design(F, slice(None))
+        penalty = np.ones(p)
+        penalty[0] = 0.0
+        A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * np.diag(penalty)
+        lam = np.abs(np.linalg.eigvalsh(A))
+        self.cond = lam.max(axis=1) / lam.min(axis=1)
+        Linv = np.linalg.inv(np.linalg.cholesky(A))
+        self._Ainv = np.swapaxes(Linv, 1, 2) @ Linv
+
+    def _design(self, F, j):
+        Z = (F - self._mu[j, :, None]) / self._sd[j, :, None]
+        Z[self._degenerate[j]] = 0.0
+        exps = _monomial_exponents(F.shape[-2], self._degree)
+        Phi = np.ones(F.shape[:-2] + (len(exps), F.shape[-1]))
+        for col, e in enumerate(exps):
+            for i, power in enumerate(e):
+                if power:
+                    Phi[..., col, :] *= Z[..., i, :] ** power
+        return Phi
+
+
+def _same(a, b):
+    return (a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_regression_build_equals_reference_bytes(degree, q):
+    # features of 3 steps, on a step-major array as the backward sweep holds them; coordinate 0
+    # is constant at step 1, so it collapses onto the intercept there
+    rng = np.random.Generator(np.random.Philox(key=90 + 5 * q + degree))
+    M, K = 80, 3
+    F = step_major(M, K, q)
+    F[...] = rng.normal(0.4, 1.7, size=(M, K, q))
+    F[:, 1, 0] = 0.3
+    basis = RegressionBasis(degree=degree, ridge=1e-8)
+    reg, ref = StepRegression(F, basis, first_step=7), _RefStepRegression(F, basis)
+    assert ref._degenerate[1, 0] and not ref._degenerate[[0, 2], 0].any()
+    for name in ("Phi", "_Ainv", "cond", "_mu", "_sd", "_degenerate"):
+        assert _same(getattr(reg, name), getattr(ref, name)), name
+    targets = np.column_stack([np.sin(F[:, 0, 0]), F[:, 2, -1] ** 3, rng.normal(size=M)])
+    F_eval = rng.normal(0.0, 3.0, size=(25, q))          # off the training points
+    for j in range(K):
+        assert _same(reg.fit(j, targets), ref.fit(j, targets))
+        assert _same(reg.fit(j, targets[:, 1]), ref.fit(j, targets[:, 1]))
+        assert _same(reg.predict(j, F_eval, targets), ref.predict(j, F_eval, targets))

@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcflow import (CoefficientSet, Dimensions, RegressionBasis, TimeGrid, generate_brownian,
-                    solve_hamiltonian)
+from lcflow import (CoefficientSet, Dimensions, PiecewiseConstant, RegressionBasis, TimeGrid,
+                    generate_brownian, solve_hamiltonian)
 from lcflow.adjoint import (
     BLOCK_STEPS,
     AdjointDiagnostics,
@@ -29,7 +29,7 @@ from lcflow.descent import CoreProblem
 from lcflow.errors import ConditioningError
 from lcflow.feedback import feedback_map, simulate_closed_loop
 from lcflow.paths import _euler_step, _simulate_core, step_major
-from lcflow.problem import StepCoeffs
+from lcflow.problem import StepCoeffs, materialize
 from lcflow.variational import freeze_second_order
 
 # ---------------------------------------------------------------------------
@@ -163,10 +163,11 @@ def _block(rng, kind, shape, scale):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
-       A=BLOCK, C=BLOCK, D=BLOCK, b=BLOCK, sigma=BLOCK, N=st.sampled_from([3, 12]),
+       A=BLOCK, C=BLOCK, D=BLOCK, b=BLOCK, sigma=BLOCK, S=BLOCK, q=BLOCK, rho=BLOCK,
+       kappa_u=st.sampled_from([0.0, 2.0]), N=st.sampled_from([3, 12]),
        zero_start=st.booleans(), antithetic=st.booleans(), seed=st.integers(0, 2**16))
-def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, N, zero_start,
-                                                antithetic, seed):
+def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, S, q, rho, kappa_u,
+                                                N, zero_start, antithetic, seed):
     rng = np.random.default_rng(seed)
     M = 40
     grid = TimeGrid(0.0, 1.0, N)
@@ -180,8 +181,13 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, N, z
     U_pm = np.full((M, N, m), -0.0) if zero_start else rng.standard_normal((M, N, m))
     U = step_major(M, N, m)
     U[...] = U_pm
+    # S, q and rho are piecewise constant on the grid: a zero block is dropped from the whole
+    # stack, an alternating one from the rows where it vanishes
+    nodes = grid.nodes[:-1]
     cost = CostModel(n, m, G=np.eye(n), r=rng.standard_normal(n), Q=0.5 * np.eye(n), R=np.eye(m),
-                     q=rng.standard_normal(n))
+                     S=PiecewiseConstant(_block(rng, S, (N, m, n), 0.3), nodes),
+                     q=PiecewiseConstant(_block(rng, q, (N, n), 1.0), nodes),
+                     rho=PiecewiseConstant(_block(rng, rho, (N, m), 1.0), nodes), kappa_u=kappa_u)
     cost_eval = GridCost(cost, grid)
     basis = RegressionBasis(degree=2, ridge=1e-8)
 
@@ -217,11 +223,15 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, N, z
         assert all(_same(a, b) for a, b in zip(got[:2], ref[:2]))
         assert got[2].to_json() == ref[2].to_json()
 
-    # the closed loop under a quadratic value's feedback, with and without a perturbation
+    # the closed loop under a quadratic value's feedback, with and without a perturbation; the
+    # reference looks every block up at t through feedback_map, so spec.coeffs holds sc's rows
     dims = Dimensions(n, m, d)
+    coeffs = CoefficientSet.build(dims, **{key: PiecewiseConstant(getattr(sc, key), nodes)
+                                           for key in ("A", "B", "C", "D", "b", "sigma")})
+    assert all(_same(getattr(materialize(coeffs, grid), key), getattr(sc, key))
+               for key in ("A", "B", "C", "D", "b", "sigma"))
     spec = SimpleNamespace(dims=dims, cost=cost, certificate=SimpleNamespace(delta=1.0),
-                           coeffs=CoefficientSet.build(dims, A=sc.A[0], B=sc.B[0], C=sc.C[0],
-                                                       D=sc.D[0], b=sc.b[0], sigma=sc.sigma[0]))
+                           coeffs=coeffs)
     P = rng.standard_normal((n, n))
     value_source = _QuadraticValue(np.eye(n) + 0.1 * (P @ P.T), rng.standard_normal(n))
     core = CoreProblem(sc=sc, grid=grid, cost_eval=cost_eval, delta=1.0, x0=x0)
