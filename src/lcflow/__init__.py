@@ -9,15 +9,7 @@ dynamic-programming identities, and cross-checks everything against a
 Riccati oracle on linear-quadratic instances.
 """
 
-from .adjoint import (
-    AdjointEnsemble,
-    GradientEnsemble,
-    RegressionBasis,
-    evaluate_cost,
-    frechet_gradient,
-    per_path_costs,
-    solve_adjoint,
-)
+from .adjoint import RegressionBasis
 from .costs import CostModel, case1_smooth_cost, case2_smooth_cost, pseudo_huber
 from .descent import (
     DescentConfig,
@@ -46,14 +38,7 @@ from .feedback import (
     verify_optimality,
 )
 from .grids import PiecewiseConstant, TimeGrid
-from .paths import (
-    BrownianEnsemble,
-    ControlEnsemble,
-    StateEnsemble,
-    generate_brownian,
-    l2_norm,
-    simulate_forward,
-)
+from .paths import BrownianEnsemble, generate_brownian
 from .problem import (
     CoefficientSet,
     ConvexityCertificate,

@@ -37,11 +37,10 @@ from math import comb
 
 import numpy as np
 
-from .costs import GridCost
 from .errors import BlowupError, ConditioningError
 from .grids import TimeGrid
-from .paths import BrownianEnsemble, ControlEnsemble, StateEnsemble, step_major
-from .problem import StepCoeffs, materialize
+from .paths import step_major
+from .problem import StepCoeffs
 
 
 @dataclass(frozen=True)
@@ -199,27 +198,6 @@ class StepRegression:
         return out if targets.ndim == 2 else out[:, 0]
 
 
-@dataclass(frozen=True)
-class AdjointEnsemble:
-    grid: TimeGrid
-    Y: np.ndarray      # [M, N+1, n], step-major
-    Z: np.ndarray      # [M, N, d, n], step-major; block i is the loading on dW^i
-
-    @property
-    def M(self):
-        return self.Y.shape[0]
-
-
-@dataclass(frozen=True)
-class GradientEnsemble:
-    grid: TimeGrid
-    values: np.ndarray  # [M, N, m], step-major
-
-    @property
-    def M(self):
-        return self.values.shape[0]
-
-
 @dataclass
 class AdjointDiagnostics:
     basis_size: int
@@ -309,47 +287,3 @@ def per_path_cost_core(cost_eval, grid: TimeGrid, X, U) -> np.ndarray:
     for row in running:
         total += row
     return total
-
-
-# ---------------------------------------------------------------------------
-# public wrappers on a ProblemSpec
-
-
-def solve_adjoint(spec, X: StateEnsemble, u: ControlEnsemble, W: BrownianEnsemble,
-                  basis: RegressionBasis, frozen=None, features: np.ndarray = None):
-    """Adjoint ensemble for the given state/control pair.
-
-    With frozen supplied, its path-indexed quadratic derivatives replace the
-    cost model's (the terminal gradient included), which is how the
-    state-derivative system reuses this routine.
-    """
-    grid = X.grid
-    if u.values.shape[0] != X.values.shape[0] or W.M != X.values.shape[0]:
-        raise ValueError("ensembles disagree on the path count")
-    if u.grid.N != grid.N or W.grid.N != grid.N:
-        raise ValueError("ensembles disagree on the grid")
-    sc = materialize(spec.coeffs, grid)
-    cost_eval = frozen if frozen is not None else GridCost(spec.cost, grid)
-    Y, Z, diag = backward_solve(sc, cost_eval, grid, X.values, u.values, W.increments,
-                                basis, features)
-    return AdjointEnsemble(grid=grid, Y=Y, Z=Z), diag
-
-
-def frechet_gradient(spec, X: StateEnsemble, u: ControlEnsemble, adj: AdjointEnsemble,
-                     frozen=None) -> GradientEnsemble:
-    """Pointwise representation of the cost derivative in the control."""
-    grid = X.grid
-    sc = materialize(spec.coeffs, grid)
-    cost_eval = frozen if frozen is not None else GridCost(spec.cost, grid)
-    D = gradient_core(sc, cost_eval, grid, X.values, u.values, adj.Y, adj.Z)
-    return GradientEnsemble(grid=grid, values=D)
-
-
-def evaluate_cost(spec, X: StateEnsemble, u: ControlEnsemble) -> float:
-    """Monte Carlo cost: terminal value plus left-endpoint running sum."""
-    return float(per_path_costs(spec, X, u).mean())
-
-
-def per_path_costs(spec, X: StateEnsemble, u: ControlEnsemble) -> np.ndarray:
-    cost_eval = GridCost(spec.cost, X.grid)
-    return per_path_cost_core(cost_eval, X.grid, X.values, u.values)

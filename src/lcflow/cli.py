@@ -123,9 +123,6 @@ class Runner:
         self.tables_dir = out_dir / "tables"
         self.spec = problem_from_json(json.loads(Path(cfg["_problem_path"]).read_text(encoding="utf-8")))
         self.grid = TimeGrid(0.0, self.spec.horizon, int(cfg["grid"]["N"]))
-        mc = cfg["monte_carlo"]
-        self.W = generate_brownian(self.grid, int(mc["M"]), int(mc["seed"]),
-                                   bool(mc["antithetic"]), d=self.spec.dims.d)
         b = cfg["basis"]
         self.basis = RegressionBasis(degree=int(b["degree"]), ridge=float(b["ridge"]))
         dsc = cfg["descent"]
@@ -142,6 +139,14 @@ class Runner:
         self.t0 = float(init["t"])
         x = init["x"]
         self.x0 = np.zeros(self.spec.dims.n) if x is None else np.asarray(x, dtype=float)
+        if self.grid.index_of(self.t0) >= self.grid.N:
+            raise ValueError(f"initial.t={self.t0} must be strictly before the horizon")
+        if self.x0.shape != (self.spec.dims.n,):
+            raise ValueError(f"initial.x has shape {self.x0.shape}, expected ({self.spec.dims.n},)")
+        # the costly part of set-up, so it comes after every check of the config
+        mc = cfg["monte_carlo"]
+        self.W = generate_brownian(self.grid, int(mc["M"]), int(mc["seed"]),
+                                   bool(mc["antithetic"]), d=self.spec.dims.d)
         self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
 
     # -- commands ----------------------------------------------------------
@@ -177,13 +182,13 @@ class Runner:
         j_solver = float(costs.mean())
         stderr = mc_stderr(costs, self.W.antithetic)
         V, DxV, _ = lq_value(ric, self.t0, self.x0)
-        y0 = sol.adjoint.Y[:, 0].mean(axis=0)
+        y0 = sol.Y[:, 0].mean(axis=0)
         # reference control from the oracle gains along the solver's own paths
         wgrid = sol.grid
         Theta, theta = (np.stack(g) for g in zip(*map(ric.gain_at, wgrid.nodes[:-1].tolist())))
-        ref = np.einsum("kmn,pkn->pkm", Theta, sol.states.values[:, :-1]) + theta
+        ref = np.einsum("kmn,pkn->pkm", Theta, sol.X[:, :-1]) + theta
         dt = wgrid.dt
-        num = l2_norm_array(sol.controls.values - ref, dt)
+        num = l2_norm_array(sol.U - ref, dt)
         den = max(l2_norm_array(ref, dt), 1e-12)
         checks = {
             "j_solver": j_solver, "value_oracle": V, "stderr": stderr,

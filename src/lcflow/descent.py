@@ -18,25 +18,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .adjoint import (
-    AdjointEnsemble,
-    GradientEnsemble,
-    RegressionBasis,
-    backward_solve,
-    gradient_core,
-    per_path_cost_core,
-)
+from .adjoint import RegressionBasis, backward_solve, gradient_core, per_path_cost_core
 from .costs import GridCost
 from .errors import BlowupError, ConvergenceError
 from .grids import TimeGrid
-from .paths import (
-    BrownianEnsemble,
-    ControlEnsemble,
-    StateEnsemble,
-    _simulate_core,
-    l2_norm_array,
-    step_major,
-)
+from .paths import BrownianEnsemble, _simulate_core, l2_norm_array, step_major
 from .problem import StepCoeffs, materialize
 
 # seed of the Lipschitz probe controls, so that eta="auto" is reproducible
@@ -57,6 +43,10 @@ class DescentConfig:
             raise ValueError("eta must be positive or 'auto'")
         if self.tol_grad <= 0 or self.tol_step <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if self.lipschitz_probes < 1:
+            raise ValueError("lipschitz_probes must be >= 1")
 
 
 @dataclass
@@ -119,16 +109,19 @@ class CoreProblem:
 class HamiltonianSolution:
     """Converged quadruple of the coupled forward/backward optimality system.
 
-    It carries what it was solved on, so that its consumers rebuild nothing:
-    the subproblem (core: subgrid, step coefficients, cost evaluator, x0),
-    the Brownian ensemble on that subgrid (W) and the converged iterate's
-    per-path cost, whose mean is the reported J.
+    X [M, N+1, n], U [M, N, m], Y [M, N+1, n], Z [M, N, d, n] (block i is
+    the loading on dW^i) and the gradient D [M, N, m] are the converged
+    iterate's step-major whole-path arrays.  It carries what it was solved
+    on, so that its consumers rebuild nothing: the subproblem (core:
+    subgrid, step coefficients, cost evaluator, x0), the Brownian ensemble
+    on that subgrid (W) and the per-path cost, whose mean is the reported J.
     """
 
-    states: StateEnsemble
-    adjoint: AdjointEnsemble
-    controls: ControlEnsemble
-    gradient: GradientEnsemble
+    X: np.ndarray
+    U: np.ndarray
+    Y: np.ndarray
+    Z: np.ndarray
+    D: np.ndarray
     report: DescentReport
     core: CoreProblem
     W: BrownianEnsemble
@@ -271,13 +264,8 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             report.converged = True
             report.reason = "stationarity" if gnorm <= cfg.tol_grad else "step_size"
             report.wall_time = time.perf_counter() - t_start
-            return HamiltonianSolution(
-                states=StateEnsemble(grid=core.grid, values=X),
-                adjoint=AdjointEnsemble(grid=core.grid, Y=Y, Z=Z),
-                controls=ControlEnsemble(grid=core.grid, values=U),
-                gradient=GradientEnsemble(grid=core.grid, values=D),
-                report=report, core=core, W=W, per_path_cost=costs,
-            )
+            return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
+                                       per_path_cost=costs)
         prev = (U, D, J)
         U = U - eta * D             # step-major, as U and D are
         step_norm = eta * gnorm
@@ -326,7 +314,7 @@ def uniform_convexity_gap(sol: HamiltonianSolution, trials: int = 20, seed: int 
         vnorm2 = l2_norm_array(np.broadcast_to(v, (1, N, m)), dt) ** 2
         if vnorm2 <= 1e-14:
             continue
-        U = sol.controls.values + v
+        U = sol.U + v
         X = _simulate_core(core.sc, core.grid, core.x0, U, sol.W.increments)
         J = per_path_cost_core(core.cost_eval, core.grid, X, U).mean()
         worst = min(worst, float((J - base_cost) / (0.5 * vnorm2)))

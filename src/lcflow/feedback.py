@@ -26,15 +26,7 @@ from .costs import min_eigenvalue, solve_spd
 from .descent import CoreProblem, DescentConfig, solve_hamiltonian
 from .errors import ConvergenceError, RegularityError
 from .grids import TimeGrid
-from .paths import (
-    BrownianEnsemble,
-    ClosedLoopResult,
-    ControlEnsemble,
-    StateEnsemble,
-    _euler_step,
-    mc_stderr,
-    step_major,
-)
+from .paths import BrownianEnsemble, ClosedLoopResult, _euler_step, mc_stderr, step_major
 from .variational import freeze_second_order, solve_linear_hamiltonian
 
 
@@ -68,6 +60,9 @@ def newton_minimize_batch(running, X, P, Qm, delta):
     running is the running cost frozen at the points' time (a
     costs.RunningCost, e.g. CostModel.at(t) or a GridCost step); Qm None
     stands for a zero curvature bump, whose terms are then not formed.
+    Qm must be exactly symmetric, as _reduced_objective and
+    minimize_hamiltonian_in_u make it: with the symmetric hess_uu of the
+    running cost, the Newton curvature is then symmetric without a fix-up.
     Stops when every row satisfies |p + Q u + Du_l| <= NEWTON_TOL_FACTOR (1 + |p|);
     a curvature sample below delta / 2 raises RegularityError.  An iteration
     in which every row is still active works on the whole arrays.
@@ -96,7 +91,6 @@ def newton_minimize_batch(running, X, P, Qm, delta):
         H = running.hess_uu(x_act, u_act)
         if q_act is not None:
             H = q_act + H
-        H = 0.5 * (H + np.swapaxes(H, -1, -2))
         eigmin = min_eigenvalue(H)
         if float(eigmin.min()) < floor:
             raise RegularityError(
@@ -286,7 +280,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     deriv = solve_linear_hamiltonian(spec, basis, sol, freeze_second_order(spec, sol), cfg)
     wgrid = sol.grid
     n = spec.dims.n
-    X = sol.states.values
+    X = sol.X
     Xp = np.ascontiguousarray(X)    # path-major: the mean and std sum in the order they always did
     mu, sd = Xp.mean(axis=(0, 1)), Xp.std(axis=(0, 1))
     lo = mu - margin_std * sd - 1e-6
@@ -301,7 +295,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     dt = wgrid.dt
     ctg = cost_eval.terminal_value(X[:, -1]).astype(float)
     # path-major, so that run.sum(axis=1) keeps its summation order
-    run = np.multiply(cost_eval.running_value(X[:, :N], sol.controls.values), dt, order="C")
+    run = np.multiply(cost_eval.running_value(X[:, :N], sol.U), dt, order="C")
     # P along paths: gradY (gradX)^{-1}
     Pt = np.linalg.solve(np.swapaxes(deriv.grad_X, -1, -2), np.swapaxes(deriv.grad_Y, -1, -2))
     P_paths = np.swapaxes(Pt, -1, -2)
@@ -312,7 +306,7 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
         if k % BLOCK_STEPS == 0:
             reg = StepRegression(X[:, k:min(k + BLOCK_STEPS, N)], basis, first_step=k)
         targets = np.concatenate(
-            [ctg_k[:, None], sol.adjoint.Y[:, k], P_paths[:, k].reshape(M, n * n)], axis=1
+            [ctg_k[:, None], sol.Y[:, k], P_paths[:, k].reshape(M, n * n)], axis=1
         )
         table[k] = reg.predict(k % BLOCK_STEPS, mesh, targets).reshape(table.shape[1:])
         ctg_k = ctg_k - run[:, k]
@@ -354,9 +348,7 @@ def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_sou
         U[:, k] = u_fb
         _euler_step(sc, k, Xk, U[:, k], W.increments[:, k], dt, out=X[:, k + 1])
     per_path = per_path_cost_core(core.cost_eval, grid, X, U)
-    return ClosedLoopResult(states=StateEnsemble(grid=grid, values=X),
-                            controls=ControlEnsemble(grid=grid, values=U),
-                            cost=float(per_path.mean()), per_path_cost=per_path,
+    return ClosedLoopResult(X=X, U=U, cost=float(per_path.mean()), per_path_cost=per_path,
                             stderr=mc_stderr(per_path, W.antithetic))
 
 

@@ -18,13 +18,12 @@ zero A, C or D block, and checks for blow-up once, after the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BlowupError
 from .grids import TimeGrid
-from .problem import StepCoeffs, materialize
+from .problem import StepCoeffs
 
 BLOWUP_LIMIT = 1e12
 
@@ -51,32 +50,12 @@ class BrownianEnsemble:
 
 
 @dataclass(frozen=True)
-class StateEnsemble:
-    grid: TimeGrid
-    values: np.ndarray              # [M, N+1, n], step-major
-
-    @property
-    def M(self):
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class ControlEnsemble:
-    grid: TimeGrid
-    values: np.ndarray              # [M, N, m], step-major; control held on [t_k, t_{k+1})
-
-    @property
-    def M(self):
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class ClosedLoopResult:
-    states: StateEnsemble
-    controls: ControlEnsemble
+    X: np.ndarray                   # [M, N+1, n], step-major
+    U: np.ndarray                   # [M, N, m], step-major; control held on [t_k, t_{k+1})
     cost: float
-    per_path_cost: Optional[np.ndarray] = None
-    stderr: float = np.nan
+    per_path_cost: np.ndarray
+    stderr: float
 
 
 def step_major(M: int, steps: int, *tail: int) -> np.ndarray:
@@ -163,29 +142,6 @@ def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.nda
             p = int(np.argmax(bad[:, k]))
             raise BlowupError(f"state blew up at path {p}, step {k + 1}", path=p, step=k + 1)
     return X
-
-
-def simulate_forward(spec, grid: TimeGrid, x0, u: ControlEnsemble, W: BrownianEnsemble) -> StateEnsemble:
-    """Euler-Maruyama simulation of the controlled linear dynamics.
-
-    u and W must live on the same grid and share the path count.
-    """
-    if u.grid.N != grid.N or W.grid.N != grid.N:
-        raise ValueError("control, noise and grid disagree on the step count")
-    if u.M != W.M:
-        raise ValueError("control and noise disagree on the path count")
-    sc = materialize(spec.coeffs, grid)
-    X = _simulate_core(sc, grid, x0, u.values, W.increments)
-    return StateEnsemble(grid=grid, values=X)
-
-
-def l2_norm(ens) -> float:
-    """Monte Carlo estimate of the time-integrated L2 norm, square-rooted.
-
-    sqrt( (1/M) sum_p sum_k |v[p][k]|^2 dt ), the norm the descent theory
-    contracts in.
-    """
-    return l2_norm_array(ens.values, ens.grid.dt)
 
 
 def l2_norm_array(arr: np.ndarray, dt: float) -> float:

@@ -245,8 +245,7 @@ def lq_optimal_trajectory(ric: RiccatiSolution, spec, grid: TimeGrid, x0, W):
     """
     from .adjoint import per_path_cost_core
     from .costs import GridCost
-    from .paths import (ClosedLoopResult, ControlEnsemble, StateEnsemble, _euler_step, mc_stderr,
-                        step_major)
+    from .paths import ClosedLoopResult, _euler_step, mc_stderr, step_major
     from .problem import materialize
 
     cost = _quadratic_cost(spec)
@@ -262,10 +261,8 @@ def lq_optimal_trajectory(ric: RiccatiSolution, spec, grid: TimeGrid, x0, W):
         Theta, theta = ric.gain_at(float(grid.nodes[k]))
         U[:, k] = X[:, k] @ Theta.T + theta
         _euler_step(sc, k, X[:, k], U[:, k], W.increments[:, k], dt, out=X[:, k + 1])
-    states = StateEnsemble(grid=grid, values=X)
-    controls = ControlEnsemble(grid=grid, values=U)
     per_path = per_path_cost_core(GridCost(cost, grid), grid, X, U)
-    return ClosedLoopResult(states=states, controls=controls, cost=float(per_path.mean()),
+    return ClosedLoopResult(X=X, U=U, cost=float(per_path.mean()),
                             per_path_cost=per_path, stderr=mc_stderr(per_path, W.antithetic))
 
 

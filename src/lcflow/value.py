@@ -50,7 +50,7 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
     per_path = sol.per_path_cost
     V = float(per_path.mean())
     stderr = mc_stderr(per_path, sol.W.antithetic)
-    Y0 = sol.adjoint.Y[:, 0]
+    Y0 = sol.Y[:, 0]
     DxV = Y0.mean(axis=0)
     diagnostics = {
         "iterations": sol.report.iterations,
@@ -247,8 +247,7 @@ def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
     if abs(kh * dt - h) > 1e-9:
         raise ValueError(f"h={h} is not a multiple of dt={dt}")
     cost_eval = sol.core.cost_eval
-    X = sol.states.values
-    U = sol.controls.values
+    X, U = sol.X, sol.U
     running = cost_eval.running_value(X[:, :wgrid.N], U)
     head = np.zeros(X.shape[0])
     for k in range(kh):

@@ -74,8 +74,7 @@ def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
     evaluated on (costs._hessian keeps its argument's layout), so the
     derivative solve's cost terms are step-major too.
     """
-    X = sol.states.values
-    U = sol.controls.values
+    X, U = sol.X, sol.U
     N = sol.grid.N
     running = sol.core.cost_eval.running
     qh = running.hess_xx(X[:, :N], U)
@@ -120,7 +119,7 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
     M = W.M
     N = wgrid.N
     features = step_major(M, N + 1, 2 * n)
-    features[..., n:] = sol.states.values
+    features[..., n:] = sol.X
 
     def features_fn(Xv):
         features[..., :n] = Xv
@@ -150,10 +149,10 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
         except Exception as exc:
             exc.args = (f"direction {i}: {exc.args[0]}",) + exc.args[1:]
             raise
-        grad_X[..., i] = dsol.states.values
-        grad_Y[..., i] = dsol.adjoint.Y
-        grad_Z[..., i] = dsol.adjoint.Z
-        grad_u[..., i] = dsol.controls.values
+        grad_X[..., i] = dsol.X
+        grad_Y[..., i] = dsol.Y
+        grad_Z[..., i] = dsol.Z
+        grad_u[..., i] = dsol.U
         reports.append(dsol.report)
     return DerivativeSolution(grid=wgrid, grad_X=grad_X, grad_Y=grad_Y,
                               grad_Z=grad_Z, grad_u=grad_u, reports=tuple(reports))

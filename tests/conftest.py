@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lcflow import (
     CoefficientSet,
@@ -13,6 +14,11 @@ from lcflow import (
     solve_hamiltonian,
 )
 from lcflow.presets import linear_terminal, p1, p1_d_variant, p2, zero_problem
+
+# every property test draws the same examples on every run and keeps no example
+# database; each test sets only its own max_examples
+settings.register_profile("lcflow", derandomize=True, database=None, deadline=None)
+settings.load_profile("lcflow")
 
 
 @pytest.fixture(scope="session")

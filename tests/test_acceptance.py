@@ -23,7 +23,6 @@ from lcflow import (
     generate_brownian,
     hessian_from_derivative,
     hjb_residual,
-    per_path_costs,
     regularity_margin,
     riccati_state_check,
     solve_hamiltonian,
@@ -125,22 +124,21 @@ def deriv_p1(spec_p1_a, desk_basis, sol_p1):
                                     DescentConfig(eta="auto", max_iter=120, tol_grad=1e-3))
 
 
-def test_criterion_01_lq_oracle_equivalence(spec_p1_a, desk_grid, sol_p1, ric_p1, w_desk):
-    costs = per_path_costs(spec_p1_a, sol_p1.states, sol_p1.controls)
+def test_criterion_01_lq_oracle_equivalence(desk_grid, sol_p1, ric_p1, w_desk):
+    costs = sol_p1.per_path_cost
     j = float(costs.mean())
     stderr = mc_stderr(costs, w_desk.antithetic)
     V, DxV, _ = lq_value(ric_p1, 0.0, [0.0])
     assert V == pytest.approx(0.045, abs=1e-12)
     budget = lq_value_budget(desk_grid.dt, V, stderr)
     assert abs(j - V) <= budget
-    y0 = sol_p1.adjoint.Y[:, 0].mean(axis=0)
+    y0 = sol_p1.Y[:, 0].mean(axis=0)
     assert np.max(np.abs(y0 - DxV)) <= 0.05 * (1.0 + np.max(np.abs(DxV)))
-    ref = np.empty_like(sol_p1.controls.values)
+    ref = np.empty_like(sol_p1.U)
     for k in range(desk_grid.N):
         Theta, theta = ric_p1.gain_at(float(desk_grid.nodes[k]))
-        ref[:, k] = sol_p1.states.values[:, k] @ Theta.T + theta
-    rel = l2_norm_array(sol_p1.controls.values - ref, desk_grid.dt) / l2_norm_array(
-        ref, desk_grid.dt)
+        ref[:, k] = sol_p1.X[:, k] @ Theta.T + theta
+    rel = l2_norm_array(sol_p1.U - ref, desk_grid.dt) / l2_norm_array(ref, desk_grid.dt)
     assert rel <= 0.05
     _report(1, f"|J - V| = {abs(j - V):.2e} <= {budget:.2e}; "
                f"|Y0 - DxV| = {float(np.max(np.abs(y0 - DxV))):.2e}; "
@@ -230,13 +228,13 @@ def test_criterion_08_dpp(spec_p1_a, spec_p2_a, desk_grid, w_desk, desk_basis, c
                           cfg_p2, ric_p1, sol_p1, sol_p2):
     gap1 = dpp_gap(spec_p1_a, desk_grid, 0.0, [0.0], 0.2, w_desk, desk_basis, cfg_p1,
                    RiccatiValueSource(ric_p1), sol=sol_p1)
-    costs1 = per_path_costs(spec_p1_a, sol_p1.states, sol_p1.controls)
+    costs1 = sol_p1.per_path_cost
     budget1 = dpp_budget(desk_grid.dt, 1.0 + abs(float(costs1.mean())),
                          mc_stderr(costs1, w_desk.antithetic))
     assert abs(gap1) <= budget1
     gap2 = dpp_gap(spec_p2_a, desk_grid, 0.0, [0.3], 0.2, w_desk, desk_basis, cfg_p2,
                    "fitted", sol=sol_p2)
-    costs2 = per_path_costs(spec_p2_a, sol_p2.states, sol_p2.controls)
+    costs2 = sol_p2.per_path_cost
     budget2 = 5.0 * dpp_budget(desk_grid.dt, 1.0 + abs(float(costs2.mean())),
                                mc_stderr(costs2, w_desk.antithetic))
     assert abs(gap2) <= budget2

@@ -134,6 +134,21 @@ def test_missing_problem_exits_two(workdir):
     assert main(["validate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("section, bad", [
+    ("descent", {"lipschitz_probes": 0}),
+    ("descent", {"max_iter": -1}),
+    ("initial", {"t": 0.033}),          # off the grid
+    ("initial", {"t": 1.0}),            # the horizon itself
+    ("initial", {"x": [0.0, 1.0]}),     # n = 1
+])
+def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
+    cfg = _config(workdir, monte_carlo={"M": 400}, **{section: bad})
+    out = workdir / "bad"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_env_var_overrides_output(workdir, monkeypatch):
     cfg = _config(workdir)
     target = workdir / "env_out"

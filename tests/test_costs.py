@@ -142,7 +142,7 @@ def _random_lq(n, m, d, breakpoints, seed):
     return spec, times, rng
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
        breakpoints=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
@@ -163,7 +163,7 @@ def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
         np.testing.assert_array_equal(getattr(ric, field), getattr(ref, field))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(z=st.floats(-1e-4, 1e-4))
 @example(z=1e-9)
 def test_pseudo_huber_does_not_cancel_near_zero(z):
@@ -171,7 +171,7 @@ def test_pseudo_huber_does_not_cancel_near_zero(z):
     assert pseudo_huber(np.float64(z)) == pytest.approx(z * z / 2 - z**4 / 8, rel=1e-12, abs=0)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(z=st.floats(-20.0, 20.0))
 def test_pseudo_huber_derivatives(z):
     h = 1e-5 * (1.0 + abs(z))

@@ -5,21 +5,18 @@ import pytest
 
 from lcflow import (
     CoefficientSet,
-    ControlEnsemble,
     ConvergenceError,
     DescentConfig,
     Dimensions,
     TimeGrid,
     build_lq_problem,
     generate_brownian,
-    per_path_costs,
-    simulate_forward,
-    solve_adjoint,
     solve_hamiltonian,
     uniform_convexity_gap,
 )
 from lcflow.budgets import contraction_bound
-from lcflow.descent import core_from_spec, estimate_lipschitz_core
+from lcflow.adjoint import per_path_cost_core
+from lcflow.descent import _evaluate_gradient, core_from_spec, estimate_lipschitz_core
 from lcflow.paths import l2_norm_array
 
 
@@ -38,8 +35,8 @@ def test_zero_problem_converges_immediately(grid, basis, spec_zero):
     cfg = DescentConfig(eta=0.5, max_iter=5, tol_grad=1e-8)
     sol = solve_hamiltonian(spec_zero, grid, 0.0, [1.0], W, basis, cfg)
     assert sol.report.iterations == 0
-    assert np.max(np.abs(sol.controls.values)) == 0.0
-    assert np.max(np.abs(sol.adjoint.Y)) == 0.0
+    assert np.max(np.abs(sol.U)) == 0.0
+    assert np.max(np.abs(sol.Y)) == 0.0
     assert sol.report.final_residual == 0.0
 
 
@@ -73,13 +70,11 @@ def test_auto_eta_is_delta_over_k(grid, basis, spec_p1):
     assert json.loads(sol.report.to_json())["probe_ratios"] == sol.report.probe_ratios
 
 
-def test_p1_small_scale_matches_oracle(sol_p1_small, grid, spec_p1):
-    from lcflow import evaluate_cost
-
-    J = evaluate_cost(spec_p1, sol_p1_small.states, sol_p1_small.controls)
+def test_p1_small_scale_matches_oracle(sol_p1_small, grid):
+    J = float(sol_p1_small.per_path_cost.mean())
     assert J == pytest.approx(0.045, abs=0.004)
-    ref = -sol_p1_small.states.values[:, :-1]
-    num = l2_norm_array(sol_p1_small.controls.values - ref, grid.dt)
+    ref = -sol_p1_small.X[:, :-1]
+    num = l2_norm_array(sol_p1_small.U - ref, grid.dt)
     den = l2_norm_array(ref, grid.dt)
     assert num / den <= 0.05
 
@@ -102,15 +97,11 @@ def test_affine_map_is_contractive(grid, basis, spec_p1):
     eta, k_hat = sol.report.eta, sol.report.k_hat
     factor = contraction_bound(eta, 1.0, k_hat, slack=0.05)
     rng = np.random.Generator(np.random.Philox(key=7))
+    core = core_from_spec(spec_p1, grid, [0.2])
 
     def apply_map(vals):
-        u = ControlEnsemble(grid=grid, values=np.broadcast_to(vals, (M, grid.N, 1)).copy())
-        X = simulate_forward(spec_p1, grid, [0.2], u, W)
-        adj, _ = solve_adjoint(spec_p1, X, u, W, basis)
-        from lcflow import frechet_gradient
-
-        D = frechet_gradient(spec_p1, X, u, adj)
-        return u.values - eta * D.values
+        U = np.broadcast_to(vals, (M, grid.N, 1)).copy()
+        return U - eta * _evaluate_gradient(core, U, W.increments, basis)[3]
 
     uv = rng.standard_normal((grid.N, 1)) * 0.5
     vv = rng.standard_normal((grid.N, 1)) * 0.5
@@ -128,7 +119,7 @@ def test_restart_reaches_same_fixed_point(grid, basis, spec_p1):
     rng = np.random.Generator(np.random.Philox(key=9))
     u0 = rng.uniform(-1.0, 1.0, (grid.N, 1))
     sol_b = solve_hamiltonian(spec_p1, grid, 0.0, [0.3], W, basis, cfg, u0=u0)
-    dist = l2_norm_array(sol_a.controls.values - sol_b.controls.values, grid.dt)
+    dist = l2_norm_array(sol_a.U - sol_b.U, grid.dt)
     assert dist <= 1e-4
 
 
@@ -136,10 +127,10 @@ def test_a_priori_envelope(sol_p1_small, grid):
     # second-moment envelope K (1 + |x0|^2), a sanity bound not a sharp one
     K = 50.0
     x0_sq = 0.0
-    sup_x = float((sol_p1_small.states.values**2).sum(axis=2).max(axis=1).mean())
-    sup_y = float((sol_p1_small.adjoint.Y**2).sum(axis=2).max(axis=1).mean())
-    int_z = float((sol_p1_small.adjoint.Z**2).sum(axis=(2, 3)).mean() * grid.dt)
-    int_u = float((sol_p1_small.controls.values**2).sum(axis=2).mean() * grid.dt)
+    sup_x = float((sol_p1_small.X**2).sum(axis=2).max(axis=1).mean())
+    sup_y = float((sol_p1_small.Y**2).sum(axis=2).max(axis=1).mean())
+    int_z = float((sol_p1_small.Z**2).sum(axis=(2, 3)).mean() * grid.dt)
+    int_u = float((sol_p1_small.U**2).sum(axis=2).mean() * grid.dt)
     assert sup_x + sup_y + int_z + int_u <= K * (1.0 + x0_sq)
 
 
@@ -213,8 +204,8 @@ def test_stationarity_invariant_of_solution(sol_p1_small, grid, basis, spec_p1):
     # declared tolerance, with Y pinned to the terminal gradient exactly
     assert sol_p1_small.report.final_residual <= 1e-3
     np.testing.assert_array_equal(
-        sol_p1_small.adjoint.Y[:, -1],
-        spec_p1.cost.dx_g(sol_p1_small.states.values[:, -1]),
+        sol_p1_small.Y[:, -1],
+        spec_p1.cost.dx_g(sol_p1_small.X[:, -1]),
     )
 
 
@@ -265,6 +256,7 @@ def test_solution_carries_its_per_path_cost(which, t0, spec_p1, spec_p2, basis, 
     spec, x0 = (spec_p1, [0.0]) if which == "p1" else (spec_p2, [0.3])
     sol = solve_hamiltonian(spec, grid, t0, x0, W, basis, cfg)
     assert sol.grid.t0 == pytest.approx(t0) and sol.grid.N == sol.W.increments.shape[1]
+    core = core_from_spec(spec, sol.grid, x0)
     np.testing.assert_array_equal(sol.per_path_cost,
-                                  per_path_costs(spec, sol.states, sol.controls))
+                                  per_path_cost_core(core.cost_eval, sol.grid, sol.X, sol.U))
     assert sol.report.costs[-1] == float(sol.per_path_cost.mean())

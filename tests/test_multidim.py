@@ -22,7 +22,6 @@ from lcflow import (
     freeze_second_order,
     generate_brownian,
     hessian_from_derivative,
-    per_path_costs,
     simulate_closed_loop,
     solve_hamiltonian,
     solve_linear_hamiltonian,
@@ -76,24 +75,24 @@ def test_oracle_companion_odes_satisfy_the_pde(rich_lq, ric_rich, grid30):
     assert rep_fine.max_abs_residual <= 0.35 * rep_coarse.max_abs_residual + 1e-12
 
 
-def test_solver_matches_oracle_value(rich_lq, ric_rich, grid30, sol_rich):
+def test_solver_matches_oracle_value(ric_rich, grid30, sol_rich):
     sol, W, basis, cfg = sol_rich
-    costs = per_path_costs(rich_lq, sol.states, sol.controls)
+    costs = sol.per_path_cost
     j = float(costs.mean())
     V, DxV, _ = lq_value(ric_rich, 0.0, [0.3, -0.2])
     budget = max(3 * grid30.dt * abs(V) + 0.003, 4 * mc_stderr(costs, True))
     assert abs(j - V) <= budget
-    y0 = sol.adjoint.Y[:, 0].mean(axis=0)
+    y0 = sol.Y[:, 0].mean(axis=0)
     assert np.max(np.abs(y0 - DxV)) <= 0.05 * (1 + np.max(np.abs(DxV)))
 
 
 def test_solver_control_matches_oracle_gain(rich_lq, ric_rich, grid30, sol_rich):
     sol, *_ = sol_rich
-    ref = np.empty_like(sol.controls.values)
+    ref = np.empty_like(sol.U)
     for k in range(grid30.N):
         Theta, theta = ric_rich.gain_at(float(grid30.nodes[k]))
-        ref[:, k] = sol.states.values[:, k] @ Theta.T + theta
-    rel = l2_norm_array(sol.controls.values - ref, grid30.dt) / l2_norm_array(ref, grid30.dt)
+        ref[:, k] = sol.X[:, k] @ Theta.T + theta
+    rel = l2_norm_array(sol.U - ref, grid30.dt) / l2_norm_array(ref, grid30.dt)
     assert rel <= 0.07
 
 

@@ -6,16 +6,13 @@ import pytest
 from lcflow import (
     BlowupError,
     CoefficientSet,
-    ControlEnsemble,
     Dimensions,
     TimeGrid,
     build_lq_problem,
     generate_brownian,
-    l2_norm,
-    simulate_forward,
 )
-from lcflow.paths import BLOWUP_LIMIT, _euler_step, mc_stderr
-from lcflow.problem import materialize
+from lcflow.descent import core_from_spec
+from lcflow.paths import BLOWUP_LIMIT, _euler_step, _simulate_core, l2_norm_array, mc_stderr
 
 
 def _scalar_spec(A=0.0, B=0.0, b=0.0, sigma=0.0):
@@ -27,7 +24,12 @@ def _scalar_spec(A=0.0, B=0.0, b=0.0, sigma=0.0):
 
 
 def _zero_controls(grid, M):
-    return ControlEnsemble(grid=grid, values=np.zeros((M, grid.N, 1)))
+    return np.zeros((M, grid.N, 1))
+
+
+def _forward(spec, grid, x0, U, W):
+    core = core_from_spec(spec, grid, x0)
+    return _simulate_core(core.sc, grid, core.x0, U, W.increments)
 
 
 def test_grid_nodes_and_lookup():
@@ -87,8 +89,8 @@ def test_forward_pure_drift_is_exact():
     spec = _scalar_spec(b=1.0)
     grid = TimeGrid(0.0, 1.0, 40)
     W = generate_brownian(grid, 8, seed=1)
-    X = simulate_forward(spec, grid, [0.0], _zero_controls(grid, 8), W)
-    np.testing.assert_allclose(X.values[:, :, 0], np.broadcast_to(grid.nodes, (8, 41)), atol=1e-14)
+    X = _forward(spec, grid, [0.0], _zero_controls(grid, 8), W)
+    np.testing.assert_allclose(X[:, :, 0], np.broadcast_to(grid.nodes, (8, 41)), atol=1e-14)
 
 
 def test_forward_pure_noise_telescopes():
@@ -96,36 +98,35 @@ def test_forward_pure_noise_telescopes():
     grid = TimeGrid(0.0, 1.0, 50)
     M = 20_000
     W = generate_brownian(grid, M, seed=2)
-    X = simulate_forward(spec, grid, [0.0], _zero_controls(grid, M), W)
-    np.testing.assert_allclose(X.values[:, -1, 0], W.increments.sum(axis=(1, 2)), atol=1e-12)
-    assert abs(X.values[:, -1, 0].mean()) <= 4.0 / np.sqrt(M)
+    X = _forward(spec, grid, [0.0], _zero_controls(grid, M), W)
+    np.testing.assert_allclose(X[:, -1, 0], W.increments.sum(axis=(1, 2)), atol=1e-12)
+    assert abs(X[:, -1, 0].mean()) <= 4.0 / np.sqrt(M)
 
 
 def test_forward_exponential_growth_euler_product():
     spec = _scalar_spec(A=1.0)
     grid = TimeGrid(0.0, 1.0, 100)
     W = generate_brownian(grid, 4, seed=3)
-    X = simulate_forward(spec, grid, [1.0], _zero_controls(grid, 4), W)
+    X = _forward(spec, grid, [1.0], _zero_controls(grid, 4), W)
     # (1 + dt)^N with dt = 0.01, frozen from an independent evaluation
-    assert X.values[0, -1, 0] == pytest.approx(1.01**100, rel=1e-12)
-    assert X.values[0, -1, 0] == pytest.approx(2.704813829421526, rel=1e-12)
-    assert abs(X.values[0, -1, 0] - np.e) < 0.02
+    assert X[0, -1, 0] == pytest.approx(1.01**100, rel=1e-12)
+    assert X[0, -1, 0] == pytest.approx(2.704813829421526, rel=1e-12)
+    assert abs(X[0, -1, 0] - np.e) < 0.02
 
 
 def test_l2_norm_exact_cases(grid):
     M = 16
     zero = _zero_controls(grid, M)
-    assert l2_norm(zero) == 0.0
-    const = ControlEnsemble(grid=grid, values=np.full((M, grid.N, 1), -2.0))
-    assert l2_norm(const) == pytest.approx(2.0 * np.sqrt(1.0), rel=1e-12)
+    assert l2_norm_array(zero, grid.dt) == 0.0
+    const = np.full((M, grid.N, 1), -2.0)
+    assert l2_norm_array(const, grid.dt) == pytest.approx(2.0 * np.sqrt(1.0), rel=1e-12)
 
 
 def test_l2_norm_quadrature():
     # u(t) = t on [0, 1]: the integral of t^2 is 1/3
     grid = TimeGrid(0.0, 1.0, 2000)
     vals = np.broadcast_to(grid.nodes[:-1][None, :, None], (3, grid.N, 1)).copy()
-    ens = ControlEnsemble(grid=grid, values=vals)
-    assert l2_norm(ens) == pytest.approx(np.sqrt(1.0 / 3.0), abs=2.0 / grid.N)
+    assert l2_norm_array(vals, grid.dt) == pytest.approx(np.sqrt(1.0 / 3.0), abs=2.0 / grid.N)
 
 
 def test_superposition_of_affine_dynamics():
@@ -150,13 +151,10 @@ def test_superposition_of_affine_dynamics():
     u1 = rng.standard_normal((M, grid.N, 1))
     u2 = rng.standard_normal((M, grid.N, 1))
     x1, x2 = np.array([0.4, -0.2]), np.array([-1.0, 0.7])
-    full = simulate_forward(spec, grid, x1 + x2,
-                            ControlEnsemble(grid=grid, values=u1 + u2), W)
-    base = simulate_forward(spec, grid, x1,
-                            ControlEnsemble(grid=grid, values=u1), W)
-    extra = simulate_forward(spec_h, grid, x2,
-                             ControlEnsemble(grid=grid, values=u2), W)
-    np.testing.assert_allclose(full.values, base.values + extra.values, atol=1e-12)
+    full = _forward(spec, grid, x1 + x2, u1 + u2, W)
+    base = _forward(spec, grid, x1, u1, W)
+    extra = _forward(spec_h, grid, x2, u2, W)
+    np.testing.assert_allclose(full, base + extra, atol=1e-12)
 
 
 def _run_geometric(a, c, N, inc, x0=1.0, T=1.0):
@@ -170,8 +168,8 @@ def _run_geometric(a, c, N, inc, x0=1.0, T=1.0):
     from lcflow.paths import BrownianEnsemble
 
     W = BrownianEnsemble(grid=grid, M=M, increments=inc, seed=0)
-    X = simulate_forward(spec, grid, [x0], _zero_controls(grid, M), W)
-    return X.values[:, -1, 0]
+    X = _forward(spec, grid, [x0], _zero_controls(grid, M), W)
+    return X[:, -1, 0]
 
 
 def test_euler_strong_order_geometric():
@@ -214,17 +212,17 @@ def test_blowup_names_first_offender():
     x0 = np.array([[1e6], [2e10], [1e9], [3e10]])
     U = _zero_controls(grid, 4)
     # the per-step reference: check every path after every step
-    sc = materialize(spec.coeffs, grid)
+    sc = core_from_spec(spec, grid, x0).sc
     x = x0
     for k in range(grid.N):
-        x = _euler_step(sc, k, x, U.values[:, k], W.increments[:, k], grid.dt)
+        x = _euler_step(sc, k, x, U[:, k], W.increments[:, k], grid.dt)
         bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > BLOWUP_LIMIT)
         if bad.any():
             expected = (int(np.argmax(bad)), k + 1)
             break
     assert expected == (1, 2)      # paths 1 and 3 leave the range together
     with pytest.raises(BlowupError, match="path 1, step 2") as err:
-        simulate_forward(spec, grid, x0, U, W)
+        _forward(spec, grid, x0, U, W)
     assert (err.value.path, err.value.step) == expected
 
 
@@ -237,6 +235,6 @@ def test_simulation_bit_identical_on_rerun(grid):
     spec = _scalar_spec(A=0.3, B=1.0, b=0.1, sigma=0.4)
     W = generate_brownian(grid, 512, seed=44)
     u = _zero_controls(grid, 512)
-    a = simulate_forward(spec, grid, [0.7], u, W)
-    b = simulate_forward(spec, grid, [0.7], u, W)
-    assert np.array_equal(a.values, b.values)
+    a = _forward(spec, grid, [0.7], u, W)
+    b = _forward(spec, grid, [0.7], u, W)
+    assert np.array_equal(a, b)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcflow import StructuralError, TimeGrid, build_lq_problem, generate_brownian
+from lcflow import (
+    CoefficientSet,
+    Dimensions,
+    StructuralError,
+    TimeGrid,
+    build_lq_problem,
+    generate_brownian,
+)
 from lcflow.grids import as_piecewise
 from lcflow.presets import p1, p1_d_variant
 from lcflow.riccati import (
@@ -79,7 +88,7 @@ def test_optimal_trajectory_realizes_the_gain(grid, ric_p1):
     spec = p1()
     W = generate_brownian(grid, 20_000, seed=41, antithetic=True)
     res = lq_optimal_trajectory(ric_p1, spec, grid, [0.0], W)
-    np.testing.assert_allclose(res.controls.values, -res.states.values[:, :-1], atol=1e-12)
+    np.testing.assert_allclose(res.U, -res.X[:, :-1], atol=1e-12)
     # oracle self-consistency of the cost
     assert abs(res.cost - 0.045) <= max(3 * grid.dt * 0.045, 4 * res.stderr) + 5e-4
 
@@ -111,7 +120,7 @@ def test_optimal_trajectory_cost_matches_reference(name, request):
     W = generate_brownian(grid, 400, seed=42, antithetic=True, d=spec.dims.d)
     res = lq_optimal_trajectory(solve_riccati_ode(spec, grid=grid), spec, grid,
                                 np.full(spec.dims.n, 0.2), W)
-    ref = _reference_per_path_cost(spec.cost, grid, res.states.values, res.controls.values)
+    ref = _reference_per_path_cost(spec.cost, grid, res.X, res.U)
     np.testing.assert_allclose(res.per_path_cost, ref, rtol=1e-12, atol=1e-15)
 
 
@@ -176,3 +185,20 @@ def test_lq_value_answers_a_batch(rich_lq, t):
         np.testing.assert_array_equal(DxxV[b], dxxv)
         np.testing.assert_allclose(src_DxV[b], dxv, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(src_DxxV[b], dxxv)
+
+
+@settings(max_examples=50)
+@given(a=st.floats(-1.0, 1.0), b=st.floats(0.2, 2.0), q=st.floats(0.1, 2.0),
+       r=st.floats(0.1, 2.0), sigma=st.floats(0.0, 1.0), x=st.floats(-2.0, 2.0))
+def test_policy_value_at_the_oracle_gain_is_the_value(a, b, q, r, sigma, x):
+    # G at the algebraic Riccati root P = r (a + sqrt(a^2 + b^2 q / r)) / b^2
+    # keeps P(t) constant, so the oracle's gain at t = 0 is optimal on the
+    # whole horizon and its policy value is the optimal value
+    P = r * (a + np.sqrt(a * a + b * b * q / r)) / (b * b)
+    coeffs = CoefficientSet.build(Dimensions(1, 1, 1), A=[[a]], B=[[b]], sigma=[[sigma]])
+    spec = build_lq_problem(horizon=1.0, coeffs=coeffs, G=[[P]], Q=[[q]], R=[[r]], delta=r)
+    grid = TimeGrid(0.0, 1.0, 20)
+    ric = solve_riccati_ode(spec, grid=grid)
+    value, _ = lq_policy_value(spec, grid, *ric.gain_at(0.0))
+    V, _, _ = lq_value(ric, 0.0, [x])
+    assert value([x]) == pytest.approx(V, rel=1e-12, abs=1e-12)

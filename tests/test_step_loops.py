@@ -161,7 +161,7 @@ def _block(rng, kind, shape, scale):
     return out
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
        A=BLOCK, C=BLOCK, D=BLOCK, b=BLOCK, sigma=BLOCK, S=BLOCK, q=BLOCK, rho=BLOCK,
        kappa_u=st.sampled_from([0.0, 2.0]), N=st.sampled_from([3, 12]),
@@ -239,7 +239,7 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, S, q
     for override in (None, lambda t, Xk, u: u + Xk @ K.T + c):
         run = simulate_closed_loop(spec, core, W, value_source, control_override=override)
         X_cl, U_cl = _ref_closed_loop(spec, sc, grid, x0, dW_pm, value_source, override)
-        assert _same(run.states.values, X_cl) and _same(run.controls.values, U_cl)
+        assert _same(run.X, X_cl) and _same(run.U, U_cl)
         assert _same(run.per_path_cost, _ref_cost(cost_eval, grid, X_cl, U_cl))
 
 
@@ -252,9 +252,8 @@ def test_whole_path_arrays_are_step_major(spec_p2, basis, cfg):
     grid = TimeGrid(0.0, 1.0, 12)
     W = generate_brownian(grid, 200, seed=3, antithetic=True)
     sol = solve_hamiltonian(spec_p2, grid, 0.0, [0.3], W, basis, cfg)
-    X = sol.states.values
-    for a in (W.increments, X, sol.controls.values, sol.adjoint.Y, sol.adjoint.Z,
-              sol.gradient.values):
+    X = sol.X
+    for a in (W.increments, X, sol.U, sol.Y, sol.Z, sol.D):
         assert _is_step_major(a)
     frozen = freeze_second_order(spec_p2, sol)
     assert all(_is_step_major(a) for a in (frozen.Qh, frozen.Sh, frozen.Rh))

@@ -61,7 +61,7 @@ def test_value_gradient_identity_fd(spec_p1, grid, basis, cfg, w_small):
 
 
 def test_cross_path_determinism_of_gradient(sol_p1_small):
-    y0 = sol_p1_small.adjoint.Y[:, 0]
+    y0 = sol_p1_small.Y[:, 0]
     assert float(y0.std(axis=0).max()) <= 0.02
 
 

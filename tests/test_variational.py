@@ -38,7 +38,7 @@ def test_freeze_smooth_curvature_at_origin(spec_p2, sol_p2_small):
     frozen = freeze_second_order(spec_p2, sol_p2_small)
     # the pseudo-Huber state term makes the state curvature vary along the paths
     assert np.ptp(frozen.Qh) > 1e-3
-    X0 = sol_p2_small.states.values[:, 0, 0]
+    X0 = sol_p2_small.X[:, 0, 0]
     # the start states all equal 0.3; evaluate the frozen block against the
     # direct second derivative there
     d2 = spec_p2.cost.dxx_l(0.0, np.array([[0.3]]), np.array([[0.0]]))[0, 0, 0]
@@ -50,8 +50,8 @@ def test_freeze_smooth_curvature_at_origin(spec_p2, sol_p2_small):
 def test_freeze_matches_finite_differences(spec_p2, sol_p2_small, grid):
     frozen = freeze_second_order(spec_p2, sol_p2_small)
     rng = np.random.Generator(np.random.Philox(key=2))
-    X = sol_p2_small.states.values
-    U = sol_p2_small.controls.values
+    X = sol_p2_small.X
+    U = sol_p2_small.U
     h = 1e-4
     for _ in range(100):
         p = int(rng.integers(0, X.shape[0]))
@@ -124,7 +124,7 @@ def test_difference_quotients_converge(spec_p2, grid, basis):
     errs = []
     for h in (0.1, 0.05, 0.025):
         bumped = solve_hamiltonian(spec_p2, grid, 0.0, [x0 + h], W, basis, tight)
-        dq = (bumped.states.values - base.states.values) / h
+        dq = (bumped.X - base.X) / h
         errs.append(l2_norm_array((dq - deriv.grad_X[..., 0])[:, :-1], grid.dt))
     assert errs[0] >= errs[1] >= errs[2] - 1e-4
     C = 2.0
