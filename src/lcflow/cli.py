@@ -359,13 +359,13 @@ def main(argv=None) -> int:
 
     out_dir = Path(os.environ.get("LCFLOW_OUT") or args.out
                    or cfg["output"]["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
         runner = Runner(cfg, out_dir)
     except (SchemaError, ValueError) as exc:
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2
+    # only once the config is accepted, so that a rejected one leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     chash = config_hash(cfg)
     try:

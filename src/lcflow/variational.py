@@ -11,13 +11,18 @@ is involved.
 The curvature of the value function is read off at the initial node
 (gradY there), and the Riccati state is recovered pointwise through
 P = gradY (gradX)^{-1}.
+
+When no noise reaches the derivative system (zero C and D blocks and a
+quadratic cost, see _noise_free), every path solves the same deterministic
+problem.  The direction solves then run on the fewest paths the regression
+accepts, and their first row stands for all M paths.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +62,10 @@ class FrozenQuadratic(PathCost):
 
 @dataclass(frozen=True)
 class DerivativeSolution:
-    """Derivative processes, last axis indexing the initial basis direction."""
+    """Derivative processes, last axis indexing the initial basis direction.
+
+    In the noise-free case every array is a read-only broadcast of one path.
+    """
 
     grid: TimeGrid
     grad_X: np.ndarray   # [M, N+1, n, n]
@@ -67,14 +75,32 @@ class DerivativeSolution:
     reports: tuple = ()
 
 
+def _noise_free(spec, sc: StepCoeffs) -> bool:
+    """Whether no noise reaches the frozen direction system, so that every path solves it alike.
+
+    Its inhomogeneity is zeroed, so with zero C and D blocks at every step
+    the direction state has no diffusion; a quadratic cost has the same
+    Hessians on every path.  From the same start and control the state,
+    adjoint and control iterates are then the same on every path, and Z is
+    zero.  The test is structural and exact: it reads no sampled spread.
+    """
+    return (spec.cost.family == "quadratic"
+            and not any(sc.C_nonzero) and not any(sc.D_nonzero))
+
+
 def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
     """Evaluate and symmetrize the cost Hessians along the optimal ensemble.
 
     The per-step blocks come out step-major like the paths they are
     evaluated on (costs._hessian keeps its argument's layout), so the
-    derivative solve's cost terms are step-major too.
+    derivative solve's cost terms are step-major too.  In the noise-free
+    case the blocks are the cost's own on every path: they are evaluated on
+    the first path and broadcast to all M as read-only views.
     """
     X, U = sol.X, sol.U
+    M = X.shape[0]
+    if _noise_free(spec, sol.core.sc):
+        X, U = X[:1], U[:1]
     N = sol.grid.N
     running = sol.core.cost_eval.running
     qh = running.hess_xx(X[:, :N], U)
@@ -91,12 +117,29 @@ def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
             f"sampled second derivative {worst_entry:.4g} exceeds declared bound "
             f"{spec.cost.k_hess:.4g}"
         )
+    Qh, Sh, Rh, Gh = (np.broadcast_to(a, (M,) + a.shape[1:]) for a in (Qh, Sh, Rh, Gh))
     return FrozenQuadratic(grid=sol.grid, Qh=Qh, Sh=Sh, Rh=Rh, Gh=Gh)
 
 
 def _zero_inhomogeneity(sc: StepCoeffs) -> StepCoeffs:
     return StepCoeffs(A=sc.A, B=sc.B, C=sc.C, D=sc.D,
                       b=np.zeros_like(sc.b), sigma=np.zeros_like(sc.sigma))
+
+
+def _direction_paths(spec, basis: RegressionBasis, sol: HamiltonianSolution) -> int:
+    """How many of the base ensemble's paths the direction solves run on.
+
+    All M, unless the system is noise-free: then the fewest that the
+    regression accepts, the basis size of the (direction, base) features,
+    rounded up to whole antithetic pairs.
+    """
+    M = sol.W.M
+    if not _noise_free(spec, sol.core.sc):
+        return M
+    rows = basis.size(2 * spec.dims.n)
+    if sol.W.antithetic:
+        rows += rows % 2
+    return min(rows, M)
 
 
 def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolution,
@@ -111,15 +154,26 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
     the constant-coefficient case stays exact.  Their step-major storage
     holds the base state from the start; an evaluation writes only its
     direction state.
+
+    In the noise-free case the directions run on the first few paths of the
+    ensemble (_direction_paths) and of the frozen blocks, and the first
+    row of each result is broadcast to all M paths as a read-only view.
+    The regression reproduces a path-constant target exactly (its
+    intercept is not penalized), so the few paths solve what all M would.
     """
     wgrid = sol.grid
-    W = sol.W
     n = spec.dims.n
     sc = _zero_inhomogeneity(sol.core.sc)
-    M = W.M
+    W = sol.W
+    M_all = W.M
+    M = _direction_paths(spec, basis, sol)
+    if M < M_all:
+        W = replace(W, M=M, increments=W.increments[:M])
+        frozen = replace(frozen, Qh=frozen.Qh[:M], Sh=frozen.Sh[:M], Rh=frozen.Rh[:M],
+                         Gh=frozen.Gh[:M])
     N = wgrid.N
     features = step_major(M, N + 1, 2 * n)
-    features[..., n:] = sol.X
+    features[..., n:] = sol.X[:M]
 
     def features_fn(Xv):
         features[..., :n] = Xv
@@ -154,6 +208,9 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
         grad_Z[..., i] = dsol.Z
         grad_u[..., i] = dsol.U
         reports.append(dsol.report)
+    if M < M_all:
+        grad_X, grad_Y, grad_Z, grad_u = (np.broadcast_to(a[:1], (M_all,) + a.shape[1:])
+                                          for a in (grad_X, grad_Y, grad_Z, grad_u))
     return DerivativeSolution(grid=wgrid, grad_X=grad_X, grad_Y=grad_Y,
                               grad_Z=grad_Z, grad_u=grad_u, reports=tuple(reports))
 
@@ -168,14 +225,19 @@ class HessianEstimate:
 def hessian_from_derivative(deriv: DerivativeSolution) -> HessianEstimate:
     """Value-function curvature: the ensemble value of gradY at the start node.
 
-    Across paths the start-node gradY is deterministic up to regression
-    noise; the cross-path spread is reported.
+    The cross-path spread is reported.  In the noise-free case every path
+    holds the same gradY (solve_linear_hamiltonian broadcasts one row), and
+    the spread is exactly 0.  So it is whenever all paths start from one
+    state under one control: the start node's regression then reduces to
+    its intercept.
     """
     H_paths = deriv.grad_Y[:, 0]            # [M, n, n]
     H = H_paths.mean(axis=0)
     scale = max(float(np.max(np.abs(H))), 1e-12)
     asym = float(np.max(np.abs(H - H.T))) / scale
-    spread = float(H_paths.std(axis=0).max())
+    # equal rows have no spread; np.std would leave the rounding of their mean
+    same = (H_paths == H_paths[0]).all()
+    spread = 0.0 if same else float(H_paths.std(axis=0).max())
     return HessianEstimate(matrix=0.5 * (H + H.T), asymmetry=asym, cross_path_std=spread)
 
 

@@ -146,7 +146,7 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     out = workdir / "bad"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_env_var_overrides_output(workdir, monkeypatch):

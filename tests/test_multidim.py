@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lcflow.variational
 from lcflow import (
     CoefficientSet,
     DescentConfig,
@@ -98,13 +99,32 @@ def test_solver_control_matches_oracle_gain(rich_lq, ric_rich, grid30, sol_rich)
 
 @pytest.fixture(scope="module")
 def deriv_rich(rich_lq, sol_rich):
+    """(frozen blocks, derivative solution, path count of each direction's descend call)."""
     sol, _, basis, cfg = sol_rich
     frozen = freeze_second_order(rich_lq, sol)
-    return frozen, solve_linear_hamiltonian(rich_lq, basis, sol, frozen, cfg)
+    seen = []
+    real = lcflow.variational.descend
+
+    def spy(core, W, *args, **kwargs):
+        seen.append(W.M)
+        return real(core, W, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lcflow.variational, "descend", spy)
+        deriv = solve_linear_hamiltonian(rich_lq, basis, sol, frozen, cfg)
+    return frozen, deriv, seen
+
+
+def test_noisy_derivative_keeps_the_full_ensemble(sol_rich, deriv_rich):
+    # C != 0 (and D != 0): noise reaches the direction system, so both
+    # directions run on every path
+    sol, *_ = sol_rich
+    *_, seen = deriv_rich
+    assert seen == [sol.W.M, sol.W.M]
 
 
 def test_curvature_matches_oracle_state(ric_rich, deriv_rich):
-    frozen, deriv = deriv_rich
+    frozen, deriv, _ = deriv_rich
     # quadratic costs: every frozen block equals its first (path, step) block
     for block, first in ((frozen.Qh, frozen.Qh[:1, :1]), (frozen.Sh, frozen.Sh[:1, :1]),
                          (frozen.Rh, frozen.Rh[:1, :1]), (frozen.Gh, frozen.Gh[:1])):
@@ -119,7 +139,7 @@ def test_derivative_solve_reuses_the_primal_k(rich_lq, sol_rich, deriv_rich):
     # C != 0, so the probe base is not removed by the feature normalization;
     # the derivative problem's own K still agrees with the primal one
     sol, _, basis, cfg = sol_rich
-    frozen, reused = deriv_rich
+    frozen, reused, _ = deriv_rich
     no_k = replace(sol, report=replace(sol.report, k_hat=None))
     probed = solve_linear_hamiltonian(rich_lq, basis, no_k, frozen, cfg)
     k_primal = sol.report.k_hat

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import lcflow.variational
 from lcflow import (
     DescentConfig,
     evaluate_value,
@@ -17,11 +18,37 @@ from lcflow.paths import l2_norm_array
 from lcflow.riccati import solve_riccati_ode
 from lcflow.value import fd_gradient_of_value
 
+DERIVATIVE_ARRAYS = ("grad_X", "grad_Y", "grad_Z", "grad_u")
+
 
 @pytest.fixture(scope="module")
 def deriv_p1(spec_p1, basis, cfg, sol_p1_small):
     frozen = freeze_second_order(spec_p1, sol_p1_small)
     return solve_linear_hamiltonian(spec_p1, basis, sol_p1_small, frozen, cfg)
+
+
+def spy_descend_paths(monkeypatch):
+    """The path count of every descend call the derivative solve makes, in call order."""
+    seen = []
+    real = lcflow.variational.descend
+
+    def spy(core, W, *args, **kwargs):
+        seen.append(W.M)
+        return real(core, W, *args, **kwargs)
+
+    monkeypatch.setattr(lcflow.variational, "descend", spy)
+    return seen
+
+
+def full_ensemble_derivative(spec, basis, sol, cfg, monkeypatch):
+    """The derivative solve with the noise-free predicate forced off: every direction on all M paths."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lcflow.variational, "_noise_free", lambda spec, sc: False)
+        return solve_linear_hamiltonian(spec, basis, sol, freeze_second_order(spec, sol), cfg)
+
+
+def recovered_p(deriv):
+    return deriv.grad_Y / deriv.grad_X       # n = 1: P = gradY (gradX)^{-1}
 
 
 def test_freeze_lq_is_constant(spec_p1, sol_p1_small):
@@ -100,7 +127,8 @@ def test_hessian_from_derivative_p1(deriv_p1):
     hess = hessian_from_derivative(deriv_p1)
     assert hess.matrix[0, 0] == pytest.approx(1.0, abs=0.05)
     assert hess.asymmetry <= 1e-12
-    assert hess.cross_path_std <= 0.05
+    # noise-free: every path holds the one broadcast row
+    assert hess.cross_path_std == 0.0
 
 
 def test_riccati_state_check_p1(deriv_p1, grid, spec_p1):
@@ -203,3 +231,37 @@ def test_riccati_state_csv(tmp_path, deriv_p1, grid, spec_p1):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,err_mean,err_max"
     assert len(lines) == grid.N + 2
+
+
+def test_few_path_solve_matches_the_full_ensemble(spec_p1, basis, cfg, sol_p1_small, monkeypatch):
+    seen = spy_descend_paths(monkeypatch)
+    few = solve_linear_hamiltonian(spec_p1, basis, sol_p1_small,
+                                   freeze_second_order(spec_p1, sol_p1_small), cfg)
+    full = full_ensemble_derivative(spec_p1, basis, sol_p1_small, cfg, monkeypatch)
+    # the basis size of the (direction, base) features, already whole antithetic pairs
+    M = sol_p1_small.W.M
+    assert seen == [basis.size(2), M] == [6, M]
+    for name in DERIVATIVE_ARRAYS:
+        arr = getattr(few, name)
+        assert arr.shape == getattr(full, name).shape and not arr.flags.writeable
+    for name in ("grad_X", "grad_Y", "grad_u"):
+        np.testing.assert_allclose(getattr(few, name), getattr(full, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    np.testing.assert_allclose(recovered_p(few), recovered_p(full), rtol=1e-12, atol=0)
+    # Z carries no noise either way: rounding residue only
+    assert np.max(np.abs(full.grad_Z)) <= 1e-12
+    assert np.max(np.abs(few.grad_Z)) <= 1e-12
+    assert [r.iterations for r in few.reports] == [r.iterations for r in full.reports]
+
+
+def test_noisy_problem_keeps_the_full_ensemble(spec_p1_d, grid, basis, cfg, monkeypatch):
+    # D != 0: the control's noise reaches the direction system
+    W = generate_brownian(grid, 1000, seed=7, antithetic=True)
+    sol = solve_hamiltonian(spec_p1_d, grid, 0.0, [0.0], W, basis, cfg)
+    seen = spy_descend_paths(monkeypatch)
+    deriv = solve_linear_hamiltonian(spec_p1_d, basis, sol, freeze_second_order(spec_p1_d, sol),
+                                     cfg)
+    assert seen == [W.M]
+    full = full_ensemble_derivative(spec_p1_d, basis, sol, cfg, monkeypatch)
+    for name in DERIVATIVE_ARRAYS:
+        np.testing.assert_array_equal(getattr(deriv, name), getattr(full, name), err_msg=name)
