@@ -29,11 +29,9 @@ from .errors import (
     ValidationFailure,
 )
 from .feedback import (
-    FeedbackQuery,
     LatticeValueSource,
     build_lattice_source,
     feedback_map,
-    minimize_hamiltonian_in_u,
     simulate_closed_loop,
     verify_optimality,
 )

@@ -160,7 +160,7 @@ class Runner:
     def cmd_solve(self):
         sol = self._solve()
         self.timings["descent_wall_time_s"] = sol.report.wall_time
-        rep = json.loads(sol.report.to_json())
+        rep = sol.report.to_dict()
         rep["converged"] = True
         rep["cost"] = float(sol.per_path_cost.mean())
         return rep, True

@@ -184,9 +184,11 @@ class CostModel:
     (raw arrays are taken as constant).  G, Q and R are symmetrized on entry,
     with a warning beyond rounding noise.  delta_u and delta_g are kept
     apart from R and G so the certificate's modulus stays visible.
-    Dux_l(t,x,u) equals Dxu_l(t,x,u) transposed by construction; k_hess is
-    the bound on every second-derivative entry (audited over a sampling box
-    by validate_problem).
+    The running cost l and its derivatives are evaluated on its blocks
+    frozen at one time, at(t) (a RunningCost: value, grad_x, grad_u and the
+    hess_* blocks); hess_ux equals hess_xu transposed by construction.
+    k_hess is the bound on every second-derivative entry (audited over a
+    sampling box by validate_problem).
     """
 
     n: int
@@ -264,27 +266,6 @@ class CostModel:
         base = self.G + self.delta_g * np.eye(self.n) if self.delta_g else self.G
         return _hessian(base, np.asarray(x, dtype=float), self.kappa_g)
 
-    def l(self, t, x, u):
-        return self.at(t).value(x, u)
-
-    def dx_l(self, t, x, u):
-        return self.at(t).grad_x(x, u)
-
-    def du_l(self, t, x, u):
-        return self.at(t).grad_u(x, u)
-
-    def dxx_l(self, t, x, u):
-        return self.at(t).hess_xx(x, u)
-
-    def dxu_l(self, t, x, u):
-        return self.at(t).hess_xu(x, u)
-
-    def dux_l(self, t, x, u):
-        return self.at(t).hess_ux(x, u)
-
-    def duu_l(self, t, x, u):
-        return self.at(t).hess_uu(x, u)
-
 
 class PathCost:
     """The running cost of a whole path, X [M, N, n] and U [M, N, m] at the left nodes.
@@ -360,10 +341,9 @@ def check_psd(mat, shift=0.0, tol=1e-10):
     return float(min_eigenvalue(_sym(np.asarray(mat, dtype=float))) - shift)
 
 
-def stacked_hessian(cost: CostModel, t, x, u):
-    """The (n+m) x (n+m) second derivative of l at one point."""
-    n, m = cost.n, cost.m
-    lt = cost.at(t)
+def stacked_hessian(lt: RunningCost, x, u):
+    """The (n+m) x (n+m) second derivative of the frozen running cost lt at one point."""
+    n, m = x.shape[-1], u.shape[-1]
     H = np.zeros((n + m, n + m))
     H[:n, :n] = lt.hess_xx(x, u)
     H[:n, n:] = lt.hess_xu(x, u)

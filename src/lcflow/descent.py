@@ -11,7 +11,6 @@ estimated, safety-inflated K probed around the starting control.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -59,26 +58,24 @@ class DescentReport:
     eta: float = np.nan
     k_hat: Optional[float] = None
     probe_ratios: list = field(default_factory=list)
-    wall_time: float = 0.0      # kept out of to_json, which a rerun reproduces byte for byte
+    wall_time: float = 0.0      # kept out of to_dict, which a rerun reproduces byte for byte
     converged: bool = False
     reason: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "history": [
-                    {"iter": i, "grad_norm": g, "step_norm": s, "cost": c}
-                    for i, (g, s, c) in enumerate(zip(self.grad_norms, self.step_norms, self.costs))
-                ],
-                "eta": self.eta,
-                "k_hat": self.k_hat,
-                "probe_ratios": self.probe_ratios,
-                "final_residual": self.final_residual,
-                "converged": self.converged,
-                "reason": self.reason,
-            }
-        )
+    def to_dict(self):
+        return {
+            "iterations": self.iterations,
+            "history": [
+                {"iter": i, "grad_norm": g, "step_norm": s, "cost": c}
+                for i, (g, s, c) in enumerate(zip(self.grad_norms, self.step_norms, self.costs))
+            ],
+            "eta": self.eta,
+            "k_hat": self.k_hat,
+            "probe_ratios": self.probe_ratios,
+            "final_residual": self.final_residual,
+            "converged": self.converged,
+            "reason": self.reason,
+        }
 
 
 @dataclass

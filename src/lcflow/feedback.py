@@ -4,12 +4,14 @@ The pointwise control is the minimizer of the reduced objective
 
     L(u) = <u, p> + 1/2 <Q u, u> + l(t, x, u)
 
-with p and Q assembled from the value function's gradient and curvature.
-Uniform positivity of Q + Duu_l makes damped Newton from u = 0 globally
-convergent, and the same solve runs batched across paths during
-closed-loop simulation.  One feedback step (feedback_step) takes the
-blocks frozen at its time: the closed loop passes its step's rows of the
-solution's step coefficients and GridCost, feedback_map looks them up at t.
+with p and Q assembled from the value function's gradient and curvature
+(_reduced_objective).  Uniform positivity of Q + Duu_l makes damped Newton
+from u = 0 globally convergent.  One batched solve, newton_minimize_batch,
+is the only minimizer: the closed loop runs it across paths, feedback_map
+at the points asked for, and value.hjb_residual's Hamiltonian at each
+sample.  One feedback step (feedback_step) takes the blocks frozen at its
+time: the closed loop passes its step's rows of the solution's step
+coefficients and GridCost, feedback_map looks them up at t (_blocks_at).
 """
 
 from __future__ import annotations
@@ -36,20 +38,6 @@ NEWTON_MAX_ITER = 100
 NEWTON_MAX_DAMPING = 40
 
 
-@dataclass(frozen=True)
-class FeedbackQuery:
-    """The reduced objective at one point, or at a batch of B points sharing t.
-
-    One point: x [n], p [m], q_mat [m, m].  A batch: x [B, n], p [B, m],
-    q_mat [B, m, m].
-    """
-
-    t: float
-    x: np.ndarray
-    p: np.ndarray          # linear coefficient of the reduced objective
-    q_mat: np.ndarray      # symmetric curvature bump
-
-
 def _res_norm(r):
     return np.abs(r[:, 0]) if r.shape[1] == 1 else np.linalg.norm(r, axis=-1)
 
@@ -60,9 +48,9 @@ def newton_minimize_batch(running, X, P, Qm, delta):
     running is the running cost frozen at the points' time (a
     costs.RunningCost, e.g. CostModel.at(t) or a GridCost step); Qm None
     stands for a zero curvature bump, whose terms are then not formed.
-    Qm must be exactly symmetric, as _reduced_objective and
-    minimize_hamiltonian_in_u make it: with the symmetric hess_uu of the
-    running cost, the Newton curvature is then symmetric without a fix-up.
+    Qm must be exactly symmetric, as _reduced_objective makes it: with the
+    symmetric hess_uu of the running cost, the Newton curvature is then
+    symmetric without a fix-up.
     Stops when every row satisfies |p + Q u + Du_l| <= NEWTON_TOL_FACTOR (1 + |p|);
     a curvature sample below delta / 2 raises RegularityError.  An iteration
     in which every row is still active works on the whole arrays.
@@ -115,17 +103,6 @@ def newton_minimize_batch(running, X, P, Qm, delta):
     )
 
 
-def minimize_hamiltonian_in_u(spec, query: FeedbackQuery) -> np.ndarray:
-    """The unique minimizer of the reduced objective: [m] for one point, [B, m] for a batch."""
-    p = np.atleast_2d(np.asarray(query.p, dtype=float))
-    B, m = p.shape
-    x = np.asarray(query.x, dtype=float).reshape(B, -1)
-    q = np.asarray(query.q_mat, dtype=float).reshape(B, m, m)
-    q = 0.5 * (q + np.swapaxes(q, -1, -2))
-    u = newton_minimize_batch(spec.cost.at(float(query.t)), x, p, q, spec.certificate.delta)
-    return u if np.ndim(query.p) == 2 else u[0]
-
-
 def _reduced_objective(X, DxV, DxxV, B, C, D, sigma):
     """p [B, m] and the symmetric curvature bump [B, m, m] at the points X [B, n].
 
@@ -146,18 +123,6 @@ def _blocks_at(spec, t):
     coeffs = spec.coeffs
     D = coeffs.D.at(t)
     return coeffs.B.at(t), coeffs.C.at(t), D if D.any() else None, coeffs.sigma.at(t)
-
-
-def assemble_query(spec, t, X, DxV, DxxV) -> FeedbackQuery:
-    """The batched reduced objective from the value derivatives at the points (t, X[b]).
-
-    X and DxV are [B, n], DxxV is [B, n, n].
-    """
-    X = np.asarray(X, dtype=float)
-    p, q = _reduced_objective(X, DxV, DxxV, *_blocks_at(spec, t))
-    if q is None:
-        q = np.zeros((X.shape[0],) + (p.shape[1],) * 2)
-    return FeedbackQuery(t=float(t), x=X, p=p, q_mat=q)
 
 
 def feedback_step(value_source, t, X, blocks, running, delta) -> np.ndarray:

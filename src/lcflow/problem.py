@@ -64,10 +64,6 @@ class CoefficientSet:
             sigma=pw(sigma, (d, n)),
         )
 
-    def state_diffusion(self, t, X) -> np.ndarray:
-        """C(t) x + sigma(t) at the rows x of X [B, n]: the diffusion without D(t) u, [B, d, n]."""
-        return np.einsum("inj,bj->bin", self.C.at(t), np.asarray(X, dtype=float)) + self.sigma.at(t)
-
 
 @dataclass(frozen=True)
 class StepCoeffs:
@@ -207,12 +203,13 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
         probe_x = np.zeros(n)
         probe_u = np.zeros(m)
         np.asarray(cost.dx_g(probe_x), dtype=float).reshape(n)
-        np.asarray(cost.du_l(0.0, probe_x, probe_u), dtype=float).reshape(m)
+        np.asarray(cost.at(0.0).grad_u(probe_x, probe_u), dtype=float).reshape(m)
         materialize(spec.coeffs, TimeGrid(0.0, spec.horizon, 8))
     except (ValueError, TypeError) as exc:
         raise StructuralError(str(exc)) from exc
 
     ts, xs, us = _sample_points(spec, sample_box, samples, seed)
+    lts = [cost.at(t) for t in ts]      # the running cost frozen at each sample's time
     checks = []
 
     def add(name, margin, detail="", tol=1e-10):
@@ -221,9 +218,9 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
     # cross-block transpose consistency
     worst = 0.0
     worst_pt = None
-    for t, x, u in zip(ts, xs, us):
-        dxu = cost.dxu_l(t, x, u)
-        dux = cost.dux_l(t, x, u)
+    for t, lt, x, u in zip(ts, lts, xs, us):
+        dxu = lt.hess_xu(x, u)
+        dux = lt.hess_ux(x, u)
         err = float(np.max(np.abs(dxu - dux.T)))
         if err > worst:
             worst, worst_pt = err, (t, x.copy(), u.copy())
@@ -231,8 +228,8 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
 
     # declared Hessian bound
     worst = 0.0
-    for t, x, u in zip(ts, xs, us):
-        H = stacked_hessian(cost, t, x, u)
+    for lt, x, u in zip(lts, xs, us):
+        H = stacked_hessian(lt, x, u)
         worst = max(worst, float(np.max(np.abs(H))), float(np.max(np.abs(cost.dxx_g(x)))))
     add("hessian_bound", cost.k_hess - worst, f"max sampled second derivative {worst:.4g} vs declared {cost.k_hess:.4g}")
 
@@ -244,20 +241,20 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
     grad_err = 0.0
     hess_err = 0.0
     h = 1e-4
-    for t, x, u in zip(ts[:fd_n], xs[:fd_n], us[:fd_n]):
+    for lt, x, u in zip(lts[:fd_n], xs[:fd_n], us[:fd_n]):
         grad_err = max(
             grad_err,
             rel_err(_fd_gradient(lambda z: float(cost.g(z)), x.copy(), h), cost.dx_g(x)),
-            rel_err(_fd_gradient(lambda z: float(cost.l(t, z, u)), x.copy(), h), cost.dx_l(t, x, u)),
-            rel_err(_fd_gradient(lambda z: float(cost.l(t, x, z)), u.copy(), h), cost.du_l(t, x, u)),
+            rel_err(_fd_gradient(lambda z: float(lt.value(z, u)), x.copy(), h), lt.grad_x(x, u)),
+            rel_err(_fd_gradient(lambda z: float(lt.value(x, z)), u.copy(), h), lt.grad_u(x, u)),
         )
         # Hessian rows against finite differences of the gradients
-        fd_hxx = np.stack([_fd_gradient(lambda z: float(cost.dx_l(t, z, u)[i]), x.copy(), h)
+        fd_hxx = np.stack([_fd_gradient(lambda z: float(lt.grad_x(z, u)[i]), x.copy(), h)
                            for i in range(n)])
-        fd_huu = np.stack([_fd_gradient(lambda z: float(cost.du_l(t, x, z)[i]), u.copy(), h)
+        fd_huu = np.stack([_fd_gradient(lambda z: float(lt.grad_u(x, z)[i]), u.copy(), h)
                            for i in range(m)])
-        hess_err = max(hess_err, rel_err(fd_hxx, cost.dxx_l(t, x, u)),
-                       rel_err(fd_huu, cost.duu_l(t, x, u)))
+        hess_err = max(hess_err, rel_err(fd_hxx, lt.hess_xx(x, u)),
+                       rel_err(fd_huu, lt.hess_uu(x, u)))
     add("gradient_fd_consistency", 1e-5 - grad_err, f"worst relative gradient FD error {grad_err:.2e}")
     add("hessian_fd_consistency", 1e-4 - hess_err, f"worst relative Hessian FD error {hess_err:.2e}")
 
@@ -269,10 +266,9 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
         m_shift = np.inf
         m_term = np.inf
         worst_pt = None
-        for t, x, u in zip(ts, xs, us):
-            duu = cost.duu_l(t, x, u)
-            e1 = check_psd(duu, shift=delta)
-            H = stacked_hessian(cost, t, x, u)
+        for t, lt, x, u in zip(ts, lts, xs, us):
+            e1 = check_psd(lt.hess_uu(x, u), shift=delta)
+            H = stacked_hessian(lt, x, u)
             e2 = check_psd(H)
             Hs = H.copy()
             Hs[n:, n:] -= delta * np.eye(m)
@@ -289,9 +285,9 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
     elif mode == "case2":
         m_term = np.inf
         m_joint = np.inf
-        for t, x, u in zip(ts, xs, us):
+        for lt, x, u in zip(lts, xs, us):
             m_term = min(m_term, check_psd(cost.dxx_g(x), shift=delta))
-            m_joint = min(m_joint, check_psd(stacked_hessian(cost, t, x, u)))
+            m_joint = min(m_joint, check_psd(stacked_hessian(lt, x, u)))
         add("case2_terminal_minus_delta_psd", m_term, f"worst eigenvalue margin {m_term:.3g}")
         add("case2_joint_hessian_psd", m_joint, f"worst eigenvalue margin {m_joint:.3g}")
         dtd_margin = _dtd_margin(spec.coeffs, spec.horizon, delta)

@@ -50,14 +50,12 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
     per_path = sol.per_path_cost
     V = float(per_path.mean())
     stderr = mc_stderr(per_path, sol.W.antithetic)
-    Y0 = sol.Y[:, 0]
-    DxV = Y0.mean(axis=0)
+    DxV = sol.Y[:, 0].mean(axis=0)
     diagnostics = {
         "iterations": sol.report.iterations,
         "final_residual": sol.report.final_residual,
         "eta": sol.report.eta,
         "k_hat": sol.report.k_hat,
-        "DxV_cross_path_std": float(Y0.std(axis=0).max()),
     }
     DxxV = None
     if with_hessian:
@@ -66,7 +64,6 @@ def evaluate_value(spec, grid: TimeGrid, t: float, x, W: BrownianEnsemble,
         hess = hessian_from_derivative(deriv)
         DxxV = hess.matrix
         diagnostics["DxxV_asymmetry"] = hess.asymmetry
-        diagnostics["DxxV_cross_path_std"] = hess.cross_path_std
     return ValueSample(t=float(t), x=np.asarray(x, dtype=float).reshape(-1), V=V, DxV=DxV,
                        DxxV=DxxV, stderr_V=stderr, diagnostics=diagnostics,
                        per_path_cost=per_path)
@@ -172,22 +169,28 @@ class HJBResidualReport:
 
 
 def generator_and_hamiltonian(spec, t, x, DxV, DxxV):
-    """The diffusion generator applied to V, and the minimized Hamiltonian."""
-    from .feedback import assemble_query, minimize_hamiltonian_in_u
+    """The diffusion generator applied to V, and the minimized Hamiltonian.
+
+    The Hamiltonian is the feedback law's reduced objective at its minimizer:
+    the same blocks, assembly and Newton solve as feedback_map at (t, x).
+    """
+    from .feedback import _blocks_at, _reduced_objective, newton_minimize_batch
 
     coeffs = spec.coeffs
     A = coeffs.A.at(t)
     b = coeffs.b.at(t)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    drift_lin = coeffs.state_diffusion(t, x[None])[0]           # [d, n]
+    B, C, D, sigma = _blocks_at(spec, t)
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    x = X[0]
+    drift_lin = np.einsum("inj,bj->bin", C, X)[0] + sigma      # C x + sigma, [d, n]
     LV = float(DxV @ (A @ x + b)) + 0.5 * float(np.einsum("in,nk,ik->", drift_lin, DxxV, drift_lin))
-    query = assemble_query(spec, t, x[None], np.asarray(DxV)[None], np.asarray(DxxV)[None])
-    u_star = minimize_hamiltonian_in_u(spec, query)[0]
-    H = (
-        float(u_star @ query.p[0])
-        + 0.5 * float(u_star @ query.q_mat[0] @ u_star)
-        + float(spec.cost.l(t, x, u_star))
-    )
+    p, q = _reduced_objective(X, np.asarray(DxV)[None], np.asarray(DxxV)[None], B, C, D, sigma)
+    running = spec.cost.at(t)
+    u_star = newton_minimize_batch(running, X, p, q, spec.certificate.delta)[0]
+    H = float(u_star @ p[0])
+    if q is not None:
+        H += 0.5 * float(u_star @ q[0] @ u_star)
+    H += float(running.value(x, u_star))
     return LV, H, u_star
 
 
@@ -276,7 +279,7 @@ def regularity_margin(spec, value_sample: ValueSample, u_box: float = 3.0,
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = spec.dims.m
     us = np.concatenate([np.zeros((1, m)), rng.uniform(-u_box, u_box, size=(samples, m))])
-    H = spec.cost.duu_l(t, np.broadcast_to(x, (len(us), x.shape[0])), us) + bump
+    H = spec.cost.at(t).hess_uu(np.broadcast_to(x, (len(us), x.shape[0])), us) + bump
     return float(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))[:, 0].min())
 
 

@@ -219,26 +219,19 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
 class HessianEstimate:
     matrix: np.ndarray
     asymmetry: float          # relative, before symmetrization
-    cross_path_std: float     # largest entrywise std across paths
 
 
 def hessian_from_derivative(deriv: DerivativeSolution) -> HessianEstimate:
     """Value-function curvature: the ensemble value of gradY at the start node.
 
-    The cross-path spread is reported.  In the noise-free case every path
-    holds the same gradY (solve_linear_hamiltonian broadcasts one row), and
-    the spread is exactly 0.  So it is whenever all paths start from one
-    state under one control: the start node's regression then reduces to
-    its intercept.
+    All paths start from one state under one control, so the start node's
+    regression reduces to its intercept and every path holds the same gradY
+    there.
     """
-    H_paths = deriv.grad_Y[:, 0]            # [M, n, n]
-    H = H_paths.mean(axis=0)
+    H = deriv.grad_Y[:, 0].mean(axis=0)
     scale = max(float(np.max(np.abs(H))), 1e-12)
     asym = float(np.max(np.abs(H - H.T))) / scale
-    # equal rows have no spread; np.std would leave the rounding of their mean
-    same = (H_paths == H_paths[0]).all()
-    spread = 0.0 if same else float(H_paths.std(axis=0).max())
-    return HessianEstimate(matrix=0.5 * (H + H.T), asymmetry=asym, cross_path_std=spread)
+    return HessianEstimate(matrix=0.5 * (H + H.T), asymmetry=asym)
 
 
 @dataclass

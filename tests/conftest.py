@@ -112,5 +112,10 @@ def sol_p1_small(spec_p1, grid, w_small, basis, cfg):
 
 
 @pytest.fixture(scope="session")
+def sol_p1_d_small(spec_p1_d, grid, w_small, basis, cfg):
+    return solve_hamiltonian(spec_p1_d, grid, 0.0, [0.4], w_small, basis, cfg)
+
+
+@pytest.fixture(scope="session")
 def sol_p2_small(spec_p2, grid, w_small, basis, cfg):
     return solve_hamiltonian(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg)

@@ -252,10 +252,10 @@ def test_duality_identity(grid, basis, spec_p1):
     terminal = (cost.dx_g(Xu[:, -1]) * (Xv[:, -1] - Xu[:, -1])).sum(axis=1)
     running = np.zeros(M)
     for k in range(grid.N):
-        t = float(grid.nodes[k])
+        lt = cost.at(float(grid.nodes[k]))
         running += (
-            (cost.dx_l(t, Xu[:, k], u_vals[:, k]) * (Xv[:, k] - Xu[:, k])).sum(axis=1)
-            + (cost.du_l(t, Xu[:, k], u_vals[:, k]) * (v_vals[:, k] - u_vals[:, k])).sum(axis=1)
+            (lt.grad_x(Xu[:, k], u_vals[:, k]) * (Xv[:, k] - Xu[:, k])).sum(axis=1)
+            + (lt.grad_u(Xu[:, k], u_vals[:, k]) * (v_vals[:, k] - u_vals[:, k])).sum(axis=1)
         ) * grid.dt
     rhs = float((terminal + running).mean())
     scale = 1.0 + abs(rhs)

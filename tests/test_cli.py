@@ -102,10 +102,15 @@ def test_solve_success(workdir):
 def test_rerun_is_bit_identical(workdir):
     runs = [("verify-lq", "problems/p1.json", {}, 2000, ["riccati.csv"]),
             ("feedback", "problems/p2.json", {"perturbations": 2}, 400, ["feedback_field.csv"]),
-            ("convexity-check", "problems/p2.json", {}, 400, [])]
+            ("convexity-check", "problems/p2.json", {}, 400, []),
+            ("hjb-check", "problems/p1.json", {}, 400, []),
+            ("hjb-check", "problems/p2.json", {"source": "solver", "hjb_samples": [[0.5, [0.0]]]},
+             400, []),
+            ("validate", "problems/p1.json", {}, 400, []),
+            ("value", "problems/p1.json", {"with_hessian": True}, 400, ["value_surface.csv"])]
     for command, problem, checks, M, tables in runs:
         cfg = _config(workdir, problem=problem, checks=checks, monte_carlo={"M": M})
-        out1, out2 = workdir / command / "a", workdir / command / "b"
+        out1, out2 = workdir / command / problem / "a", workdir / command / problem / "b"
         assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0, command
         assert main([command, "--config", str(cfg), "--out", str(out2)]) == 0, command
         for name in ["report.json"] + [f"tables/{t}" for t in tables]:

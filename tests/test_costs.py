@@ -41,10 +41,10 @@ def test_grid_cost_equals_pointwise_cost(name, request):
     assert grad_x.shape == X.shape and grad_u.shape == U.shape
     for k in range(grid.N):
         t = float(grid.nodes[k])
-        x, u = X[:, k], U[:, k]
-        np.testing.assert_array_equal(value[:, k], cost.l(t, x, u))
-        np.testing.assert_array_equal(grad_x[:, k], cost.dx_l(t, x, u))
-        np.testing.assert_array_equal(grad_u[:, k], cost.du_l(t, x, u))
+        x, u, lt = X[:, k], U[:, k], cost.at(t)
+        np.testing.assert_array_equal(value[:, k], lt.value(x, u))
+        np.testing.assert_array_equal(grad_x[:, k], lt.grad_x(x, u))
+        np.testing.assert_array_equal(grad_u[:, k], lt.grad_u(x, u))
 
 
 @pytest.mark.parametrize("name", ["spec_p1", "rich_lq"])
@@ -102,8 +102,8 @@ def test_piecewise_cost_round_trips_into_the_oracle(spec_p1_piecewise):
     doc = problem_to_json(spec_p1_piecewise)
     assert doc["cost"]["params"]["Q"] == {"times": [0.0, 0.5], "values": [[[1.0]], [[2.0]]]}
     spec = _round_trip(spec_p1_piecewise)
-    assert float(spec.cost.l(0.25, np.array([1.0]), np.array([0.0]))) == 0.5
-    assert float(spec.cost.l(0.5, np.array([1.0]), np.array([0.0]))) == 1.0
+    assert float(spec.cost.at(0.25).value(np.array([1.0]), np.array([0.0]))) == 0.5
+    assert float(spec.cost.at(0.5).value(np.array([1.0]), np.array([0.0]))) == 1.0
     grid = TimeGrid(0.0, 1.0, 20)
     ric = solve_riccati_ode(spec, grid=grid)
     ref = solve_riccati_ode(spec_p1_piecewise, grid=grid)
@@ -152,9 +152,9 @@ def test_random_piecewise_lq_round_trips(n, m, d, breakpoints, seed):
     for t in ts:
         x = rng.normal(size=(5, n))
         u = rng.normal(size=(5, m))
-        for name in ("l", "dx_l", "du_l"):
-            np.testing.assert_array_equal(getattr(back.cost, name)(t, x, u),
-                                          getattr(spec.cost, name)(t, x, u))
+        for name in ("value", "grad_x", "grad_u"):
+            np.testing.assert_array_equal(getattr(back.cost.at(t), name)(x, u),
+                                          getattr(spec.cost.at(t), name)(x, u))
         np.testing.assert_array_equal(back.cost.g(x), spec.cost.g(x))
     grid = TimeGrid(0.0, 1.0, 8)
     ric = solve_riccati_ode(back, grid=grid, substeps=1)

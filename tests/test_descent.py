@@ -67,7 +67,7 @@ def test_auto_eta_is_delta_over_k(grid, basis, spec_p1):
     # the raw ratios of the 4 probes are kept, and K is twice the largest
     assert len(sol.report.probe_ratios) == 4
     assert sol.report.k_hat == 2.0 * max(sol.report.probe_ratios)
-    assert json.loads(sol.report.to_json())["probe_ratios"] == sol.report.probe_ratios
+    assert json.loads(json.dumps(sol.report.to_dict()))["probe_ratios"] == sol.report.probe_ratios
 
 
 def test_p1_small_scale_matches_oracle(sol_p1_small, grid):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lcflow import (
     DescentConfig,
     Dimensions,
-    FeedbackQuery,
     RegressionBasis,
     RegularityError,
     TimeGrid,
@@ -16,7 +15,6 @@ from lcflow import (
     build_smooth_convex_problem,
     feedback_map,
     generate_brownian,
-    minimize_hamiltonian_in_u,
     simulate_closed_loop,
     solve_hamiltonian,
     verify_optimality,
@@ -43,19 +41,20 @@ def oracle_p1(grid, spec_p1):
 def test_quadratic_minimizer_one_step(spec_p1):
     # R = I, Q = 0, p = 2: the stationarity equation is linear, one Newton
     # step lands exactly on u = -2
-    q = FeedbackQuery(t=0.0, x=np.array([0.0]), p=np.array([2.0]), q_mat=np.zeros((1, 1)))
-    u = minimize_hamiltonian_in_u(spec_p1, q)
+    u = newton_minimize_batch(spec_p1.cost.at(0.0), np.array([[0.0]]), np.array([[2.0]]), None,
+                              spec_p1.certificate.delta)[0]
     assert u[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_minimizer_at_rest_point(spec_p1):
-    q = FeedbackQuery(t=0.0, x=np.array([0.4]), p=np.array([0.0]), q_mat=np.zeros((1, 1)))
-    u = minimize_hamiltonian_in_u(spec_p1, q)
+    u = newton_minimize_batch(spec_p1.cost.at(0.0), np.array([[0.4]]), np.array([[0.0]]), None,
+                              spec_p1.certificate.delta)[0]
     assert u[0] == 0.0
 
 
 def test_minimizer_growth_bound(spec_p2):
     # |u| <= K (1 + |x| + |p|) with a stable fitted constant across seeds
+    delta = spec_p2.certificate.delta
     fits = []
     for seed in (1, 2):
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -64,8 +63,8 @@ def test_minimizer_growth_bound(spec_p2):
             x = rng.uniform(-4, 4, 1)
             p = rng.uniform(-6, 6, 1)
             qm = np.array([[abs(rng.uniform(0, 2.0))]])
-            q = FeedbackQuery(t=float(rng.uniform(0, 1)), x=x, p=p, q_mat=qm)
-            u = minimize_hamiltonian_in_u(spec_p2, q)
+            t = float(rng.uniform(0, 1))
+            u = newton_minimize_batch(spec_p2.cost.at(t), x[None], p[None], qm[None], delta)[0]
             ratios.append(abs(u[0]) / (1.0 + abs(x[0]) + abs(p[0])))
         fits.append(max(ratios))
     assert all(f < 5.0 for f in fits)
@@ -74,32 +73,35 @@ def test_minimizer_growth_bound(spec_p2):
 
 def test_minimizer_is_the_infimum(spec_p2):
     rng = np.random.Generator(np.random.Philox(key=3))
+    delta = spec_p2.certificate.delta
 
-    def reduced(spec, q, u):
-        return (float(u @ q.p) + 0.5 * float(u @ q.q_mat @ u)
-                + float(spec.cost.l(q.t, q.x, u)))
+    def reduced(lt, x, p, qm, u):
+        return float(u @ p) + 0.5 * float(u @ qm @ u) + float(lt.value(x, u))
 
     for _ in range(10):
-        q = FeedbackQuery(t=float(rng.uniform(0, 1)), x=rng.uniform(-2, 2, 1),
-                          p=rng.uniform(-3, 3, 1), q_mat=np.array([[rng.uniform(0, 1.5)]]))
-        u_star = minimize_hamiltonian_in_u(spec_p2, q)
-        best = reduced(spec_p2, q, u_star)
+        t = float(rng.uniform(0, 1))
+        x, p = rng.uniform(-2, 2, 1), rng.uniform(-3, 3, 1)
+        qm = np.array([[rng.uniform(0, 1.5)]])
+        lt = spec_p2.cost.at(t)
+        u_star = newton_minimize_batch(lt, x[None], p[None], qm[None], delta)[0]
+        best = reduced(lt, x, p, qm, u_star)
         for _ in range(50):
             u = rng.uniform(-6, 6, 1)
-            assert best <= reduced(spec_p2, q, u) + 1e-12
+            assert best <= reduced(lt, x, p, qm, u) + 1e-12
 
 
 def test_minimizer_continuity(spec_p2):
     rng = np.random.Generator(np.random.Philox(key=4))
+    lt = spec_p2.cost.at(0.4)
+    delta = spec_p2.certificate.delta
     lips = []
     for _ in range(40):
-        base = FeedbackQuery(t=0.4, x=rng.uniform(-2, 2, 1), p=rng.uniform(-3, 3, 1),
-                             q_mat=np.array([[rng.uniform(0, 1.0)]]))
+        x, p = rng.uniform(-2, 2, 1), rng.uniform(-3, 3, 1)
+        qm = np.array([[rng.uniform(0, 1.0)]])
         du = rng.uniform(-1e-3, 1e-3, 3)
-        bumped = FeedbackQuery(t=0.4, x=base.x + du[0], p=base.p + du[1],
-                               q_mat=base.q_mat + abs(du[2]))
-        ua = minimize_hamiltonian_in_u(spec_p2, base)
-        ub = minimize_hamiltonian_in_u(spec_p2, bumped)
+        ua = newton_minimize_batch(lt, x[None], p[None], qm[None], delta)[0]
+        ub = newton_minimize_batch(lt, (x + du[0])[None], (p + du[1])[None],
+                                   (qm + abs(du[2]))[None], delta)[0]
         dist = np.abs(du).sum()
         if dist > 1e-9:
             lips.append(abs(ub[0] - ua[0]) / dist)
@@ -107,10 +109,9 @@ def test_minimizer_continuity(spec_p2):
 
 
 def test_regularity_floor_enforced(spec_p1):
-    q = FeedbackQuery(t=0.0, x=np.array([0.0]), p=np.array([1.0]),
-                      q_mat=np.array([[-0.9]]))
     with pytest.raises(RegularityError):
-        minimize_hamiltonian_in_u(spec_p1, q)
+        newton_minimize_batch(spec_p1.cost.at(0.0), np.array([[0.0]]), np.array([[1.0]]),
+                              np.array([[[-0.9]]]), spec_p1.certificate.delta)
 
 
 class _Recording:

@@ -56,10 +56,10 @@ def test_p2_validates_with_hessian_bound(spec_p2):
 def test_build_lq_realizes_quadratic_derivatives(spec_p1):
     cost = spec_p1.cost
     assert cost.dx_g(np.array([2.0])) == pytest.approx([2.0])
-    assert cost.du_l(0.3, np.array([1.0]), np.array([3.0])) == pytest.approx([3.0])
+    assert cost.at(0.3).grad_u(np.array([1.0]), np.array([3.0])) == pytest.approx([3.0])
     # l equals the quadratic form exactly
     x, u = np.array([1.3]), np.array([-0.7])
-    assert float(cost.l(0.5, x, u)) == pytest.approx(0.5 * (1.3**2) + 0.5 * (0.7**2), abs=1e-15)
+    assert float(cost.at(0.5).value(x, u)) == pytest.approx(0.5 * (1.3**2) + 0.5 * (0.7**2), abs=1e-15)
 
 
 def test_build_lq_zero_weights_gives_pure_control_penalty():
@@ -68,7 +68,7 @@ def test_build_lq_zero_weights_gives_pure_control_penalty():
                             Q=np.zeros((1, 1)), S=np.zeros((1, 1)), R=np.eye(1),
                             q=np.zeros(1), rho=np.zeros(1), delta=1.0)
     u = np.array([2.0])
-    assert float(spec.cost.l(0.0, np.array([5.0]), u)) == pytest.approx(2.0)
+    assert float(spec.cost.at(0.0).value(np.array([5.0]), u)) == pytest.approx(2.0)
     assert float(spec.cost.g(np.array([5.0]))) == 0.0
 
 
@@ -80,7 +80,7 @@ def test_rectangular_cross_weight():
                             Q=np.zeros((2, 2)), S=np.array([[1.0, 0.0]]), R=np.array([[2.0]]),
                             q=np.zeros(2), rho=np.zeros(1), delta=1.0, mode="declared")
     u = np.array([3.0])
-    assert spec.cost.du_l(0.1, np.array([1.0, 5.0]), u) == pytest.approx([1.0 + 2.0 * 3.0])
+    assert spec.cost.at(0.1).grad_u(np.array([1.0, 5.0]), u) == pytest.approx([1.0 + 2.0 * 3.0])
 
 
 def test_asymmetric_weight_warns_and_symmetrizes():
@@ -99,7 +99,7 @@ def test_smooth_family_degenerates_to_quadratic():
         1.0, p1().coeffs, delta=1.0, kappa_x=0.0, kappa_u=0.0, kappa_g=0.0,
     )
     u = np.array([1.5])
-    assert float(spec.cost.l(0.0, np.array([3.0]), u)) == pytest.approx(0.5 * 1.5**2)
+    assert float(spec.cost.at(0.0).value(np.array([3.0]), u)) == pytest.approx(0.5 * 1.5**2)
 
 
 def test_case2_without_control_noise_rejected():
@@ -129,11 +129,12 @@ def test_derivative_consistency_thousand_samples(which, spec_p1, spec_p2):
     us = rng.uniform(-5, 5, (1000, 1))
     h = 1e-4
     for t, x, u in zip(ts[:1000], xs, us):
-        fd = (cost.l(t, x + h, u) - cost.l(t, x - h, u)) / (2 * h)
-        ref = cost.dx_l(t, x, u)[0]
+        lt = cost.at(t)
+        fd = (lt.value(x + h, u) - lt.value(x - h, u)) / (2 * h)
+        ref = lt.grad_x(x, u)[0]
         assert abs(fd - ref) <= 1e-5 * (1 + abs(ref))
-        fdh = (cost.dx_l(t, x + h, u)[0] - cost.dx_l(t, x - h, u)[0]) / (2 * h)
-        refh = cost.dxx_l(t, x, u)[0, 0]
+        fdh = (lt.grad_x(x + h, u)[0] - lt.grad_x(x - h, u)[0]) / (2 * h)
+        refh = lt.hess_xx(x, u)[0, 0]
         assert abs(fdh - refh) <= 1e-4 * (1 + abs(refh))
 
 
@@ -146,11 +147,12 @@ def test_case1_shifted_joint_hessian_psd(spec_p2):
         t = rng.uniform(0, 1)
         x = rng.uniform(-5, 5, 1)
         u = rng.uniform(-5, 5, 1)
+        lt = cost.at(t)
         H = np.zeros((2, 2))
-        H[0, 0] = cost.dxx_l(t, x, u)[0, 0]
-        H[0, 1] = cost.dxu_l(t, x, u)[0, 0]
-        H[1, 0] = cost.dux_l(t, x, u)[0, 0]
-        H[1, 1] = cost.duu_l(t, x, u)[0, 0] - delta
+        H[0, 0] = lt.hess_xx(x, u)[0, 0]
+        H[0, 1] = lt.hess_xu(x, u)[0, 0]
+        H[1, 0] = lt.hess_ux(x, u)[0, 0]
+        H[1, 1] = lt.hess_uu(x, u)[0, 0] - delta
         assert np.linalg.eigvalsh(H)[0] >= -1e-12
 
 
@@ -168,7 +170,8 @@ def test_json_round_trip(spec_p1, spec_p2):
         doc = problem_to_json(spec)
         spec2 = problem_from_json(json.loads(json.dumps(doc)))
         x, u = np.array([0.7]), np.array([-0.4])
-        assert float(spec2.cost.l(0.3, x, u)) == pytest.approx(float(spec.cost.l(0.3, x, u)))
+        value = float(spec.cost.at(0.3).value(x, u))
+        assert float(spec2.cost.at(0.3).value(x, u)) == pytest.approx(value)
         assert float(spec2.cost.g(x)) == pytest.approx(float(spec.cost.g(x)))
         assert spec2.certificate.delta == spec.certificate.delta
         np.testing.assert_allclose(spec2.coeffs.sigma.at(0.0), spec.coeffs.sigma.at(0.0))

@@ -68,9 +68,10 @@ def test_freeze_smooth_curvature_at_origin(spec_p2, sol_p2_small):
     X0 = sol_p2_small.X[:, 0, 0]
     # the start states all equal 0.3; evaluate the frozen block against the
     # direct second derivative there
-    d2 = spec_p2.cost.dxx_l(0.0, np.array([[0.3]]), np.array([[0.0]]))[0, 0, 0]
+    lt = spec_p2.cost.at(0.0)
+    d2 = lt.hess_xx(np.array([[0.3]]), np.array([[0.0]]))[0, 0, 0]
     assert np.max(np.abs(frozen.Qh[:, 0, 0, 0] - d2)) <= 1e-12
-    d2_origin = spec_p2.cost.dxx_l(0.0, np.array([[0.0]]), np.array([[0.0]]))[0, 0, 0]
+    d2_origin = lt.hess_xx(np.array([[0.0]]), np.array([[0.0]]))[0, 0, 0]
     assert d2_origin == pytest.approx(0.5)
 
 
@@ -85,7 +86,8 @@ def test_freeze_matches_finite_differences(spec_p2, sol_p2_small, grid):
         k = int(rng.integers(0, grid.N))
         t = float(grid.nodes[k])
         x, u = X[p, k], U[p, k]
-        fd = (spec_p2.cost.dx_l(t, x + h, u)[0] - spec_p2.cost.dx_l(t, x - h, u)[0]) / (2 * h)
+        lt = spec_p2.cost.at(t)
+        fd = (lt.grad_x(x + h, u)[0] - lt.grad_x(x - h, u)[0]) / (2 * h)
         ref = frozen.Qh[p, k, 0, 0]
         assert abs(fd - ref) <= 1e-4 * (1.0 + abs(ref))
 
@@ -127,8 +129,9 @@ def test_hessian_from_derivative_p1(deriv_p1):
     hess = hessian_from_derivative(deriv_p1)
     assert hess.matrix[0, 0] == pytest.approx(1.0, abs=0.05)
     assert hess.asymmetry <= 1e-12
-    # noise-free: every path holds the one broadcast row
-    assert hess.cross_path_std == 0.0
+    # noise-free: every path holds the one broadcast row, exactly
+    grad_Y0 = deriv_p1.grad_Y[:, 0]
+    assert (grad_Y0 == grad_Y0[0]).all()
 
 
 def test_riccati_state_check_p1(deriv_p1, grid, spec_p1):
