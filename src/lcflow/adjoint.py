@@ -20,8 +20,9 @@ Y is stored per path as the fitted value plus the driver increment, never
 as the raw rollback, which keeps Y_k a function of the step's information.
 
 Only the recursion runs step by step: Dx_l is evaluated for the whole path
-before the sweep, the diagnostics once per regression block, and the
-finiteness check once after the sweep.  X, U, Y, Z, the gradient and the
+before the sweep, straight into the rows of Y that step k then overwrites
+with Y_k, the diagnostics once per regression block, and the finiteness
+check once after the sweep.  X, U, Y, Z, the gradient and the
 regression features are step-major (paths.step_major), so every step
 reads and writes whole contiguous rows Y[:, k], Z[:, k], and a regression
 block of one feature coordinate is used in place.
@@ -218,21 +219,25 @@ class AdjointDiagnostics:
 
 
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,
-                   dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None):
+                   dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None, ws=None):
     """Core backward sweep; returns (Y, Z, diagnostics), Y and Z step-major.
 
+    With a workspace ws (descent.Workspace), Y, Z and the block residuals
+    are written into its arrays Y, Z and resid; else they are fresh.
     A non-finite Y or Z raises BlowupError at the first step the sweep reached.
     """
     M, _, n = X.shape
     d = dW.shape[2]
     N = grid.N
     dt = grid.dt
-    Y = step_major(M, N + 1, n)
-    Z = step_major(M, N, d, n)
-    resid = np.empty((BLOCK_STEPS, M, n))      # a block's residuals, each step contiguous
+    if ws is None:
+        Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
+        resid = np.empty((BLOCK_STEPS, M, n))      # a block's residuals, each step contiguous
+    else:
+        Y, Z, resid = ws.Y, ws.Z, ws.resid
     cond, rmean, rbound = np.empty(N), np.empty(N), np.empty(N)
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
-    Y[:, :N] = cost_eval.running_grad_x(X[:, :N], U)     # Dx_l, until step k overwrites Y_k
+    cost_eval.running_grad_x(X[:, :N], U, out=Y[:, :N])     # Dx_l, until step k overwrites Y_k
     F = features if features is not None else X
     k0 = N
     for k in range(N - 1, -1, -1):
@@ -256,9 +261,10 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
             cond[block] = reg.cond
             rmean[block] = np.abs(R.mean(axis=1)).max(axis=1)
             rbound[block] = 4.0 * R.std(axis=1).max(axis=1) / np.sqrt(M)
-    bad = ~np.isfinite(Y).all(axis=2)                           # [M, N+1]
-    bad[:, :N] |= ~np.isfinite(Z).all(axis=(2, 3))
-    if bad.any():
+    # all finite iff the extremes are (a NaN or an infinity reaches them)
+    if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (Y, Z)):
+        bad = ~np.isfinite(Y).all(axis=2)                           # [M, N+1]
+        bad[:, :N] |= ~np.isfinite(Z).all(axis=(2, 3))
         k = int(np.flatnonzero(bad.any(axis=0))[-1])
         p = int(np.argmax(bad[:, k]))
         raise BlowupError(f"adjoint left the finite range at path {p}, step {k}", path=p, step=k)
@@ -266,24 +272,36 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     return Y, Z, diag
 
 
-def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z) -> np.ndarray:
+def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z, ws=None) -> np.ndarray:
     """Cost gradient in the control: B^T Y + D^T Z + Du_l, per (path, step), step-major.
 
-    The D^T Z term is not formed when D is zero at every step.
+    The D^T Z term is not formed when D is zero at every step.  With a
+    workspace ws (descent.Workspace), the gradient is written into ws.D and
+    its terms are formed in ws.grad; else both are fresh.
     """
     N = grid.N
-    D = np.einsum("pkn,knm->pkm", Y[:, :N], sc.B, out=step_major(X.shape[0], N, sc.B.shape[2]))
+    M, m = X.shape[0], sc.B.shape[2]
+    D = step_major(M, N, m) if ws is None else ws.D
+    term = step_major(M, N, m) if ws is None else ws.grad
+    np.einsum("pkn,knm->pkm", Y[:, :N], sc.B, out=D)
     if any(sc.D_nonzero):
-        D += np.einsum("pkij,kijm->pkm", Z, sc.D)
-    D += cost_eval.running_grad_u(X[:, :N], U)
+        D += np.einsum("pkij,kijm->pkm", Z, sc.D, out=term)
+    D += cost_eval.running_grad_u(X[:, :N], U, out=term)
     return D
 
 
-def per_path_cost_core(cost_eval, grid: TimeGrid, X, U) -> np.ndarray:
+def per_path_cost_core(cost_eval, grid: TimeGrid, X, U, ws=None) -> np.ndarray:
+    """The cost of each path: the terminal cost plus the running cost summed in time order.
+
+    With a workspace ws (descent.Workspace), the running costs are formed
+    in ws.run.
+    """
+    N = grid.N
     total = cost_eval.terminal_value(X[:, -1]).astype(float)
-    # one row per step, contiguous for step-major paths
-    running = cost_eval.running_value(X[:, :grid.N], U).T * grid.dt
+    running = cost_eval.running_value(X[:, :N], U, out=None if ws is None else ws.run)
+    rows = running.T        # one row per step, contiguous for step-major paths
+    rows *= grid.dt
     # a sequential sum in time order, which fixes the rounding of every reported cost
-    for row in running:
+    for row in rows:
         total += row
     return total

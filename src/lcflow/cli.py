@@ -17,6 +17,11 @@ import sys
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
+
 import numpy as np
 
 from . import __version__
@@ -83,8 +88,10 @@ def load_config(path: str, overrides=None) -> dict:
     unknown = set(raw) - _ALLOWED_TOP
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {k: _merge(_DEFAULTS[k], raw.get(k)) if k in _DEFAULTS else raw.get(k)
-           for k in set(_DEFAULTS) | set(raw)}
+    # the defaults' sections in their order, then the file's other keys in its order, so
+    # that run-metadata.json lists the config alike under every hash seed
+    keys = list(_DEFAULTS) + [k for k in raw if k not in _DEFAULTS]
+    cfg = {k: _merge(_DEFAULTS[k], raw.get(k)) if k in _DEFAULTS else raw.get(k) for k in keys}
     for k, v in (overrides or {}).items():
         if v is None:
             continue
@@ -339,6 +346,11 @@ class Runner:
         return getattr(self, "cmd_" + command.replace("-", "_"))()
 
 
+def _minor_faults():
+    """The minor page faults of this process so far; None where resource is missing."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lcflow",
@@ -351,6 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t_start = time.perf_counter()
+    faults_start = _minor_faults()
     try:
         cfg = load_config(args.config, overrides={"monte_carlo.seed": args.seed})
     except (ConfigError, SchemaError) as exc:
@@ -392,6 +405,8 @@ def main(argv=None) -> int:
         "wall_time_s": time.perf_counter() - t_start,
         **runner.timings,
     }
+    if faults_start is not None:
+        meta["minor_faults"] = _minor_faults() - faults_start
     (out_dir / "run-metadata.json").write_text(json.dumps(meta, indent=2, default=str) + "\n",
                                                encoding="utf-8")
     if error is not None:

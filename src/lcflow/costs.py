@@ -16,8 +16,11 @@ by sampling.  The LQ family is the case where every weight is zero.
 Each formula of the running cost is written once, on frozen blocks
 (RunningCost): CostModel looks the blocks up at one time, GridCost stacks
 them per grid node and evaluates a whole path [M, N, .] in one call.  Terms
-whose weight is zero are skipped, not multiplied by 0, and so are the S, q
-and rho terms when their block is identically zero where it was frozen.
+whose weight is zero are skipped, not multiplied by 0, and so are the Q, S,
+R, q and rho terms of the value and gradients when their block is
+identically zero where it was frozen (P2's Q and R, for one).  The value
+and gradients can be written into a caller's array (out=), term by term
+with in-place ufuncs, in the order the formula sums them.
 
 All evaluations are vectorized: x has shape (..., n), u has shape (..., m),
 values come back with shape (...), gradients with a trailing n or m axis,
@@ -41,8 +44,12 @@ def pseudo_huber(z):
     return z * z / (1.0 + np.sqrt(1.0 + z * z))
 
 
-def pseudo_huber_d1(z):
-    return z / np.sqrt(1.0 + z * z)
+def pseudo_huber_d1(z, out=None):
+    """z / sqrt(1 + z^2), formed in out if given."""
+    den = np.multiply(z, z, out=out)
+    den = np.add(den, 1.0, out=out)
+    den = np.sqrt(den, out=out)
+    return np.divide(z, den, out=out)
 
 
 def pseudo_huber_d2(z):
@@ -53,22 +60,32 @@ def _sym(a):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _quad_form(mat, v):
+def _quad_form(mat, v, out=None):
     # 1/2 <M v, v> over the trailing axis
-    return 0.5 * np.einsum("...i,...ij,...j->...", v, mat, v)
+    return np.multiply(np.einsum("...i,...ij,...j->...", v, mat, v, out=out), 0.5, out=out)
+
+
+def _empty_like_batch(z, tail):
+    """An empty array [*z.shape[:-1], *tail] whose batch axes are laid out in memory as z's are.
+
+    The batch axes are ordered outermost stride first, so a step-major z
+    gives a step-major result.
+    """
+    batch = z.shape[:-1]
+    outer = sorted(range(len(batch)), key=lambda a: z.strides[a], reverse=True)
+    out = np.empty(tuple(batch[a] for a in outer) + tail)
+    if outer != sorted(outer):
+        out = out.transpose(tuple(np.argsort(outer)) + tuple(range(len(batch), out.ndim)))
+    return out
 
 
 def _hessian(base, z, kappa):
     """base broadcast over the batch axes of z, plus kappa ph''(z) on the diagonal.
 
-    The result's batch axes are laid out in memory as z's are (outermost
-    stride first), so the Hessian of a step-major path is step-major.
+    The result's batch axes are laid out in memory as z's are, so the
+    Hessian of a step-major path is step-major.
     """
-    batch = z.shape[:-1]
-    outer = sorted(range(len(batch)), key=lambda a: z.strides[a], reverse=True)
-    out = np.empty(tuple(batch[a] for a in outer) + base.shape[-2:])
-    if outer != sorted(outer):
-        out = out.transpose(tuple(np.argsort(outer)) + (-2, -1))
+    out = _empty_like_batch(z, base.shape[-2:])
     out[...] = base
     if kappa:
         idx = np.arange(z.shape[-1])
@@ -79,6 +96,39 @@ def _hessian(base, z, kappa):
 def _nonzero(block):
     """The frozen block, or None when it is identically zero and its terms can be dropped."""
     return block if block.any() else None
+
+
+class _Sum:
+    """Terms summed into one array in the order they come, the first written rather than added to 0.
+
+    term() is where the next term is to be written: the result itself for
+    the first, then one scratch array, which is added into the result when
+    the next term is asked for and by total().
+    """
+
+    __slots__ = ("out", "_scratch", "_terms")
+
+    def __init__(self, out):
+        self.out = out
+        self._scratch = None
+        self._terms = 0
+
+    def term(self):
+        self._terms += 1
+        if self._terms == 1:
+            return self.out
+        if self._terms == 2:
+            self._scratch = np.empty_like(self.out)
+        else:
+            self.out += self._scratch
+        return self._scratch
+
+    def total(self):
+        if self._terms == 0:
+            self.out[...] = 0.0
+        elif self._terms > 1:
+            self.out += self._scratch
+        return self.out
 
 
 def _symmetrized(pw: PiecewiseConstant, name: str, tol=1e-12) -> PiecewiseConstant:
@@ -96,7 +146,14 @@ class RunningCost:
 
     Blocks may carry leading axes ([N] per grid node, [M, N] per path and
     node) that broadcast against those of x and u; S, q and rho may be None,
-    which stands for an all-zero block.
+    which stands for an all-zero block.  Q and R are always blocks, which the
+    Hessians read, but their terms are dropped from value, grad_x and grad_u
+    when they are identically zero.
+
+    value, grad_x and grad_u write into out when it is given (of the shape
+    their result has: the batch axes of x, u and the blocks broadcast, then
+    n or m), and otherwise into a fresh array.  Either way the terms are
+    summed in the same order, so the result is the same bits.
     """
 
     Q: np.ndarray
@@ -108,50 +165,85 @@ class RunningCost:
     kappa_x: float = 0.0
     kappa_u: float = 0.0
 
-    def value(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        val = _quad_form(self.Q, x)
-        if self.S is not None:
-            val = val + np.einsum("...i,...ij,...j->...", u, self.S, x)
-        val = val + _quad_form(self.R, u)
-        if self.q is not None:
-            val = val + np.einsum("...i,...i->...", x, self.q)
-        if self.rho is not None:
-            val = val + np.einsum("...i,...i->...", u, self.rho)
-        if self.delta_u:
-            val = val + 0.5 * self.delta_u * (u * u).sum(axis=-1)
-        if self.kappa_x:
-            val = val + self.kappa_x * pseudo_huber(x).sum(axis=-1)
-        if self.kappa_u:
-            val = val + self.kappa_u * pseudo_huber(u).sum(axis=-1)
-        return val
+    @cached_property
+    def _Q_nonzero(self) -> bool:
+        return bool(self.Q.any())
 
-    def grad_x(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        out = np.einsum("...ij,...j->...i", self.Q, x)
-        if self.S is not None:
-            out = out + np.einsum("...ji,...j->...i", self.S, u)
-        if self.q is not None:
-            out = out + self.q
-        if self.kappa_x:
-            out = out + self.kappa_x * pseudo_huber_d1(x)
-        return out
+    @cached_property
+    def _R_nonzero(self) -> bool:
+        return bool(self.R.any())
 
-    def grad_u(self, x, u):
+    @cached_property
+    def _block_batch(self) -> tuple:
+        blocks = [self.Q.shape[:-2], self.R.shape[:-2]]
+        blocks += [b.shape[:-2] for b in (self.S,) if b is not None]
+        blocks += [b.shape[:-1] for b in (self.q, self.rho) if b is not None]
+        return np.broadcast_shapes(*blocks)
+
+    def _sum(self, out, x, u, tail=()):
+        """The sum of the terms, in out, or else in a fresh array laid out as x if x has every
+        batch axis."""
+        if out is None:
+            batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1], self._block_batch)
+            out = _empty_like_batch(x, tail) if batch == x.shape[:-1] else np.empty(batch + tail)
+        return _Sum(out)
+
+    def value(self, x, u, out=None):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        out = np.einsum("...ij,...j->...i", self.R, u)
+        val = self._sum(out, x, u)
+        if self._Q_nonzero:
+            _quad_form(self.Q, x, out=val.term())
         if self.S is not None:
-            out = out + np.einsum("...ij,...j->...i", self.S, x)
+            np.einsum("...i,...ij,...j->...", u, self.S, x, out=val.term())
+        if self._R_nonzero:
+            _quad_form(self.R, u, out=val.term())
+        if self.q is not None:
+            np.einsum("...i,...i->...", x, self.q, out=val.term())
         if self.rho is not None:
-            out = out + self.rho
+            np.einsum("...i,...i->...", u, self.rho, out=val.term())
         if self.delta_u:
-            out = out + self.delta_u * u
+            t = val.term()
+            np.multiply(np.sum(u * u, axis=-1, out=t), 0.5 * self.delta_u, out=t)
+        if self.kappa_x:
+            t = val.term()
+            np.multiply(np.sum(pseudo_huber(x), axis=-1, out=t), self.kappa_x, out=t)
         if self.kappa_u:
-            out = out + self.kappa_u * pseudo_huber_d1(u)
-        return out
+            t = val.term()
+            np.multiply(np.sum(pseudo_huber(u), axis=-1, out=t), self.kappa_u, out=t)
+        return val.total()
+
+    def grad_x(self, x, u, out=None):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        grad = self._sum(out, x, u, x.shape[-1:])
+        if self._Q_nonzero:
+            np.einsum("...ij,...j->...i", self.Q, x, out=grad.term())
+        if self.S is not None:
+            np.einsum("...ji,...j->...i", self.S, u, out=grad.term())
+        if self.q is not None:
+            np.copyto(grad.term(), self.q)
+        if self.kappa_x:
+            t = grad.term()
+            np.multiply(pseudo_huber_d1(x, out=t), self.kappa_x, out=t)
+        return grad.total()
+
+    def grad_u(self, x, u, out=None):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        grad = self._sum(out, x, u, u.shape[-1:])
+        if self._R_nonzero:
+            np.einsum("...ij,...j->...i", self.R, u, out=grad.term())
+        if self.S is not None:
+            np.einsum("...ij,...j->...i", self.S, x, out=grad.term())
+        if self.rho is not None:
+            np.copyto(grad.term(), self.rho)
+        if self.delta_u:
+            np.multiply(u, self.delta_u, out=grad.term())
+        if self.kappa_u:
+            t = grad.term()
+            np.multiply(pseudo_huber_d1(u, out=t), self.kappa_u, out=t)
+        return grad.total()
 
     def hess_xx(self, x, u):
         return _hessian(self.Q, np.asarray(x, dtype=float), self.kappa_x)
@@ -271,17 +363,19 @@ class PathCost:
     """The running cost of a whole path, X [M, N, n] and U [M, N, m] at the left nodes.
 
     This is the interface the backward solver and the descent loop consume;
-    a subclass supplies the frozen blocks as `running`.
+    a subclass supplies the frozen blocks as `running`.  Each method writes
+    into out when it is given ([M, N] for the value, the shape of X or U for
+    the gradients), which the gradient evaluation does with its own buffers.
     """
 
-    def running_value(self, X, U):
-        return self.running.value(X, U)
+    def running_value(self, X, U, out=None):
+        return self.running.value(X, U, out)
 
-    def running_grad_x(self, X, U):
-        return self.running.grad_x(X, U)
+    def running_grad_x(self, X, U, out=None):
+        return self.running.grad_x(X, U, out)
 
-    def running_grad_u(self, X, U):
-        return self.running.grad_u(X, U)
+    def running_grad_u(self, X, U, out=None):
+        return self.running.grad_u(X, U, out)
 
 
 class GridCost(PathCost):

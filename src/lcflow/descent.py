@@ -12,12 +12,12 @@ estimated, safety-inflated K probed around the starting control.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .adjoint import RegressionBasis, backward_solve, gradient_core, per_path_cost_core
+from .adjoint import BLOCK_STEPS, RegressionBasis, backward_solve, gradient_core, per_path_cost_core
 from .costs import GridCost
 from .errors import BlowupError, ConvergenceError
 from .grids import TimeGrid
@@ -140,11 +140,60 @@ def core_from_spec(spec, grid: TimeGrid, x0) -> CoreProblem:
     )
 
 
-def _evaluate_gradient(core: CoreProblem, U, dW, basis):
-    X = _simulate_core(core.sc, core.grid, core.x0, U, dW)
+@dataclass(frozen=True)
+class Workspace:
+    """The whole-path buffers a gradient evaluation on M paths writes in place.
+
+    X, Y, Z and D receive an evaluation's results and U holds the control it
+    runs on; the other arrays are scratch that no result is left in.  BU and
+    DU (None when D is zero at every step) hold the forward sweep's B u and
+    D u, resid a regression block's residuals, grad the gradient's terms,
+    run the running costs of per_path_cost_core and squares those of
+    l2_norm_array.  The whole-path arrays are step-major, but squares is
+    path-major.
+
+    Scratch shares memory where lifetimes allow: B u and D u live in Y's
+    first N rows and in Z, which the backward sweep writes only after the
+    forward sweep is done with them, and grad, run and squares are views of
+    one array, each used by one step of an iteration after the other.
+    """
+
+    X: np.ndarray       # [M, N+1, n]
+    U: np.ndarray       # [M, N, m]
+    Y: np.ndarray       # [M, N+1, n]
+    Z: np.ndarray       # [M, N, d, n]
+    D: np.ndarray       # [M, N, m]
+    BU: np.ndarray      # [M, N, n], Y[:, :N]
+    DU: Optional[np.ndarray]    # [M, N, d, n], Z
+    resid: np.ndarray   # [BLOCK_STEPS, M, n]
+    grad: np.ndarray    # [M, N, m]
+    run: np.ndarray     # [M, N]
+    squares: np.ndarray     # [M, N, m], C-contiguous
+
+    @classmethod
+    def allocate(cls, core: CoreProblem, M: int) -> "Workspace":
+        sc, N = core.sc, core.grid.N
+        d, n = sc.sigma.shape[1:]
+        m = sc.B.shape[2]
+        Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
+        scratch = np.empty(N * M * m)
+        return cls(X=step_major(M, N + 1, n), U=step_major(M, N, m), Y=Y, Z=Z,
+                   D=step_major(M, N, m), BU=Y[:, :N], DU=Z if any(sc.D_nonzero) else None,
+                   resid=np.empty((BLOCK_STEPS, M, n)),
+                   grad=scratch.reshape(N, M, m).swapaxes(0, 1),
+                   run=scratch[:N * M].reshape(N, M).T, squares=scratch.reshape(M, N, m))
+
+
+def _evaluate_gradient(core: CoreProblem, U, dW, basis, ws: Workspace = None):
+    """One forward-backward evaluation at the control U: (X, Y, Z, D, diagnostics).
+
+    With a workspace ws, X, Y, Z and D are its arrays, overwritten; else they
+    are fresh.
+    """
+    X = _simulate_core(core.sc, core.grid, core.x0, U, dW, ws)
     Y, Z, diag = backward_solve(core.sc, core.cost_eval, core.grid, X, U, dW, basis,
-                                core.features(X))
-    D = gradient_core(core.sc, core.cost_eval, core.grid, X, U, Y, Z)
+                                core.features(X), ws)
+    D = gradient_core(core.sc, core.cost_eval, core.grid, X, U, Y, Z, ws)
     return X, Y, Z, D, diag
 
 
@@ -167,12 +216,14 @@ def _probe_controls(shape_nm, count, scale, seed, demean=False):
 
 
 def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int,
-                            scale: float = 1.0, base=None):
+                            scale: float = 1.0, base=None, ws: Workspace = None):
     """Safety-inflated squared-norm ratio max ||D[u+v]-D[u]||^2 / ||v||^2.
 
     The probes share one base control u: base is (U, D[U]) as already
-    evaluated by the caller, else u = 0 is evaluated here.  Returns the
-    estimate 2 * max ratio and the raw ratios.
+    evaluated by the caller, else u = 0 is evaluated here.  The probes run
+    in the workspace ws, which must hold neither array of base (one is
+    allocated when ws is None).  Returns the estimate 2 * max ratio and the
+    raw ratios.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -184,14 +235,17 @@ def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int
         U0 = step_major(M, N, m)
         U0[...] = 0.0
         base = (U0, _evaluate_gradient(core, U0, dW, basis)[3])
+    if ws is None:
+        ws = Workspace.allocate(core, M)
     U0, D0 = base
     ratios = []
     for vb in _probe_controls((N, m), probes, scale, seed + 1, demean=True):
         vnorm = l2_norm_array(np.broadcast_to(vb, (1, N, m)), dt)
         if vnorm <= 1e-14:
             continue
-        *_, D1, _ = _evaluate_gradient(core, U0 + vb, dW, basis)
-        ratios.append(float(l2_norm_array(D1 - D0, dt) ** 2 / vnorm**2))
+        *_, D1, _ = _evaluate_gradient(core, np.add(U0, vb, out=ws.U), dW, basis, ws)
+        diff = np.subtract(D1, D0, out=ws.U)       # the probe's control is spent
+        ratios.append(float(l2_norm_array(diff, dt, ws.squares) ** 2 / vnorm**2))
     if not ratios:
         raise ValueError("all probe perturbations were degenerate")
     return 2.0 * max(ratios), ratios
@@ -207,21 +261,42 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
     integrated norm) or on the step size.  A non-finite residual or hitting
     the iteration cap raises ConvergenceError; it, and a BlowupError of an
     iterate, carry the residual history, eta and K.
+
+    Buffers: descend allocates one Workspace, and every evaluation writes
+    into it, so the iterations allocate no whole-path array.  Its X, Y and Z
+    are overwritten by each evaluation.  U and D alternate with a spare pair,
+    because the next control and a backtracking step read the last
+    iterate's.  The probes run in the spare U and D and overwrite X, Y and
+    Z, so iteration 0's residual and cost are taken before them; only when
+    iteration 0 is already the solution do they get buffers of their own.
+    The returned solution takes the current X, U, Y, Z and D, and descend
+    keeps none of them.
     """
     t_start = time.perf_counter()
     dW = W.increments
     M = W.M
-    N = core.grid.N
-    m = core.sc.B.shape[2]
     dt = core.grid.dt
     report = DescentReport()
-    U = step_major(M, N, m)
+    cur = Workspace.allocate(core, M)
+    spare = replace(cur, U=np.empty_like(cur.U), D=np.empty_like(cur.D))
+
+    def residual_and_cost(evaluation, U, ws):
+        """The stationarity residual and, when it is finite, the per-path cost of an iterate."""
+        X, D = evaluation[0], evaluation[3]
+        gnorm = l2_norm_array(D, dt, ws.squares)
+        if not np.isfinite(gnorm):
+            return gnorm, None
+        return gnorm, per_path_cost_core(core.cost_eval, core.grid, X, U, ws)
+
+    U = cur.U
     U[...] = 0.0 if u0 is None else np.asarray(u0, dtype=float)
-    evaluation = _evaluate_gradient(core, U, dW, basis)
+    evaluation = _evaluate_gradient(core, U, dW, basis, cur)
+    gnorm, costs = residual_and_cost(evaluation, U, cur)
     if cfg.eta == "auto":
         if core.k_lip is None:
             report.k_hat, report.probe_ratios = estimate_lipschitz_core(
-                core, dW, basis, cfg.lipschitz_probes, PROBE_SEED, base=(U, evaluation[3]))
+                core, dW, basis, cfg.lipschitz_probes, PROBE_SEED, base=(U, evaluation[3]),
+                ws=Workspace.allocate(core, M) if gnorm <= cfg.tol_grad else spare)
         else:
             report.k_hat = core.k_lip
         eta = core.delta / report.k_hat
@@ -238,19 +313,19 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
     for it in range(cfg.max_iter + 1):
         if it:
             try:
-                evaluation = _evaluate_gradient(core, U, dW, basis)
+                evaluation = _evaluate_gradient(core, U, dW, basis, cur)
             except BlowupError as exc:
                 raise failure(exc)
+            gnorm, costs = residual_and_cost(evaluation, U, cur)
         X, Y, Z, D, _ = evaluation
-        gnorm = l2_norm_array(D, dt)
         if not np.isfinite(gnorm):
             raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
-        costs = per_path_cost_core(core.cost_eval, core.grid, X, U)
         J = float(costs.mean())
         if cfg.backtracking and prev is not None and J > prev[2] + 1e-12 and eta > 1e-8:
             eta *= 0.5
             report.eta = eta
-            U = prev[0] - eta * prev[1]
+            # from the last accepted iterate, into the rejected one's buffers
+            U = _step(prev[0], eta, prev[1], out=cur.U)
             continue
         report.grad_norms.append(gnorm)
         report.step_norms.append(step_norm if np.isfinite(step_norm) else 0.0)
@@ -264,12 +339,19 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
                                        per_path_cost=costs)
         prev = (U, D, J)
-        U = U - eta * D             # step-major, as U and D are
+        U = _step(U, eta, D, out=spare.U)
+        cur, spare = spare, cur
         step_norm = eta * gnorm
     raise failure(ConvergenceError(
         f"no stationarity after {cfg.max_iter} iterations "
         f"(last residual {report.grad_norms[-1]:.3e}, tol {cfg.tol_grad:.1e})"
     ))
+
+
+def _step(U, eta, D, out):
+    """U - eta * D, formed in out (which may not be U)."""
+    np.multiply(D, eta, out=out)
+    return np.subtract(U, out, out=out)
 
 
 # ---------------------------------------------------------------------------

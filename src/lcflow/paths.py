@@ -7,12 +7,16 @@ noise-free.  Variates come from a counter-based generator keyed by the
 seed, so the ensemble is reproducible bit for bit.
 
 Every whole-path array of the gradient evaluation (increments, states,
-controls, adjoints, gradients and regression features) is allocated by
-step_major: it is stored C-contiguous as [steps, M, ...] and handled as
-its [M, steps, ...] view, so one step's slice a[:, k] is contiguous and
-the step loops read and write whole rows.  The forward sweep computes the
-control's terms for the whole path before its loop, drops the terms of a
-zero A, C or D block, and checks for blow-up once, after the loop.
+controls, adjoints, gradients and regression features) is step-major: it
+is stored C-contiguous as [steps, M, ...] and handled as its
+[M, steps, ...] view, so one step's slice a[:, k] is contiguous and the
+step loops read and write whole rows.  step_major allocates such an
+array; within a descent the arrays are the buffers of one
+descent.Workspace, allocated once and written in place by every
+evaluation.  The forward sweep computes the control's terms for the
+whole path before its loop, drops the terms of a zero A, C or D block,
+and checks for blow-up once, after the loop, on the extremes of the
+states.
 """
 
 from __future__ import annotations
@@ -118,35 +122,50 @@ def _advance(sc: StepCoeffs, k: int, X, BU, DU, dWk, dt: float, out=None):
     return np.add(Xn, noise, out=out)
 
 
-def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.ndarray) -> np.ndarray:
+def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.ndarray,
+                   ws=None) -> np.ndarray:
     """Forward sweep of the controlled linear SDE; returns X [M, N+1, n], step-major.
 
     Each step reads the state row X[:, k] and writes X[:, k + 1] in place.
+    With a workspace ws (descent.Workspace), X and the control's terms B u
+    and D u are written into its arrays X, BU and DU; else they are fresh.
     A state beyond BLOWUP_LIMIT raises BlowupError at its first step and path.
     """
     M = U.shape[0]
     N = grid.N
     d, n = sc.sigma.shape[1:]
-    X = step_major(M, N + 1, n)
+    X = step_major(M, N + 1, n) if ws is None else ws.X
     X[:, 0] = np.asarray(x0, dtype=float).reshape(-1, n)
-    BU = np.einsum("kij,pkj->pki", sc.B, U, out=step_major(M, N, n))
+    BU = np.einsum("kij,pkj->pki", sc.B, U,
+                   out=step_major(M, N, n) if ws is None else ws.BU)
     D_nonzero = sc.D_nonzero
-    DU = np.einsum("kinm,pkm->pkin", sc.D, U, out=step_major(M, N, d, n)) if any(D_nonzero) else None
+    DU = None
+    if any(D_nonzero):
+        DU = np.einsum("kinm,pkm->pkin", sc.D, U,
+                       out=step_major(M, N, d, n) if ws is None else ws.DU)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(N):
             _advance(sc, k, X[:, k], BU[:, k], DU[:, k] if D_nonzero[k] else None, dW[:, k],
                      grid.dt, out=X[:, k + 1])
-        bad = ~(np.abs(X[:, 1:]) <= BLOWUP_LIMIT).all(axis=2)     # NaN compares False
-        if bad.any():
+        # |x| <= limit everywhere iff the extremes are within it (a NaN makes both NaN)
+        states = X[:, 1:]
+        if not (-BLOWUP_LIMIT <= states.min() and states.max() <= BLOWUP_LIMIT):
+            bad = ~(np.abs(states) <= BLOWUP_LIMIT).all(axis=2)
             k = int(np.argmax(bad.any(axis=0)))
             p = int(np.argmax(bad[:, k]))
             raise BlowupError(f"state blew up at path {p}, step {k + 1}", path=p, step=k + 1)
     return X
 
 
-def l2_norm_array(arr: np.ndarray, dt: float) -> float:
-    # the squares are laid out path-major, so the sum has one order whatever arr's layout
-    return float(np.sqrt(np.square(arr, order="C").sum() * dt / arr.shape[0]))
+def l2_norm_array(arr: np.ndarray, dt: float, squares: np.ndarray = None) -> float:
+    """The integrated L2 norm sqrt(E int |arr|^2 dt) of a whole-path array [M, N, ...].
+
+    The squares are laid out path-major, so the sum has one order whatever
+    arr's layout; squares, a C-contiguous array of arr's shape, holds them
+    when given.
+    """
+    sq = np.square(arr, order="C") if squares is None else np.square(arr, out=squares)
+    return float(np.sqrt(sq.sum() * dt / arr.shape[0]))
 
 
 def mc_stderr(per_path: np.ndarray, antithetic: bool = False) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,7 @@ class FrozenQuadratic(PathCost):
     Rh: np.ndarray   # [M, N, m, m]
     Gh: np.ndarray   # [M, n, n]
 
-    @property
+    @cached_property
     def running(self) -> RunningCost:
         return RunningCost(self.Qh, self.Sh, self.Rh)
 

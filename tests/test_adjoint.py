@@ -119,8 +119,8 @@ def test_non_finite_adjoint_raises_at_the_first_step_reached(grid, basis, spec_p
     X = _simulate_core(core.sc, grid, core.x0, U, W.increments)
 
     class PoisonedCost(GridCost):
-        def running_grad_x(self, X, U):
-            out = super().running_grad_x(X, U)
+        def running_grad_x(self, X, U, out=None):
+            out = super().running_grad_x(X, U, out)
             out[5, 30] = np.nan
             return out
 

@@ -384,6 +384,44 @@ def test_descent_failure_reports_its_history_from_any_command(workdir):
     assert report["grad_norm_history"] and report["eta"] == 10.0 and report["k_hat"] is None
 
 
+def test_run_metadata_counts_minor_faults_and_report_stays_identical(workdir):
+    # the command's page faults go to run-metadata.json; report.json still repeats byte for byte
+    pytest.importorskip("resource")
+    cfg = _config(workdir, monte_carlo={"M": 400})
+    out1, out2 = workdir / "a", workdir / "b"
+    assert main(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert b"minor_faults" not in (out1 / "report.json").read_bytes()
+    for out in (out1, out2):
+        faults = json.loads((out / "run-metadata.json").read_text(encoding="utf-8"))["minor_faults"]
+        assert isinstance(faults, int) and faults >= 0
+
+
+_CONFIG_KEYS = """
+import json, sys
+from lcflow import cli
+cfg = cli.load_config(sys.argv[1])
+print(json.dumps([list(cfg), {k: list(v) for k, v in cfg.items() if isinstance(v, dict)}]))
+"""
+
+
+def test_config_order_does_not_follow_the_hash_seed(workdir):
+    # run-metadata.json echoes the config in load_config's key order, which must not come from
+    # iterating a set of strings: that order changes with PYTHONHASHSEED
+    cfg = _config(workdir)
+    src = str(Path(lcflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    orders = []
+    for seed in ("1", "2", "3"):
+        done = subprocess.run([sys.executable, "-c", _CONFIG_KEYS, str(cfg)],
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, check=True, timeout=120)
+        orders.append(json.loads(done.stdout.splitlines()[-1]))
+    assert orders[0] == orders[1] == orders[2]
+    assert orders[0][0][:len(lcflow.cli._DEFAULTS)] == list(lcflow.cli._DEFAULTS)
+
+
 _SCIPY_GUARD = """
 import json, sys
 from lcflow import cli

@@ -16,7 +16,17 @@ from lcflow import (
     problem_from_json,
     problem_to_json,
 )
-from lcflow.costs import GridCost, RunningCost, pseudo_huber, pseudo_huber_d1, pseudo_huber_d2
+from lcflow.costs import (
+    CostModel,
+    GridCost,
+    RunningCost,
+    case1_smooth_cost,
+    case2_smooth_cost,
+    pseudo_huber,
+    pseudo_huber_d1,
+    pseudo_huber_d2,
+)
+from lcflow.paths import step_major
 from lcflow.riccati import solve_riccati_ode
 from lcflow.variational import FrozenQuadratic
 
@@ -178,3 +188,124 @@ def test_pseudo_huber_derivatives(z):
     central = (pseudo_huber(np.float64(z + h)) - pseudo_huber(np.float64(z - h))) / (2 * h)
     assert pseudo_huber_d1(np.float64(z)) == pytest.approx(central, abs=1e-8)
     assert 0.0 < pseudo_huber_d2(np.float64(z)) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the running cost written into a caller's array, and its zero Q and R terms dropped
+
+
+def _catalog_cost(family, n, m, kappa_x, kappa_u, r_u, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if family == "quadratic":           # every block nonzero and piecewise in time
+        return _random_lq(n, m, 1, 2, seed)[0].cost
+    if family == "quadratic_zero_q":    # S, q and rho but no Q
+        return CostModel(n, m, G=np.eye(n), S=rng.normal(size=(m, n)), R=np.eye(m),
+                         q=rng.normal(size=n), rho=rng.normal(size=m))
+    if family == "pseudo_huber":        # P2's family: Q and R are zero
+        return case1_smooth_cost(n, m, 1.0, kappa_x=0.5, kappa_u=kappa_u, kappa_g=1.0)
+    return case2_smooth_cost(n, m, 1.0, kappa_g=1.0, kappa_x=kappa_x, kappa_u=kappa_u, r_u=r_u)
+
+
+def _kept_formula(lt, x, u):
+    """value, grad_x and grad_u of a frozen running cost, its Q and R terms formed, zero or not."""
+    quad = lambda mat, v: 0.5 * np.einsum("...i,...ij,...j->...", v, mat, v)
+    val = quad(lt.Q, x)
+    if lt.S is not None:
+        val = val + np.einsum("...i,...ij,...j->...", u, lt.S, x)
+    val = val + quad(lt.R, u)
+    if lt.q is not None:
+        val = val + np.einsum("...i,...i->...", x, lt.q)
+    if lt.rho is not None:
+        val = val + np.einsum("...i,...i->...", u, lt.rho)
+    if lt.delta_u:
+        val = val + 0.5 * lt.delta_u * (u * u).sum(axis=-1)
+    if lt.kappa_x:
+        val = val + lt.kappa_x * pseudo_huber(x).sum(axis=-1)
+    if lt.kappa_u:
+        val = val + lt.kappa_u * pseudo_huber(u).sum(axis=-1)
+    gx = np.einsum("...ij,...j->...i", lt.Q, x)
+    if lt.S is not None:
+        gx = gx + np.einsum("...ji,...j->...i", lt.S, u)
+    if lt.q is not None:
+        gx = gx + lt.q
+    if lt.kappa_x:
+        gx = gx + lt.kappa_x * pseudo_huber_d1(x)
+    gu = np.einsum("...ij,...j->...i", lt.R, u)
+    if lt.S is not None:
+        gu = gu + np.einsum("...ij,...j->...i", lt.S, x)
+    if lt.rho is not None:
+        gu = gu + lt.rho
+    if lt.delta_u:
+        gu = gu + lt.delta_u * u
+    if lt.kappa_u:
+        gu = gu + lt.kappa_u * pseudo_huber_d1(u)
+    return val, gx, gu
+
+
+def _same(a, b):
+    """Equal shapes and bits, so a -0.0 against a 0.0 is a difference."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+FAMILIES = ["quadratic", "quadratic_zero_q", "pseudo_huber", "case2"]
+
+
+def _path_costs(cost, n, m, seed):
+    """Step-major paths X, U and the whole-path costs on them: GridCost, and FrozenQuadratic
+    with per-path blocks from the cost's Hessians along the paths (as freeze_second_order has)."""
+    rng = np.random.Generator(np.random.Philox(key=seed + 1))
+    M, grid = 5, TimeGrid(0.0, 1.0, 6)
+    X, U = step_major(M, grid.N + 1, n), step_major(M, grid.N, m)
+    X[...] = rng.normal(size=X.shape)
+    U[...] = rng.normal(size=U.shape)
+    view = GridCost(cost, grid)
+    Xn = X[:, :grid.N]
+    frozen = FrozenQuadratic(grid, view.running.hess_xx(Xn, U), view.running.hess_ux(Xn, U),
+                             view.running.hess_uu(Xn, U), cost.dxx_g(X[:, -1]))
+    return Xn, U, (view, frozen)
+
+
+@settings(max_examples=60)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 2), m=st.integers(1, 2),
+       kappa_x=st.sampled_from([0.0, 0.3]), kappa_u=st.sampled_from([0.0, 0.3]),
+       r_u=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**16))
+def test_running_cost_into_out_equals_the_allocating_call(family, n, m, kappa_x, kappa_u, r_u,
+                                                          seed):
+    # the gradient evaluation writes the cost terms into its own buffers: the same bits as a
+    # fresh result, for the whole-path costs on step-major paths and for one grid node's row
+    cost = _catalog_cost(family, n, m, kappa_x, kappa_u, r_u, seed)
+    X, U, path_costs = _path_costs(cost, n, m, seed)
+    M, N = U.shape[:2]
+    for path_cost in path_costs:
+        for name, tail in (("running_value", ()), ("running_grad_x", (n,)),
+                           ("running_grad_u", (m,))):
+            fresh = getattr(path_cost, name)(X, U)
+            out = step_major(M, N, *tail)
+            out[...] = np.nan
+            assert getattr(path_cost, name)(X, U, out=out) is out
+            assert _same(out, fresh), (type(path_cost).__name__, name)
+    row = path_costs[0].steps[2]
+    for name, tail in (("value", ()), ("grad_x", (n,)), ("grad_u", (m,))):
+        out = np.full((M,) + tail, np.nan)
+        assert _same(getattr(row, name)(X[:, 2], U[:, 2], out=out),
+                     getattr(row, name)(X[:, 2], U[:, 2]))
+
+
+@settings(max_examples=60)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 2), m=st.integers(1, 2),
+       kappa_x=st.sampled_from([0.0, 0.3]), kappa_u=st.sampled_from([0.0, 0.3]),
+       r_u=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**16))
+def test_dropping_zero_q_and_r_equals_the_formula_that_keeps_them(family, n, m, kappa_x, kappa_u,
+                                                                  r_u, seed):
+    # a zero Q or R block adds an exact zero, so leaving its terms out changes no number
+    cost = _catalog_cost(family, n, m, kappa_x, kappa_u, r_u, seed)
+    X, U, (view, frozen) = _path_costs(cost, n, m, seed)
+    for lt, x, u in ((view.running, X, U), (frozen.running, X, U),
+                     (view.steps[3], X[:, 3], U[:, 3]), (cost.at(0.4), X[0, 1], U[0, 1])):
+        for got, want in zip((lt.value(x, u), lt.grad_x(x, u), lt.grad_u(x, u)),
+                             _kept_formula(lt, x, u)):
+            np.testing.assert_array_equal(got, want)
+    if family == "pseudo_huber":
+        assert not view.running._Q_nonzero and not view.running._R_nonzero

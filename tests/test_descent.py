@@ -1,7 +1,14 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import lcflow
 
 from lcflow import (
     CoefficientSet,
@@ -260,3 +267,67 @@ def test_solution_carries_its_per_path_cost(which, t0, spec_p1, spec_p2, basis, 
     np.testing.assert_array_equal(sol.per_path_cost,
                                   per_path_cost_core(core.cost_eval, sol.grid, sol.X, sol.U))
     assert sol.report.costs[-1] == float(sol.per_path_cost.mean())
+
+
+@pytest.mark.parametrize("case", ["converged_at_iteration_0", "several_iterations", "backtracking"])
+def test_solution_arrays_are_the_evaluation_of_its_control(case, grid, basis, spec_p1, spec_p2,
+                                                          spec_linear_terminal):
+    # descend reuses its buffers across evaluations and runs the probes in them: the returned
+    # X, Y, Z and D must still be one evaluation at the returned U, bit for bit; from the
+    # optimum u = -r, iteration 0 is the solution and the probes must leave its arrays alone
+    spec, x0, u0, cfg = {
+        "converged_at_iteration_0": (spec_linear_terminal, [0.0], -1.0, DescentConfig()),
+        "several_iterations": (spec_p2, [0.3], None, DescentConfig()),
+        "backtracking": (spec_p1, [0.2], None,
+                         DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3, backtracking=True)),
+    }[case]
+    W = generate_brownian(grid, 400, seed=19, antithetic=True)
+    sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, cfg, u0=u0)
+    assert (sol.report.iterations == 0) == (case == "converged_at_iteration_0")
+    assert (sol.report.k_hat is not None) == (cfg.eta == "auto")
+    if case == "backtracking":
+        assert sol.report.eta < 1.5
+    X, Y, Z, D, _ = _evaluate_gradient(sol.core, sol.U, W.increments, basis)
+    for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.D, D),
+                      (sol.per_path_cost, per_path_cost_core(sol.core.cost_eval, grid, X, sol.U))):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+_FAULTS_PER_EVALUATION = """
+import json, resource
+import lcflow.descent as descent
+from lcflow import DescentConfig, RegressionBasis, TimeGrid, generate_brownian
+from lcflow.presets import p1
+grid = TimeGrid(0.0, 1.0, 50)
+W = generate_brownian(grid, 4000, seed=201, antithetic=True)
+faults, evaluate = [], descent._evaluate_gradient
+def counting(*args):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = evaluate(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+    return out
+descent._evaluate_gradient = counting
+sol = descent.solve_hamiltonian(p1(), grid, 0.0, [0.0], W, RegressionBasis(2, 1e-8),
+                                DescentConfig())
+print(json.dumps({"faults": faults, "iterations": sol.report.iterations}))
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator")
+def test_steady_state_evaluations_do_not_page_fault():
+    # descend allocates its whole-path buffers once, so after the first two evaluations (the
+    # buffers' first touch) no evaluation faults in as many pages as one [4000, 50] array; with
+    # fresh arrays per evaluation, glibc returned them to the system and faulted them back in
+    resource = pytest.importorskip("resource")
+    src = str(Path(lcflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_EVALUATION], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(done.stdout.splitlines()[-1])
+    pages = -(-4000 * 50 * 8 // resource.getpagesize())
+    steady = result["faults"][2:]
+    # 4 probe evaluations and one per iteration
+    assert len(steady) == 4 + result["iterations"] - 1 > 4
+    assert max(steady) < pages, (result["faults"], pages)

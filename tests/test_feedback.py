@@ -283,6 +283,35 @@ def test_lattice_source_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):
     assert abs(v_fit - j_open) <= 0.01 * (1 + abs(j_open))
 
 
+def test_lattice_solves_a_broadcast_row_once(monkeypatch, spec_p1, grid, basis, cfg, w_small,
+                                             sol_p1_small):
+    # on P1 no noise reaches the derivative system, so every path holds one broadcast row of
+    # gradX and gradY; the lattice solves P = gradY (gradX)^-1 on that row alone, and its table
+    # is the one it builds when every path holds its own copy of the row
+    import dataclasses
+
+    import lcflow.feedback
+
+    solve = lcflow.feedback.solve_linear_hamiltonian
+    derivs = []
+
+    def keep(*args, **kwargs):
+        derivs.append(solve(*args, **kwargs))
+        return derivs[-1]
+
+    monkeypatch.setattr(lcflow.feedback, "solve_linear_hamiltonian", keep)
+    once = build_lattice_source(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg, points_per_dim=9,
+                                sol=sol_p1_small)
+    deriv = derivs[0]
+    assert deriv.grad_X.strides[0] == 0 and deriv.grad_Y.strides[0] == 0
+    copied = dataclasses.replace(deriv, grad_X=np.array(deriv.grad_X),
+                                 grad_Y=np.array(deriv.grad_Y))
+    monkeypatch.setattr(lcflow.feedback, "solve_linear_hamiltonian", lambda *a, **k: copied)
+    every_row = build_lattice_source(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg,
+                                     points_per_dim=9, sol=sol_p1_small)
+    assert once.table.tobytes() == every_row.table.tobytes()
+
+
 def test_feedback_field_csv(tmp_path, spec_p1, oracle_p1):
     out = tmp_path / "field.csv"
     feedback_field_to_csv(spec_p1, oracle_p1, [0.0, 0.5], [[-1.0], [0.0], [1.0]], out)
