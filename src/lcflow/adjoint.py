@@ -31,6 +31,7 @@ block of one feature coordinate is used in place.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -98,13 +99,24 @@ class StepRegression:
     built in one vectorized pass.  Features are centered and scaled by each
     step's ensemble mean and std before monomials are formed; degenerate
     coordinates collapse onto the intercept.  The intercept column is never
-    ridge-penalized, so constants are reproduced exactly.  The batched
-    Cholesky factor L of each step's normal matrix A tests it for positive
-    definiteness and gives its inverse A^-1 = L^-T L^-1, so a fit is
-    products only.  fit and predict take the step's index j within the block.
+    ridge-penalized, so constants are reproduced exactly.
+
+    The design Phi [K, p, M] is written into design[:K] when a buffer
+    design [>= K, p, M] is given (the backward sweep passes the workspace's,
+    descent.Workspace.design), else into a fresh array.  Each step's normal
+    matrix A = Phi Phi^T + ridge M diag(0, 1, ..., 1) is formed by einsum
+    and its ridge added on the diagonal in place.  One batched symmetric
+    eigendecomposition A = V diag(lam) V^T gives the definiteness test
+    (lam > 0), the condition number max |lam| / min |lam| and the inverse
+    A^-1 = V diag(1 / lam) V^T, so a fit is products only.  Only a block
+    that is not finite is replaced (by the identity) before the
+    decomposition; the steps are then checked in the order the backward
+    sweep visits them, and the first failing one raises.  fit and predict
+    take the step's index j within the block.
     """
 
-    def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0):
+    def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0,
+                 design: np.ndarray = None):
         F = _feature_block(features)
         K, q, M = F.shape
         p = basis.size(q)
@@ -122,45 +134,38 @@ class StepRegression:
         self._degree = basis.degree
         Z /= self._sd[:, :, None]
         Z[self._degenerate] = 0.0
-        self.Phi = Phi = self._monomials(Z)                    # [K, p, M]
-        penalty = np.ones(p)
-        penalty[0] = 0.0
-        A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * np.diag(penalty)
+        self.Phi = Phi = self._monomials(Z, None if design is None else design[:K])  # [K, p, M]
+        A = np.einsum("kam,kbm->kab", Phi, Phi)
+        A.reshape(K, p * p)[:, p + 1::p + 1] += basis.ridge * M     # the diagonal after the intercept
         finite = np.isfinite(A).all(axis=(1, 2))
-        A = np.where(finite[:, None, None], A, np.eye(p))
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            L = None
+        if not finite.all():
+            A[~finite] = np.eye(p)
+        lam, V = np.linalg.eigh(A)
         with np.errstate(all="ignore"):
             # A is symmetric: its 2-norm condition number is its |eigenvalue| ratio
-            lam = np.abs(np.linalg.eigvalsh(A))
-            self.cond = lam.max(axis=1) / lam.min(axis=1)       # [K]
-        # checked in the order the backward sweep visits the steps
-        for j in range(K - 1, -1, -1):
+            size = np.abs(lam)
+            self.cond = size.max(axis=1) / size.min(axis=1)         # [K]
+        bad = ~finite | ~(lam[:, 0] > 0) | ~(self.cond <= 1e14)
+        if bad.any():
+            j = int(np.flatnonzero(bad)[-1])        # the step the backward sweep reaches first
             step = first_step + j
             if not finite[j]:
                 raise ConditioningError(f"non-finite normal equations at step {step}", step=step)
-            if L is None:
-                try:
-                    np.linalg.cholesky(A[j])
-                except np.linalg.LinAlgError as exc:
-                    raise ConditioningError(
-                        f"singular normal equations at step {step} (after ridge {basis.ridge})",
-                        step=step,
-                    ) from exc
-            if not np.isfinite(self.cond[j]) or self.cond[j] > 1e14:
+            if not lam[j, 0] > 0:
                 raise ConditioningError(
-                    f"normal equations too ill-conditioned at step {step} "
-                    f"(cond {self.cond[j]:.2e})",
+                    f"singular normal equations at step {step} (after ridge {basis.ridge})",
                     step=step,
                 )
-        Linv = np.linalg.inv(L)
-        self._Ainv = np.swapaxes(Linv, 1, 2) @ Linv             # [K, p, p]
+            raise ConditioningError(
+                f"normal equations too ill-conditioned at step {step} (cond {self.cond[j]:.2e})",
+                step=step,
+            )
+        self._Ainv = (V / lam[:, None, :]) @ np.swapaxes(V, 1, 2)  # [K, p, p]
 
-    def _monomials(self, Z: np.ndarray) -> np.ndarray:
+    def _monomials(self, Z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """The monomials [..., p, L] of the normalized features Z [..., q, L], intercept first.
 
+        They are written into out when it is given, else into a fresh array.
         Each column is written from its first factor on, so no column is
         filled with ones and multiplied by them.
         """
@@ -168,7 +173,10 @@ class StepRegression:
             return Z[..., i, :] if power == 1 else Z[..., i, :] ** power
 
         exps = _monomial_exponents(Z.shape[-2], self._degree)
-        Phi = np.empty(Z.shape[:-2] + (len(exps), Z.shape[-1]))
+        shape = Z.shape[:-2] + (len(exps), Z.shape[-1])
+        if out is not None and out.shape != shape:
+            raise ValueError(f"design buffer of shape {out.shape}, expected {shape}")
+        Phi = np.empty(shape) if out is None else out
         Phi[..., 0, :] = 1.0
         for col, e in enumerate(exps[1:], start=1):
             (i, power), *rest = [(i, power) for i, power in enumerate(e) if power]
@@ -206,6 +214,16 @@ class AdjointDiagnostics:
     residual_mean: list = field(default_factory=list)   # per step, max |mean| over components
     residual_bound: list = field(default_factory=list)  # per step, 4 std / sqrt(M)
 
+    def worst(self):
+        """The largest condition number and the largest ratio of residual mean to its bound.
+
+        A step whose residuals are all equal has a zero bound: its ratio is 0
+        when their mean is 0 too, else infinite.
+        """
+        ratios = [rm / rb if rb > 0 else (0.0 if rm == 0 else math.inf)
+                  for rm, rb in zip(self.residual_mean, self.residual_bound)]
+        return max(self.cond), max(ratios)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -222,8 +240,9 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
                    dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None, ws=None):
     """Core backward sweep; returns (Y, Z, diagnostics), Y and Z step-major.
 
-    With a workspace ws (descent.Workspace), Y, Z and the block residuals
-    are written into its arrays Y, Z and resid; else they are fresh.
+    With a workspace ws (descent.Workspace), Y, Z, the block residuals and
+    the regression designs are written into its arrays Y, Z, resid and
+    design; else they are fresh.
     A non-finite Y or Z raises BlowupError at the first step the sweep reached.
     """
     M, _, n = X.shape
@@ -233,8 +252,9 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     if ws is None:
         Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
         resid = np.empty((BLOCK_STEPS, M, n))      # a block's residuals, each step contiguous
+        design = None
     else:
-        Y, Z, resid = ws.Y, ws.Z, ws.resid
+        Y, Z, resid, design = ws.Y, ws.Z, ws.resid, ws.design
     cond, rmean, rbound = np.empty(N), np.empty(N), np.empty(N)
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
     cost_eval.running_grad_x(X[:, :N], U, out=Y[:, :N])     # Dx_l, until step k overwrites Y_k
@@ -243,7 +263,7 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     for k in range(N - 1, -1, -1):
         if k < k0:
             k0 = max(k + 1 - BLOCK_STEPS, 0)
-            reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0)
+            reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0, design=design)
         j = k - k0
         Yn, Yk, Zk = Y[:, k + 1], Y[:, k], Z[:, k]
         m_fit = reg.fit(j, Yn)
@@ -294,11 +314,14 @@ def per_path_cost_core(cost_eval, grid: TimeGrid, X, U, ws=None) -> np.ndarray:
     """The cost of each path: the terminal cost plus the running cost summed in time order.
 
     With a workspace ws (descent.Workspace), the running costs are formed
-    in ws.run.
+    in ws.run and their terms' temporaries in ws.terms.
     """
     N = grid.N
     total = cost_eval.terminal_value(X[:, -1]).astype(float)
-    running = cost_eval.running_value(X[:, :N], U, out=None if ws is None else ws.run)
+    if ws is None:
+        running = cost_eval.running_value(X[:, :N], U)
+    else:
+        running = cost_eval.running_value(X[:, :N], U, out=ws.run, scratch=ws.terms)
     rows = running.T        # one row per step, contiguous for step-major paths
     rows *= grid.dt
     # a sequential sum in time order, which fixes the rounding of every reported cost

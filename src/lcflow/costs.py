@@ -39,9 +39,20 @@ from .errors import StructuralError
 from .grids import PiecewiseConstant, as_piecewise
 
 
-def pseudo_huber(z):
-    """sqrt(1 + z^2) - 1, a smooth convex proxy for |z|, in a form that does not cancel near 0."""
-    return z * z / (1.0 + np.sqrt(1.0 + z * z))
+def pseudo_huber(z, out=None, scratch=None):
+    """sqrt(1 + z^2) - 1, a smooth convex proxy for |z|, in a form that does not cancel near 0.
+
+    With out, the result is formed in out and its denominator in scratch (an
+    array of z's shape, fresh when None), by the same ufuncs in the same
+    order as the allocating form, so the bits are the same.
+    """
+    if out is None:
+        return z * z / (1.0 + np.sqrt(1.0 + z * z))
+    den = np.multiply(z, z, out=scratch)
+    np.add(1.0, den, out=den)
+    np.sqrt(den, out=den)
+    np.add(1.0, den, out=den)
+    return np.divide(np.multiply(z, z, out=out), den, out=out)
 
 
 def pseudo_huber_d1(z, out=None):
@@ -63,6 +74,14 @@ def _sym(a):
 def _quad_form(mat, v, out=None):
     # 1/2 <M v, v> over the trailing axis
     return np.multiply(np.einsum("...i,...ij,...j->...", v, mat, v, out=out), 0.5, out=out)
+
+
+def _carve(buf, like):
+    """A view of the flat array buf's first like.size elements, shaped as like and with its
+    axes laid out in memory in the order of like's strides, as np.empty_like lays them out."""
+    order = sorted(range(like.ndim), key=lambda a: like.strides[a], reverse=True)
+    view = buf[:like.size].reshape(tuple(like.shape[a] for a in order))
+    return view.transpose(tuple(np.argsort(order)))
 
 
 def _empty_like_batch(z, tail):
@@ -108,9 +127,9 @@ class _Sum:
 
     __slots__ = ("out", "_scratch", "_terms")
 
-    def __init__(self, out):
+    def __init__(self, out, scratch=None):
         self.out = out
-        self._scratch = None
+        self._scratch = scratch     # a flat array to carve the scratch from, or None
         self._terms = 0
 
     def term(self):
@@ -118,7 +137,8 @@ class _Sum:
         if self._terms == 1:
             return self.out
         if self._terms == 2:
-            self._scratch = np.empty_like(self.out)
+            self._scratch = (np.empty_like(self.out) if self._scratch is None
+                             else _carve(self._scratch, self.out))
         else:
             self.out += self._scratch
         return self._scratch
@@ -152,8 +172,12 @@ class RunningCost:
 
     value, grad_x and grad_u write into out when it is given (of the shape
     their result has: the batch axes of x, u and the blocks broadcast, then
-    n or m), and otherwise into a fresh array.  Either way the terms are
-    summed in the same order, so the result is the same bits.
+    n or m), and otherwise into a fresh array.  value also takes scratch,
+    three flat float arrays, each with room for the largest of its result,
+    x and u, in which it forms its terms' temporaries (the second term's
+    array in the first, u * u and the pseudo-Huber terms in the other two)
+    instead of allocating them.  Either way the terms are summed in the same
+    order, so the result is the same bits.
     """
 
     Q: np.ndarray
@@ -180,18 +204,24 @@ class RunningCost:
         blocks += [b.shape[:-1] for b in (self.q, self.rho) if b is not None]
         return np.broadcast_shapes(*blocks)
 
-    def _sum(self, out, x, u, tail=()):
+    def _sum(self, out, x, u, tail=(), scratch=None):
         """The sum of the terms, in out, or else in a fresh array laid out as x if x has every
         batch axis."""
         if out is None:
             batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1], self._block_batch)
             out = _empty_like_batch(x, tail) if batch == x.shape[:-1] else np.empty(batch + tail)
-        return _Sum(out)
+        return _Sum(out, scratch)
 
-    def value(self, x, u, out=None):
+    def value(self, x, u, out=None, scratch=None):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        val = self._sum(out, x, u)
+        val = self._sum(out, x, u, scratch=None if scratch is None else scratch[0])
+
+        def temps(z, count):
+            """count arrays laid out as z for a term's temporaries, None each without scratch."""
+            return (None,) * count if scratch is None else tuple(
+                _carve(buf, z) for buf in scratch[1:1 + count])
+
         if self._Q_nonzero:
             _quad_form(self.Q, x, out=val.term())
         if self.S is not None:
@@ -204,13 +234,14 @@ class RunningCost:
             np.einsum("...i,...i->...", u, self.rho, out=val.term())
         if self.delta_u:
             t = val.term()
-            np.multiply(np.sum(u * u, axis=-1, out=t), 0.5 * self.delta_u, out=t)
+            squares = np.multiply(u, u, out=temps(u, 1)[0])
+            np.multiply(np.sum(squares, axis=-1, out=t), 0.5 * self.delta_u, out=t)
         if self.kappa_x:
             t = val.term()
-            np.multiply(np.sum(pseudo_huber(x), axis=-1, out=t), self.kappa_x, out=t)
+            np.multiply(np.sum(pseudo_huber(x, *temps(x, 2)), axis=-1, out=t), self.kappa_x, out=t)
         if self.kappa_u:
             t = val.term()
-            np.multiply(np.sum(pseudo_huber(u), axis=-1, out=t), self.kappa_u, out=t)
+            np.multiply(np.sum(pseudo_huber(u, *temps(u, 2)), axis=-1, out=t), self.kappa_u, out=t)
         return val.total()
 
     def grad_x(self, x, u, out=None):
@@ -365,11 +396,13 @@ class PathCost:
     This is the interface the backward solver and the descent loop consume;
     a subclass supplies the frozen blocks as `running`.  Each method writes
     into out when it is given ([M, N] for the value, the shape of X or U for
-    the gradients), which the gradient evaluation does with its own buffers.
+    the gradients), and running_value forms its terms' temporaries in
+    scratch when it is given (RunningCost.value), which the gradient
+    evaluation does with its own buffers.
     """
 
-    def running_value(self, X, U, out=None):
-        return self.running.value(X, U, out)
+    def running_value(self, X, U, out=None, scratch=None):
+        return self.running.value(X, U, out, scratch)
 
     def running_grad_x(self, X, U, out=None):
         return self.running.grad_x(X, U, out)

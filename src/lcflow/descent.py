@@ -58,6 +58,9 @@ class DescentReport:
     eta: float = np.nan
     k_hat: Optional[float] = None
     probe_ratios: list = field(default_factory=list)
+    # the converged evaluation's regression health (adjoint.AdjointDiagnostics.worst)
+    regression_cond_max: Optional[float] = None
+    regression_residual_ratio_max: Optional[float] = None
     wall_time: float = 0.0      # kept out of to_dict, which a rerun reproduces byte for byte
     converged: bool = False
     reason: str = ""
@@ -72,6 +75,8 @@ class DescentReport:
             "eta": self.eta,
             "k_hat": self.k_hat,
             "probe_ratios": self.probe_ratios,
+            "regression": {"cond_max": self.regression_cond_max,
+                           "residual_ratio_max": self.regression_residual_ratio_max},
             "final_residual": self.final_residual,
             "converged": self.converged,
             "reason": self.reason,
@@ -83,9 +88,10 @@ class CoreProblem:
     """Everything the iteration needs, independent of where the data came from.
 
     cost_eval is a costs.PathCost (whole-path running methods) with
-    terminal_value/terminal_gradient; features_fn optionally maps the state
-    array [M, N+1, n] to step-major regression features [M, N+1, q], used
-    until the next call (defaults to the state itself).
+    terminal_value/terminal_gradient.  The regressions run on the state
+    unless feature_store is given: step-major regression features
+    [M, N+1, q], q > n, whose first n coordinates each evaluation overwrites
+    with its state and whose others stay as they are.
     k_lip, when known, is the gradient's Lipschitz-squared constant K; the
     auto step size then uses it instead of probing.
     """
@@ -95,11 +101,20 @@ class CoreProblem:
     cost_eval: object
     delta: float
     x0: np.ndarray
-    features_fn: Optional[object] = None
+    feature_store: Optional[np.ndarray] = None
     k_lip: Optional[float] = None
 
     def features(self, X):
-        return None if self.features_fn is None else self.features_fn(X)
+        """The regression features at the state X: None for X itself, else feature_store."""
+        if self.feature_store is None:
+            return None
+        self.feature_store[..., :X.shape[-1]] = X
+        return self.feature_store
+
+    def basis_size(self, basis: RegressionBasis) -> int:
+        """The size p of the regression basis on this problem's features."""
+        store = self.feature_store
+        return basis.size(self.sc.B.shape[1] if store is None else store.shape[-1])
 
 
 @dataclass
@@ -147,10 +162,11 @@ class Workspace:
     X, Y, Z and D receive an evaluation's results and U holds the control it
     runs on; the other arrays are scratch that no result is left in.  BU and
     DU (None when D is zero at every step) hold the forward sweep's B u and
-    D u, resid a regression block's residuals, grad the gradient's terms,
-    run the running costs of per_path_cost_core and squares those of
-    l2_norm_array.  The whole-path arrays are step-major, but squares is
-    path-major.
+    D u, resid a regression block's residuals, design a regression block's
+    design (adjoint.StepRegression), grad the gradient's terms,
+    run the running costs of per_path_cost_core and terms (three flat
+    arrays) their temporaries, and squares the squares of l2_norm_array.
+    The whole-path arrays are step-major, but squares is path-major.
 
     Scratch shares memory where lifetimes allow: B u and D u live in Y's
     first N rows and in Z, which the backward sweep writes only after the
@@ -166,22 +182,30 @@ class Workspace:
     BU: np.ndarray      # [M, N, n], Y[:, :N]
     DU: Optional[np.ndarray]    # [M, N, d, n], Z
     resid: np.ndarray   # [BLOCK_STEPS, M, n]
+    design: np.ndarray  # [BLOCK_STEPS, p, M]
     grad: np.ndarray    # [M, N, m]
     run: np.ndarray     # [M, N]
+    terms: tuple        # three flat [N * M * max(n, m)]
     squares: np.ndarray     # [M, N, m], C-contiguous
 
     @classmethod
-    def allocate(cls, core: CoreProblem, M: int) -> "Workspace":
+    def allocate(cls, core: CoreProblem, M: int, basis: RegressionBasis) -> "Workspace":
         sc, N = core.sc, core.grid.N
         d, n = sc.sigma.shape[1:]
         m = sc.B.shape[2]
         Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
         scratch = np.empty(N * M * m)
+        # the running cost's temporaries (costs.RunningCost.value) in arrays no larger than
+        # the state's: a larger one, once freed, raises glibc's mmap threshold above every
+        # whole-path array, which then stay in the heap and raise the peak resident memory
+        terms = tuple(np.empty(N * M * max(n, m)) for _ in range(3))
         return cls(X=step_major(M, N + 1, n), U=step_major(M, N, m), Y=Y, Z=Z,
                    D=step_major(M, N, m), BU=Y[:, :N], DU=Z if any(sc.D_nonzero) else None,
                    resid=np.empty((BLOCK_STEPS, M, n)),
+                   design=np.empty((BLOCK_STEPS, core.basis_size(basis), M)),
                    grad=scratch.reshape(N, M, m).swapaxes(0, 1),
-                   run=scratch[:N * M].reshape(N, M).T, squares=scratch.reshape(M, N, m))
+                   run=scratch[:N * M].reshape(N, M).T, terms=terms,
+                   squares=scratch.reshape(M, N, m))
 
 
 def _evaluate_gradient(core: CoreProblem, U, dW, basis, ws: Workspace = None):
@@ -236,7 +260,7 @@ def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int
         U0[...] = 0.0
         base = (U0, _evaluate_gradient(core, U0, dW, basis)[3])
     if ws is None:
-        ws = Workspace.allocate(core, M)
+        ws = Workspace.allocate(core, M, basis)
     U0, D0 = base
     ratios = []
     for vb in _probe_controls((N, m), probes, scale, seed + 1, demean=True):
@@ -277,7 +301,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
     M = W.M
     dt = core.grid.dt
     report = DescentReport()
-    cur = Workspace.allocate(core, M)
+    cur = Workspace.allocate(core, M, basis)
     spare = replace(cur, U=np.empty_like(cur.U), D=np.empty_like(cur.D))
 
     def residual_and_cost(evaluation, U, ws):
@@ -296,7 +320,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
         if core.k_lip is None:
             report.k_hat, report.probe_ratios = estimate_lipschitz_core(
                 core, dW, basis, cfg.lipschitz_probes, PROBE_SEED, base=(U, evaluation[3]),
-                ws=Workspace.allocate(core, M) if gnorm <= cfg.tol_grad else spare)
+                ws=Workspace.allocate(core, M, basis) if gnorm <= cfg.tol_grad else spare)
         else:
             report.k_hat = core.k_lip
         eta = core.delta / report.k_hat
@@ -317,7 +341,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             except BlowupError as exc:
                 raise failure(exc)
             gnorm, costs = residual_and_cost(evaluation, U, cur)
-        X, Y, Z, D, _ = evaluation
+        X, Y, Z, D, diag = evaluation
         if not np.isfinite(gnorm):
             raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
         J = float(costs.mean())
@@ -335,6 +359,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             report.final_residual = gnorm
             report.converged = True
             report.reason = "stationarity" if gnorm <= cfg.tol_grad else "step_size"
+            report.regression_cond_max, report.regression_residual_ratio_max = diag.worst()
             report.wall_time = time.perf_counter() - t_start
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
                                        per_path_cost=costs)

@@ -175,11 +175,6 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
     N = wgrid.N
     features = step_major(M, N + 1, 2 * n)
     features[..., n:] = sol.X[:M]
-
-    def features_fn(Xv):
-        features[..., :n] = Xv
-        return features
-
     m = spec.dims.m
     d = W.d
     grad_X = np.empty((M, N + 1, n, n))
@@ -190,7 +185,7 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
 
     def direction_core(i, k_lip):
         return CoreProblem(sc=sc, grid=wgrid, cost_eval=frozen, delta=spec.certificate.delta,
-                           x0=np.eye(n)[i], features_fn=features_fn, k_lip=k_lip)
+                           x0=np.eye(n)[i], feature_store=features, k_lip=k_lip)
 
     # the frozen problem is the primal gradient map linearised along the
     # optimum: same modulus, and the same K, which the primal solve carries

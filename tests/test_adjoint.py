@@ -458,8 +458,10 @@ def test_diagnostics_json_round_trip(grid, basis, spec_p1):
 
 
 class _RefStepRegression(StepRegression):
-    """StepRegression's feature build in its earlier form: np.std on the raw features, and
-    the design filled with ones and multiplied by every factor, for the whole block at once."""
+    """StepRegression's build written out on its own: the feature build in its earlier form
+    (np.std on the raw features, and the design filled with ones and multiplied by every
+    factor, for the whole block at once), then the einsum Gram matrix with the ridge added as
+    a matrix, and one eigendecomposition for the condition number and the inverse."""
 
     def __init__(self, features, basis, first_step=0):
         F = np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
@@ -473,11 +475,10 @@ class _RefStepRegression(StepRegression):
         self.Phi = Phi = self._design(F, slice(None))
         penalty = np.ones(p)
         penalty[0] = 0.0
-        A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * np.diag(penalty)
-        lam = np.abs(np.linalg.eigvalsh(A))
-        self.cond = lam.max(axis=1) / lam.min(axis=1)
-        Linv = np.linalg.inv(np.linalg.cholesky(A))
-        self._Ainv = np.swapaxes(Linv, 1, 2) @ Linv
+        A = np.einsum("kam,kbm->kab", Phi, Phi) + basis.ridge * M * np.diag(penalty)
+        lam, V = np.linalg.eigh(A)
+        self.cond = np.abs(lam).max(axis=1) / np.abs(lam).min(axis=1)
+        self._Ainv = np.matmul(V / lam[:, None, :], np.transpose(V, (0, 2, 1)))
 
     def _design(self, F, j):
         Z = (F - self._mu[j, :, None]) / self._sd[j, :, None]
@@ -496,24 +497,124 @@ def _same(a, b):
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
-def test_regression_build_equals_reference_bytes(degree, q):
-    # features of 3 steps, on a step-major array as the backward sweep holds them; coordinate 0
-    # is constant at step 1, so it collapses onto the intercept there
+def _pinned_features(degree, q):
+    """Features of 3 steps, on a step-major array as the backward sweep holds them; coordinate 0
+    is constant at step 1, so it collapses onto the intercept there.  Also targets and points
+    off the training points."""
     rng = np.random.Generator(np.random.Philox(key=90 + 5 * q + degree))
     M, K = 80, 3
     F = step_major(M, K, q)
     F[...] = rng.normal(0.4, 1.7, size=(M, K, q))
     F[:, 1, 0] = 0.3
-    basis = RegressionBasis(degree=degree, ridge=1e-8)
-    reg, ref = StepRegression(F, basis, first_step=7), _RefStepRegression(F, basis)
-    assert ref._degenerate[1, 0] and not ref._degenerate[[0, 2], 0].any()
-    for name in ("Phi", "_Ainv", "cond", "_mu", "_sd", "_degenerate"):
-        assert _same(getattr(reg, name), getattr(ref, name)), name
     targets = np.column_stack([np.sin(F[:, 0, 0]), F[:, 2, -1] ** 3, rng.normal(size=M)])
-    F_eval = rng.normal(0.0, 3.0, size=(25, q))          # off the training points
+    return F, targets, rng.normal(0.0, 3.0, size=(25, q))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_regression_build_equals_reference_bytes(degree, q):
+    F, targets, F_eval = _pinned_features(degree, q)
+    M, K, _ = F.shape
+    basis = RegressionBasis(degree=degree, ridge=1e-8)
+    ref = _RefStepRegression(F, basis)
+    assert ref._degenerate[1, 0] and not ref._degenerate[[0, 2], 0].any()
+    # with a fresh design, and in a workspace's design buffer that holds a longer block
+    design = np.full((BLOCK_STEPS, basis.size(q), M), np.nan)
+    for reg in (StepRegression(F, basis, first_step=7),
+                StepRegression(F, basis, first_step=7, design=design)):
+        for name in ("Phi", "_Ainv", "cond", "_mu", "_sd", "_degenerate"):
+            assert _same(getattr(reg, name), getattr(ref, name)), name
+        for j in range(K):
+            assert _same(reg.fit(j, targets), ref.fit(j, targets))
+            assert _same(reg.fit(j, targets[:, 1]), ref.fit(j, targets[:, 1]))
+            assert _same(reg.predict(j, F_eval, targets), ref.predict(j, F_eval, targets))
+    assert np.shares_memory(reg.Phi, design)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_normal_equations_match_the_gemm_cholesky_formulas(degree, q):
+    # the inverse, condition number, fits and predictions of the earlier formulas (a gemm Gram
+    # matrix, eigvalsh, and the inverse from the Cholesky factor), to rounding: an inverse's
+    # relative accuracy is that of its matrix times its condition number, so the tolerance is
+    # 10 eps cond, which is 1e-13 or tighter wherever cond <= 45
+    F, targets, F_eval = _pinned_features(degree, q)
+    M, K, _ = F.shape
+    basis = RegressionBasis(degree=degree, ridge=1e-8)
+    reg = StepRegression(F, basis, first_step=7)
+    Phi = reg.Phi
+    penalty = np.diag([0.0] + [1.0] * (Phi.shape[1] - 1))
+    A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * penalty
+    lam = np.abs(np.linalg.eigvalsh(A))
+    cond = lam.max(axis=1) / lam.min(axis=1)
+    Linv = np.linalg.inv(np.linalg.cholesky(A))
+    Ainv = np.swapaxes(Linv, 1, 2) @ Linv
+
+    def rel(got, want):
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
     for j in range(K):
-        assert _same(reg.fit(j, targets), ref.fit(j, targets))
-        assert _same(reg.fit(j, targets[:, 1]), ref.fit(j, targets[:, 1]))
-        assert _same(reg.predict(j, F_eval, targets), ref.predict(j, F_eval, targets))
+        tol = 10.0 * np.finfo(float).eps * cond[j]
+        assert abs(reg.cond[j] / cond[j] - 1.0) <= tol
+        assert rel(reg._Ainv[j], Ainv[j]) <= tol
+        coef = Ainv[j] @ (Phi[j] @ targets)
+        assert rel(reg.fit(j, targets), Phi[j].T @ coef) <= tol
+        assert rel(reg.predict(j, F_eval, targets), reg._design(F_eval.T, j).T @ coef) <= tol
+
+
+def test_duplicated_coordinate_without_ridge_raises_at_its_step():
+    # two equal coordinates make equal design columns: without a ridge the normal matrix is
+    # singular, and the eigendecomposition that replaced the Cholesky test must still say so
+    for degree in (1, 2, 3):
+        F = _block_features()
+        F[:, 6, 1] = F[:, 6, 0]
+        with pytest.raises(ConditioningError, match="at step 26") as info:
+            StepRegression(F, RegressionBasis(degree=degree, ridge=0.0), first_step=20)
+        assert info.value.step == 26
+        # with the ridge, the same block builds
+        StepRegression(F, RegressionBasis(degree=degree, ridge=1e-6), first_step=20)
+
+
+def _twin_sign_features(M=1024):
+    """One step of features +-1, twice: with degree 1, the normal matrix is exactly
+    M [[1, 0, 0], [0, 1 + r, 1], [0, 1, 1 + r]] up to the rounding of the ridge r M."""
+    x = np.tile([1.0, -1.0], M // 2)
+    return np.stack([x, x], axis=1)[:, None, :]
+
+
+@pytest.mark.parametrize("factor", [0.98, 1.02])
+def test_condition_number_threshold(factor):
+    # the condition number of the twin-sign normal matrix is (2 + r) / r
+    F = _twin_sign_features()
+    target = factor * 1e14
+    basis = RegressionBasis(degree=1, ridge=2.0 / (target - 1.0))
+    if factor > 1:
+        with pytest.raises(ConditioningError, match="too ill-conditioned at step 4") as info:
+            StepRegression(F, basis, first_step=4)
+        assert info.value.step == 4
+    else:
+        reg = StepRegression(F, basis, first_step=4)
+        assert reg.cond[0] == pytest.approx(target, rel=5e-3)
+
+
+def test_a_singular_normal_matrix_is_named_singular():
+    # without a ridge the twin-sign normal matrix is exactly singular: its smallest eigenvalue
+    # is not positive, which the definiteness test names before the condition number
+    with pytest.raises(ConditioningError, match="singular normal equations at step 4") as info:
+        StepRegression(_twin_sign_features(), RegressionBasis(degree=1, ridge=0.0), first_step=4)
+    assert info.value.step == 4
+
+
+@pytest.mark.parametrize("order", ["non_finite_first", "singular_first"])
+def test_only_a_non_finite_block_is_replaced(order):
+    # a non-finite step is replaced by the identity and no other step is: a singular step
+    # still fails, and whichever of the two the backward sweep (last step first) reaches first
+    # names the error
+    F = _block_features()
+    nan_step, dup_step = (7, 3) if order == "non_finite_first" else (3, 7)
+    F[17, nan_step, 0] = np.nan
+    F[:, dup_step, 1] = F[:, dup_step, 0]
+    with pytest.raises(ConditioningError, match="at step 27") as info:
+        StepRegression(F, RegressionBasis(degree=2, ridge=0.0), first_step=20)
+    assert info.value.step == 27
+    assert ("non-finite" in str(info.value)) == (order == "non_finite_first")

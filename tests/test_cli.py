@@ -362,6 +362,20 @@ def test_solve_rerun_is_bit_identical(workdir):
     assert meta["descent_wall_time_s"] > 0.0
 
 
+def test_solve_reports_regression_health_and_reruns_identically(workdir):
+    # the converged evaluation's worst condition number and residual ratio go into report.json,
+    # which a rerun reproduces byte for byte
+    cfg = _config(workdir, problem="problems/p2.json", grid={"N": 50},
+                  monte_carlo={"M": 1000, "seed": 7}, initial={"t": 0.0, "x": [0.3]})
+    out1, out2 = workdir / "a", workdir / "b"
+    assert main(["solve", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["solve", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    health = json.loads((out1 / "report.json").read_text(encoding="utf-8"))["regression"]
+    assert 1.0 <= health["cond_max"] <= 1e14
+    assert 0.0 <= health["residual_ratio_max"] < 1.0
+
+
 def test_solve_blowup_reports_its_history(workdir):
     cfg = _config(workdir, grid={"N": 50}, monte_carlo={"M": 1000, "seed": 7},
                   descent={"eta": 10.0})

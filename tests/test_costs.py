@@ -294,6 +294,30 @@ def test_running_cost_into_out_equals_the_allocating_call(family, n, m, kappa_x,
 
 
 @settings(max_examples=60)
+@given(n=st.integers(1, 2), m=st.integers(1, 2), kappa_u=st.sampled_from([0.0, 0.3]),
+       M=st.integers(1, 7), N=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_running_value_in_scratch_equals_the_allocating_call(n, m, kappa_u, M, N, seed):
+    # P2's family: delta_u |u|^2 / 2 and kappa_x ph(x), and kappa_u ph(u) when it is not zero;
+    # the terms formed in a caller's scratch, of the documented size, are the same bits
+    cost = case1_smooth_cost(n, m, 1.0, kappa_x=0.5, kappa_u=kappa_u, kappa_g=1.0)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    grid = TimeGrid(0.0, 1.0, N)
+    X, U = step_major(M, N, n), step_major(M, N, m)
+    X[...] = rng.normal(scale=2.0, size=X.shape)
+    U[...] = rng.normal(scale=2.0, size=U.shape)
+    path_cost = GridCost(cost, grid)
+    fresh = path_cost.running_value(X, U)
+    out = step_major(M, N)
+    scratch = [np.full(M * N * max(n, m), np.nan) for _ in range(3)]
+    assert path_cost.running_value(X, U, out=out, scratch=scratch) is out
+    assert _same(out, fresh)
+    # and pseudo_huber formed in out and scratch
+    ph = np.full(X.shape, np.nan)
+    assert pseudo_huber(X, out=ph, scratch=np.empty_like(X)) is ph
+    assert _same(ph, pseudo_huber(X))
+
+
+@settings(max_examples=60)
 @given(family=st.sampled_from(FAMILIES), n=st.integers(1, 2), m=st.integers(1, 2),
        kappa_x=st.sampled_from([0.0, 0.3]), kappa_u=st.sampled_from([0.0, 0.3]),
        r_u=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**16))

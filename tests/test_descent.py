@@ -331,3 +331,66 @@ def test_steady_state_evaluations_do_not_page_fault():
     # 4 probe evaluations and one per iteration
     assert len(steady) == 4 + result["iterations"] - 1 > 4
     assert max(steady) < pages, (result["faults"], pages)
+
+
+_FAULTS_PER_P2_EVALUATION = """
+import json, resource
+import lcflow.descent as descent
+from lcflow import DescentConfig, RegressionBasis, TimeGrid, generate_brownian
+from lcflow.presets import p2
+grid = TimeGrid(0.0, 1.0, 50)
+W = generate_brownian(grid, 1000, seed=201, antithetic=True)
+faults = []
+def counting(fn, starts_an_evaluation):
+    def wrapped(*args, **kwargs):
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = fn(*args, **kwargs)
+        count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+        if starts_an_evaluation:
+            faults.append(count)
+        else:
+            faults[-1] += count
+        return out
+    return wrapped
+descent._evaluate_gradient = counting(descent._evaluate_gradient, True)
+descent.per_path_cost_core = counting(descent.per_path_cost_core, False)
+sol = descent.solve_hamiltonian(p2(), grid, 0.0, [0.3], W, RegressionBasis(2, 1e-8),
+                                DescentConfig())
+print(json.dumps({"faults": faults, "iterations": sol.report.iterations}))
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator")
+def test_p2_loop_evaluations_do_not_page_fault():
+    # on P2 the running cost forms its pseudo-Huber and delta_u terms in the workspace's
+    # scratch, so an evaluation of the loop (the gradient and the per-path cost) faults in
+    # fewer pages than a quarter of one [1000, 50] array; with whole-path temporaries in the
+    # running cost, each faulted 358
+    resource = pytest.importorskip("resource")
+    src = str(Path(lcflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_P2_EVALUATION], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(done.stdout.splitlines()[-1])
+    pages = -(-1000 * 50 * 8 // resource.getpagesize())
+    # iteration 0, then 4 probe evaluations, then one per further iteration
+    loop = result["faults"][5:]
+    assert len(loop) == result["iterations"] > 1
+    assert max(loop) < pages // 4, (result["faults"], pages)
+
+
+@pytest.mark.parametrize("which", ["p1", "p2"])
+def test_report_carries_the_converged_regression_health(which, grid, basis, spec_p1, spec_p2):
+    # the worst condition number and residual ratio of the evaluation at the returned control
+    spec, x0 = (spec_p1, [0.2]) if which == "p1" else (spec_p2, [0.3])
+    W = generate_brownian(grid, 600, seed=29, antithetic=True)
+    sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, DescentConfig())
+    *_, diag = _evaluate_gradient(sol.core, sol.U, W.increments, basis)
+    worst_cond, worst_ratio = diag.worst()
+    assert sol.report.regression_cond_max == worst_cond == max(diag.cond)
+    assert sol.report.regression_residual_ratio_max == worst_ratio
+    assert worst_ratio == max(m / b for m, b in zip(diag.residual_mean, diag.residual_bound))
+    assert json.loads(json.dumps(sol.report.to_dict()))["regression"] == {
+        "cond_max": worst_cond, "residual_ratio_max": worst_ratio}
