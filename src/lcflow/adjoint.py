@@ -30,7 +30,6 @@ block of one feature coordinate is used in place.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -223,17 +222,6 @@ class AdjointDiagnostics:
         ratios = [rm / rb if rb > 0 else (0.0 if rm == 0 else math.inf)
                   for rm, rb in zip(self.residual_mean, self.residual_bound)]
         return max(self.cond), max(ratios)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "basis_size": self.basis_size,
-                "steps": [
-                    {"cond": c, "residual_mean": rm, "residual_bound": rb}
-                    for c, rm, rb in zip(self.cond, self.residual_mean, self.residual_bound)
-                ],
-            }
-        )
 
 
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,

@@ -39,7 +39,6 @@ from .value import (
     SolverValueSource,
     convexity_probe,
     dpp_gap,
-    evaluate_value,
     hjb_residual,
     value_surface_to_csv,
 )
@@ -59,8 +58,12 @@ _DEFAULTS = {
     "output": {"directory": "out", "formats": ["json", "csv"]},
 }
 
-_ALLOWED_TOP = {"problem", "command", "grid", "monte_carlo", "basis", "descent",
-                "initial", "checks", "output"}
+_ALLOWED_TOP = {"problem", "command", *_DEFAULTS}
+
+# the keys of checks that some command reads
+_CHECK_KEYS = {"box", "samples", "with_derivative", "substeps", "value_lattice", "with_hessian",
+               "lattice_points", "perturbations", "perturb_scale", "gain_scale", "field_x",
+               "field_t", "hjb_samples", "source", "oracle_tol", "h_t", "h", "convexity"}
 
 
 class ConfigError(Exception):
@@ -88,6 +91,13 @@ def load_config(path: str, overrides=None) -> dict:
     unknown = set(raw) - _ALLOWED_TOP
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for section, defaults in _DEFAULTS.items():
+        given = raw.get(section) or {}
+        if not isinstance(given, dict):
+            raise ConfigError(f"{section} must be an object, got {given!r}")
+        unknown = set(given) - (_CHECK_KEYS if section == "checks" else set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     # the defaults' sections in their order, then the file's other keys in its order, so
     # that run-metadata.json lists the config alike under every hash seed
     keys = list(_DEFAULTS) + [k for k in raw if k not in _DEFAULTS]
@@ -320,14 +330,13 @@ class Runner:
         else:
             source = "fitted"
         sol = self._solve()
-        gap = dpp_gap(self.spec, self.grid, self.t0, self.x0, h, self.W, self.basis,
-                      self.dcfg, source, sol=sol)
-        vs = evaluate_value(self.spec, self.grid, self.t0, self.x0, self.W, self.basis,
-                            self.dcfg, with_hessian=False, sol=sol)
-        budget = dpp_budget(self.grid.dt, 1.0 + abs(vs.V), vs.stderr_V)
+        gap = dpp_gap(sol, h, self.basis, source)
+        costs = sol.per_path_cost
+        V = float(costs.mean())
+        budget = dpp_budget(self.grid.dt, 1.0 + abs(V), mc_stderr(costs, self.W.antithetic))
         if source == "fitted":
             budget *= 5.0
-        rep = {"gap": gap, "budget": budget, "value": vs.V, "passed": bool(abs(gap) <= budget)}
+        rep = {"gap": gap, "budget": budget, "value": V, "passed": bool(abs(gap) <= budget)}
         return rep, rep["passed"]
 
     def cmd_convexity_check(self):

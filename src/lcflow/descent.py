@@ -126,7 +126,8 @@ class HamiltonianSolution:
     iterate's step-major whole-path arrays.  It carries what it was solved
     on, so that its consumers rebuild nothing: the subproblem (core:
     subgrid, step coefficients, cost evaluator, x0), the Brownian ensemble
-    on that subgrid (W) and the per-path cost, whose mean is the reported J.
+    on that subgrid (W), the per-path cost, whose mean is the reported J, and
+    its terms l(t_k, X_k, u_k) dt as running [M, N], step-major.
     """
 
     X: np.ndarray
@@ -138,6 +139,7 @@ class HamiltonianSolution:
     core: CoreProblem
     W: BrownianEnsemble
     per_path_cost: np.ndarray
+    running: np.ndarray
 
     @property
     def grid(self):
@@ -159,14 +161,14 @@ def core_from_spec(spec, grid: TimeGrid, x0) -> CoreProblem:
 class Workspace:
     """The whole-path buffers a gradient evaluation on M paths writes in place.
 
-    X, Y, Z and D receive an evaluation's results and U holds the control it
-    runs on; the other arrays are scratch that no result is left in.  BU and
-    DU (None when D is zero at every step) hold the forward sweep's B u and
-    D u, resid a regression block's residuals, design a regression block's
-    design (adjoint.StepRegression), grad the gradient's terms,
-    run the running costs of per_path_cost_core and terms (three flat
-    arrays) their temporaries, and squares the squares of l2_norm_array.
-    The whole-path arrays are step-major, but squares is path-major.
+    X, Y, Z, D and run (the running costs times dt of per_path_cost_core)
+    receive an evaluation's results and U holds the control it runs on; the
+    other arrays are scratch that no result is left in.  BU and DU (None
+    when D is zero at every step) hold the forward sweep's B u and D u,
+    resid a regression block's residuals, design a regression block's
+    design (adjoint.StepRegression), grad the gradient's terms, terms (three
+    flat arrays) the running costs' temporaries, and squares the squares of
+    l2_norm_array.  The whole-path arrays are step-major, squares path-major.
 
     Scratch shares memory where lifetimes allow: B u and D u live in Y's
     first N rows and in Z, which the backward sweep writes only after the
@@ -293,8 +295,8 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
     iterate's.  The probes run in the spare U and D and overwrite X, Y and
     Z, so iteration 0's residual and cost are taken before them; only when
     iteration 0 is already the solution do they get buffers of their own.
-    The returned solution takes the current X, U, Y, Z and D, and descend
-    keeps none of them.
+    The returned solution takes the current X, U, Y, Z, D and running costs
+    (the workspace's run), and descend keeps none of them.
     """
     t_start = time.perf_counter()
     dW = W.increments
@@ -362,7 +364,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             report.regression_cond_max, report.regression_residual_ratio_max = diag.worst()
             report.wall_time = time.perf_counter() - t_start
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
-                                       per_path_cost=costs)
+                                       per_path_cost=costs, running=cur.run)
         prev = (U, D, J)
         U = _step(U, eta, D, out=spare.U)
         cur, spare = spare, cur

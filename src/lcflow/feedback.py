@@ -257,18 +257,9 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
     cost_eval = sol.core.cost_eval
     M = X.shape[0]
     N = wgrid.N
-    dt = wgrid.dt
     ctg = cost_eval.terminal_value(X[:, -1]).astype(float)
-    # path-major, so that run.sum(axis=1) keeps its summation order
-    run = np.multiply(cost_eval.running_value(X[:, :N], sol.U), dt, order="C")
-    # P along paths: gradY (gradX)^{-1}, solved once when every path holds one broadcast row
-    gX, gY = deriv.grad_X, deriv.grad_Y
-    one_row = gX.strides[0] == 0 and gY.strides[0] == 0
-    if one_row:
-        gX, gY = gX[:1], gY[:1]
-    P_paths = np.swapaxes(np.linalg.solve(np.swapaxes(gX, -1, -2), np.swapaxes(gY, -1, -2)), -1, -2)
-    if one_row:
-        P_paths = np.broadcast_to(P_paths, (M,) + P_paths.shape[1:])
+    run = np.ascontiguousarray(sol.running)     # path-major: run.sum(axis=1) keeps its order
+    P_paths = deriv.riccati_state()
 
     table = np.empty((N + 1,) + shape + (1 + n + n * n,))
     ctg_k = ctg + run.sum(axis=1)

@@ -231,17 +231,15 @@ def hjb_residual(spec, value_fn_source, samples, h_t: float) -> HJBResidualRepor
     return report
 
 
-def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
-            basis: RegressionBasis, cfg: DescentConfig, value_fn_source, sol=None) -> float:
+def dpp_gap(sol, h: float, basis: RegressionBasis, value_fn_source) -> float:
     """V(t,x) minus the Monte Carlo mean of V(t+h, X*_{t+h}) + running cost.
 
-    The continuation value comes from the given oracle source, or, with
+    V and the running cost are read off the solve sol from (t, x).  The
+    continuation value comes from the given oracle source, or, with
     value_fn_source="fitted", from a regression of the per-path realized
     optimal cost-to-go on the basis at X*_{t+h} (the optimal ensemble is
     reused, nothing is re-solved).
     """
-    if sol is None:
-        sol = solve_hamiltonian(spec, grid, t, x, W, basis, cfg)
     wgrid = sol.grid
     dt = wgrid.dt
     kh = int(round(h / dt))
@@ -249,15 +247,13 @@ def dpp_gap(spec, grid: TimeGrid, t: float, x, h: float, W: BrownianEnsemble,
         raise ValueError(f"h={h} must be a step multiple inside (0, T - t)")
     if abs(kh * dt - h) > 1e-9:
         raise ValueError(f"h={h} is not a multiple of dt={dt}")
-    cost_eval = sol.core.cost_eval
-    X, U = sol.X, sol.U
-    running = cost_eval.running_value(X[:, :wgrid.N], U)
+    X, running = sol.X, sol.running
     head = np.zeros(X.shape[0])
     for k in range(kh):
-        head += running[:, k] * dt
-    tail = cost_eval.terminal_value(X[:, -1]).astype(float)
+        head += running[:, k]
+    tail = sol.core.cost_eval.terminal_value(X[:, -1]).astype(float)
     for k in range(kh, wgrid.N):
-        tail += running[:, k] * dt
+        tail += running[:, k]
     V = float((head + tail).mean())
     t_mid = float(wgrid.nodes[kh])
     if value_fn_source == "fitted":

@@ -75,6 +75,19 @@ class DerivativeSolution:
     grad_u: np.ndarray   # [M, N, m, n]
     reports: tuple = ()
 
+    def riccati_state(self, paths=None) -> np.ndarray:
+        """P = gradY (gradX)^{-1} along all M paths, or the indices paths: [B, N+1, n, n].
+
+        In the noise-free case every path holds one broadcast row, solved once.
+        """
+        one_row = self.grad_X.strides[0] == 0 and self.grad_Y.strides[0] == 0
+        rows = slice(0, 1) if one_row else slice(None) if paths is None else paths
+        gX, gY = self.grad_X[rows], self.grad_Y[rows]
+        # P^T solves gradX^T P^T = gradY^T
+        P = np.swapaxes(np.linalg.solve(np.swapaxes(gX, -1, -2), np.swapaxes(gY, -1, -2)), -1, -2)
+        count = len(self.grad_X) if paths is None else len(paths)
+        return np.broadcast_to(P, (count,) + P.shape[1:]) if one_row else P
+
 
 def _noise_free(spec, sc: StepCoeffs) -> bool:
     """Whether no noise reaches the frozen direction system, so that every path solves it alike.
@@ -251,14 +264,10 @@ def riccati_state_check(deriv: DerivativeSolution, oracle=None) -> RiccatiStateR
     """
     M = deriv.grad_X.shape[0]
     take = np.linspace(0, M - 1, min(200, M)).astype(int)
-    gX = deriv.grad_X[take]                  # [B, N+1, n, n]
-    gY = deriv.grad_Y[take]
-    dets = np.linalg.det(gX)
+    dets = np.linalg.det(deriv.grad_X[take])     # [B, N+1]
     min_det = float(np.min(np.abs(dets)))
     flagged = bool(min_det < 1e-10)
-    # P^T solves gradX^T P^T = gradY^T
-    Pt = np.linalg.solve(np.swapaxes(gX, -1, -2), np.swapaxes(gY, -1, -2))
-    P_hat = np.swapaxes(Pt, -1, -2)
+    P_hat = deriv.riccati_state(take)               # [B, N+1, n, n]
     sym_defect = float(np.max(np.abs(P_hat - np.swapaxes(P_hat, -1, -2))))
     report = RiccatiStateReport(min_abs_det=min_det, invertibility_flagged=flagged,
                                 symmetry_defect_max=sym_defect)

@@ -224,16 +224,13 @@ def test_criterion_07_regular_condition(spec_p1_a, desk_grid, w_mid, desk_basis,
                f"P2 {m2:.4f} >= {DELTA - 0.05:.2f}")
 
 
-def test_criterion_08_dpp(spec_p1_a, spec_p2_a, desk_grid, w_desk, desk_basis, cfg_p1,
-                          cfg_p2, ric_p1, sol_p1, sol_p2):
-    gap1 = dpp_gap(spec_p1_a, desk_grid, 0.0, [0.0], 0.2, w_desk, desk_basis, cfg_p1,
-                   RiccatiValueSource(ric_p1), sol=sol_p1)
+def test_criterion_08_dpp(desk_grid, w_desk, desk_basis, ric_p1, sol_p1, sol_p2):
+    gap1 = dpp_gap(sol_p1, 0.2, desk_basis, RiccatiValueSource(ric_p1))
     costs1 = sol_p1.per_path_cost
     budget1 = dpp_budget(desk_grid.dt, 1.0 + abs(float(costs1.mean())),
                          mc_stderr(costs1, w_desk.antithetic))
     assert abs(gap1) <= budget1
-    gap2 = dpp_gap(spec_p2_a, desk_grid, 0.0, [0.3], 0.2, w_desk, desk_basis, cfg_p2,
-                   "fitted", sol=sol_p2)
+    gap2 = dpp_gap(sol_p2, 0.2, desk_basis, "fitted")
     costs2 = sol_p2.per_path_cost
     budget2 = 5.0 * dpp_budget(desk_grid.dt, 1.0 + abs(float(costs2.mean())),
                                mc_stderr(costs2, w_desk.antithetic))
@@ -307,7 +304,8 @@ def test_criterion_12_exact_degenerate_cases(desk_grid, desk_basis):
     source = SolverValueSource(spec_z, desk_grid, W, desk_basis, cfg)
     hjb = hjb_residual(spec_z, source, [(0.3, np.array([1.0]))], h_t=2 * desk_grid.dt)
     assert hjb.max_abs_residual <= 1e-8
-    gap = dpp_gap(spec_z, desk_grid, 0.0, [1.0], 0.2, W, desk_basis, cfg, "fitted")
+    gap = dpp_gap(solve_hamiltonian(spec_z, desk_grid, 0.0, [1.0], W, desk_basis, cfg), 0.2,
+                  desk_basis, "fitted")
     assert abs(gap) <= 1e-8
 
     spec_lt = linear_terminal(r=1.0)

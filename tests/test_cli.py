@@ -145,13 +145,36 @@ def test_missing_problem_exits_two(workdir):
     ("initial", {"t": 0.033}),          # off the grid
     ("initial", {"t": 1.0}),            # the horizon itself
     ("initial", {"x": [0.0, 1.0]}),     # n = 1
+    # an unknown key in a section, which would otherwise fall back to its default
+    ("grid", {"steps": 5}),
+    ("monte_carlo", {"paths": 100}),
+    ("basis", {"degre": 3}),
+    ("descent", {"max_iters": 2}),
+    ("initial", {"x0": [1.0]}),
+    ("checks", {"perturbation": 3}),
+    ("output", {"format": ["json"]}),
 ])
 def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
-    cfg = _config(workdir, monte_carlo={"M": 400}, **{section: bad})
+    sections = {"monte_carlo": {"M": 400}}
+    sections[section] = {**sections.get(section, {}), **bad}
+    cfg = _config(workdir, **sections)
     out = workdir / "bad"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(bad)) in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+def test_checks_keys_are_the_keys_the_commands_read():
+    # checks accepts exactly the keys some command reads, so a key a command starts or stops
+    # reading must be added to or dropped from cli._CHECK_KEYS with it
+    import re
+
+    import lcflow.cli
+
+    source = Path(lcflow.cli.__file__).read_text(encoding="utf-8")
+    read = set(re.findall(r'checks"?\]?\.get\("(\w+)"', source))
+    assert read == lcflow.cli._CHECK_KEYS
 
 
 def test_env_var_overrides_output(workdir, monkeypatch):

@@ -293,6 +293,29 @@ def test_solution_arrays_are_the_evaluation_of_its_control(case, grid, basis, sp
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+@pytest.mark.parametrize("case", ["p1", "p2", "backtracking", "zero_at_iteration_0"])
+def test_solution_carries_its_running_cost(case, grid, basis, spec_p1, spec_p2, spec_zero):
+    # the solution hands over the running costs its last cost evaluation formed, l(t_k, X_k, u_k)
+    # dt, step-major and bit for bit a fresh evaluation's; when iteration 0 is the solution, the
+    # probes run after it in buffers of their own and must leave them alone
+    spec, x0, cfg = {
+        "p1": (spec_p1, [0.0], DescentConfig()),
+        "p2": (spec_p2, [0.3], DescentConfig()),
+        "backtracking": (spec_p1, [0.2],
+                         DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3, backtracking=True)),
+        "zero_at_iteration_0": (spec_zero, [1.0], DescentConfig()),
+    }[case]
+    W = generate_brownian(grid, 400, seed=19, antithetic=True)
+    sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, cfg)
+    assert (sol.report.iterations == 0) == (case == "zero_at_iteration_0")
+    assert len(sol.report.probe_ratios) == (0 if case == "backtracking" else 4)
+    if case == "backtracking":
+        assert sol.report.eta < 1.5
+    want = sol.core.cost_eval.running_value(sol.X[:, :grid.N], sol.U) * grid.dt
+    assert sol.running.shape == (400, grid.N) and sol.running.T.flags.c_contiguous
+    assert np.ascontiguousarray(sol.running).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 _FAULTS_PER_EVALUATION = """
 import json, resource
 import lcflow.descent as descent

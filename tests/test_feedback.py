@@ -312,6 +312,45 @@ def test_lattice_solves_a_broadcast_row_once(monkeypatch, spec_p1, grid, basis, 
     assert once.table.tobytes() == every_row.table.tobytes()
 
 
+def test_lattice_reads_the_solution_running_cost(monkeypatch, spec_p2, grid, basis, cfg, w_small,
+                                                 sol_p2_small):
+    # the lattice takes the running cost off the solve and evaluates none; its table is the one
+    # the running cost's own evaluation gives, each path's cost-to-go summed in time order
+    import lcflow.feedback
+    from lcflow.adjoint import BLOCK_STEPS, StepRegression
+    from lcflow.costs import GridCost
+
+    sol = sol_p2_small
+    X, M, N, dt = sol.X, sol.W.M, sol.grid.N, sol.grid.dt
+    cost_eval = sol.core.cost_eval
+    run = np.multiply(cost_eval.running_value(X[:, :N], sol.U), dt, order="C")
+    solve = lcflow.feedback.solve_linear_hamiltonian
+    derivs = []
+
+    def keep(*args, **kwargs):
+        derivs.append(solve(*args, **kwargs))
+        return derivs[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the running cost was evaluated again")
+
+    monkeypatch.setattr(lcflow.feedback, "solve_linear_hamiltonian", keep)
+    monkeypatch.setattr(GridCost, "running_value", refuse)
+    source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg,
+                                  points_per_dim=9, sol=sol)
+    gX, gY = derivs[0].grad_X, derivs[0].grad_Y
+    P = np.swapaxes(np.linalg.solve(np.swapaxes(gX, -1, -2), np.swapaxes(gY, -1, -2)), -1, -2)
+    mesh = np.stack(np.meshgrid(*source.axes, indexing="ij"), axis=-1).reshape(-1, 1)
+    ctg_k = cost_eval.terminal_value(X[:, -1]).astype(float) + run.sum(axis=1)
+    for k in range(N):
+        if k % BLOCK_STEPS == 0:
+            reg = StepRegression(X[:, k:min(k + BLOCK_STEPS, N)], basis, first_step=k)
+        targets = np.concatenate([ctg_k[:, None], sol.Y[:, k], P[:, k].reshape(M, 1)], axis=1)
+        want = reg.predict(k % BLOCK_STEPS, mesh, targets)
+        assert source.table[k].reshape(want.shape).tobytes() == want.tobytes(), k
+        ctg_k = ctg_k - run[:, k]
+
+
 def test_feedback_field_csv(tmp_path, spec_p1, oracle_p1):
     out = tmp_path / "field.csv"
     feedback_field_to_csv(spec_p1, oracle_p1, [0.0, 0.5], [[-1.0], [0.0], [1.0]], out)

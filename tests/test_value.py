@@ -131,20 +131,51 @@ def test_hjb_residual_solver_source_p1(spec_p1, grid, basis, cfg, w_small):
 
 def test_dpp_gap_zero_problem(spec_zero, grid, basis, w_small):
     cfg = DescentConfig(eta=0.5, max_iter=5, tol_grad=1e-9)
-    gap = dpp_gap(spec_zero, grid, 0.0, [1.0], 0.2, w_small, basis, cfg, "fitted")
+    sol = solve_hamiltonian(spec_zero, grid, 0.0, [1.0], w_small, basis, cfg)
+    gap = dpp_gap(sol, 0.2, basis, "fitted")
     assert abs(gap) <= 1e-10
 
 
 def test_dpp_gap_oracle_p1(spec_p1, grid, basis, cfg, w_small, oracle_p1, sol_p1_small):
-    gap = dpp_gap(spec_p1, grid, 0.0, [0.0], 0.2, w_small, basis, cfg, oracle_p1,
-                  sol=sol_p1_small)
+    gap = dpp_gap(sol_p1_small, 0.2, basis, oracle_p1)
     vs = evaluate_value(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg, sol=sol_p1_small)
     assert abs(gap) <= dpp_budget(grid.dt, 1.0 + abs(vs.V), vs.stderr_V)
 
 
-def test_dpp_gap_requires_grid_multiple(spec_p1, grid, basis, cfg, w_small, oracle_p1):
+def test_dpp_gap_requires_grid_multiple(oracle_p1, basis, sol_p1_small):
     with pytest.raises(ValueError):
-        dpp_gap(spec_p1, grid, 0.0, [0.0], 0.2345, w_small, basis, cfg, oracle_p1)
+        dpp_gap(sol_p1_small, 0.2345, basis, oracle_p1)
+
+
+@pytest.mark.parametrize("which", ["p1_oracle", "p2_fitted"])
+def test_dpp_gap_reads_the_solution_running_cost(which, monkeypatch, basis, oracle_p1,
+                                                 sol_p1_small, sol_p2_small):
+    # the gap takes V and the running cost off the solve and evaluates no running cost; it is
+    # the gap of the running cost's own evaluation, split at t + h and summed in time order
+    from lcflow.adjoint import StepRegression
+    from lcflow.costs import GridCost
+
+    sol, source = (sol_p1_small, oracle_p1) if which == "p1_oracle" else (sol_p2_small, "fitted")
+    X, grid = sol.X, sol.grid
+    running = sol.core.cost_eval.running_value(X[:, :grid.N], sol.U)
+    kh = int(round(0.2 / grid.dt))
+    head = np.zeros(X.shape[0])
+    for k in range(kh):
+        head += running[:, k] * grid.dt
+    tail = sol.core.cost_eval.terminal_value(X[:, -1]).astype(float)
+    for k in range(kh, grid.N):
+        tail += running[:, k] * grid.dt
+    if source == "fitted":
+        cont = StepRegression(X[:, kh:kh + 1], basis, first_step=kh).fit(0, tail)
+    else:
+        cont = source.value(float(grid.nodes[kh]), X[:, kh])
+    want = float((head + tail).mean()) - float((head + cont).mean())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the running cost was evaluated again")
+
+    monkeypatch.setattr(GridCost, "running_value", refuse)
+    assert dpp_gap(sol, 0.2, basis, source) == want
 
 
 def test_regularity_margin_p1_exact(spec_p1, grid, basis, cfg, w_small, sol_p1_small):
