@@ -21,17 +21,16 @@ as the raw rollback, which keeps Y_k a function of the step's information.
 
 Only the recursion runs step by step: Dx_l is evaluated for the whole path
 before the sweep, straight into the rows of Y that step k then overwrites
-with Y_k, the diagnostics once per regression block, and the finiteness
-check once after the sweep.  X, U, Y, Z, the gradient and the
-regression features are step-major (paths.step_major), so every step
-reads and writes whole contiguous rows Y[:, k], Z[:, k], and a regression
-block of one feature coordinate is used in place.
+with Y_k, the condition numbers are read once per regression block, and
+the finiteness check runs once after the sweep.  X, U, Y, Z, the gradient
+and the regression features are step-major (paths.step_major), so every
+step reads and writes whole contiguous rows Y[:, k], Z[:, k], and a
+regression block of one feature coordinate is used in place.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -206,31 +205,16 @@ class StepRegression:
         return out if targets.ndim == 2 else out[:, 0]
 
 
-@dataclass
-class AdjointDiagnostics:
-    basis_size: int
-    cond: list = field(default_factory=list)            # per step
-    residual_mean: list = field(default_factory=list)   # per step, max |mean| over components
-    residual_bound: list = field(default_factory=list)  # per step, 4 std / sqrt(M)
-
-    def worst(self):
-        """The largest condition number and the largest ratio of residual mean to its bound.
-
-        A step whose residuals are all equal has a zero bound: its ratio is 0
-        when their mean is 0 too, else infinite.
-        """
-        ratios = [rm / rb if rb > 0 else (0.0 if rm == 0 else math.inf)
-                  for rm, rb in zip(self.residual_mean, self.residual_bound)]
-        return max(self.cond), max(ratios)
-
-
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,
                    dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None, ws=None):
-    """Core backward sweep; returns (Y, Z, diagnostics), Y and Z step-major.
+    """Core backward sweep; returns (Y, Z, cond_max), Y and Z step-major.
 
-    With a workspace ws (descent.Workspace), Y, Z, the block residuals and
-    the regression designs are written into its arrays Y, Z, resid and
-    design; else they are fresh.
+    cond_max is the largest condition number of the normal equations over
+    the steps where every feature coordinate has spread, None when no step
+    has.  A step with a collapsed coordinate (step 0, every path at x0)
+    reads about 1 / ridge whatever the regression, so it is left out.
+    With a workspace ws (descent.Workspace), Y, Z and the regression
+    designs are written into its arrays Y, Z and design; else they are fresh.
     A non-finite Y or Z raises BlowupError at the first step the sweep reached.
     """
     M, _, n = X.shape
@@ -239,11 +223,10 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     dt = grid.dt
     if ws is None:
         Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
-        resid = np.empty((BLOCK_STEPS, M, n))      # a block's residuals, each step contiguous
         design = None
     else:
-        Y, Z, resid, design = ws.Y, ws.Z, ws.resid, ws.design
-    cond, rmean, rbound = np.empty(N), np.empty(N), np.empty(N)
+        Y, Z, design = ws.Y, ws.Z, ws.design
+    spread = []     # the condition numbers of the steps whose features all have spread
     Y[:, N] = cost_eval.terminal_gradient(X[:, N])
     cost_eval.running_grad_x(X[:, :N], U, out=Y[:, :N])     # Dx_l, until step k overwrites Y_k
     F = features if features is not None else X
@@ -252,11 +235,11 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
         if k < k0:
             k0 = max(k + 1 - BLOCK_STEPS, 0)
             reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0, design=design)
+            spread += reg.cond[~reg._degenerate.any(axis=1)].tolist()
         j = k - k0
         Yn, Yk, Zk = Y[:, k + 1], Y[:, k], Z[:, k]
         m_fit = reg.fit(j, Yn)
-        r = np.subtract(Yn, m_fit, out=resid[j])
-        zt = (r[:, None, :] * dW[:, k, :, None]) / dt             # [M, d, n]
+        zt = ((Yn - m_fit)[:, None, :] * dW[:, k, :, None]) / dt     # [M, d, n]
         Zk[...] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
         # A^T m + sum_i C_i^T Z^i, without the terms of a zero A or C block
         driver = m_fit @ sc.A[k] if sc.A_nonzero[k] else None
@@ -264,11 +247,6 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
             zc = np.einsum("pij,ijn->pn", Zk, sc.C[k])
             driver = zc if driver is None else driver + zc
         np.add(m_fit, (Yk if driver is None else driver + Yk) * dt, out=Yk)
-        if j == 0:      # the block is done: its diagnostics in one pass
-            R, block = resid[:len(reg.cond)], slice(k0, k0 + len(reg.cond))
-            cond[block] = reg.cond
-            rmean[block] = np.abs(R.mean(axis=1)).max(axis=1)
-            rbound[block] = 4.0 * R.std(axis=1).max(axis=1) / np.sqrt(M)
     # all finite iff the extremes are (a NaN or an infinity reaches them)
     if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (Y, Z)):
         bad = ~np.isfinite(Y).all(axis=2)                           # [M, N+1]
@@ -276,8 +254,7 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
         k = int(np.flatnonzero(bad.any(axis=0))[-1])
         p = int(np.argmax(bad[:, k]))
         raise BlowupError(f"adjoint left the finite range at path {p}, step {k}", path=p, step=k)
-    diag = AdjointDiagnostics(reg.Phi.shape[1], cond.tolist(), rmean.tolist(), rbound.tolist())
-    return Y, Z, diag
+    return Y, Z, max(spread, default=None)
 
 
 def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z, ws=None) -> np.ndarray:

@@ -60,10 +60,19 @@ _DEFAULTS = {
 
 _ALLOWED_TOP = {"problem", "command", *_DEFAULTS}
 
-# the keys of checks that some command reads
-_CHECK_KEYS = {"box", "samples", "with_derivative", "substeps", "value_lattice", "with_hessian",
-               "lattice_points", "perturbations", "perturb_scale", "gain_scale", "field_x",
-               "field_t", "hjb_samples", "source", "oracle_tol", "h_t", "h", "convexity"}
+# the keys of checks that each command reads, those of the helpers it calls included
+# (_oracle reads substeps, _value_source lattice_points)
+_CHECK_KEYS = {
+    "solve": set(),
+    "value": {"value_lattice", "with_hessian"},
+    "feedback": {"perturbations", "perturb_scale", "gain_scale", "field_x", "field_t",
+                 "substeps", "lattice_points"},
+    "verify-lq": {"with_derivative", "substeps"},
+    "hjb-check": {"hjb_samples", "source", "substeps", "oracle_tol", "h_t"},
+    "dpp-check": {"h", "substeps"},
+    "convexity-check": {"convexity"},
+    "validate": {"box", "samples"},
+}
 
 
 class ConfigError(Exception):
@@ -95,7 +104,8 @@ def load_config(path: str, overrides=None) -> dict:
         given = raw.get(section) or {}
         if not isinstance(given, dict):
             raise ConfigError(f"{section} must be an object, got {given!r}")
-        unknown = set(given) - (_CHECK_KEYS if section == "checks" else set(defaults))
+        known = set().union(*_CHECK_KEYS.values()) if section == "checks" else set(defaults)
+        unknown = set(given) - known
         if unknown:
             raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     # the defaults' sections in their order, then the file's other keys in its order, so
@@ -375,6 +385,9 @@ def main(argv=None) -> int:
     faults_start = _minor_faults()
     try:
         cfg = load_config(args.config, overrides={"monte_carlo.seed": args.seed})
+        unread = set(cfg["checks"]) - _CHECK_KEYS[args.command]
+        if unread:
+            raise ConfigError(f"checks keys that {args.command} does not read: {sorted(unread)}")
     except (ConfigError, SchemaError) as exc:
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2

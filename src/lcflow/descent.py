@@ -58,9 +58,9 @@ class DescentReport:
     eta: float = np.nan
     k_hat: Optional[float] = None
     probe_ratios: list = field(default_factory=list)
-    # the converged evaluation's regression health (adjoint.AdjointDiagnostics.worst)
+    # the converged evaluation's largest condition number over the steps with spread
+    # (adjoint.backward_solve), None when no step has spread
     regression_cond_max: Optional[float] = None
-    regression_residual_ratio_max: Optional[float] = None
     wall_time: float = 0.0      # kept out of to_dict, which a rerun reproduces byte for byte
     converged: bool = False
     reason: str = ""
@@ -75,8 +75,7 @@ class DescentReport:
             "eta": self.eta,
             "k_hat": self.k_hat,
             "probe_ratios": self.probe_ratios,
-            "regression": {"cond_max": self.regression_cond_max,
-                           "residual_ratio_max": self.regression_residual_ratio_max},
+            "regression": {"cond_max": self.regression_cond_max},
             "final_residual": self.final_residual,
             "converged": self.converged,
             "reason": self.reason,
@@ -165,10 +164,10 @@ class Workspace:
     receive an evaluation's results and U holds the control it runs on; the
     other arrays are scratch that no result is left in.  BU and DU (None
     when D is zero at every step) hold the forward sweep's B u and D u,
-    resid a regression block's residuals, design a regression block's
-    design (adjoint.StepRegression), grad the gradient's terms, terms (three
-    flat arrays) the running costs' temporaries, and squares the squares of
-    l2_norm_array.  The whole-path arrays are step-major, squares path-major.
+    design a regression block's design (adjoint.StepRegression), grad the
+    gradient's terms, terms (three flat arrays) the running costs'
+    temporaries, and squares the squares of l2_norm_array.  The whole-path
+    arrays are step-major, squares path-major.
 
     Scratch shares memory where lifetimes allow: B u and D u live in Y's
     first N rows and in Z, which the backward sweep writes only after the
@@ -183,7 +182,6 @@ class Workspace:
     D: np.ndarray       # [M, N, m]
     BU: np.ndarray      # [M, N, n], Y[:, :N]
     DU: Optional[np.ndarray]    # [M, N, d, n], Z
-    resid: np.ndarray   # [BLOCK_STEPS, M, n]
     design: np.ndarray  # [BLOCK_STEPS, p, M]
     grad: np.ndarray    # [M, N, m]
     run: np.ndarray     # [M, N]
@@ -203,7 +201,6 @@ class Workspace:
         terms = tuple(np.empty(N * M * max(n, m)) for _ in range(3))
         return cls(X=step_major(M, N + 1, n), U=step_major(M, N, m), Y=Y, Z=Z,
                    D=step_major(M, N, m), BU=Y[:, :N], DU=Z if any(sc.D_nonzero) else None,
-                   resid=np.empty((BLOCK_STEPS, M, n)),
                    design=np.empty((BLOCK_STEPS, core.basis_size(basis), M)),
                    grad=scratch.reshape(N, M, m).swapaxes(0, 1),
                    run=scratch[:N * M].reshape(N, M).T, terms=terms,
@@ -211,16 +208,16 @@ class Workspace:
 
 
 def _evaluate_gradient(core: CoreProblem, U, dW, basis, ws: Workspace = None):
-    """One forward-backward evaluation at the control U: (X, Y, Z, D, diagnostics).
+    """One forward-backward evaluation at the control U: (X, Y, Z, D, cond_max).
 
     With a workspace ws, X, Y, Z and D are its arrays, overwritten; else they
     are fresh.
     """
     X = _simulate_core(core.sc, core.grid, core.x0, U, dW, ws)
-    Y, Z, diag = backward_solve(core.sc, core.cost_eval, core.grid, X, U, dW, basis,
-                                core.features(X), ws)
+    Y, Z, cond_max = backward_solve(core.sc, core.cost_eval, core.grid, X, U, dW, basis,
+                                    core.features(X), ws)
     D = gradient_core(core.sc, core.cost_eval, core.grid, X, U, Y, Z, ws)
-    return X, Y, Z, D, diag
+    return X, Y, Z, D, cond_max
 
 
 def _probe_controls(shape_nm, count, scale, seed, demean=False):
@@ -343,7 +340,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             except BlowupError as exc:
                 raise failure(exc)
             gnorm, costs = residual_and_cost(evaluation, U, cur)
-        X, Y, Z, D, diag = evaluation
+        X, Y, Z, D, cond_max = evaluation
         if not np.isfinite(gnorm):
             raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
         J = float(costs.mean())
@@ -361,7 +358,7 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             report.final_residual = gnorm
             report.converged = True
             report.reason = "stationarity" if gnorm <= cfg.tol_grad else "step_size"
-            report.regression_cond_max, report.regression_residual_ratio_max = diag.worst()
+            report.regression_cond_max = cond_max
             report.wall_time = time.perf_counter() - t_start
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
                                        per_path_cost=costs, running=cur.run)

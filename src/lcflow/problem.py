@@ -397,6 +397,13 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _object(value, key):
+    """value, when it is a JSON object; else SchemaError naming the section key."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"section {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _cost_params(cost: CostModel) -> dict:
     if cost.family == "quadratic":
         return {"G": cost.G.tolist(), "r": cost.r.tolist(),
@@ -435,31 +442,29 @@ def problem_from_json(doc: dict) -> ProblemSpec:
         raise SchemaError(f"unknown top-level keys: {sorted(extra)}")
     for key in ("dims", "horizon", "coefficients", "cost", "certificate"):
         _require(doc, key, "problem document")
-    dims_doc = doc["dims"]
+    dims_doc, cdoc, cost_doc, cert_doc = (
+        _object(doc[key], key) for key in ("dims", "coefficients", "cost", "certificate"))
     if set(dims_doc) != {"n", "m", "d"}:
         raise SchemaError("dims must have exactly the keys n, m, d")
     dims = Dimensions(int(dims_doc["n"]), int(dims_doc["m"]), int(dims_doc["d"]))
     n, m, d = dims.n, dims.m, dims.d
-    cdoc = doc["coefficients"]
     shapes = {"A": (n, n), "B": (n, m), "C": (d, n, n), "D": (d, n, m), "b": (n,), "sigma": (d, n)}
     extra = set(cdoc) - set(shapes)
     if extra:
         raise SchemaError(f"unknown coefficient keys: {sorted(extra)}")
     coeffs = CoefficientSet.build(
         dims, **{key: _pw_from_json(value, shapes[key], key) for key, value in cdoc.items()})
-    cert_doc = doc["certificate"]
     extra = set(cert_doc) - {"delta", "mode", "k_lip"}
     if extra:
         raise SchemaError(f"unknown certificate keys: {sorted(extra)}")
     horizon = float(doc["horizon"])
-    cost_doc = doc["cost"]
     extra = set(cost_doc) - {"family", "params"}
     if extra:
         raise SchemaError(f"unknown cost keys: {sorted(extra)}")
     family = _require(cost_doc, "family", "cost")
     if family not in _COST_PARAMS:
         raise SchemaError(f"unknown cost family {family!r}")
-    params = cost_doc.get("params", {})
+    params = _object(cost_doc.get("params", {}), "params")
     extra = set(params) - set(_COST_PARAMS[family])
     if extra:
         raise SchemaError(f"unknown {family} cost params: {sorted(extra)}")

@@ -406,14 +406,12 @@ def test_p2_loop_evaluations_do_not_page_fault():
 
 @pytest.mark.parametrize("which", ["p1", "p2"])
 def test_report_carries_the_converged_regression_health(which, grid, basis, spec_p1, spec_p2):
-    # the worst condition number and residual ratio of the evaluation at the returned control
+    # the largest condition number over the steps with spread, of the evaluation at the returned
+    # control: far below the 1 / ridge of step 0, where every path sits at x0
     spec, x0 = (spec_p1, [0.2]) if which == "p1" else (spec_p2, [0.3])
     W = generate_brownian(grid, 600, seed=29, antithetic=True)
     sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, DescentConfig())
-    *_, diag = _evaluate_gradient(sol.core, sol.U, W.increments, basis)
-    worst_cond, worst_ratio = diag.worst()
-    assert sol.report.regression_cond_max == worst_cond == max(diag.cond)
-    assert sol.report.regression_residual_ratio_max == worst_ratio
-    assert worst_ratio == max(m / b for m, b in zip(diag.residual_mean, diag.residual_bound))
-    assert json.loads(json.dumps(sol.report.to_dict()))["regression"] == {
-        "cond_max": worst_cond, "residual_ratio_max": worst_ratio}
+    *_, cond_max = _evaluate_gradient(sol.core, sol.U, W.increments, basis)
+    assert sol.report.regression_cond_max == cond_max
+    assert 1.0 <= cond_max <= 1e-4 / basis.ridge
+    assert json.loads(json.dumps(sol.report.to_dict()))["regression"] == {"cond_max": cond_max}

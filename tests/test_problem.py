@@ -204,8 +204,31 @@ def _wrong_shape(doc):
     doc["cost"]["params"]["Q"] = [[1.0, 0.0], [0.0, 1.0]]
 
 
+# a section that is not a JSON object
+def _scalar_certificate(doc):
+    doc["certificate"] = 1.0
+
+
+def _list_coefficients(doc):
+    doc["coefficients"] = ["A"]
+
+
+def _list_dims(doc):
+    doc["dims"] = ["n", "m", "d"]
+
+
+def _list_params(doc):
+    doc["cost"]["params"] = ["G"]
+
+
+def _string_cost(doc):
+    doc["cost"] = "quadratic"
+
+
 @pytest.mark.parametrize("corrupt, key", [
     (_drop_values, "A"), (_drop_delta, "delta"), (_unknown_param, "Z"), (_wrong_shape, "Q"),
+    (_scalar_certificate, "certificate"), (_list_coefficients, "coefficients"),
+    (_list_dims, "dims"), (_list_params, "params"), (_string_cost, "cost"),
 ])
 def test_malformed_document_raises_schema_error(corrupt, key, spec_p1, tmp_path):
     doc = problem_to_json(spec_p1)
