@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 try:
@@ -47,12 +48,12 @@ from .variational import riccati_state_check, riccati_state_to_csv
 COMMANDS = ("solve", "value", "feedback", "verify-lq", "hjb-check", "dpp-check",
             "convexity-check", "validate")
 
+# each section's keys with their defaults; a given value must have its default's JSON type (_typed)
 _DEFAULTS = {
     "grid": {"N": 50},
     "monte_carlo": {"M": 20000, "seed": 7, "antithetic": True},
-    "basis": {"degree": 2, "ridge": 1e-8},
-    "descent": {"eta": "auto", "max_iter": 80, "tol_grad": 1e-3, "tol_step": 1e-9,
-                "backtracking": False, "lipschitz_probes": 4},
+    "basis": asdict(RegressionBasis()),
+    "descent": asdict(DescentConfig()),
     "initial": {"t": 0.0, "x": None},
     "checks": {},
     "output": {"directory": "out", "formats": ["json", "csv"]},
@@ -60,23 +61,50 @@ _DEFAULTS = {
 
 _ALLOWED_TOP = {"problem", "command", *_DEFAULTS}
 
-# the keys of checks that each command reads, those of the helpers it calls included
-# (_oracle reads substeps, _value_source lattice_points)
-_CHECK_KEYS = {
-    "solve": set(),
-    "value": {"value_lattice", "with_hessian"},
-    "feedback": {"perturbations", "perturb_scale", "gain_scale", "field_x", "field_t",
-                 "substeps", "lattice_points"},
-    "verify-lq": {"with_derivative", "substeps"},
-    "hjb-check": {"hjb_samples", "source", "substeps", "oracle_tol", "h_t"},
-    "dpp-check": {"h", "substeps"},
-    "convexity-check": {"convexity"},
-    "validate": {"box", "samples"},
+_ORACLE = {"substeps": 4}      # read by Runner._oracle
+
+# the checks keys that each command reads, those of the helpers it calls included, with their
+# defaults; None where the command works the value out (_value_source reads lattice_points)
+_CHECKS = {
+    "solve": {},
+    "value": {"value_lattice": None, "with_hessian": False},
+    "feedback": {"perturbations": 10, "perturb_scale": 0.25, "gain_scale": None,
+                 "field_x": None, "field_t": None, "lattice_points": 21, **_ORACLE},
+    "verify-lq": {"with_derivative": False, **_ORACLE},
+    "hjb-check": {"hjb_samples": None, "source": None, "oracle_tol": 1e-6, "h_t": None,
+                  **_ORACLE},
+    "dpp-check": {"h": 0.2, **_ORACLE},
+    "convexity-check": {"convexity": None},
+    "validate": {"box": 5.0, "samples": 200},
 }
 
 
 class ConfigError(Exception):
     pass
+
+
+def _typed(key, value, default):
+    """Reject value for key unless it has the JSON type of key's default.
+
+    A boolean is neither an integer nor a number: an int default takes an
+    integer, a float default any number, "auto" a number or "auto", None
+    anything.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        ok = True
+    elif isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = number and isinstance(value, int)
+    elif isinstance(default, float):
+        ok = number
+    elif default == "auto":
+        ok = number or value == "auto"
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ConfigError(f"{key} must have the JSON type of its default {default!r}, got {value!r}")
 
 
 def _merge(defaults, given):
@@ -104,7 +132,7 @@ def load_config(path: str, overrides=None) -> dict:
         given = raw.get(section) or {}
         if not isinstance(given, dict):
             raise ConfigError(f"{section} must be an object, got {given!r}")
-        known = set().union(*_CHECK_KEYS.values()) if section == "checks" else set(defaults)
+        known = set().union(*_CHECKS.values()) if section == "checks" else set(defaults)
         unknown = set(given) - known
         if unknown:
             raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
@@ -129,11 +157,13 @@ def load_config(path: str, overrides=None) -> dict:
     if not prob_path.exists():
         raise ConfigError(f"problem file {prob_path} does not exist")
     cfg["_problem_path"] = str(prob_path)
-    for key, positive in (("grid.N", True), ("monte_carlo.M", True)):
-        section, leaf = key.split(".")
+    for section, defaults in _DEFAULTS.items():
+        for leaf, default in defaults.items():
+            _typed(f"{section}.{leaf}", cfg[section][leaf], default)
+    for section, leaf in (("grid", "N"), ("monte_carlo", "M")):
         val = cfg[section][leaf]
-        if positive and (not isinstance(val, int) or val < 1):
-            raise ConfigError(f"{key} must be a positive integer, got {val!r}")
+        if val < 1:
+            raise ConfigError(f"{section}.{leaf} must be a positive integer, got {val!r}")
     return cfg
 
 
@@ -149,21 +179,11 @@ class Runner:
         self.out_dir = out_dir
         self.tables_dir = out_dir / "tables"
         self.spec = problem_from_json(json.loads(Path(cfg["_problem_path"]).read_text(encoding="utf-8")))
-        self.grid = TimeGrid(0.0, self.spec.horizon, int(cfg["grid"]["N"]))
-        b = cfg["basis"]
-        self.basis = RegressionBasis(degree=int(b["degree"]), ridge=float(b["ridge"]))
-        dsc = cfg["descent"]
-        eta = dsc["eta"]
-        self.dcfg = DescentConfig(
-            eta=eta if eta == "auto" else float(eta),
-            max_iter=int(dsc["max_iter"]),
-            tol_grad=float(dsc["tol_grad"]),
-            tol_step=float(dsc["tol_step"]),
-            lipschitz_probes=int(dsc["lipschitz_probes"]),
-            backtracking=bool(dsc["backtracking"]),
-        )
+        self.grid = TimeGrid(0.0, self.spec.horizon, cfg["grid"]["N"])
+        self.basis = RegressionBasis(**cfg["basis"])
+        self.dcfg = DescentConfig(**cfg["descent"])
         init = cfg["initial"]
-        self.t0 = float(init["t"])
+        self.t0 = init["t"]
         x = init["x"]
         self.x0 = np.zeros(self.spec.dims.n) if x is None else np.asarray(x, dtype=float)
         if self.grid.index_of(self.t0) >= self.grid.N:
@@ -172,16 +192,15 @@ class Runner:
             raise ValueError(f"initial.x has shape {self.x0.shape}, expected ({self.spec.dims.n},)")
         # the costly part of set-up, so it comes after every check of the config
         mc = cfg["monte_carlo"]
-        self.W = generate_brownian(self.grid, int(mc["M"]), int(mc["seed"]),
-                                   bool(mc["antithetic"]), d=self.spec.dims.d)
+        self.W = generate_brownian(self.grid, mc["M"], mc["seed"], mc["antithetic"],
+                                   d=self.spec.dims.d)
         self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
 
     # -- commands ----------------------------------------------------------
 
     def cmd_validate(self):
-        checks = self.cfg["checks"]
-        report = validate_problem(self.spec, sample_box=float(checks.get("box", 5.0)),
-                                  samples=int(checks.get("samples", 200)))
+        report = validate_problem(self.spec, sample_box=self.checks["box"],
+                                  samples=self.checks["samples"])
         return report.to_dict(), report.passed
 
     def cmd_solve(self):
@@ -196,7 +215,7 @@ class Runner:
         ric = self._oracle()
         sol = self._solve()
         deriv_report = None
-        if bool(self.cfg["checks"].get("with_derivative", False)):
+        if self.checks["with_derivative"]:
             from .variational import freeze_second_order, solve_linear_hamiltonian
 
             frozen = freeze_second_order(self.spec, sol)
@@ -240,13 +259,12 @@ class Runner:
         return checks, bool(ok)
 
     def cmd_value(self):
-        checks = self.cfg["checks"]
-        lattice = checks.get("value_lattice") or {}
+        lattice = self.checks["value_lattice"] or {}
         ts = lattice.get("t", [self.t0])
         xs = lattice.get("x", [self.x0.tolist()])
-        with_hessian = bool(checks.get("with_hessian", False))
         source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
-        samples = [source.sample(float(t), x, with_hessian=with_hessian) for t in ts for x in xs]
+        samples = [source.sample(t, x, with_hessian=self.checks["with_hessian"])
+                   for t in ts for x in xs]
         if "csv" in self.cfg["output"]["formats"]:
             self.tables_dir.mkdir(parents=True, exist_ok=True)
             value_surface_to_csv(samples, self.tables_dir / "value_surface.csv")
@@ -266,26 +284,24 @@ class Runner:
                                  self.basis, self.dcfg)
 
     def _oracle(self):
-        return solve_riccati_ode(self.spec, self.grid,
-                                 substeps=int(self.cfg["checks"].get("substeps", 4)))
+        return solve_riccati_ode(self.spec, self.grid, substeps=self.checks["substeps"])
 
     def _value_source(self, sol):
         if self.spec.cost.family == "quadratic":
             return RiccatiValueSource(self._oracle())
         return build_lattice_source(self.spec, self.grid, self.t0, self.x0, self.W,
                                     self.basis, self.dcfg,
-                                    points_per_dim=int(self.cfg["checks"].get("lattice_points", 21)),
+                                    points_per_dim=self.checks["lattice_points"],
                                     sol=sol)
 
     def cmd_feedback(self):
-        checks = self.cfg["checks"]
         sol = self._solve()
         source = self._value_source(sol)
         report = verify_optimality(
             self.spec, sol, source,
-            n_perturbed=int(checks.get("perturbations", 10)),
-            perturb_scale=float(checks.get("perturb_scale", 0.25)),
-            gain_scale=checks.get("gain_scale"),
+            n_perturbed=self.checks["perturbations"],
+            perturb_scale=self.checks["perturb_scale"],
+            gain_scale=self.checks["gain_scale"],
         )
         dt = self.grid.dt
         budget = lq_value_budget(dt, report.value, max(report.stderr_closed, report.stderr_open))
@@ -297,44 +313,44 @@ class Runner:
         rep["suboptimality_ok"] = bool(sub_ok)
         if "csv" in self.cfg["output"]["formats"]:
             self.tables_dir.mkdir(parents=True, exist_ok=True)
-            xs = checks.get("field_x") or [self.x0.tolist()]
-            ts = checks.get("field_t") or [float(t) for t in self.grid.nodes[:-1:10]]
+            xs = self.checks["field_x"] or [self.x0.tolist()]
+            ts = self.checks["field_t"] or [float(t) for t in self.grid.nodes[:-1:10]]
             feedback_field_to_csv(self.spec, source, ts, xs,
                                   self.tables_dir / "feedback_field.csv")
         return rep, bool(ok and sub_ok)
 
     def cmd_hjb_check(self):
-        checks = self.cfg["checks"]
-        samples = checks.get("hjb_samples")
+        samples = self.checks["hjb_samples"]
         if samples is None:
             ts = np.linspace(0.15, 0.85, 3) * self.spec.horizon
             samples = [(round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()) for t in ts]
-        source_kind = checks.get("source", "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
+        samples = [(t, np.asarray(x, dtype=float)) for t, x in samples]
+        source_kind = self.checks["source"] or (
+            "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
         if source_kind == "riccati_oracle":
             source = RiccatiValueSource(self._oracle())
             # the oracle stores V at sub-step spacing; a wider difference in t
             # adds an O(h_t^2) error wherever P(t) is not constant
-            h_t = self.grid.dt / int(checks.get("substeps", 4))
-            tol = float(checks.get("oracle_tol", 1e-6))
+            h_t = self.grid.dt / self.checks["substeps"]
+            tol = self.checks["oracle_tol"]
         else:
             source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
             h_t = 2.0 * self.grid.dt
             tol = None
-        h_t = float(checks.get("h_t", h_t))
-        report = hjb_residual(self.spec, source, [(float(t), np.asarray(x, dtype=float)) for t, x in samples], h_t)
+        if self.checks["h_t"] is not None:
+            h_t = self.checks["h_t"]
+        report = hjb_residual(self.spec, source, samples, h_t)
         rep = report.to_dict()
         if tol is None:
             # budget from the value stderr at the first sample
-            v0 = source.sample(float(samples[0][0]), np.asarray(samples[0][1], dtype=float))
-            tol = hjb_solver_budget(self.grid.dt, h_t, v0.stderr_V)
+            tol = hjb_solver_budget(self.grid.dt, h_t, source.sample(*samples[0]).stderr_V)
         rep["tolerance"] = tol
         ok = report.max_abs_residual <= tol
         rep["passed"] = bool(ok)
         return rep, bool(ok)
 
     def cmd_dpp_check(self):
-        checks = self.cfg["checks"]
-        h = float(checks.get("h", 0.2))
+        h = self.checks["h"]
         if self.spec.cost.family == "quadratic":
             source = RiccatiValueSource(self._oracle())
         else:
@@ -350,18 +366,17 @@ class Runner:
         return rep, rep["passed"]
 
     def cmd_convexity_check(self):
-        checks = self.cfg["checks"]
-        conv = checks.get("convexity") or {}
+        conv = self.checks["convexity"] or {}
         pairs = conv.get("pairs", [[[-1.0] * self.spec.dims.n, [1.0] * self.spec.dims.n]])
-        lambdas = conv.get("lambdas", [0.5])
         report = convexity_probe(self.spec, self.grid, self.t0,
                                  [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
                                   for a, b in pairs],
-                                 [float(v) for v in lambdas], self.W, self.basis, self.dcfg)
+                                 conv.get("lambdas", [0.5]), self.W, self.basis, self.dcfg)
         rep = report.to_dict()
         return rep, report.passed()
 
     def run(self, command: str):
+        self.checks = {**_CHECKS[command], **self.cfg["checks"]}
         return getattr(self, "cmd_" + command.replace("-", "_"))()
 
 
@@ -385,9 +400,15 @@ def main(argv=None) -> int:
     faults_start = _minor_faults()
     try:
         cfg = load_config(args.config, overrides={"monte_carlo.seed": args.seed})
-        unread = set(cfg["checks"]) - _CHECK_KEYS[args.command]
+        checks, defaults = cfg["checks"], _CHECKS[args.command]
+        unread = set(checks) - set(defaults)
         if unread:
             raise ConfigError(f"checks keys that {args.command} does not read: {sorted(unread)}")
+        for key, value in checks.items():
+            _typed(f"checks.{key}", value, defaults[key])
+        if "source" in checks and checks["source"] not in ("riccati_oracle", "solver"):
+            raise ConfigError(f"checks.source must be 'riccati_oracle' or 'solver', "
+                              f"got {checks['source']!r}")
     except (ConfigError, SchemaError) as exc:
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2

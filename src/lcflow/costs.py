@@ -279,16 +279,10 @@ class RunningCost:
     def hess_xx(self, x, u):
         return _hessian(self.Q, np.asarray(x, dtype=float), self.kappa_x)
 
-    def _cross(self, x):
-        return np.zeros((self.R.shape[-1], x.shape[-1])) if self.S is None else self.S
-
-    def hess_xu(self, x, u):
-        x = np.asarray(x, dtype=float)
-        return _hessian(np.swapaxes(self._cross(x), -1, -2), x, 0.0)
-
     def hess_ux(self, x, u):
         x = np.asarray(x, dtype=float)
-        return _hessian(self._cross(x), x, 0.0)
+        return _hessian(np.zeros((self.R.shape[-1], x.shape[-1])) if self.S is None else self.S,
+                        x, 0.0)
 
     @cached_property
     def _uu(self):
@@ -309,7 +303,7 @@ class CostModel:
     apart from R and G so the certificate's modulus stays visible.
     The running cost l and its derivatives are evaluated on its blocks
     frozen at one time, at(t) (a RunningCost: value, grad_x, grad_u and the
-    hess_* blocks); hess_ux equals hess_xu transposed by construction.
+    hess_* blocks; Dxu_l is hess_ux transposed).
     k_hess is the bound on every second-derivative entry (audited over a
     sampling box by validate_problem).
     """
@@ -424,18 +418,8 @@ class GridCost(PathCost):
 
     @cached_property
     def steps(self) -> list:
-        """The running cost frozen at each left node: row k of every stacked block.
-
-        A block that is zero at node k is dropped for that row, as
-        CostModel.at drops it, so row k is what CostModel.at(t_k) returns.
-        """
-        r = self.running
-
-        def row(block, k):
-            return None if block is None else _nonzero(block[k])
-
-        return [RunningCost(r.Q[k], row(r.S, k), r.R[k], row(r.q, k), row(r.rho, k),
-                            r.delta_u, r.kappa_x, r.kappa_u) for k in range(self.grid.N)]
+        """The running cost frozen at each left node, CostModel.at(t_k)."""
+        return [self.cost.at(float(t)) for t in self.grid.nodes[:-1]]
 
     def terminal_value(self, xT):
         return self.cost.g(xT)
@@ -473,8 +457,8 @@ def stacked_hessian(lt: RunningCost, x, u):
     n, m = x.shape[-1], u.shape[-1]
     H = np.zeros((n + m, n + m))
     H[:n, :n] = lt.hess_xx(x, u)
-    H[:n, n:] = lt.hess_xu(x, u)
     H[n:, :n] = lt.hess_ux(x, u)
+    H[:n, n:] = H[n:, :n].T
     H[n:, n:] = lt.hess_uu(x, u)
     return H
 

@@ -34,8 +34,8 @@ class DescentConfig:
     max_iter: int = 80
     tol_grad: float = 1e-3
     tol_step: float = 1e-9
-    lipschitz_probes: int = 4
     backtracking: bool = False
+    lipschitz_probes: int = 4
 
     def __post_init__(self):
         if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and self.eta > 0):

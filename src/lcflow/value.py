@@ -122,6 +122,8 @@ class SolverValueSource:
         return vs
 
     def value(self, t, x):
+        if self.grid.index_of(t) == self.grid.N:     # V(T, .) is the terminal cost
+            return float(self.spec.cost.g(np.asarray(x, dtype=float)))
         return self.sample(t, x, with_hessian=False).V
 
     def derivatives(self, t, x):

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lcflow
-from lcflow.cli import main
+from lcflow.cli import _CHECKS, _DEFAULTS, COMMANDS, load_config, main
 from lcflow.presets import p1, p1_d_variant, p2
 from lcflow.problem import problem_to_json
 
@@ -155,6 +157,13 @@ def test_missing_problem_exits_two(workdir):
     ("output", {"format": ["json"]}),
     # a key that feedback reads and dpp-check does not, which would otherwise be ignored
     ("checks", {"perturbations": 3}),
+    # a value without its default's JSON type, which used to be cast or to fail mid-run
+    ("checks", {"h": "0.2"}),
+    ("descent", {"backtracking": "no"}),
+    ("monte_carlo", {"antithetic": "false"}),
+    ("descent", {"max_iter": 2.5}),
+    ("descent", {"eta": "fast"}),
+    ("basis", {"degree": True}),
 ])
 def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     sections = {"monte_carlo": {"M": 400}}
@@ -167,24 +176,93 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     assert not out.exists() and not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("command, checks", [
+    ("feedback", {"perturbations": "abc"}),
+    ("verify-lq", {"with_derivative": "no"}),
+    ("hjb-check", {"source": "oracle"}),      # would run the solver source under its tolerance
+])
+def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
+    cfg = _config(workdir, checks=checks, monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and next(iter(checks)) in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+_JSON_VALUES = {
+    "boolean": st.booleans(),
+    "integer": st.integers(-10**6, 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6).filter(lambda s: s != "auto"),
+    "list": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "null": st.none(),
+}
+
+
+def _json_kinds(default):
+    """The kinds of JSON value that a key with this default accepts."""
+    if isinstance(default, bool):
+        return {"boolean"}
+    if isinstance(default, int):
+        return {"integer"}
+    if isinstance(default, float) or default == "auto":
+        return {"integer", "float"}
+    return {"string" if isinstance(default, str) else "list"}
+
+
+# every typed key as (command, section, key, default): the sections' keys under any command,
+# the checks keys under a command that reads them
+_TYPED_KEYS = sorted(
+    [("solve", section, key, default) for section, keys in _DEFAULTS.items()
+     for key, default in keys.items() if default is not None]
+    + [(command, "checks", key, default) for command, keys in _CHECKS.items()
+       for key, default in keys.items() if default is not None], key=str)
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_value_of_another_json_type_exits_two(data, workdir, capsys):
+    command, section, key, default = data.draw(st.sampled_from(_TYPED_KEYS))
+    kind = data.draw(st.sampled_from(sorted(set(_JSON_VALUES) - _json_kinds(default))))
+    value = data.draw(_JSON_VALUES[kind])
+    cfg = _config(workdir, **{section: {key: value}})
+    out = workdir / "bad"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_config_takes_any_number_for_a_float_or_auto(data, workdir):
+    # an integer where a float is expected, and a number for eta="auto"
+    section, key = data.draw(st.sampled_from(sorted(
+        (section, key) for section, keys in _DEFAULTS.items() for key, default in keys.items()
+        if isinstance(default, float) or default == "auto")))
+    value = data.draw(_JSON_VALUES["integer"] | _JSON_VALUES["float"])
+    assert load_config(str(_config(workdir, **{section: {key: value}})))[section][key] == value
+
+
 def test_checks_keys_are_the_keys_the_commands_read():
     # each command accepts exactly the checks keys that it and the helpers it calls read, so a
-    # key a command starts or stops reading must be added to or dropped from cli._CHECK_KEYS
+    # key a command starts or stops reading must be added to or dropped from cli._CHECKS
     import inspect
     import re
 
-    from lcflow.cli import _CHECK_KEYS, COMMANDS, Runner
+    from lcflow.cli import Runner
 
     def read(method):
         source = inspect.getsource(method)
-        keys = set(re.findall(r'checks"?\]?\.get\("(\w+)"', source))
+        keys = set(re.findall(r'self\.checks\["(\w+)"\]', source))
         for helper in re.findall(r"self\.(_\w+)\(", source):
             keys |= read(getattr(Runner, helper))
         return keys
 
-    assert set(_CHECK_KEYS) == set(COMMANDS)
+    assert set(_CHECKS) == set(COMMANDS)
     for command in COMMANDS:
-        assert read(getattr(Runner, "cmd_" + command.replace("-", "_"))) == _CHECK_KEYS[command]
+        assert read(getattr(Runner, "cmd_" + command.replace("-", "_"))) == set(_CHECKS[command])
 
 
 def test_env_var_overrides_output(workdir, monkeypatch):
@@ -259,6 +337,19 @@ def test_verify_lq_with_derivative_table(workdir):
     assert report["riccati_state_ok"]
     lines = (out / "tables" / "riccati_state.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,err_mean,err_max"
+
+
+def test_hjb_command_solver_source_at_the_horizon(workdir):
+    # at N=10 the last default sample, t = 0.8, and h_t = 2 dt reach T, where the solver source
+    # answers the terminal cost in place of a solve from the horizon
+    cfg = _config(workdir, problem="problems/p2.json", grid={"N": 10}, monte_carlo={"M": 200},
+                  initial={"t": 0.0, "x": [0.3]})
+    out = workdir / "hjbT"
+    code = main(["hjb-check", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert code == 0, report
+    assert report["source"] == "solver"
+    assert report["entries"][-1]["t"] + report["h_t"] == pytest.approx(1.0)
 
 
 def test_hjb_command_solver_source(workdir):

@@ -498,8 +498,10 @@ def test_lattice_cell_equals_searchsorted_lookup_bytes(n, points, lo, log_width,
 
 def test_closed_loops_look_up_nothing_per_step(monkeypatch, spec_p2):
     # the closed loops of verify_optimality read the solution's step coefficients and GridCost
-    # rows, so no cost block or coefficient is looked up at t during them; one Newton call per
-    # loop and step is what the benchmark's self-check pins for the feedback command
+    # rows, so no cost block or coefficient is looked up per loop and step: the rows are frozen
+    # once, N CostModel.at calls of five block lookups each, for all the loops together.  One
+    # Newton call per loop and step is what the benchmark's self-check pins for the feedback
+    # command
     import lcflow.feedback
     from lcflow import PiecewiseConstant
     from lcflow.costs import CostModel
@@ -527,5 +529,5 @@ def test_closed_loops_look_up_nothing_per_step(monkeypatch, spec_p2):
     counting(lcflow.feedback, "newton_minimize_batch", "newton")
     n_perturbed = 3
     verify_optimality(spec_p2, sol, source, n_perturbed=n_perturbed)
-    assert calls == {"CostModel.at": 0, "PiecewiseConstant.at": 0,
+    assert calls == {"CostModel.at": grid.N, "PiecewiseConstant.at": 5 * grid.N,
                      "newton": (n_perturbed + 1) * grid.N}

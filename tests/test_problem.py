@@ -150,8 +150,7 @@ def test_case1_shifted_joint_hessian_psd(spec_p2):
         lt = cost.at(t)
         H = np.zeros((2, 2))
         H[0, 0] = lt.hess_xx(x, u)[0, 0]
-        H[0, 1] = lt.hess_xu(x, u)[0, 0]
-        H[1, 0] = lt.hess_ux(x, u)[0, 0]
+        H[0, 1] = H[1, 0] = lt.hess_ux(x, u)[0, 0]
         H[1, 1] = lt.hess_uu(x, u)[0, 0] - delta
         assert np.linalg.eigvalsh(H)[0] >= -1e-12
 
@@ -225,15 +224,31 @@ def _string_cost(doc):
     doc["cost"] = "quadratic"
 
 
+# a dimension that is not an integer, which must not be rounded to one
+def _fractional_n(doc):
+    doc["dims"]["n"] = 1.7
+
+
+def _string_n(doc):
+    doc["dims"]["n"] = "1"
+
+
+def _boolean_n(doc):
+    doc["dims"]["n"] = True
+
+
 @pytest.mark.parametrize("corrupt, key", [
     (_drop_values, "A"), (_drop_delta, "delta"), (_unknown_param, "Z"), (_wrong_shape, "Q"),
     (_scalar_certificate, "certificate"), (_list_coefficients, "coefficients"),
     (_list_dims, "dims"), (_list_params, "params"), (_string_cost, "cost"),
+    (_fractional_n, "n"), (_string_n, "n"), (_boolean_n, "n"),
 ])
 def test_malformed_document_raises_schema_error(corrupt, key, spec_p1, tmp_path):
     doc = problem_to_json(spec_p1)
     corrupt(doc)
-    with pytest.raises(SchemaError, match=repr(key)):
+    # Dimensions checks its own entries
+    error = StructuralError if key == "n" else SchemaError
+    with pytest.raises(error, match=repr(key)):
         problem_from_json(doc)
     (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "run.json").write_text(json.dumps({"problem": "p.json"}), encoding="utf-8")
