@@ -88,6 +88,30 @@ def _feature_block(features: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
 
 
+def _monomials(Z: np.ndarray, degree: int, out: np.ndarray = None) -> np.ndarray:
+    """The monomials [..., p, L] of the normalized features Z [..., q, L], intercept first.
+
+    They are written into out when it is given, else into a fresh array.
+    Each column is written from its first factor on, so no column is
+    filled with ones and multiplied by them.
+    """
+    def factor(i, power):
+        return Z[..., i, :] if power == 1 else Z[..., i, :] ** power
+
+    exps = _monomial_exponents(Z.shape[-2], degree)
+    shape = Z.shape[:-2] + (len(exps), Z.shape[-1])
+    if out is not None and out.shape != shape:
+        raise ValueError(f"design buffer of shape {out.shape}, expected {shape}")
+    Phi = np.empty(shape) if out is None else out
+    Phi[..., 0, :] = 1.0
+    for col, e in enumerate(exps[1:], start=1):
+        (i, power), *rest = [(i, power) for i, power in enumerate(e) if power]
+        Phi[..., col, :] = factor(i, power)
+        for i, power in rest:
+            Phi[..., col, :] *= factor(i, power)
+    return Phi
+
+
 class StepRegression:
     """The normal equations of K consecutive steps, shared across all regression targets.
 
@@ -109,8 +133,10 @@ class StepRegression:
     A^-1 = V diag(1 / lam) V^T, so a fit is products only.  Only a block
     that is not finite is replaced (by the identity) before the
     decomposition; the steps are then checked in the order the backward
-    sweep visits them, and the first failing one raises.  fit and predict
-    take the step's index j within the block.
+    sweep visits them, and the first failing one raises.  fit, coefficients
+    and features take the step's index j within the block; features(j)
+    gives the design at other points, so a fit can be evaluated there
+    without the block.
     """
 
     def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0,
@@ -132,7 +158,7 @@ class StepRegression:
         self._degree = basis.degree
         Z /= self._sd[:, :, None]
         Z[self._degenerate] = 0.0
-        self.Phi = Phi = self._monomials(Z, None if design is None else design[:K])  # [K, p, M]
+        self.Phi = Phi = _monomials(Z, basis.degree, None if design is None else design[:K])
         A = np.einsum("kam,kbm->kab", Phi, Phi)
         A.reshape(K, p * p)[:, p + 1::p + 1] += basis.ridge * M     # the diagonal after the intercept
         finite = np.isfinite(A).all(axis=(1, 2))
@@ -160,49 +186,36 @@ class StepRegression:
             )
         self._Ainv = (V / lam[:, None, :]) @ np.swapaxes(V, 1, 2)  # [K, p, p]
 
-    def _monomials(self, Z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """The monomials [..., p, L] of the normalized features Z [..., q, L], intercept first.
+    def features(self, j: int) -> StepFeatures:
+        """Step j's feature normalization, which gives the design at any points."""
+        return StepFeatures(self._mu[j], self._sd[j], self._degenerate[j], self._degree)
 
-        They are written into out when it is given, else into a fresh array.
-        Each column is written from its first factor on, so no column is
-        filled with ones and multiplied by them.
-        """
-        def factor(i, power):
-            return Z[..., i, :] if power == 1 else Z[..., i, :] ** power
-
-        exps = _monomial_exponents(Z.shape[-2], self._degree)
-        shape = Z.shape[:-2] + (len(exps), Z.shape[-1])
-        if out is not None and out.shape != shape:
-            raise ValueError(f"design buffer of shape {out.shape}, expected {shape}")
-        Phi = np.empty(shape) if out is None else out
-        Phi[..., 0, :] = 1.0
-        for col, e in enumerate(exps[1:], start=1):
-            (i, power), *rest = [(i, power) for i, power in enumerate(e) if power]
-            Phi[..., col, :] = factor(i, power)
-            for i, power in rest:
-                Phi[..., col, :] *= factor(i, power)
-        return Phi
-
-    def _design(self, F: np.ndarray, j: int) -> np.ndarray:
-        """Monomials [p, L] of F [q, L], normalized with step j's training mean and std."""
-        Z = (F - self._mu[j, :, None]) / self._sd[j, :, None]
-        Z[self._degenerate[j]] = 0.0
-        return self._monomials(Z)
-
-    def _coef(self, j: int, y: np.ndarray) -> np.ndarray:
-        return self._Ainv[j] @ (self.Phi[j] @ y)
+    def coefficients(self, j: int, targets: np.ndarray) -> np.ndarray:
+        """The least-squares coefficients [p, r] at step j of targets [M, r]; [p] of targets [M]."""
+        return self._Ainv[j] @ (self.Phi[j] @ targets)
 
     def fit(self, j: int, targets: np.ndarray) -> np.ndarray:
         """Fitted values at step j of the block of one or more targets; targets [M] or [M, r]."""
         y = targets if targets.ndim == 2 else targets[:, None]
-        out = self.Phi[j].T @ self._coef(j, y)
+        out = self.Phi[j].T @ self.coefficients(j, y)
         return out if targets.ndim == 2 else out[:, 0]
 
-    def predict(self, j: int, F_eval: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """The least-squares fit of targets on step j's training features, evaluated at F_eval [L, q]."""
-        y = targets if targets.ndim == 2 else targets[:, None]
-        out = self._design(np.asarray(F_eval, dtype=float).T, j).T @ self._coef(j, y)
-        return out if targets.ndim == 2 else out[:, 0]
+
+@dataclass(frozen=True)
+class StepFeatures:
+    """One step's feature normalization: the training mean and std of each coordinate, and
+    which coordinates are degenerate (collapsed onto the intercept)."""
+
+    mu: np.ndarray              # [q]
+    sd: np.ndarray              # [q], 1 where degenerate
+    degenerate: np.ndarray      # [q]
+    degree: int
+
+    def design(self, F: np.ndarray) -> np.ndarray:
+        """The monomials [p, L] of the points F [L, q], normalized as the training features."""
+        Z = (np.asarray(F, dtype=float).T - self.mu[:, None]) / self.sd[:, None]
+        Z[self.degenerate] = 0.0
+        return _monomials(Z, self.degree)
 
 
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,

@@ -64,12 +64,12 @@ _ALLOWED_TOP = {"problem", "command", *_DEFAULTS}
 _ORACLE = {"substeps": 4}      # read by Runner._oracle
 
 # the checks keys that each command reads, those of the helpers it calls included, with their
-# defaults; None where the command works the value out (_value_source reads lattice_points)
+# defaults; None where the command works the value out
 _CHECKS = {
     "solve": {},
     "value": {"value_lattice": None, "with_hessian": False},
     "feedback": {"perturbations": 10, "perturb_scale": 0.25, "gain_scale": None,
-                 "field_x": None, "field_t": None, "lattice_points": 21, **_ORACLE},
+                 "field_x": None, "field_t": None, **_ORACLE},
     "verify-lq": {"with_derivative": False, **_ORACLE},
     "hjb-check": {"hjb_samples": None, "source": None, "oracle_tol": 1e-6, "h_t": None,
                   **_ORACLE},
@@ -290,9 +290,7 @@ class Runner:
         if self.spec.cost.family == "quadratic":
             return RiccatiValueSource(self._oracle())
         return build_lattice_source(self.spec, self.grid, self.t0, self.x0, self.W,
-                                    self.basis, self.dcfg,
-                                    points_per_dim=self.checks["lattice_points"],
-                                    sol=sol)
+                                    self.basis, self.dcfg, sol=sol)
 
     def cmd_feedback(self):
         sol = self._solve()

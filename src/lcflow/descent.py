@@ -33,15 +33,14 @@ class DescentConfig:
     eta: Union[float, str] = "auto"
     max_iter: int = 80
     tol_grad: float = 1e-3
-    tol_step: float = 1e-9
     backtracking: bool = False
     lipschitz_probes: int = 4
 
     def __post_init__(self):
         if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and self.eta > 0):
             raise ValueError("eta must be positive or 'auto'")
-        if self.tol_grad <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_grad <= 0:
+            raise ValueError("tol_grad must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
         if self.lipschitz_probes < 1:
@@ -354,10 +353,10 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
         report.step_norms.append(step_norm if np.isfinite(step_norm) else 0.0)
         report.costs.append(J)
         report.iterations = it
-        if gnorm <= cfg.tol_grad or step_norm <= cfg.tol_step:
+        if gnorm <= cfg.tol_grad:
             report.final_residual = gnorm
             report.converged = True
-            report.reason = "stationarity" if gnorm <= cfg.tol_grad else "step_size"
+            report.reason = "stationarity"
             report.regression_cond_max = cond_max
             report.wall_time = time.perf_counter() - t_start
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,

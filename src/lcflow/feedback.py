@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -152,116 +151,75 @@ def feedback_map(spec, value_source, t, x) -> np.ndarray:
 
 
 class LatticeValueSource:
-    """Value derivatives tabulated on (grid node) x (state lattice).
+    """Value derivatives from the per-step regressions of one open-loop solve.
 
-    Built from a single open-loop solve: along optimal paths the adjoint is
-    the value gradient and the derivative ratio is its curvature, so
-    per-step regressions of those quantities, evaluated on the lattice,
-    tabulate DxV and DxxV without re-solving anything.  table
-    [N+1, P..., 1 + n + n^2] holds V, DxV and the rows of DxxV at each node
-    and lattice point.  Lookups snap t to the nearest node and interpolate
-    multilinearly in x, clamped at the lattice edge.  The axes are uniform
-    (np.linspace), so a point's cell is found from the spacing and then
-    checked against the nodes, which gives np.searchsorted's cell exactly.
+    Along optimal paths the adjoint is the value gradient and the derivative
+    ratio is its curvature, so per-step least-squares regressions of the
+    cost-to-go, the adjoint and the derivative ratio on the state give V,
+    DxV and DxxV without re-solving anything.  steps[k] holds node k's
+    feature normalization (adjoint.StepFeatures) and the coefficients
+    [p, 1 + n + n^2] of those targets, for the nodes before the horizon;
+    at the horizon the terminal cost answers (g, Dx g, Dxx g).  Lookups
+    snap t to the nearest node and evaluate the fitted polynomials at the
+    points asked for, beyond the data as well as within it.
     """
 
     kind = "lattice"
 
-    def __init__(self, grid, axes, table):
+    def __init__(self, grid, steps, terminal):
         self.grid = grid
-        self.axes = axes
-        self.table = table
-        shape = table.shape[1:-1]
-        # per axis: the node spacing's inverse, for a first guess at the cell,
-        # each cell's width, and each cell's upper node (+inf for the last cell)
-        self._cells = [((len(ax) - 1) / (ax[-1] - ax[0]), ax[1:] - ax[:-1],
-                        np.append(ax[1:-1], np.inf)) for ax in axes]
-        # the flat table offset of each corner of a cell from its lower corner
-        self._corners = [(corner, int(np.ravel_multi_index(corner, shape)))
-                         for corner in product((0, 1), repeat=len(axes))]
+        self.steps = steps
+        self.terminal = terminal        # the terminal cost: a costs.CostModel
 
     def _snap(self, t):
         k = int(round((t - self.grid.t0) / self.grid.dt))
         return min(max(k, 0), self.grid.N)
 
-    def _cell(self, ax, cells, x):
-        """The cell i of each point on the uniform axis ax, and its weight.
+    def _columns(self, t, x):
+        """V, DxV and the rows of DxxV at the node nearest t and the points x [n] or [B, n].
 
-        The point is clamped to the axis first; i is the last node at or
-        below it (np.searchsorted(ax, x, "right") - 1) but at most the last
-        cell.  It is first guessed from the spacing, which can land a cell
-        off near a node, and then moved until the nodes bracket the point.
+        The answer is [B, 1 + n + n^2], one row per point.
         """
-        inv_h, width, upper = cells
-        x = np.clip(x, ax[0], ax[-1])
-        # fmin sends a NaN to the last cell, as searchsorted does
-        i = np.fmin((x - ax[0]) * inv_h, len(ax) - 2).astype(np.intp)
-        left = ax[i]
-        down, up = left > x, upper[i] <= x
-        while np.count_nonzero(down) or np.count_nonzero(up):
-            i += up
-            i -= down
-            left = ax[i]
-            down, up = left > x, upper[i] <= x
-        return i, (x - left) / width[i]
-
-    def _lookup(self, t, x, columns):
-        """The table's columns at node t, interpolated at the points of x [n] or [B, n]: [B, c]."""
         X = np.atleast_2d(np.asarray(x, dtype=float))
-        idx, w = zip(*(self._cell(ax, cells, xi)
-                       for ax, cells, xi in zip(self.axes, self._cells, X.T)))
-        tab = self.table[self._snap(t)]
-        flat = tab.reshape(-1, tab.shape[-1])[:, columns]
-        base = idx[0] if len(idx) == 1 else np.ravel_multi_index(idx, tab.shape[:-1])
-        out = np.zeros((X.shape[0], flat.shape[1]))
-        for corner, offset in self._corners:
-            weight = 1.0
-            for c, wi in zip(corner, w):
-                weight = weight * (wi if c else 1.0 - wi)
-            out += flat.take(base + offset, axis=0) * weight[:, None]
-        return out
+        k = self._snap(t)
+        if k == self.grid.N:
+            cost = self.terminal
+            return np.concatenate([cost.g(X)[:, None], cost.dx_g(X),
+                                   cost.dxx_g(X).reshape(len(X), -1)], axis=1)
+        features, coef = self.steps[k]
+        # an einsum sums each row on its own, so a row's answer does not depend on the batch
+        return np.einsum("pb,pc->cb", features.design(X), coef).T
 
     def value(self, t, x):
-        V = self._lookup(t, x, slice(0, 1))[:, 0]
+        V = self._columns(t, x)[:, 0]
         return V if np.ndim(x) == 2 else float(V[0])
 
     def derivatives(self, t, x):
-        n = len(self.axes)
-        D = self._lookup(t, x, slice(1, None))
+        n = np.shape(x)[-1]
+        D = self._columns(t, x)[:, 1:]
         DxV, DxxV = D[:, :n], D[:, n:].reshape(-1, n, n)
         return (DxV, DxxV) if np.ndim(x) == 2 else (DxV[0], DxxV[0])
 
 
 def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
                          basis: RegressionBasis, cfg: DescentConfig,
-                         points_per_dim: int = 21, margin_std: float = 4.0,
                          sol=None) -> LatticeValueSource:
-    """Tabulate the value derivatives on an auto-sized rectangular lattice.
+    """The value source of the per-step regressions along the optimal paths from (t0, x0).
 
     A precomputed optimality solve from (t0, x0) may be passed in as sol.
     """
     if sol is None:
         sol = solve_hamiltonian(spec, grid, t0, x0, W, basis, cfg)
     deriv = solve_linear_hamiltonian(spec, basis, sol, freeze_second_order(spec, sol), cfg)
-    wgrid = sol.grid
     n = spec.dims.n
     X = sol.X
-    Xp = np.ascontiguousarray(X)    # path-major: the mean and std sum in the order they always did
-    mu, sd = Xp.mean(axis=(0, 1)), Xp.std(axis=(0, 1))
-    lo = mu - margin_std * sd - 1e-6
-    hi = mu + margin_std * sd + 1e-6
-    axes = tuple(np.linspace(lo[i], hi[i], points_per_dim) for i in range(n))
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    shape = (points_per_dim,) * n
-
-    cost_eval = sol.core.cost_eval
     M = X.shape[0]
-    N = wgrid.N
-    ctg = cost_eval.terminal_value(X[:, -1]).astype(float)
+    N = sol.grid.N
+    ctg = sol.core.cost_eval.terminal_value(X[:, -1]).astype(float)
     run = np.ascontiguousarray(sol.running)     # path-major: run.sum(axis=1) keeps its order
     P_paths = deriv.riccati_state()
 
-    table = np.empty((N + 1,) + shape + (1 + n + n * n,))
+    steps = []
     ctg_k = ctg + run.sum(axis=1)
     for k in range(N):
         if k % BLOCK_STEPS == 0:
@@ -269,13 +227,10 @@ def build_lattice_source(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsembl
         targets = np.concatenate(
             [ctg_k[:, None], sol.Y[:, k], P_paths[:, k].reshape(M, n * n)], axis=1
         )
-        table[k] = reg.predict(k % BLOCK_STEPS, mesh, targets).reshape(table.shape[1:])
+        j = k % BLOCK_STEPS
+        steps.append((reg.features(j), reg.coefficients(j, targets)))
         ctg_k = ctg_k - run[:, k]
-    table[N] = np.concatenate(
-        [cost_eval.terminal_value(mesh)[:, None], cost_eval.terminal_gradient(mesh),
-         spec.cost.dxx_g(mesh).reshape(-1, n * n)], axis=1,
-    ).reshape(table.shape[1:])
-    return LatticeValueSource(wgrid, axes, table)
+    return LatticeValueSource(sol.grid, steps, spec.cost)
 
 
 def simulate_closed_loop(spec, core: CoreProblem, W: BrownianEnsemble, value_source,

@@ -307,19 +307,30 @@ def test_cost_evaluations(grid, basis, spec_zero, spec_p1_nonoise):
     assert costs.shape == (M,)
 
 
+def _predict(reg, j, F_eval, targets):
+    """The least-squares fit of targets at step j, evaluated at the points F_eval [L, q]."""
+    return reg.features(j).design(F_eval).T @ reg.coefficients(j, targets)
+
+
 def test_regression_predict_matches_fit():
+    # the coefficients and the design at the training points give the fit, and a step's
+    # features give the design at other points
     rng = np.random.Generator(np.random.Philox(key=20))
     # the third feature is constant, so it collapses onto the intercept
     F = np.column_stack([rng.normal(size=500), rng.uniform(-1, 1, 500), np.full(500, 0.7)])
     reg = StepRegression(F[:, None], RegressionBasis(degree=2, ridge=1e-8))
     targets = np.column_stack([np.sin(F[:, 0]), F[:, 1] ** 3])
-    np.testing.assert_allclose(reg.predict(0, F, targets), reg.fit(0, targets), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(reg.predict(0, F, targets[:, 0]), reg.fit(0, targets[:, 0]),
+    assert reg.coefficients(0, targets).shape == (10, 2)
+    assert reg.coefficients(0, targets[:, 0]).shape == (10,)
+    assert reg.features(0).design(F).tobytes() == reg.Phi[0].tobytes()
+    np.testing.assert_allclose(_predict(reg, 0, F, targets), reg.fit(0, targets),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_predict(reg, 0, F, targets[:, 0]), reg.fit(0, targets[:, 0]),
                                rtol=0, atol=1e-12)
     # a quadratic target is reproduced away from the training points too
     G = np.column_stack([rng.normal(size=50), rng.uniform(-2, 2, 50), np.full(50, 0.7)])
     quad = lambda A: 1.0 + A[:, 0] - 2.0 * A[:, 0] * A[:, 1] + 0.5 * A[:, 1] ** 2
-    np.testing.assert_allclose(reg.predict(0, G, quad(F)), quad(G), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(_predict(reg, 0, G, quad(F)), quad(G), rtol=0, atol=1e-6)
 
 
 def _rms(v):
@@ -350,7 +361,7 @@ def test_regression_reproduces_polynomials_of_its_degree(q, degree, ridge, loc, 
     y = poly(F)
     tol = 2.0 * (ridge + 1e-13) * reg.cond[0] * _rms(y)
     assert _rms(reg.fit(0, y) - y) <= tol
-    assert _rms(reg.predict(0, G, y) - poly(G)) <= 10.0 * tol
+    assert _rms(_predict(reg, 0, G, y) - poly(G)) <= 10.0 * tol
 
 
 def _block_features(M=600, K=10, seed=21):
@@ -372,8 +383,8 @@ def test_block_regression_matches_single_steps():
         single = StepRegression(F[:, j:j + 1], basis, first_step=30 + j)
         np.testing.assert_allclose(block.fit(j, targets), single.fit(0, targets),
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(block.predict(j, G, targets), single.predict(0, G, targets),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_predict(block, j, G, targets),
+                                   _predict(single, 0, G, targets), rtol=0, atol=1e-12)
         assert block.cond[j] == pytest.approx(single.cond[0], rel=1e-9)
 
 
@@ -528,7 +539,8 @@ def test_regression_build_equals_reference_bytes(degree, q):
         for j in range(K):
             assert _same(reg.fit(j, targets), ref.fit(j, targets))
             assert _same(reg.fit(j, targets[:, 1]), ref.fit(j, targets[:, 1]))
-            assert _same(reg.predict(j, F_eval, targets), ref.predict(j, F_eval, targets))
+            assert _same(reg.coefficients(j, targets), ref.coefficients(j, targets))
+            assert _same(reg.features(j).design(F_eval), ref._design(F_eval.T, j))
     assert np.shares_memory(reg.Phi, design)
 
 
@@ -560,7 +572,8 @@ def test_normal_equations_match_the_gemm_cholesky_formulas(degree, q):
         assert rel(reg._Ainv[j], Ainv[j]) <= tol
         coef = Ainv[j] @ (Phi[j] @ targets)
         assert rel(reg.fit(j, targets), Phi[j].T @ coef) <= tol
-        assert rel(reg.predict(j, F_eval, targets), reg._design(F_eval.T, j).T @ coef) <= tol
+        design = reg.features(j).design(F_eval)
+        assert rel(design.T @ reg.coefficients(j, targets), design.T @ coef) <= tol
 
 
 def test_duplicated_coordinate_without_ridge_raises_at_its_step():

@@ -164,6 +164,8 @@ def test_missing_problem_exits_two(workdir):
     ("descent", {"max_iter": 2.5}),
     ("descent", {"eta": "fast"}),
     ("basis", {"degree": True}),
+    # a key that no longer exists: the step-size stop declared a stalled descent converged
+    ("descent", {"tol_step": 1e-9}),
 ])
 def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     sections = {"monte_carlo": {"M": 400}}
@@ -180,6 +182,7 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     ("feedback", {"perturbations": "abc"}),
     ("verify-lq", {"with_derivative": "no"}),
     ("hjb-check", {"source": "oracle"}),      # would run the solver source under its tolerance
+    ("feedback", {"lattice_points": 21}),     # the lattice evaluates its regressions: no table
 ])
 def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
     cfg = _config(workdir, checks=checks, monte_carlo={"M": 400})
@@ -364,7 +367,7 @@ def test_hjb_command_solver_source(workdir):
 
 
 @pytest.mark.parametrize("command, checks", [
-    ("feedback", {"perturbations": 1, "lattice_points": 11}),
+    ("feedback", {"perturbations": 1}),
     ("dpp-check", {"h": 0.2}),
 ])
 def test_one_solve_per_command(command, checks, workdir, monkeypatch):

@@ -159,6 +159,19 @@ def test_max_iter_error_carries_eta_and_k(grid, basis, spec_p1):
     assert err.value.eta == spec_p1.certificate.delta / err.value.k_hat
 
 
+def test_a_stalled_descent_is_not_converged(grid, basis, spec_p1):
+    # near the optimum the Monte Carlo cost stops decreasing, backtracking halves eta toward its
+    # floor and the steps shrink with it while the residual stays far above tol_grad: a small
+    # step is a stall, so the descent runs out of iterations instead of reporting convergence
+    W = generate_brownian(grid, 200, seed=201, antithetic=True)
+    cfg = DescentConfig(tol_grad=1e-4, backtracking=True, max_iter=60)
+    with pytest.raises(ConvergenceError, match="no stationarity after 60 iterations") as err:
+        solve_hamiltonian(spec_p1, grid, 0.0, [0.3], W, basis, cfg)
+    assert min(err.value.history) > 10 * cfg.tol_grad
+    assert err.value.eta < 1e-6
+    assert err.value.k_hat > 0
+
+
 def test_non_finite_residual_raises_at_once(grid, basis, spec_p1, monkeypatch):
     import lcflow.descent
 

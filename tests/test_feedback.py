@@ -1,9 +1,5 @@
-from itertools import product
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from lcflow import (
     DescentConfig,
@@ -24,12 +20,12 @@ from lcflow.costs import min_eigenvalue, solve_spd
 from lcflow.descent import core_from_spec
 from lcflow.feedback import (
     NEWTON_TOL_FACTOR,
-    LatticeValueSource,
     feedback_field_to_csv,
     newton_minimize_batch,
 )
 from lcflow.paths import l2_norm_array
-from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, solve_riccati_ode
+from lcflow.adjoint import BLOCK_STEPS, StepRegression
+from lcflow.riccati import lq_optimal_trajectory, lq_policy_value, lq_value, solve_riccati_ode
 from lcflow.value import RiccatiValueSource
 
 
@@ -273,7 +269,7 @@ def test_verify_optimality_runs_on_the_solution_subgrid(monkeypatch, spec_p1, gr
 
 def test_lattice_source_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):
     source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg,
-                                  points_per_dim=15, sol=sol_p2_small)
+                                  sol=sol_p2_small)
     res = simulate_closed_loop(spec_p2, core_from_spec(spec_p2, grid, [0.3]), w_small, source)
     j_open = float(sol_p2_small.per_path_cost.mean())
     # the feedback loop reproduces the open-loop optimum within the budget
@@ -283,13 +279,8 @@ def test_lattice_source_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):
     assert abs(v_fit - j_open) <= 0.01 * (1 + abs(j_open))
 
 
-def test_lattice_solves_a_broadcast_row_once(monkeypatch, spec_p1, grid, basis, cfg, w_small,
-                                             sol_p1_small):
-    # on P1 no noise reaches the derivative system, so every path holds one broadcast row of
-    # gradX and gradY; the lattice solves P = gradY (gradX)^-1 on that row alone, and its table
-    # is the one it builds when every path holds its own copy of the row
-    import dataclasses
-
+def _keep_derivative_solves(monkeypatch):
+    """Record the derivative solves of lattice builds; returns the list they are kept in."""
     import lcflow.feedback
 
     solve = lcflow.feedback.solve_linear_hamiltonian
@@ -300,55 +291,109 @@ def test_lattice_solves_a_broadcast_row_once(monkeypatch, spec_p1, grid, basis, 
         return derivs[-1]
 
     monkeypatch.setattr(lcflow.feedback, "solve_linear_hamiltonian", keep)
-    once = build_lattice_source(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg, points_per_dim=9,
-                                sol=sol_p1_small)
+    return derivs
+
+
+def test_lattice_solves_a_broadcast_row_once(monkeypatch, spec_p1, grid, basis, cfg, w_small,
+                                             sol_p1_small):
+    # on P1 no noise reaches the derivative system, so every path holds one broadcast row of
+    # gradX and gradY; the lattice solves P = gradY (gradX)^-1 on that row alone, and its
+    # coefficients are the ones it fits when every path holds its own copy of the row
+    import dataclasses
+
+    import lcflow.feedback
+
+    derivs = _keep_derivative_solves(monkeypatch)
+    once = build_lattice_source(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg, sol=sol_p1_small)
     deriv = derivs[0]
     assert deriv.grad_X.strides[0] == 0 and deriv.grad_Y.strides[0] == 0
     copied = dataclasses.replace(deriv, grad_X=np.array(deriv.grad_X),
                                  grad_Y=np.array(deriv.grad_Y))
     monkeypatch.setattr(lcflow.feedback, "solve_linear_hamiltonian", lambda *a, **k: copied)
     every_row = build_lattice_source(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg,
-                                     points_per_dim=9, sol=sol_p1_small)
-    assert once.table.tobytes() == every_row.table.tobytes()
+                                     sol=sol_p1_small)
+    assert len(once.steps) == len(every_row.steps) == grid.N
+    for (_, coef), (_, want) in zip(once.steps, every_row.steps):
+        assert coef.tobytes() == want.tobytes()
+
+
+def _ratio(deriv):
+    """The derivative ratio P = gradY (gradX)^-1 of a derivative solve, per path and step."""
+    gX, gY = deriv.grad_X, deriv.grad_Y
+    return np.swapaxes(np.linalg.solve(np.swapaxes(gX, -1, -2), np.swapaxes(gY, -1, -2)), -1, -2)
+
+
+def _lattice_fits(sol, basis, P, run):
+    """Per step k: the regression block the lattice builds, k's index j in it, and the targets
+    it fits there, the cost-to-go (summed from the running costs run, in time order), Y and P."""
+    X, M, N = sol.X, sol.W.M, sol.grid.N
+    n = X.shape[2]
+    ctg_k = sol.core.cost_eval.terminal_value(X[:, -1]).astype(float) + run.sum(axis=1)
+    for k in range(N):
+        if k % BLOCK_STEPS == 0:
+            reg = StepRegression(X[:, k:min(k + BLOCK_STEPS, N)], basis, first_step=k)
+        targets = np.concatenate([ctg_k[:, None], sol.Y[:, k], P[:, k].reshape(M, n * n)], axis=1)
+        yield k, reg, k % BLOCK_STEPS, targets
+        ctg_k = ctg_k - run[:, k]
 
 
 def test_lattice_reads_the_solution_running_cost(monkeypatch, spec_p2, grid, basis, cfg, w_small,
                                                  sol_p2_small):
-    # the lattice takes the running cost off the solve and evaluates none; its table is the one
-    # the running cost's own evaluation gives, each path's cost-to-go summed in time order
-    import lcflow.feedback
-    from lcflow.adjoint import BLOCK_STEPS, StepRegression
+    # the lattice takes the running cost off the solve and evaluates none; its coefficients are
+    # the ones the running cost's own evaluation gives, each path's cost-to-go summed in time
+    # order
     from lcflow.costs import GridCost
 
     sol = sol_p2_small
-    X, M, N, dt = sol.X, sol.W.M, sol.grid.N, sol.grid.dt
-    cost_eval = sol.core.cost_eval
-    run = np.multiply(cost_eval.running_value(X[:, :N], sol.U), dt, order="C")
-    solve = lcflow.feedback.solve_linear_hamiltonian
-    derivs = []
-
-    def keep(*args, **kwargs):
-        derivs.append(solve(*args, **kwargs))
-        return derivs[-1]
+    run = np.multiply(sol.core.cost_eval.running_value(sol.X[:, :sol.grid.N], sol.U), sol.grid.dt,
+                      order="C")
+    derivs = _keep_derivative_solves(monkeypatch)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the running cost was evaluated again")
 
-    monkeypatch.setattr(lcflow.feedback, "solve_linear_hamiltonian", keep)
     monkeypatch.setattr(GridCost, "running_value", refuse)
-    source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg,
-                                  points_per_dim=9, sol=sol)
-    gX, gY = derivs[0].grad_X, derivs[0].grad_Y
-    P = np.swapaxes(np.linalg.solve(np.swapaxes(gX, -1, -2), np.swapaxes(gY, -1, -2)), -1, -2)
-    mesh = np.stack(np.meshgrid(*source.axes, indexing="ij"), axis=-1).reshape(-1, 1)
-    ctg_k = cost_eval.terminal_value(X[:, -1]).astype(float) + run.sum(axis=1)
-    for k in range(N):
-        if k % BLOCK_STEPS == 0:
-            reg = StepRegression(X[:, k:min(k + BLOCK_STEPS, N)], basis, first_step=k)
-        targets = np.concatenate([ctg_k[:, None], sol.Y[:, k], P[:, k].reshape(M, 1)], axis=1)
-        want = reg.predict(k % BLOCK_STEPS, mesh, targets)
-        assert source.table[k].reshape(want.shape).tobytes() == want.tobytes(), k
-        ctg_k = ctg_k - run[:, k]
+    source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg, sol=sol)
+    for k, reg, j, targets in _lattice_fits(sol, basis, _ratio(derivs[0]), run):
+        features, coef = source.steps[k]
+        want = reg.features(j)
+        assert coef.tobytes() == reg.coefficients(j, targets).tobytes(), k
+        for name in ("mu", "sd", "degenerate"):
+            assert getattr(features, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+
+
+def test_lattice_answers_the_step_fits_on_the_paths(monkeypatch, spec_p2, grid, basis, cfg,
+                                                    w_small, sol_p2_small):
+    # at a grid node and the solution's own states, the source's V, DxV and DxxV are the
+    # block's least-squares fits of its targets, to rounding
+    sol = sol_p2_small
+    M = sol.W.M
+    derivs = _keep_derivative_solves(monkeypatch)
+    source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg, sol=sol)
+    run = np.ascontiguousarray(sol.running)
+    for k, reg, j, targets in _lattice_fits(sol, basis, _ratio(derivs[0]), run):
+        t, X = float(sol.grid.nodes[k]), sol.X[:, k]
+        DxV, DxxV = source.derivatives(t, X)
+        got = np.column_stack([source.value(t, X), DxV, DxxV.reshape(M, -1)])
+        want = reg.fit(j, targets)
+        assert np.all(np.max(np.abs(got - want), axis=0)
+                      <= 1e-12 * np.max(np.abs(want), axis=0)), k
+
+
+def test_lattice_keeps_its_shape_beyond_the_data(spec_p1):
+    # the fitted polynomials are evaluated where no path went, with no clamp: at x = +-3, far
+    # beyond the paths from x0 = 0.3, DxV stays close to the Riccati oracle's
+    grid = TimeGrid(0.0, 1.0, 50)
+    W = generate_brownian(grid, 1000, seed=201, antithetic=True, d=1)
+    source = build_lattice_source(spec_p1, grid, 0.0, [0.3], W,
+                                  RegressionBasis(degree=2, ridge=1e-8),
+                                  DescentConfig(eta="auto", max_iter=80, tol_grad=1e-3))
+    ric = solve_riccati_ode(spec_p1, grid=grid)
+    X = np.array([[-3.0], [3.0]])
+    for t in (0.2, 0.6):
+        DxV, _ = source.derivatives(t, X)
+        want = lq_value(ric, t, X)[1]
+        assert np.all(np.abs(DxV - want) <= 0.15 * np.abs(want)), (t, DxV, want)
 
 
 def test_feedback_field_csv(tmp_path, spec_p1, oracle_p1):
@@ -357,40 +402,6 @@ def test_feedback_field_csv(tmp_path, spec_p1, oracle_p1):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,x_0,u_0"
     assert len(lines) == 7
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_lattice_lookup_equals_scipy_interpolation(n):
-    from scipy.interpolate import RegularGridInterpolator
-
-    rng = np.random.Generator(np.random.Philox(key=60 + n))
-    grid = TimeGrid(0.0, 1.0, 4)
-    axes = tuple(np.linspace(a, b, P) for a, b, P in [(-1.3, 1.6, 9), (0.2, 0.9, 6)][:n])
-    # entries in [1, 2], so every interpolant is at least 1 and a relative bound is meaningful
-    shape = (grid.N + 1,) + tuple(len(a) for a in axes) + (1 + n + n * n,)
-    table = rng.uniform(1.0, 2.0, size=shape)
-    source = LatticeValueSource(grid, axes, table)
-    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = rng.uniform(lo, hi, size=(40, n))
-    edge = inside.copy()
-    edge[:20, 0], edge[20:, -1] = lo[0], hi[-1]
-    # beyond the edge in the first coordinate: below it in the first 20 rows, above in the rest
-    below = np.arange(40) < 20
-    outside = rng.uniform(lo - 2.0, hi + 2.0, size=(40, n))
-    outside[:, 0] = np.where(below, lo[0] - 1.0, hi[0] + 1.0) + rng.uniform(-0.9, 0.9, 40)
-    X = np.concatenate([nodes, inside, edge, outside])
-    for k in range(grid.N + 1):
-        t = float(grid.nodes[k]) + 0.3 * grid.dt       # snaps to node k
-        ref = lambda cols: RegularGridInterpolator(
-            axes, table[k][..., cols], method="linear", bounds_error=False, fill_value=None
-        )(np.clip(X, lo, hi))
-        DxV, DxxV = source.derivatives(t, X)
-        np.testing.assert_allclose(source.value(t, X), ref(0), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(DxV, ref(slice(1, 1 + n)), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(DxxV.reshape(-1, n * n), ref(slice(1 + n, None)),
-                                   rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(source.value(t, nodes), table[k][..., 0].reshape(-1))
 
 
 @pytest.fixture(scope="module")
@@ -428,72 +439,6 @@ def test_value_sources_answer_a_batch_bitwise(spec_p1, spec_p2, rich_lq, lattice
             np.testing.assert_array_equal(DxV[b], dxv)
             np.testing.assert_array_equal(DxxV[b], dxxv)
             np.testing.assert_array_equal(U[b], feedback_map(spec, source, t, x))
-
-
-def _ref_lookup(source, t, x, columns):
-    """LatticeValueSource._lookup in its earlier form: the cell from np.searchsorted."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    idx, w = [], []
-    for ax, xi in zip(source.axes, X.T):
-        xi = np.clip(xi, ax[0], ax[-1])
-        i = np.minimum(np.searchsorted(ax, xi, side="right") - 1, len(ax) - 2)
-        idx.append(i)
-        w.append((xi - ax[i]) / (ax[i + 1] - ax[i]))
-    tab = source.table[source._snap(t)]
-    shape = tab.shape[:-1]
-    flat = tab.reshape(-1, tab.shape[-1])[:, columns]
-    base = np.ravel_multi_index(idx, shape)
-    out = 0.0
-    for corner in product((0, 1), repeat=len(idx)):
-        weight = 1.0
-        for c, wi in zip(corner, w):
-            weight = weight * (wi if c else 1.0 - wi)
-        out = out + flat.take(base + np.ravel_multi_index(corner, shape), axis=0) * weight[:, None]
-    return out
-
-
-def _axis_points(rng, ax):
-    """Every node, both float neighbours of every node, the edges, points beyond them
-    (clamped by the lookup) and points inside."""
-    lo, hi = ax[0], ax[-1]
-    width = hi - lo
-    return np.concatenate([
-        ax, np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf), [lo, hi],
-        lo - width * rng.uniform(0.0, 2.0, 5), hi + width * rng.uniform(0.0, 2.0, 5),
-        [-np.inf, np.inf], rng.uniform(lo, hi, 20),
-    ])
-
-
-@settings(max_examples=60)
-@given(n=st.integers(1, 2), points=st.lists(st.integers(2, 40), min_size=2, max_size=2),
-       lo=st.floats(-1e6, 1e6), log_width=st.floats(-9.0, 6.0), seed=st.integers(0, 2 ** 16))
-def test_lattice_cell_equals_searchsorted_lookup_bytes(n, points, lo, log_width, seed):
-    # the second axis sits far from the first and is much narrower, so its cells are a few
-    # ulps of its nodes wide and the guessed cell is often off
-    rng = np.random.default_rng(seed)
-    lows, widths = [lo, -0.5 * lo], [10.0 ** log_width, 10.0 ** (log_width - 3.0)]
-    axes = tuple(np.linspace(lows[i], lows[i] + widths[i], points[i]) for i in range(n))
-    assume(all(np.all(np.diff(ax) > 0) for ax in axes))
-    grid = TimeGrid(0.0, 1.0, 3)
-    table = rng.uniform(-2.0, 2.0, size=(grid.N + 1,) + tuple(len(ax) for ax in axes)
-                        + (1 + n + n * n,))
-    source = LatticeValueSource(grid, axes, table)
-    coords = [_axis_points(rng, ax) for ax in axes]
-    for ax, cells, xs in zip(axes, source._cells, coords):
-        i, w = source._cell(ax, cells, xs)
-        xc = np.clip(xs, ax[0], ax[-1])
-        i_ref = np.minimum(np.searchsorted(ax, xc, side="right") - 1, len(ax) - 2)
-        np.testing.assert_array_equal(i, i_ref)
-        assert w.tobytes() == ((xc - ax[i_ref]) / (ax[i_ref + 1] - ax[i_ref])).tobytes()
-    # every coordinate against random partners, and the grid of the nodes of both axes
-    L = max(len(c) for c in coords)
-    X = np.column_stack([c[rng.permutation(np.resize(np.arange(len(c)), L))] for c in coords])
-    if n == 2:
-        X = np.concatenate([X, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)])
-    for t in (0.0, 0.4, 1.0):
-        for columns in (slice(0, 1), slice(1, None)):
-            got = source._lookup(t, X, columns)
-            assert got.tobytes() == _ref_lookup(source, t, X, columns).tobytes()
 
 
 def test_closed_loops_look_up_nothing_per_step(monkeypatch, spec_p2):
