@@ -91,21 +91,23 @@ def _feature_block(features: np.ndarray) -> np.ndarray:
 def _monomials(Z: np.ndarray, degree: int, out: np.ndarray = None) -> np.ndarray:
     """The monomials [..., p, L] of the normalized features Z [..., q, L], intercept first.
 
-    They are written into out when it is given, else into a fresh array.
-    Each column is written from its first factor on, so no column is
-    filled with ones and multiplied by them.
+    They are written into out [..., p, L] when it is given, else into a
+    fresh array; a Z that shares memory with out must be out's degree-1
+    rows, which are then left as they are.  Each column is written from its
+    first factor on, so no column is filled with ones and multiplied by them.
     """
     def factor(i, power):
         return Z[..., i, :] if power == 1 else Z[..., i, :] ** power
 
-    exps = _monomial_exponents(Z.shape[-2], degree)
-    shape = Z.shape[:-2] + (len(exps), Z.shape[-1])
-    if out is not None and out.shape != shape:
-        raise ValueError(f"design buffer of shape {out.shape}, expected {shape}")
-    Phi = np.empty(shape) if out is None else out
+    q = Z.shape[-2]
+    exps = _monomial_exponents(q, degree)
+    Phi = np.empty(Z.shape[:-2] + (len(exps), Z.shape[-1])) if out is None else out
+    in_place = out is not None and np.may_share_memory(Z, out)
     Phi[..., 0, :] = 1.0
     for col, e in enumerate(exps[1:], start=1):
         (i, power), *rest = [(i, power) for i, power in enumerate(e) if power]
+        if in_place and col <= q:
+            continue
         Phi[..., col, :] = factor(i, power)
         for i, power in rest:
             Phi[..., col, :] *= factor(i, power)
@@ -148,17 +150,25 @@ class StepRegression:
             raise ValueError(
                 f"path count {M} below basis size {p} at step {first_step + K - 1}"
             )
+        Phi = np.empty((K, p, M)) if design is None else design[:K]
+        if Phi.shape != (K, p, M):
+            raise ValueError(f"design buffer of shape {Phi.shape}, expected {(K, p, M)}")
         # the centered features serve the std (numpy's own steps: subtract the
-        # mean, square, sum, divide, root) and then the design
+        # mean, square, sum, divide, root) and then the design: they are
+        # formed in its degree-1 rows, their squares in the rows after them,
+        # which the monomials overwrite next; a design without those rows
+        # (degree < 2) leaves them to temporaries
         self._mu = F.mean(axis=2)
-        Z = F - self._mu[:, :, None]
-        sd = np.sqrt(np.square(Z).sum(axis=2) / M)
+        degree = basis.degree
+        Z = np.subtract(F, self._mu[:, :, None], out=Phi[:, 1:q + 1] if degree >= 1 else None)
+        squares = np.square(Z, out=Phi[:, q + 1:2 * q + 1] if degree >= 2 else None)
+        sd = np.sqrt(squares.sum(axis=2) / M)
         self._degenerate = sd < 1e-12 * (1.0 + np.abs(self._mu))
         self._sd = np.where(self._degenerate, 1.0, sd)
-        self._degree = basis.degree
+        self._degree = degree
         Z /= self._sd[:, :, None]
         Z[self._degenerate] = 0.0
-        self.Phi = Phi = _monomials(Z, basis.degree, None if design is None else design[:K])
+        self.Phi = _monomials(Z, degree, Phi)
         A = np.einsum("kam,kbm->kab", Phi, Phi)
         A.reshape(K, p * p)[:, p + 1::p + 1] += basis.ridge * M     # the diagonal after the intercept
         finite = np.isfinite(A).all(axis=(1, 2))

@@ -79,8 +79,53 @@ _CHECKS = {
 }
 
 
+# hjb-check's checks keys that only its Riccati-oracle source reads
+_ORACLE_ONLY = {"oracle_tol", *_ORACLE}
+
+
 class ConfigError(Exception):
     pass
+
+
+def _number(value):
+    """Whether value is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _point(value, n):
+    """Whether value is a point of R^n: a list of n numbers, or a number when n = 1."""
+    if isinstance(value, list):
+        return len(value) == n and all(map(_number, value))
+    return n == 1 and _number(value)
+
+
+def _listing(value, item):
+    """Whether value is a non-empty list whose every entry passes item."""
+    return isinstance(value, list) and len(value) > 0 and all(map(item, value))
+
+
+def _convexity(value, n):
+    """Whether value is convexity-check's object: lambdas in (0, 1), pairs of points in R^n."""
+    return (isinstance(value, dict) and set(value) <= {"lambdas", "pairs"}
+            and ("lambdas" not in value
+                 or _listing(value["lambdas"], lambda lam: _number(lam) and 0.0 < lam < 1.0))
+            and ("pairs" not in value
+                 or _listing(value["pairs"], lambda pair: isinstance(pair, list) and len(pair) == 2
+                             and all(_point(x, n) for x in pair))))
+
+
+# checks keys whose given value has a range or shape beyond its JSON type: the test of a value
+# on a problem with state dimension n, and what the value must be
+_RANGES = {
+    "source": (lambda v, n: v in ("riccati_oracle", "solver"), "'riccati_oracle' or 'solver'"),
+    "h_t": (lambda v, n: _number(v) and v > 0, "a positive number or null"),
+    "gain_scale": (lambda v, n: _number(v), "a number or null"),
+    "samples": (lambda v, n: v >= 1, "at least 1"),
+    "substeps": (lambda v, n: v >= 1, "at least 1"),
+    "convexity": (_convexity, "an object with lambdas, a non-empty list of numbers in (0, 1), "
+                              "and pairs, a non-empty list of pairs of points of the state's "
+                              "dimension, or either"),
+}
 
 
 def _typed(key, value, default):
@@ -90,7 +135,7 @@ def _typed(key, value, default):
     integer, a float default any number, "auto" a number or "auto", None
     anything.
     """
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = _number(value)
     if default is None:
         ok = True
     elif isinstance(default, bool):
@@ -279,6 +324,20 @@ class Runner:
         }
         return rep, True
 
+    def check(self, command: str):
+        """Take command's checks keys, rejecting a value of the right JSON type but the wrong
+        range or shape (_RANGES), and under hjb-check with the solver source the oracle's keys."""
+        self.checks = {**_CHECKS[command], **self.cfg["checks"]}
+        n = self.spec.dims.n
+        for key, value in self.checks.items():
+            if value is not None and key in _RANGES and not _RANGES[key][0](value, n):
+                raise ConfigError(f"checks.{key} must be {_RANGES[key][1]}, got {value!r}")
+        if command == "hjb-check" and self._hjb_source() == "solver":
+            unread = sorted(_ORACLE_ONLY & set(self.cfg["checks"]))
+            if unread:
+                raise ConfigError(f"checks keys that hjb-check with the solver source does "
+                                  f"not read: {unread}")
+
     def _solve(self):
         return solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
                                  self.basis, self.dcfg)
@@ -323,9 +382,7 @@ class Runner:
             ts = np.linspace(0.15, 0.85, 3) * self.spec.horizon
             samples = [(round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()) for t in ts]
         samples = [(t, np.asarray(x, dtype=float)) for t, x in samples]
-        source_kind = self.checks["source"] or (
-            "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
-        if source_kind == "riccati_oracle":
+        if self._hjb_source() == "riccati_oracle":
             source = RiccatiValueSource(self._oracle())
             # the oracle stores V at sub-step spacing; a wider difference in t
             # adds an O(h_t^2) error wherever P(t) is not constant
@@ -346,6 +403,11 @@ class Runner:
         ok = report.max_abs_residual <= tol
         rep["passed"] = bool(ok)
         return rep, bool(ok)
+
+    def _hjb_source(self):
+        """hjb-check's value source: checks.source, else the oracle for a quadratic cost."""
+        return self.checks["source"] or (
+            "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
 
     def cmd_dpp_check(self):
         h = self.checks["h"]
@@ -374,7 +436,7 @@ class Runner:
         return rep, report.passed()
 
     def run(self, command: str):
-        self.checks = {**_CHECKS[command], **self.cfg["checks"]}
+        self.check(command)
         return getattr(self, "cmd_" + command.replace("-", "_"))()
 
 
@@ -404,9 +466,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"checks keys that {args.command} does not read: {sorted(unread)}")
         for key, value in checks.items():
             _typed(f"checks.{key}", value, defaults[key])
-        if "source" in checks and checks["source"] not in ("riccati_oracle", "solver"):
-            raise ConfigError(f"checks.source must be 'riccati_oracle' or 'solver', "
-                              f"got {checks['source']!r}")
     except (ConfigError, SchemaError) as exc:
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2
@@ -415,7 +474,8 @@ def main(argv=None) -> int:
                    or cfg["output"]["directory"])
     try:
         runner = Runner(cfg, out_dir)
-    except (SchemaError, ValueError) as exc:
+        runner.check(args.command)
+    except (ConfigError, SchemaError, ValueError) as exc:
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2
     # only once the config is accepted, so that a rejected one leaves nothing behind

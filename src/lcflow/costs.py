@@ -68,6 +68,13 @@ def pseudo_huber_d2(z):
 
 
 def _sym(a):
+    """The symmetric part 0.5 (a + a^T) over the last two axes.
+
+    A 1 x 1 block is returned as it is, not copied: 0.5 (p + p) is p
+    exactly (short of overflow), so a caller that keeps the result copies it.
+    """
+    if a.shape[-2:] == (1, 1):
+        return a
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
@@ -157,7 +164,8 @@ def _symmetrized(pw: PiecewiseConstant, name: str, tol=1e-12) -> PiecewiseConsta
     defect = float(np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))) if vals.size else 0.0
     if defect > tol:
         warnings.warn(f"{name} asymmetry {defect:.2e} exceeds {tol:.0e}; symmetrizing")
-    return PiecewiseConstant(_sym(vals), pw.times)
+    sym = _sym(vals)
+    return PiecewiseConstant(sym.copy() if sym is vals else sym, pw.times)
 
 
 @dataclass(frozen=True, eq=False)

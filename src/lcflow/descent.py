@@ -162,11 +162,14 @@ class Workspace:
     X, Y, Z, D and run (the running costs times dt of per_path_cost_core)
     receive an evaluation's results and U holds the control it runs on; the
     other arrays are scratch that no result is left in.  BU and DU (None
-    when D is zero at every step) hold the forward sweep's B u and D u,
-    design a regression block's design (adjoint.StepRegression), grad the
-    gradient's terms, terms (three flat arrays) the running costs'
-    temporaries, and squares the squares of l2_norm_array.  The whole-path
-    arrays are step-major, squares path-major.
+    when D is zero at every step) hold the forward sweep's B u and D u;
+    after the sweep, BU holds X_k + (B u + b) dt at a plain step (A, C and
+    D zero) and B u at any other.  design holds a regression block's
+    design (adjoint.StepRegression), and while the block is built its
+    centred features and their squares; grad holds the gradient's terms,
+    terms (three flat arrays) the running costs' temporaries, and squares
+    the squares of l2_norm_array.  The whole-path arrays are step-major,
+    squares path-major.
 
     Scratch shares memory where lifetimes allow: B u and D u live in Y's
     first N rows and in Z, which the backward sweep writes only after the

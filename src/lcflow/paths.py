@@ -16,7 +16,12 @@ descent.Workspace, allocated once and written in place by every
 evaluation.  The forward sweep computes the control's terms for the
 whole path before its loop, drops the terms of a zero A, C or D block,
 and checks for blow-up once, after the loop, on the extremes of the
-states.
+states.  At a plain step, one whose A, C and D blocks are all zero, it
+needs no temporary: the noise sigma dW of every step is written into the
+state rows by one einsum, B u is turned into (B u + b) dt in its own
+buffer, and the step adds X_k into that row and the row into X_{k+1}.
+After the sweep the B u buffer holds X_k + (B u + b) dt at the plain
+steps and B u at the others.
 """
 
 from __future__ import annotations
@@ -129,6 +134,9 @@ def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.nda
     Each step reads the state row X[:, k] and writes X[:, k + 1] in place.
     With a workspace ws (descent.Workspace), X and the control's terms B u
     and D u are written into its arrays X, BU and DU; else they are fresh.
+    A plain step (A, C and D zero) adds the same terms as _advance, the
+    noise last there and first here, which addition's commutativity makes
+    the same bits.
     A state beyond BLOWUP_LIMIT raises BlowupError at its first step and path.
     """
     M = U.shape[0]
@@ -143,10 +151,24 @@ def _simulate_core(sc: StepCoeffs, grid: TimeGrid, x0, U: np.ndarray, dW: np.nda
     if any(D_nonzero):
         DU = np.einsum("kinm,pkm->pkin", sc.D, U,
                        out=step_major(M, N, d, n) if ws is None else ws.DU)
+    # a plain step (A, C and D zero) is X_k + (B u + b) dt + sigma dW: the noise of every
+    # step goes into its state row, and B u becomes (B u + b) dt in place; the other steps'
+    # rows are overwritten by _advance
+    plain = ~(np.array(sc.A_nonzero) | sc.C_nonzero | D_nonzero)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            _advance(sc, k, X[:, k], BU[:, k], DU[:, k] if D_nonzero[k] else None, dW[:, k],
-                     grid.dt, out=X[:, k + 1])
+        if plain.any():
+            np.einsum("kin,pki->pkn", sc.sigma, dW, out=X[:, 1:])
+            where = True if plain.all() else plain[:, None]    # a mask triples a multiply's time
+            np.add(BU, sc.b, out=BU, where=where)
+            np.multiply(BU, grid.dt, out=BU, where=where)
+        for k, plain_k in enumerate(plain.tolist()):
+            if plain_k:
+                # the same sums as _advance's, (X + drift) + noise, added in the other order
+                np.add(X[:, k], BU[:, k], out=BU[:, k])
+                X[:, k + 1] += BU[:, k]
+            else:
+                _advance(sc, k, X[:, k], BU[:, k], DU[:, k] if D_nonzero[k] else None,
+                         dW[:, k], grid.dt, out=X[:, k + 1])
         # |x| <= limit everywhere iff the extremes are within it (a NaN makes both NaN)
         states = X[:, 1:]
         if not (-BLOWUP_LIMIT <= states.min() and states.max() <= BLOWUP_LIMIT):

@@ -183,6 +183,17 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     ("verify-lq", {"with_derivative": "no"}),
     ("hjb-check", {"source": "oracle"}),      # would run the solver source under its tolerance
     ("feedback", {"lattice_points": 21}),     # the lattice evaluates its regressions: no table
+    # a value of the right JSON type but the wrong range or shape, which used to fail mid-run
+    ("convexity-check", {"convexity": {"lambdas": [2.0]}}),
+    ("convexity-check", {"convexity": {"lambdas": [0.5, 1.0]}}),
+    ("convexity-check", {"convexity": {"pairs": 3}}),
+    ("convexity-check", {"convexity": {"pairs": [[[0.0], [1.0, 2.0]]]}}),   # n = 1
+    ("convexity-check", {"convexity": {"lambda": [0.5]}}),
+    ("validate", {"samples": 0}),
+    ("hjb-check", {"h_t": "x"}),
+    ("hjb-check", {"h_t": 0.0}),
+    ("feedback", {"gain_scale": "big"}),
+    ("verify-lq", {"substeps": 0}),
 ])
 def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
     cfg = _config(workdir, checks=checks, monte_carlo={"M": 400})
@@ -191,6 +202,35 @@ def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and next(iter(checks)) in err
     assert not out.exists() and not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("problem, checks", [
+    ("problems/p1.json", {"source": "solver", "oracle_tol": 1.0}),
+    ("problems/p1.json", {"source": "solver", "substeps": 8}),
+    # a cost that is not quadratic has no oracle: the source is the solver
+    ("problems/p2.json", {"oracle_tol": 1.0}),
+    ("problems/p2.json", {"substeps": 8}),
+])
+def test_hjb_oracle_keys_under_the_solver_source_exit_two(problem, checks, workdir, capsys):
+    cfg = _config(workdir, problem=problem, checks=checks, monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "solver source" in err and next(iter(checks)) in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("checks", [
+    {"oracle_tol": 1e-5, "substeps": 8},
+    {"source": "riccati_oracle", "oracle_tol": 1e-5, "substeps": 8},
+])
+def test_hjb_oracle_source_reads_its_keys(checks, workdir):
+    cfg = _config(workdir, checks=checks, monte_carlo={"M": 400})
+    out = workdir / "hjb"
+    assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["source"] == "riccati_oracle" and report["tolerance"] == 1e-5
+    assert report["h_t"] == pytest.approx(1.0 / (20 * 8), rel=1e-12)
 
 
 _JSON_VALUES = {

@@ -417,6 +417,30 @@ def test_p2_loop_evaluations_do_not_page_fault():
     assert max(loop) < pages // 4, (result["faults"], pages)
 
 
+def test_steady_state_evaluation_allocates_no_whole_path_array(basis):
+    # in a workspace, the forward sweep forms its noise in X's rows and its drift in the
+    # workspace's BU, and a regression block centres and squares its features in its design,
+    # so an evaluation's traced memory never grows by as much as one state array [4000, 51]
+    tracemalloc = pytest.importorskip("tracemalloc")
+    from lcflow.descent import Workspace
+    from lcflow.presets import p1
+
+    grid = TimeGrid(0.0, 1.0, 50)
+    W = generate_brownian(grid, 4000, seed=201, antithetic=True)
+    core = core_from_spec(p1(), grid, [0.3])
+    ws = Workspace.allocate(core, 4000, basis)
+    ws.U[...] = 0.1
+    _evaluate_gradient(core, ws.U, W.increments, basis, ws)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _evaluate_gradient(core, ws.U, W.increments, basis, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < ws.X.nbytes, (peak - start, ws.X.nbytes)
+
+
 @pytest.mark.parametrize("which", ["p1", "p2"])
 def test_report_carries_the_converged_regression_health(which, grid, basis, spec_p1, spec_p2):
     # the largest condition number over the steps with spread, of the evaluation at the returned

@@ -202,3 +202,28 @@ def test_policy_value_at_the_oracle_gain_is_the_value(a, b, q, r, sigma, x):
     value, _ = lq_policy_value(spec, grid, *ric.gain_at(0.0))
     V, _, _ = lq_value(ric, 0.0, [x])
     assert value([x]) == pytest.approx(V, rel=1e-12, abs=1e-12)
+
+
+def _sym_always_formed(a):
+    """costs._sym as it was before a 1 x 1 block was passed through: 0.5 (a + a^T) formed."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+@pytest.mark.parametrize("name", ["spec_p1", "spec_p1_d", "rich_lq"])
+def test_oracle_equals_the_always_symmetrized_oracle_bytes(name, grid, request, monkeypatch):
+    # 0.5 (p + p) is p exactly, so passing a 1 x 1 block through changes no bit of the oracle
+    spec = request.getfixturevalue(name)
+    ric = solve_riccati_ode(spec, grid=grid)
+    monkeypatch.setattr("lcflow.riccati._sym", _sym_always_formed)
+    ref = solve_riccati_ode(spec, grid=grid)
+    for key in ("P", "phi", "c", "theta_gain", "theta_offset", "times"):
+        got, want = getattr(ric, key), getattr(ref, key)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+    assert ric.regular_margin_min == ref.regular_margin_min
+
+
+def test_symmetrized_cost_blocks_do_not_share_the_input():
+    Q = np.array([[2.0]])
+    spec = build_lq_problem(horizon=1.0, coeffs=p1().coeffs, G=[[1.0]], Q=Q, R=[[1.0]], delta=1.0)
+    Q[0, 0] = 5.0
+    assert spec.cost.Q.values[0, 0] == 2.0

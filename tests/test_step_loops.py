@@ -10,7 +10,7 @@ arrays [M, N, .] column by column and form every term.
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcflow import (CoefficientSet, Dimensions, PiecewiseConstant, RegressionBasis, TimeGrid,
@@ -24,7 +24,7 @@ from lcflow.adjoint import (
     per_path_cost_core,
 )
 from lcflow.costs import CostModel, GridCost
-from lcflow.descent import CoreProblem
+from lcflow.descent import CoreProblem, Workspace
 from lcflow.errors import ConditioningError
 from lcflow.feedback import feedback_map, simulate_closed_loop
 from lcflow.paths import _euler_step, _simulate_core, step_major
@@ -157,6 +157,13 @@ def _block(rng, kind, shape, scale):
 
 
 @settings(max_examples=40)
+# mixed plain and non-plain steps (A, C or D zero at some steps only) with d = 2
+@example(n=2, m=2, d=2, A="alternate", C="zero", D="zero", b="random", sigma="random",
+         S="zero", q="zero", rho="zero", kappa_u=0.0, N=12, zero_start=False, antithetic=True,
+         seed=5)
+@example(n=1, m=2, d=2, A="zero", C="alternate", D="alternate", b="alternate", sigma="random",
+         S="random", q="random", rho="zero", kappa_u=2.0, N=12, zero_start=True,
+         antithetic=False, seed=11)
 @given(n=st.integers(1, 2), m=st.integers(1, 2), d=st.integers(1, 2),
        A=BLOCK, C=BLOCK, D=BLOCK, b=BLOCK, sigma=BLOCK, S=BLOCK, q=BLOCK, rho=BLOCK,
        kappa_u=st.sampled_from([0.0, 2.0]), N=st.sampled_from([3, 12]),
@@ -236,6 +243,21 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, S, q
         X_cl, U_cl = _ref_closed_loop(spec, sc, grid, x0, dW_pm, value_source, override)
         assert _same(run.X, X_cl) and _same(run.U, U_cl)
         assert _same(run.per_path_cost, _ref_cost(cost_eval, grid, X_cl, U_cl))
+
+    # in a descent's workspace, filled with NaN first: the forward sweep forms its noise in X's
+    # rows and its drift in ws.BU (Y's first N rows), the regressions their designs in ws.design
+    ws = Workspace.allocate(core, M, basis)
+    for a in (ws.X, ws.U, ws.Y, ws.Z, ws.D, ws.design, ws.grad):
+        a[...] = np.nan
+    ws.U[...] = U
+    assert _simulate_core(sc, grid, x0, ws.U, W.increments, ws) is ws.X
+    assert _same(ws.X, X_ref)
+    Y, Z, cond_max = backward_solve(sc, cost_eval, grid, ws.X, ws.U, W.increments, basis, ws=ws)
+    assert Y is ws.Y and Z is ws.Z and _same(Y, Y_ref) and _same(Z, Z_ref)
+    assert cond_max == cond_ref
+    assert np.shares_memory(ws.BU, Y) and not np.isnan(ws.design[:min(N, BLOCK_STEPS)]).any()
+    assert _same(gradient_core(sc, cost_eval, grid, ws.X, ws.U, Y, Z, ws),
+                 _ref_gradient(sc, cost_eval, grid, X_ref, U_pm, Y_ref, Z_ref))
 
 
 def _is_step_major(a):
