@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from functools import cached_property
 from pathlib import Path
 
 try:
@@ -125,6 +126,17 @@ _RANGES = {
     "convexity": (_convexity, "an object with lambdas, a non-empty list of numbers in (0, 1), "
                               "and pairs, a non-empty list of pairs of points of the state's "
                               "dimension, or either"),
+    "value_lattice": (lambda v, n: isinstance(v, dict) and set(v) <= {"t", "x"}
+                      and ("t" not in v or _listing(v["t"], _number))
+                      and ("x" not in v or _listing(v["x"], lambda x: _point(x, n))),
+                      "an object with t, a non-empty list of numbers, and x, a non-empty list "
+                      "of points of the state's dimension, or either"),
+    "hjb_samples": (lambda v, n: _listing(v, lambda s: isinstance(s, list) and len(s) == 2
+                                          and _number(s[0]) and _point(s[1], n)),
+                    "a non-empty list of [t, point] pairs, points of the state's dimension"),
+    "field_x": (lambda v, n: _listing(v, lambda x: _point(x, n)),
+                "a non-empty list of points of the state's dimension"),
+    "field_t": (lambda v, n: _listing(v, _number), "a non-empty list of numbers"),
 }
 
 
@@ -209,6 +221,12 @@ def load_config(path: str, overrides=None) -> dict:
         val = cfg[section][leaf]
         if val < 1:
             raise ConfigError(f"{section}.{leaf} must be a positive integer, got {val!r}")
+    # what paths.generate_brownian rejects, so that the ensemble is drawn only on a usable config
+    mc = cfg["monte_carlo"]
+    if mc["antithetic"] and mc["M"] % 2:
+        raise ConfigError(f"monte_carlo.M must be even with antithetic pairing, got {mc['M']}")
+    if not 0 <= mc["seed"] < 2**128:
+        raise ConfigError(f"monte_carlo.seed must lie in [0, 2**128), got {mc['seed']}")
     return cfg
 
 
@@ -235,11 +253,14 @@ class Runner:
             raise ValueError(f"initial.t={self.t0} must be strictly before the horizon")
         if self.x0.shape != (self.spec.dims.n,):
             raise ValueError(f"initial.x has shape {self.x0.shape}, expected ({self.spec.dims.n},)")
-        # the costly part of set-up, so it comes after every check of the config
-        mc = cfg["monte_carlo"]
-        self.W = generate_brownian(self.grid, mc["M"], mc["seed"], mc["antithetic"],
-                                   d=self.spec.dims.d)
         self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
+
+    @cached_property
+    def W(self):
+        """The Brownian ensemble, drawn on first use: the costly part, after check."""
+        mc = self.cfg["monte_carlo"]
+        return generate_brownian(self.grid, mc["M"], mc["seed"], mc["antithetic"],
+                                 d=self.spec.dims.d)
 
     # -- commands ----------------------------------------------------------
 
@@ -436,7 +457,7 @@ class Runner:
         return rep, report.passed()
 
     def run(self, command: str):
-        self.check(command)
+        """Run command, whose checks keys check took."""
         return getattr(self, "cmd_" + command.replace("-", "_"))()
 
 

@@ -24,8 +24,9 @@ from .grids import TimeGrid
 from .paths import BrownianEnsemble, _simulate_core, l2_norm_array, step_major
 from .problem import StepCoeffs, materialize
 
-# seed of the Lipschitz probe controls, so that eta="auto" is reproducible
+# seed and count of the Lipschitz probe controls, so that eta="auto" is reproducible
 PROBE_SEED = 17
+LIPSCHITZ_PROBES = 4
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,6 @@ class DescentConfig:
     eta: Union[float, str] = "auto"
     max_iter: int = 80
     tol_grad: float = 1e-3
-    backtracking: bool = False
-    lipschitz_probes: int = 4
 
     def __post_init__(self):
         if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and self.eta > 0):
@@ -43,8 +42,6 @@ class DescentConfig:
             raise ValueError("tol_grad must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        if self.lipschitz_probes < 1:
-            raise ValueError("lipschitz_probes must be >= 1")
 
 
 @dataclass
@@ -166,10 +163,10 @@ class Workspace:
     after the sweep, BU holds X_k + (B u + b) dt at a plain step (A, C and
     D zero) and B u at any other.  design holds a regression block's
     design (adjoint.StepRegression), and while the block is built its
-    centred features and their squares; grad holds the gradient's terms,
-    terms (three flat arrays) the running costs' temporaries, and squares
-    the squares of l2_norm_array.  The whole-path arrays are step-major,
-    squares path-major.
+    centred features and their squares; grad holds the gradient's terms
+    and then the step eta D, terms (three flat arrays) the running costs'
+    temporaries, and squares the squares of l2_norm_array.  The whole-path
+    arrays are step-major, squares path-major.
 
     Scratch shares memory where lifetimes allow: B u and D u live in Y's
     first N rows and in Z, which the backward sweep writes only after the
@@ -278,21 +275,20 @@ def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int
 
 def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg: DescentConfig,
             u0: np.ndarray = None):
-    """Iterate the gradient map from u = 0 (or u0) until stationarity.
+    """Iterate the gradient map u <- u - eta D[u] from u = 0 (or u0) until stationarity.
 
     W is the Brownian ensemble on core.grid; the solution carries both.
     Iteration 0's evaluation doubles as the base of the Lipschitz probes.
-    Convergence is declared on the stationarity residual (the gradient's
-    integrated norm) or on the step size.  A non-finite residual or hitting
-    the iteration cap raises ConvergenceError; it, and a BlowupError of an
-    iterate, carry the residual history, eta and K.
+    Convergence is declared on the stationarity residual, the gradient's
+    integrated norm, alone.  A non-finite residual or hitting the iteration
+    cap raises ConvergenceError; it, and a BlowupError of an iterate, carry
+    the residual history, eta and K.
 
     Buffers: descend allocates one Workspace, and every evaluation writes
-    into it, so the iterations allocate no whole-path array.  Its X, Y and Z
-    are overwritten by each evaluation.  U and D alternate with a spare pair,
-    because the next control and a backtracking step read the last
-    iterate's.  The probes run in the spare U and D and overwrite X, Y and
-    Z, so iteration 0's residual and cost are taken before them; only when
+    into it, so the iterations allocate no whole-path array.  Its X, Y, Z
+    and D are overwritten by each evaluation, and each step updates U in
+    place.  The probes run in a spare U and D and overwrite X, Y and Z, so
+    iteration 0's residual and cost are taken before them; only when
     iteration 0 is already the solution do they get buffers of their own.
     The returned solution takes the current X, U, Y, Z, D and running costs
     (the workspace's run), and descend keeps none of them.
@@ -302,25 +298,23 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
     M = W.M
     dt = core.grid.dt
     report = DescentReport()
-    cur = Workspace.allocate(core, M, basis)
-    spare = replace(cur, U=np.empty_like(cur.U), D=np.empty_like(cur.D))
+    ws = Workspace.allocate(core, M, basis)
+    spare = replace(ws, U=np.empty_like(ws.U), D=np.empty_like(ws.D))
 
-    def residual_and_cost(evaluation, U, ws):
+    def residual_and_cost(evaluation):
         """The stationarity residual and, when it is finite, the per-path cost of an iterate."""
-        X, D = evaluation[0], evaluation[3]
-        gnorm = l2_norm_array(D, dt, ws.squares)
-        if not np.isfinite(gnorm):
-            return gnorm, None
-        return gnorm, per_path_cost_core(core.cost_eval, core.grid, X, U, ws)
+        gnorm = l2_norm_array(evaluation[3], dt, ws.squares)
+        return gnorm, (per_path_cost_core(core.cost_eval, core.grid, evaluation[0], U, ws)
+                       if np.isfinite(gnorm) else None)
 
-    U = cur.U
+    U = ws.U
     U[...] = 0.0 if u0 is None else np.asarray(u0, dtype=float)
-    evaluation = _evaluate_gradient(core, U, dW, basis, cur)
-    gnorm, costs = residual_and_cost(evaluation, U, cur)
+    evaluation = _evaluate_gradient(core, U, dW, basis, ws)
+    gnorm, costs = residual_and_cost(evaluation)
     if cfg.eta == "auto":
         if core.k_lip is None:
             report.k_hat, report.probe_ratios = estimate_lipschitz_core(
-                core, dW, basis, cfg.lipschitz_probes, PROBE_SEED, base=(U, evaluation[3]),
+                core, dW, basis, LIPSCHITZ_PROBES, PROBE_SEED, base=(U, evaluation[3]),
                 ws=Workspace.allocate(core, M, basis) if gnorm <= cfg.tol_grad else spare)
         else:
             report.k_hat = core.k_lip
@@ -333,28 +327,20 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
         exc.history, exc.eta, exc.k_hat = report.grad_norms, report.eta, report.k_hat
         return exc
 
-    prev = None  # (U, D, J)
-    step_norm = np.inf
     for it in range(cfg.max_iter + 1):
         if it:
             try:
-                evaluation = _evaluate_gradient(core, U, dW, basis, cur)
+                evaluation = _evaluate_gradient(core, U, dW, basis, ws)
             except BlowupError as exc:
                 raise failure(exc)
-            gnorm, costs = residual_and_cost(evaluation, U, cur)
+            gnorm, costs = residual_and_cost(evaluation)
         X, Y, Z, D, cond_max = evaluation
         if not np.isfinite(gnorm):
             raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
-        J = float(costs.mean())
-        if cfg.backtracking and prev is not None and J > prev[2] + 1e-12 and eta > 1e-8:
-            eta *= 0.5
-            report.eta = eta
-            # from the last accepted iterate, into the rejected one's buffers
-            U = _step(prev[0], eta, prev[1], out=cur.U)
-            continue
+        # the step that led here, eta times the last residual
+        report.step_norms.append(eta * report.grad_norms[-1] if it else 0.0)
         report.grad_norms.append(gnorm)
-        report.step_norms.append(step_norm if np.isfinite(step_norm) else 0.0)
-        report.costs.append(J)
+        report.costs.append(float(costs.mean()))
         report.iterations = it
         if gnorm <= cfg.tol_grad:
             report.final_residual = gnorm
@@ -363,21 +349,12 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
             report.regression_cond_max = cond_max
             report.wall_time = time.perf_counter() - t_start
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
-                                       per_path_cost=costs, running=cur.run)
-        prev = (U, D, J)
-        U = _step(U, eta, D, out=spare.U)
-        cur, spare = spare, cur
-        step_norm = eta * gnorm
+                                       per_path_cost=costs, running=ws.run)
+        np.subtract(U, np.multiply(D, eta, out=ws.grad), out=U)
     raise failure(ConvergenceError(
         f"no stationarity after {cfg.max_iter} iterations "
         f"(last residual {report.grad_norms[-1]:.3e}, tol {cfg.tol_grad:.1e})"
     ))
-
-
-def _step(U, eta, D, out):
-    """U - eta * D, formed in out (which may not be U)."""
-    np.multiply(D, eta, out=out)
-    return np.subtract(U, out, out=out)
 
 
 # ---------------------------------------------------------------------------

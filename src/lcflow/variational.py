@@ -29,8 +29,8 @@ import numpy as np
 
 from .adjoint import RegressionBasis
 from .costs import PathCost, RunningCost, _sym
-from .descent import (PROBE_SEED, CoreProblem, DescentConfig, HamiltonianSolution, descend,
-                      estimate_lipschitz_core)
+from .descent import (LIPSCHITZ_PROBES, PROBE_SEED, CoreProblem, DescentConfig, HamiltonianSolution,
+                      descend, estimate_lipschitz_core)
 from .grids import TimeGrid
 from .paths import step_major
 from .problem import StepCoeffs
@@ -205,7 +205,7 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
     k_hat = sol.report.k_hat
     if k_hat is None and cfg.eta == "auto":
         k_hat, _ = estimate_lipschitz_core(direction_core(0, None), W.increments, basis,
-                                           cfg.lipschitz_probes, PROBE_SEED)
+                                           LIPSCHITZ_PROBES, PROBE_SEED)
     for i in range(n):
         try:
             dsol = descend(direction_core(i, k_hat), W, basis, cfg)

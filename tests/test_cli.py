@@ -142,7 +142,7 @@ def test_missing_problem_exits_two(workdir):
 
 
 @pytest.mark.parametrize("section, bad", [
-    ("descent", {"lipschitz_probes": 0}),
+    ("descent", {"lipschitz_probes": 0}),   # a key that no longer exists, see below
     ("descent", {"max_iter": -1}),
     ("initial", {"t": 0.033}),          # off the grid
     ("initial", {"t": 1.0}),            # the horizon itself
@@ -159,13 +159,18 @@ def test_missing_problem_exits_two(workdir):
     ("checks", {"perturbations": 3}),
     # a value without its default's JSON type, which used to be cast or to fail mid-run
     ("checks", {"h": "0.2"}),
-    ("descent", {"backtracking": "no"}),
+    ("descent", {"backtracking": "no"}),    # a key that no longer exists, see below
     ("monte_carlo", {"antithetic": "false"}),
     ("descent", {"max_iter": 2.5}),
     ("descent", {"eta": "fast"}),
     ("basis", {"degree": True}),
     # a key that no longer exists: the step-size stop declared a stalled descent converged
     ("descent", {"tol_step": 1e-9}),
+    # nor these: the step eta = delta / K needs no line search, and the probe count is fixed
+    ("descent", {"backtracking": False}),
+    # what the Brownian draw rejects, caught before it
+    ("monte_carlo", {"M": 401}),
+    ("monte_carlo", {"seed": -1}),
 ])
 def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     sections = {"monte_carlo": {"M": 400}}
@@ -194,6 +199,11 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     ("hjb-check", {"h_t": 0.0}),
     ("feedback", {"gain_scale": "big"}),
     ("verify-lq", {"substeps": 0}),
+    # a key whose default is null, of the wrong shape, which used to fail mid-run or after it
+    ("value", {"value_lattice": 3}),
+    ("hjb-check", {"hjb_samples": [[0.5]]}),
+    ("feedback", {"field_x": 2.0}),
+    ("feedback", {"field_t": "a"}),
 ])
 def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
     cfg = _config(workdir, checks=checks, monte_carlo={"M": 400})

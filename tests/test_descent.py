@@ -11,6 +11,7 @@ import pytest
 import lcflow
 
 from lcflow import (
+    BlowupError,
     CoefficientSet,
     ConvergenceError,
     DescentConfig,
@@ -23,7 +24,8 @@ from lcflow import (
 )
 from lcflow.budgets import contraction_bound
 from lcflow.adjoint import per_path_cost_core
-from lcflow.descent import _evaluate_gradient, core_from_spec, estimate_lipschitz_core
+from lcflow.descent import (LIPSCHITZ_PROBES, _evaluate_gradient, core_from_spec,
+                            estimate_lipschitz_core)
 from lcflow.paths import l2_norm_array
 
 
@@ -160,16 +162,29 @@ def test_max_iter_error_carries_eta_and_k(grid, basis, spec_p1):
 
 
 def test_a_stalled_descent_is_not_converged(grid, basis, spec_p1):
-    # near the optimum the Monte Carlo cost stops decreasing, backtracking halves eta toward its
-    # floor and the steps shrink with it while the residual stays far above tol_grad: a small
-    # step is a stall, so the descent runs out of iterations instead of reporting convergence
+    # a tiny fixed step barely moves the control while the residual stays far above tol_grad:
+    # a small step is a stall, so the descent runs out of iterations instead of reporting
+    # convergence
     W = generate_brownian(grid, 200, seed=201, antithetic=True)
-    cfg = DescentConfig(tol_grad=1e-4, backtracking=True, max_iter=60)
+    cfg = DescentConfig(eta=1e-6, tol_grad=1e-4, max_iter=60)
     with pytest.raises(ConvergenceError, match="no stationarity after 60 iterations") as err:
         solve_hamiltonian(spec_p1, grid, 0.0, [0.3], W, basis, cfg)
-    assert min(err.value.history) > 10 * cfg.tol_grad
-    assert err.value.eta < 1e-6
-    assert err.value.k_hat > 0
+    assert len(err.value.history) == 61
+    assert min(err.value.history) == pytest.approx(0.53, abs=0.01)
+    assert err.value.eta == 1e-6 and err.value.k_hat is None
+
+
+@pytest.mark.parametrize("which", ["p1", "p2"])
+@pytest.mark.parametrize("M", [200, 1000])
+def test_auto_step_reaches_a_tight_tolerance(which, M, grid, basis, spec_p1, spec_p2):
+    # the fixed step eta = delta / K makes the gradient map a contraction, so the descent needs
+    # no line search to get the regression-estimated residual below 1e-4
+    W = generate_brownian(grid, M, seed=201, antithetic=True)
+    spec = spec_p1 if which == "p1" else spec_p2
+    cfg = DescentConfig(tol_grad=1e-4, max_iter=60)
+    sol = solve_hamiltonian(spec, grid, 0.0, [0.3], W, basis, cfg)
+    assert sol.report.converged and sol.report.final_residual <= cfg.tol_grad
+    assert sol.report.iterations <= 12
 
 
 def test_non_finite_residual_raises_at_once(grid, basis, spec_p1, monkeypatch):
@@ -194,12 +209,17 @@ def test_non_finite_residual_raises_at_once(grid, basis, spec_p1, monkeypatch):
     assert err.value.k_hat is None
 
 
-def test_backtracking_recovers_from_large_eta(grid, basis, spec_p1):
+def test_too_large_fixed_eta_fails_with_its_history(grid, basis, spec_p1):
+    # eta = 1.5 is three times the auto step delta / K_hat (about 0.49 here): the iterates grow
+    # until the state blows up, and the error carries the residuals that led there
     W = generate_brownian(grid, 1000, seed=11, antithetic=True)
-    cfg = DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3, backtracking=True)
-    sol = solve_hamiltonian(spec_p1, grid, 0.0, [0.2], W, basis, cfg)
-    assert sol.report.converged
-    assert sol.report.eta < 1.5
+    cfg = DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3)
+    with pytest.raises((BlowupError, ConvergenceError)) as err:
+        solve_hamiltonian(spec_p1, grid, 0.0, [0.2], W, basis, cfg)
+    history = err.value.history
+    assert err.value.eta == 1.5 and err.value.k_hat is None
+    assert len(history) >= 10 and history[-1] > 100 * history[0]
+    assert all(b > a for a, b in zip(history, history[1:]))
 
 
 def test_uniform_convexity_gap_decoupled_exact(grid, basis):
@@ -282,7 +302,7 @@ def test_solution_carries_its_per_path_cost(which, t0, spec_p1, spec_p2, basis, 
     assert sol.report.costs[-1] == float(sol.per_path_cost.mean())
 
 
-@pytest.mark.parametrize("case", ["converged_at_iteration_0", "several_iterations", "backtracking"])
+@pytest.mark.parametrize("case", ["converged_at_iteration_0", "several_iterations", "fixed_eta"])
 def test_solution_arrays_are_the_evaluation_of_its_control(case, grid, basis, spec_p1, spec_p2,
                                                           spec_linear_terminal):
     # descend reuses its buffers across evaluations and runs the probes in them: the returned
@@ -291,22 +311,20 @@ def test_solution_arrays_are_the_evaluation_of_its_control(case, grid, basis, sp
     spec, x0, u0, cfg = {
         "converged_at_iteration_0": (spec_linear_terminal, [0.0], -1.0, DescentConfig()),
         "several_iterations": (spec_p2, [0.3], None, DescentConfig()),
-        "backtracking": (spec_p1, [0.2], None,
-                         DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3, backtracking=True)),
+        "fixed_eta": (spec_p1, [0.2], None, DescentConfig(eta=0.5, tol_grad=5e-3)),
     }[case]
     W = generate_brownian(grid, 400, seed=19, antithetic=True)
     sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, cfg, u0=u0)
     assert (sol.report.iterations == 0) == (case == "converged_at_iteration_0")
     assert (sol.report.k_hat is not None) == (cfg.eta == "auto")
-    if case == "backtracking":
-        assert sol.report.eta < 1.5
+    assert (sol.report.probe_ratios == []) == (case == "fixed_eta")
     X, Y, Z, D, _ = _evaluate_gradient(sol.core, sol.U, W.increments, basis)
     for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.D, D),
                       (sol.per_path_cost, per_path_cost_core(sol.core.cost_eval, grid, X, sol.U))):
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-@pytest.mark.parametrize("case", ["p1", "p2", "backtracking", "zero_at_iteration_0"])
+@pytest.mark.parametrize("case", ["p1", "p2", "fixed_eta", "zero_at_iteration_0"])
 def test_solution_carries_its_running_cost(case, grid, basis, spec_p1, spec_p2, spec_zero):
     # the solution hands over the running costs its last cost evaluation formed, l(t_k, X_k, u_k)
     # dt, step-major and bit for bit a fresh evaluation's; when iteration 0 is the solution, the
@@ -314,16 +332,14 @@ def test_solution_carries_its_running_cost(case, grid, basis, spec_p1, spec_p2, 
     spec, x0, cfg = {
         "p1": (spec_p1, [0.0], DescentConfig()),
         "p2": (spec_p2, [0.3], DescentConfig()),
-        "backtracking": (spec_p1, [0.2],
-                         DescentConfig(eta=1.5, max_iter=120, tol_grad=5e-3, backtracking=True)),
+        "fixed_eta": (spec_p1, [0.2], DescentConfig(eta=0.5, tol_grad=5e-3)),
         "zero_at_iteration_0": (spec_zero, [1.0], DescentConfig()),
     }[case]
     W = generate_brownian(grid, 400, seed=19, antithetic=True)
     sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, cfg)
     assert (sol.report.iterations == 0) == (case == "zero_at_iteration_0")
-    assert len(sol.report.probe_ratios) == (0 if case == "backtracking" else 4)
-    if case == "backtracking":
-        assert sol.report.eta < 1.5
+    assert len(sol.report.probe_ratios) == (0 if case == "fixed_eta" else LIPSCHITZ_PROBES)
+    assert (sol.report.k_hat is None) == (case == "fixed_eta")
     want = sol.core.cost_eval.running_value(sol.X[:, :grid.N], sol.U) * grid.dt
     assert sol.running.shape == (400, grid.N) and sol.running.T.flags.c_contiguous
     assert np.ascontiguousarray(sol.running).tobytes() == np.ascontiguousarray(want).tobytes()

@@ -11,7 +11,7 @@ from lcflow import (
     solve_hamiltonian,
 )
 from lcflow.budgets import dpp_budget
-from lcflow.descent import PROBE_SEED, core_from_spec, estimate_lipschitz_core
+from lcflow.descent import LIPSCHITZ_PROBES, PROBE_SEED, core_from_spec, estimate_lipschitz_core
 from lcflow.riccati import solve_riccati_ode
 from lcflow.value import (
     RiccatiValueSource,
@@ -290,5 +290,5 @@ def test_p2_lipschitz_constant_barely_moves_with_x(spec_p2, grid, basis, cfg, w_
     shared = shared.pop()
     for x in (-1.0, 0.0, 1.0):
         own, _ = estimate_lipschitz_core(core_from_spec(spec_p2, grid, [x]), w_small.increments,
-                                         basis, cfg.lipschitz_probes, PROBE_SEED)
+                                         basis, LIPSCHITZ_PROBES, PROBE_SEED)
         assert own == pytest.approx(shared, rel=0.05)
