@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -30,17 +31,18 @@ from . import __version__
 from .adjoint import RegressionBasis
 from .budgets import dpp_budget, hjb_solver_budget, lq_value_budget, mc_term, relative_budget
 from .descent import DescentConfig, solve_hamiltonian
-from .errors import BlowupError, ConvergenceError, LcflowError, SchemaError
+from .errors import BlowupError, ConvergenceError, LcflowError
 from .feedback import build_lattice_source, feedback_field_to_csv, verify_optimality
 from .grids import TimeGrid
 from .paths import generate_brownian, l2_norm_array, mc_stderr
-from .problem import problem_from_json, validate_problem
+from .problem import known_keys, problem_from_json, validate_problem
 from .riccati import lq_value, riccati_to_csv, solve_riccati_ode
 from .value import (
     RiccatiValueSource,
     SolverValueSource,
     convexity_probe,
     dpp_gap,
+    dpp_steps,
     hjb_residual,
     value_surface_to_csv,
 )
@@ -60,7 +62,7 @@ _DEFAULTS = {
     "output": {"directory": "out", "formats": ["json", "csv"]},
 }
 
-_ALLOWED_TOP = {"problem", "command", *_DEFAULTS}
+_ALLOWED_TOP = {"problem", *_DEFAULTS}
 
 _ORACLE = {"substeps": 4}      # read by Runner._oracle
 
@@ -84,13 +86,14 @@ _CHECKS = {
 _ORACLE_ONLY = {"oracle_tol", *_ORACLE}
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 def _number(value):
-    """Whether value is a JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether value is a finite JSON number: an int or a float, not a bool."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
 
 
 def _point(value, n):
@@ -105,38 +108,62 @@ def _listing(value, item):
     return isinstance(value, list) and len(value) > 0 and all(map(item, value))
 
 
-def _convexity(value, n):
+def _node(t, r):
+    """Whether t is a node of r's grid before the horizon; grid.index_of raises off the grid."""
+    return _number(t) and r.grid.index_of(t) < r.grid.N
+
+
+def _convexity(value, r):
     """Whether value is convexity-check's object: lambdas in (0, 1), pairs of points in R^n."""
     return (isinstance(value, dict) and set(value) <= {"lambdas", "pairs"}
             and ("lambdas" not in value
                  or _listing(value["lambdas"], lambda lam: _number(lam) and 0.0 < lam < 1.0))
             and ("pairs" not in value
                  or _listing(value["pairs"], lambda pair: isinstance(pair, list) and len(pair) == 2
-                             and all(_point(x, n) for x in pair))))
+                             and all(_point(x, r.n) for x in pair))))
 
 
-# checks keys whose given value has a range or shape beyond its JSON type: the test of a value
-# on a problem with state dimension n, and what the value must be
+# the values with a range or shape beyond their JSON type, tested by Runner.check in this order:
+# the test of a given (not null) value on the run r, where raising ValueError fails, and what
+# the value must be; a test may read what the rows before it accepted (r.t0, r._hjb_source())
 _RANGES = {
-    "source": (lambda v, n: v in ("riccati_oracle", "solver"), "'riccati_oracle' or 'solver'"),
-    "h_t": (lambda v, n: _number(v) and v > 0, "a positive number or null"),
-    "gain_scale": (lambda v, n: _number(v), "a number or null"),
-    "samples": (lambda v, n: v >= 1, "at least 1"),
-    "substeps": (lambda v, n: v >= 1, "at least 1"),
-    "convexity": (_convexity, "an object with lambdas, a non-empty list of numbers in (0, 1), "
-                              "and pairs, a non-empty list of pairs of points of the state's "
-                              "dimension, or either"),
-    "value_lattice": (lambda v, n: isinstance(v, dict) and set(v) <= {"t", "x"}
-                      and ("t" not in v or _listing(v["t"], _number))
-                      and ("x" not in v or _listing(v["x"], lambda x: _point(x, n))),
-                      "an object with t, a non-empty list of numbers, and x, a non-empty list "
-                      "of points of the state's dimension, or either"),
-    "hjb_samples": (lambda v, n: _listing(v, lambda s: isinstance(s, list) and len(s) == 2
-                                          and _number(s[0]) and _point(s[1], n)),
-                    "a non-empty list of [t, point] pairs, points of the state's dimension"),
-    "field_x": (lambda v, n: _listing(v, lambda x: _point(x, n)),
-                "a non-empty list of points of the state's dimension"),
-    "field_t": (lambda v, n: _listing(v, _number), "a non-empty list of numbers"),
+    "initial.t": (_node, "a grid node before the horizon"),
+    "initial.x": (lambda v, r: isinstance(v, list) and _point(v, r.n),
+                  "a list of as many numbers as the state has coordinates"),
+    "output.formats": (lambda v, r: all(f in ("json", "csv") for f in v),
+                       "a list of entries among 'json' and 'csv'"),
+    "checks.source": (lambda v, r: v in ("riccati_oracle", "solver"),
+                      "'riccati_oracle' or 'solver'"),
+    "checks.h_t": (lambda v, r: _number(v) and v > 0
+                   and (r._hjb_source() != "solver" or r.grid.index_of(v) > 0),
+                   "a positive number or null, under the solver source a positive multiple of dt"),
+    "checks.gain_scale": (lambda v, r: _number(v), "a number or null"),
+    "checks.samples": (lambda v, r: v >= 1, "at least 1"),
+    "checks.substeps": (lambda v, r: v >= 1, "at least 1"),
+    "checks.convexity": (_convexity, "an object with lambdas, a non-empty list of numbers in "
+                                     "(0, 1), and pairs, a non-empty list of pairs of points of "
+                                     "the state's dimension, or either"),
+    "checks.value_lattice": (lambda v, r: isinstance(v, dict) and set(v) <= {"t", "x"}
+                             and ("t" not in v or _listing(v["t"], lambda t: _node(t, r)))
+                             and ("x" not in v or _listing(v["x"], lambda x: _point(x, r.n))),
+                             "an object with t, a non-empty list of grid nodes before the "
+                             "horizon, and x, a non-empty list of points of the state's "
+                             "dimension, or either"),
+    "checks.hjb_samples": (lambda v, r: _listing(v, lambda s: isinstance(s, list) and len(s) == 2
+                                                 and _number(s[0]) and 0 <= s[0] <= r.spec.horizon
+                                                 and _point(s[1], r.n)
+                                                 and (r._hjb_source() != "solver"
+                                                      or _node(s[0], r))),
+                           "a non-empty list of [t, point] pairs, t in [0, T] (under the solver "
+                           "source a grid node before the horizon), points of the state's "
+                           "dimension"),
+    "checks.field_x": (lambda v, r: _listing(v, lambda x: _point(x, r.n)),
+                       "a non-empty list of points of the state's dimension"),
+    "checks.field_t": (lambda v, r: _listing(v, lambda t: _number(t)
+                                             and 0 <= t <= r.spec.horizon),
+                       "a non-empty list of times in [0, T]"),
+    "checks.h": (lambda v, r: dpp_steps(r.grid.subgrid(r.grid.index_of(r.t0)), v) >= 1,
+                 "a multiple of dt with 0 < h and initial.t + h before the horizon"),
 }
 
 
@@ -144,8 +171,8 @@ def _typed(key, value, default):
     """Reject value for key unless it has the JSON type of key's default.
 
     A boolean is neither an integer nor a number: an int default takes an
-    integer, a float default any number, "auto" a number or "auto", None
-    anything.
+    integer, a float default any finite number, "auto" a number or "auto",
+    None anything.
     """
     number = _number(value)
     if default is None:
@@ -164,54 +191,32 @@ def _typed(key, value, default):
         raise ConfigError(f"{key} must have the JSON type of its default {default!r}, got {value!r}")
 
 
-def _merge(defaults, given):
-    out = dict(defaults)
-    for k, v in (given or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = {**out[k], **v}
-        else:
-            out[k] = v
-    return out
-
-
 def load_config(path: str, overrides=None) -> dict:
+    """The config file at path over the defaults, then overrides ("section.key", None skipped);
+    ValueError unless JSON, keys, section objects, JSON types, N, M, seed and parity are usable."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    unknown = set(raw) - _ALLOWED_TOP
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    known_keys(raw, _ALLOWED_TOP, "config")
+    every_check = set().union(*_CHECKS.values())
     for section, defaults in _DEFAULTS.items():
-        given = raw.get(section) or {}
-        if not isinstance(given, dict):
-            raise ConfigError(f"{section} must be an object, got {given!r}")
-        known = set().union(*_CHECKS.values()) if section == "checks" else set(defaults)
-        unknown = set(given) - known
-        if unknown:
-            raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    # the defaults' sections in their order, then the file's other keys in its order, so
-    # that run-metadata.json lists the config alike under every hash seed
-    keys = list(_DEFAULTS) + [k for k in raw if k not in _DEFAULTS]
-    cfg = {k: _merge(_DEFAULTS[k], raw.get(k)) if k in _DEFAULTS else raw.get(k) for k in keys}
-    for k, v in (overrides or {}).items():
-        if v is None:
-            continue
-        section, _, leaf = k.partition(".")
-        if leaf:
-            cfg.setdefault(section, {})
-            cfg[section][leaf] = v
-        else:
-            cfg[section] = v
-    if "problem" not in cfg or not cfg["problem"]:
+        known_keys(raw.get(section, {}), every_check if section == "checks" else defaults, section)
+    # the defaults' sections in their order, then the problem, so that run-metadata.json lists
+    # the config alike under every hash seed
+    cfg = {section: {**defaults, **raw.get(section, {})} for section, defaults in _DEFAULTS.items()}
+    cfg["problem"] = raw.get("problem")
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            section, leaf = key.split(".")
+            cfg[section][leaf] = value
+    if not isinstance(cfg["problem"], str) or not cfg["problem"]:
         raise ConfigError("config must name a problem file")
-    prob_path = Path(cfg["problem"])
-    if not prob_path.is_absolute():
-        prob_path = p.parent / prob_path
-    if not prob_path.exists():
+    prob_path = p.parent / cfg["problem"]       # an absolute problem path stays as it is
+    if not prob_path.is_file():
         raise ConfigError(f"problem file {prob_path} does not exist")
     cfg["_problem_path"] = str(prob_path)
     for section, defaults in _DEFAULTS.items():
@@ -239,20 +244,11 @@ def config_hash(cfg: dict) -> str:
 class Runner:
     def __init__(self, cfg: dict, out_dir: Path):
         self.cfg = cfg
-        self.out_dir = out_dir
         self.tables_dir = out_dir / "tables"
         self.spec = problem_from_json(json.loads(Path(cfg["_problem_path"]).read_text(encoding="utf-8")))
+        self.n = self.spec.dims.n
         self.grid = TimeGrid(0.0, self.spec.horizon, cfg["grid"]["N"])
-        self.basis = RegressionBasis(**cfg["basis"])
-        self.dcfg = DescentConfig(**cfg["descent"])
-        init = cfg["initial"]
-        self.t0 = init["t"]
-        x = init["x"]
-        self.x0 = np.zeros(self.spec.dims.n) if x is None else np.asarray(x, dtype=float)
-        if self.grid.index_of(self.t0) >= self.grid.N:
-            raise ValueError(f"initial.t={self.t0} must be strictly before the horizon")
-        if self.x0.shape != (self.spec.dims.n,):
-            raise ValueError(f"initial.x has shape {self.x0.shape}, expected ({self.spec.dims.n},)")
+        self.t0 = cfg["initial"]["t"]
         self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
 
     @cached_property
@@ -346,18 +342,32 @@ class Runner:
         return rep, True
 
     def check(self, command: str):
-        """Take command's checks keys, rejecting a value of the right JSON type but the wrong
-        range or shape (_RANGES), and under hjb-check with the solver source the oracle's keys."""
-        self.checks = {**_CHECKS[command], **self.cfg["checks"]}
-        n = self.spec.dims.n
-        for key, value in self.checks.items():
-            if value is not None and key in _RANGES and not _RANGES[key][0](value, n):
-                raise ConfigError(f"checks.{key} must be {_RANGES[key][1]}, got {value!r}")
-        if command == "hjb-check" and self._hjb_source() == "solver":
-            unread = sorted(_ORACLE_ONLY & set(self.cfg["checks"]))
-            if unread:
-                raise ConfigError(f"checks keys that hjb-check with the solver source does "
-                                  f"not read: {unread}")
+        """Check the run of command, else ValueError: the checks keys that it reads (under
+        hjb-check's solver source not the oracle's), their JSON types, and the _RANGES rows.
+        Then build what the run reads: x0, and the basis and descent settings, which check
+        their own values."""
+        given, defaults = self.cfg["checks"], _CHECKS[command]
+        self.checks = {**defaults, **given}
+        solver = command == "hjb-check" and self._hjb_source() == "solver"
+        unread = sorted(set(given) - (set(defaults) - (_ORACLE_ONLY if solver else set())))
+        if unread:
+            where = " with the solver source" if solver else ""
+            raise ConfigError(f"checks keys that {command}{where} does not read: {unread}")
+        for key, value in given.items():
+            _typed(f"checks.{key}", value, defaults[key])
+        for key, (test, what) in _RANGES.items():
+            section, leaf = key.split(".")
+            value = (self.checks if section == "checks" else self.cfg[section]).get(leaf)
+            try:
+                ok = value is None or test(value, self)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+        x = self.cfg["initial"]["x"]
+        self.x0 = np.zeros(self.n) if x is None else np.asarray(x, dtype=float)
+        self.basis = RegressionBasis(**self.cfg["basis"])
+        self.dcfg = DescentConfig(**self.cfg["descent"])
 
     def _solve(self):
         return solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
@@ -448,7 +458,7 @@ class Runner:
 
     def cmd_convexity_check(self):
         conv = self.checks["convexity"] or {}
-        pairs = conv.get("pairs", [[[-1.0] * self.spec.dims.n, [1.0] * self.spec.dims.n]])
+        pairs = conv.get("pairs", [[[-1.0] * self.n, [1.0] * self.n]])
         report = convexity_probe(self.spec, self.grid, self.t0,
                                  [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
                                   for a, b in pairs],
@@ -481,22 +491,10 @@ def main(argv=None) -> int:
     faults_start = _minor_faults()
     try:
         cfg = load_config(args.config, overrides={"monte_carlo.seed": args.seed})
-        checks, defaults = cfg["checks"], _CHECKS[args.command]
-        unread = set(checks) - set(defaults)
-        if unread:
-            raise ConfigError(f"checks keys that {args.command} does not read: {sorted(unread)}")
-        for key, value in checks.items():
-            _typed(f"checks.{key}", value, defaults[key])
-    except (ConfigError, SchemaError) as exc:
-        print(f"lcflow: config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(os.environ.get("LCFLOW_OUT") or args.out
-                   or cfg["output"]["directory"])
-    try:
+        out_dir = Path(os.environ.get("LCFLOW_OUT") or args.out or cfg["output"]["directory"])
         runner = Runner(cfg, out_dir)
         runner.check(args.command)
-    except (ConfigError, SchemaError, ValueError) as exc:
+    except ValueError as exc:
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2
     # only once the config is accepted, so that a rejected one leaves nothing behind

@@ -386,11 +386,21 @@ def _require(doc, key, where):
     return doc[key]
 
 
-def _object(value, key):
-    """value, when it is a JSON object; else SchemaError naming the section key."""
-    if not isinstance(value, dict):
-        raise SchemaError(f"section {key!r} must be a JSON object, got {value!r}")
-    return value
+def known_keys(doc, allowed, where):
+    """doc, when it is a JSON object with no keys outside allowed; else SchemaError naming where."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise SchemaError(f"unknown {where} keys: {sorted(unknown)}")
+    return doc
+
+
+def _real(value, key):
+    """value as a float, when it is a JSON number (not a bool); else SchemaError naming key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _cost_params(cost: CostModel) -> dict:
@@ -424,42 +434,28 @@ def problem_to_json(spec: ProblemSpec) -> dict:
 
 
 def problem_from_json(doc: dict) -> ProblemSpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("problem document must be a JSON object")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        raise SchemaError(f"unknown top-level keys: {sorted(extra)}")
+    known_keys(doc, _TOP_KEYS, "problem document")
     for key in ("dims", "horizon", "coefficients", "cost", "certificate"):
         _require(doc, key, "problem document")
-    dims_doc, cdoc, cost_doc, cert_doc = (
-        _object(doc[key], key) for key in ("dims", "coefficients", "cost", "certificate"))
-    if set(dims_doc) != {"n", "m", "d"}:
-        raise SchemaError("dims must have exactly the keys n, m, d")
-    dims = Dimensions(dims_doc["n"], dims_doc["m"], dims_doc["d"])
+    dims_doc = known_keys(doc["dims"], ("n", "m", "d"), "section 'dims'")
+    dims = Dimensions(*(_require(dims_doc, key, "section 'dims'") for key in ("n", "m", "d")))
     n, m, d = dims.n, dims.m, dims.d
     shapes = {"A": (n, n), "B": (n, m), "C": (d, n, n), "D": (d, n, m), "b": (n,), "sigma": (d, n)}
-    extra = set(cdoc) - set(shapes)
-    if extra:
-        raise SchemaError(f"unknown coefficient keys: {sorted(extra)}")
+    cdoc = known_keys(doc["coefficients"], shapes, "section 'coefficients'")
     coeffs = CoefficientSet.build(
         dims, **{key: _pw_from_json(value, shapes[key], key) for key, value in cdoc.items()})
-    extra = set(cert_doc) - {"delta", "mode", "k_lip"}
-    if extra:
-        raise SchemaError(f"unknown certificate keys: {sorted(extra)}")
-    horizon = float(doc["horizon"])
-    extra = set(cost_doc) - {"family", "params"}
-    if extra:
-        raise SchemaError(f"unknown cost keys: {sorted(extra)}")
+    cert_doc = known_keys(doc["certificate"], ("delta", "mode", "k_lip"), "section 'certificate'")
+    horizon = _real(doc["horizon"], "horizon")
+    cost_doc = known_keys(doc["cost"], ("family", "params"), "section 'cost'")
     family = _require(cost_doc, "family", "cost")
-    if family not in _COST_PARAMS:
+    if not isinstance(family, str) or family not in _COST_PARAMS:
         raise SchemaError(f"unknown cost family {family!r}")
-    params = _object(cost_doc.get("params", {}), "params")
-    extra = set(params) - set(_COST_PARAMS[family])
-    if extra:
-        raise SchemaError(f"unknown {family} cost params: {sorted(extra)}")
-    delta = float(_require(cert_doc, "delta", "certificate"))
+    params = known_keys(cost_doc.get("params", {}), _COST_PARAMS[family], f"{family} 'params'")
+    delta = _real(_require(cert_doc, "delta", "certificate"), "certificate.delta")
     mode = cert_doc.get("mode", "declared")
     k_lip = cert_doc.get("k_lip", "auto")
+    if k_lip != "auto":
+        _real(k_lip, "certificate.k_lip")
     label = doc.get("label", "")
     if family == "quadratic":
         block_shapes = {"G": (n, n), "r": (n,), "Q": (n, n), "S": (m, n), "R": (m, m),
@@ -472,16 +468,12 @@ def problem_from_json(doc: dict) -> ProblemSpec:
                 blocks[key] = blocks[key].values
         return build_lq_problem(coeffs=coeffs, horizon=horizon, delta=delta, mode=mode,
                                 k_lip=k_lip, label=label, **blocks)
-    if float(params.get("delta", delta)) != delta:
+    if _real(params.get("delta", delta), "cost.params.delta") != delta:
         raise SchemaError(f"cost param 'delta' {params['delta']} differs from the certificate's {delta}")
     if "mode" in cert_doc and mode != _SMOOTH_MODES[family]:
         raise SchemaError(f"certificate mode {mode!r} differs from {family}'s "
                           f"{_SMOOTH_MODES[family]!r}")
-    return build_smooth_convex_problem(
-        family, dims, horizon, coeffs, delta,
-        kappa_x=float(params.get("kappa_x", 0.0)),
-        kappa_u=float(params.get("kappa_u", 0.0)),
-        kappa_g=float(params.get("kappa_g", 0.0)),
-        r_u=float(params.get("r_u", 0.0)),
-        label=label, k_lip=k_lip,
-    )
+    weights = {key: _real(params.get(key, 0.0), f"cost.params.{key}")
+               for key in _COST_PARAMS[family][1:]}      # the kappas, and r_u for case2_smooth
+    return build_smooth_convex_problem(family, dims, horizon, coeffs, delta, label=label,
+                                       k_lip=k_lip, **weights)

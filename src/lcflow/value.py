@@ -233,6 +233,16 @@ def hjb_residual(spec, value_fn_source, samples, h_t: float) -> HJBResidualRepor
     return report
 
 
+def dpp_steps(grid: TimeGrid, h: float) -> int:
+    """The number of steps of h on grid; ValueError unless h is a step multiple in (0, T - t0)."""
+    kh = int(round(h / grid.dt))
+    if kh < 1 or kh >= grid.N:
+        raise ValueError(f"h={h} must be a step multiple inside (0, T - t)")
+    if abs(kh * grid.dt - h) > 1e-9:
+        raise ValueError(f"h={h} is not a multiple of dt={grid.dt}")
+    return kh
+
+
 def dpp_gap(sol, h: float, basis: RegressionBasis, value_fn_source) -> float:
     """V(t,x) minus the Monte Carlo mean of V(t+h, X*_{t+h}) + running cost.
 
@@ -243,12 +253,7 @@ def dpp_gap(sol, h: float, basis: RegressionBasis, value_fn_source) -> float:
     reused, nothing is re-solved).
     """
     wgrid = sol.grid
-    dt = wgrid.dt
-    kh = int(round(h / dt))
-    if kh < 1 or kh >= wgrid.N:
-        raise ValueError(f"h={h} must be a step multiple inside (0, T - t)")
-    if abs(kh * dt - h) > 1e-9:
-        raise ValueError(f"h={h} is not a multiple of dt={dt}")
+    kh = dpp_steps(wgrid, h)
     X, running = sol.X, sol.running
     head = np.zeros(X.shape[0])
     for k in range(kh):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lcflow
-from lcflow.cli import _CHECKS, _DEFAULTS, COMMANDS, load_config, main
+from lcflow.cli import _CHECKS, _DEFAULTS, _RANGES, COMMANDS, load_config, main
 from lcflow.presets import p1, p1_d_variant, p2
 from lcflow.problem import problem_to_json
 
@@ -135,6 +135,16 @@ def test_unknown_config_key_exits_two(workdir):
     assert main(["validate", "--config", str(path)]) == 2
 
 
+def test_top_level_command_key_exits_two(workdir, capsys):
+    # the command comes from the command line; a "command" key used to be ignored and echoed
+    cfg = _config(workdir, command="feedback")
+    out = workdir / "bad"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'command'" in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
 def test_missing_problem_exits_two(workdir):
     path = workdir / "bad2.json"
     path.write_text(json.dumps({"problem": "problems/absent.json"}), encoding="utf-8")
@@ -171,6 +181,8 @@ def test_missing_problem_exits_two(workdir):
     # what the Brownian draw rejects, caught before it
     ("monte_carlo", {"M": 401}),
     ("monte_carlo", {"seed": -1}),
+    # an entry that names no format, which used to be ignored
+    ("output", {"formats": ["xml"]}),
 ])
 def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     sections = {"monte_carlo": {"M": 400}}
@@ -204,14 +216,71 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     ("hjb-check", {"hjb_samples": [[0.5]]}),
     ("feedback", {"field_x": 2.0}),
     ("feedback", {"field_t": "a"}),
+    # a time the grid (N=10, dt=0.1) or the horizon rejects, which used to fail inside the run
+    ("value", {"value_lattice": {"t": [0.05]}}),
+    ("value", {"value_lattice": {"t": [1.0]}}),
+    ("hjb-check", {"hjb_samples": [[0.05, [0.0]]], "source": "solver"}),
+    ("hjb-check", {"h_t": 0.03, "source": "solver"}),
+    ("hjb-check", {"hjb_samples": [[2.0, [0.0]]]}),      # the oracle source
+    ("dpp-check", {"h": 0.05}),
+    ("dpp-check", {"h": 1.0}),
+    ("feedback", {"field_t": [2.0]}),
 ])
 def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
-    cfg = _config(workdir, checks=checks, monte_carlo={"M": 400})
+    cfg = _config(workdir, checks=checks, grid={"N": 10}, monte_carlo={"M": 400})
     out = workdir / "bad"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and next(iter(checks)) in err
     assert not out.exists() and not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("x", [{"a": 1}, "abc", 0.0, [0.0, 1.0], ["a"]])
+def test_initial_x_is_checked_before_use(x, workdir, capsys):
+    # a point of R^1 is a list of one number here, not a bare number
+    cfg = _config(workdir, initial={"x": x}, monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "initial.x" in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+def test_field_t_beyond_the_horizon_exits_two_on_p2(workdir, capsys):
+    # the lattice source used to snap t = 2 to the horizon and exit 0
+    cfg = _config(workdir, problem="problems/p2.json", checks={"field_t": [0.5, 2.0]},
+                  monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main(["feedback", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "checks.field_t" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h, usable", [(2.0, True), (2.0 + 5e-10, True), (2.0 + 5e-9, False),
+                                       (0.5, False), (9.0, True), (10.0, False)])
+def test_dpp_step_is_checked_as_dpp_gap_checks_it(h, usable, workdir, capsys):
+    # on T=10, N=10 (dt=1) the gap takes h within 1e-9 of a multiple of dt, not within the
+    # grid's node slack of 1e-9 T; a step the gap rejects exits 2 before the solve
+    doc = problem_to_json(p1())
+    doc["horizon"] = 10.0
+    (workdir / "problems" / "p1_T10.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _config(workdir, problem="problems/p1_T10.json", checks={"h": h}, grid={"N": 10},
+                  monte_carlo={"M": 200}, initial={"t": 0.0, "x": [0.2]})
+    out = workdir / "dpp"
+    code = main(["dpp-check", "--config", str(cfg), "--out", str(out)])
+    if usable:
+        assert code != 2 and (out / "report.json").exists()
+    else:
+        assert code == 2 and "checks.h" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("formats, tables", [(["json"], False), ([], False), (["csv"], True)])
+def test_formats_gate_the_tables_only(formats, tables, workdir):
+    cfg = _config(workdir, output={"formats": formats}, monte_carlo={"M": 400})
+    out = workdir / "lq"
+    main(["verify-lq", "--config", str(cfg), "--out", str(out)])
+    assert (out / "report.json").exists() and (out / "run-metadata.json").exists()
+    assert (out / "tables" / "riccati.csv").exists() == tables
 
 
 @pytest.mark.parametrize("problem, checks", [
@@ -316,6 +385,14 @@ def test_checks_keys_are_the_keys_the_commands_read():
     assert set(_CHECKS) == set(COMMANDS)
     for command in COMMANDS:
         assert read(getattr(Runner, "cmd_" + command.replace("-", "_"))) == set(_CHECKS[command])
+
+
+def test_range_rows_name_config_keys():
+    # a renamed key must not leave a range row that tests nothing
+    every_check = set().union(*_CHECKS.values())
+    for key in _RANGES:
+        section, leaf = key.split(".")
+        assert leaf in (every_check if section == "checks" else _DEFAULTS.get(section, {})), key
 
 
 def test_env_var_overrides_output(workdir, monkeypatch):

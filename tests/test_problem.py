@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lcflow import (
     CoefficientSet,
@@ -110,12 +113,15 @@ def test_case2_without_control_noise_rejected():
         )
 
 
-def test_case2_accepts_strong_control_noise():
+def _case2_spec():
     dims = Dimensions(1, 1, 1)
     coeffs = CoefficientSet.build(dims, B=[[1.0]], D=[[[1.2]]], sigma=[[0.2]])
-    spec = build_smooth_convex_problem("case2_smooth", dims, 1.0, coeffs,
+    return build_smooth_convex_problem("case2_smooth", dims, 1.0, coeffs,
                                        delta=1.0, kappa_g=0.5, r_u=0.25)
-    report = validate_problem(spec, samples=60)
+
+
+def test_case2_accepts_strong_control_noise():
+    report = validate_problem(_case2_spec(), samples=60)
     assert report.passed
 
 
@@ -282,3 +288,37 @@ def test_smooth_certificate_keeps_k_lip_and_checks_mode(spec_p2):
     doc["certificate"]["mode"] = "declared"
     with pytest.raises(SchemaError, match="mode 'declared'"):
         problem_from_json(doc)
+
+
+# every number of a problem document, as (problem, path in the document); k_lip may be "auto"
+_NUMBERS = ([(which, ("horizon",)) for which in ("p1", "p2", "case2")]
+            + [(which, ("certificate", "delta")) for which in ("p1", "p2", "case2")]
+            + [("p2", ("certificate", "k_lip"))]
+            + [("p2", ("cost", "params", key)) for key in ("delta", "kappa_x", "kappa_u", "kappa_g")]
+            + [("case2", ("cost", "params", key))
+               for key in ("delta", "kappa_g", "kappa_x", "kappa_u", "r_u")])
+
+_NOT_NUMBERS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4).filter(lambda s: s != "auto"),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_NUMBERS), value=_NOT_NUMBERS)
+def test_a_number_of_another_json_type_names_its_key(case, value, tmp_path, capsys):
+    # these used to be cast by float(): "horizon": true read as 1.0, [1.0] a TypeError
+    which, path = case
+    doc = problem_to_json({"p1": p1, "p2": p2, "case2": _case2_spec}[which]())
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    with pytest.raises(SchemaError, match=re.escape(".".join(path))):
+        problem_from_json(json.loads(json.dumps(doc)))
+    (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps({"problem": "p.json"}), encoding="utf-8")
+    assert main(["validate", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ".".join(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
