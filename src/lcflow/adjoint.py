@@ -14,7 +14,10 @@ regressions on the state.  The scheme per step k, from the stored Y_{k+1}:
 Subtracting the fitted continuation before the dW-weighted regression is a
 control variate: it changes nothing in expectation (the increment is mean
 zero given X_k) and removes the variance carried by the continuation value,
-so constant terminal data yields Z identically zero.
+so constant terminal data yields Z identically zero.  Only C^T Z and D^T Z
+read Z, so it is fitted only on a problem with a nonzero C or D block
+(StepCoeffs.reads_z), and is None on any other.  It is then fitted at every
+step, as the gradient reads every row of Z once some D is nonzero.
 
 Y is stored per path as the fitted value plus the driver increment, never
 as the raw rollback, which keeps Y_k a function of the step's information.
@@ -230,7 +233,7 @@ class StepFeatures:
 
 def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: np.ndarray,
                    dW: np.ndarray, basis: RegressionBasis, features: np.ndarray = None, ws=None):
-    """Core backward sweep; returns (Y, Z, cond_max), Y and Z step-major.
+    """Core backward sweep; returns (Y, Z, cond_max), step-major, Z None unless sc.reads_z.
 
     cond_max is the largest condition number of the normal equations over
     the steps where every feature coordinate has spread, None when no step
@@ -245,7 +248,7 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
     N = grid.N
     dt = grid.dt
     if ws is None:
-        Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
+        Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n) if sc.reads_z else None
         design = None
     else:
         Y, Z, design = ws.Y, ws.Z, ws.design
@@ -260,20 +263,22 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
             reg = StepRegression(F[:, k0:k + 1], basis, first_step=k0, design=design)
             spread += reg.cond[~reg._degenerate.any(axis=1)].tolist()
         j = k - k0
-        Yn, Yk, Zk = Y[:, k + 1], Y[:, k], Z[:, k]
+        Yn, Yk = Y[:, k + 1], Y[:, k]
         m_fit = reg.fit(j, Yn)
-        zt = ((Yn - m_fit)[:, None, :] * dW[:, k, :, None]) / dt     # [M, d, n]
-        Zk[...] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
         # A^T m + sum_i C_i^T Z^i, without the terms of a zero A or C block
         driver = m_fit @ sc.A[k] if sc.A_nonzero[k] else None
-        if sc.C_nonzero[k]:
-            zc = np.einsum("pij,ijn->pn", Zk, sc.C[k])
-            driver = zc if driver is None else driver + zc
+        if Z is not None:
+            zt = ((Yn - m_fit)[:, None, :] * dW[:, k, :, None]) / dt     # [M, d, n]
+            Z[:, k] = reg.fit(j, zt.reshape(M, d * n)).reshape(M, d, n)
+            if sc.C_nonzero[k]:
+                zc = np.einsum("pij,ijn->pn", Z[:, k], sc.C[k])
+                driver = zc if driver is None else driver + zc
         np.add(m_fit, (Yk if driver is None else driver + Yk) * dt, out=Yk)
     # all finite iff the extremes are (a NaN or an infinity reaches them)
-    if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (Y, Z)):
+    if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (Y, Z) if a is not None):
         bad = ~np.isfinite(Y).all(axis=2)                           # [M, N+1]
-        bad[:, :N] |= ~np.isfinite(Z).all(axis=(2, 3))
+        if Z is not None:
+            bad[:, :N] |= ~np.isfinite(Z).all(axis=(2, 3))
         k = int(np.flatnonzero(bad.any(axis=0))[-1])
         p = int(np.argmax(bad[:, k]))
         raise BlowupError(f"adjoint left the finite range at path {p}, step {k}", path=p, step=k)
@@ -283,9 +288,9 @@ def backward_solve(sc: StepCoeffs, cost_eval, grid: TimeGrid, X: np.ndarray, U: 
 def gradient_core(sc: StepCoeffs, cost_eval, grid: TimeGrid, X, U, Y, Z, ws=None) -> np.ndarray:
     """Cost gradient in the control: B^T Y + D^T Z + Du_l, per (path, step), step-major.
 
-    The D^T Z term is not formed when D is zero at every step.  With a
-    workspace ws (descent.Workspace), the gradient is written into ws.D and
-    its terms are formed in ws.grad; else both are fresh.
+    The D^T Z term is not formed, nor Z read, when D is zero at every step.
+    With a workspace ws (descent.Workspace), the gradient is written into
+    ws.D and its terms are formed in ws.grad; else both are fresh.
     """
     N = grid.N
     M, m = X.shape[0], sc.B.shape[2]

@@ -31,7 +31,7 @@ from . import __version__
 from .adjoint import RegressionBasis
 from .budgets import dpp_budget, hjb_solver_budget, lq_value_budget, mc_term, relative_budget
 from .descent import DescentConfig, solve_hamiltonian
-from .errors import BlowupError, ConvergenceError, LcflowError
+from .errors import BlowupError, ConvergenceError, LcflowError, ValidationFailure
 from .feedback import build_lattice_source, feedback_field_to_csv, verify_optimality
 from .grids import TimeGrid
 from .paths import generate_brownian, l2_norm_array, mc_stderr
@@ -134,9 +134,6 @@ _RANGES = {
                        "a list of entries among 'json' and 'csv'"),
     "checks.source": (lambda v, r: v in ("riccati_oracle", "solver"),
                       "'riccati_oracle' or 'solver'"),
-    "checks.h_t": (lambda v, r: _number(v) and v > 0
-                   and (r._hjb_source() != "solver" or r.grid.index_of(v) > 0),
-                   "a positive number or null, under the solver source a positive multiple of dt"),
     "checks.gain_scale": (lambda v, r: _number(v), "a number or null"),
     "checks.samples": (lambda v, r: v >= 1, "at least 1"),
     "checks.substeps": (lambda v, r: v >= 1, "at least 1"),
@@ -157,6 +154,12 @@ _RANGES = {
                            "a non-empty list of [t, point] pairs, t in [0, T] (under the solver "
                            "source a grid node before the horizon), points of the state's "
                            "dimension"),
+    # hjb_residual differences one-sidedly at an end of [0, T], so each sample needs room on a side
+    "checks.h_t": (lambda v, r: _number(v) and v > 0
+                   and (r._hjb_source() != "solver" or r.grid.index_of(v) > 0)
+                   and all(t - v >= 0 or t + v <= r.spec.horizon for t, _ in r._hjb_samples()),
+                   "a positive number or null, under the solver source a positive multiple of dt, "
+                   "with t - h_t >= 0 or t + h_t <= T at every hjb-check sample t"),
     "checks.field_x": (lambda v, r: _listing(v, lambda x: _point(x, r.n)),
                        "a non-empty list of points of the state's dimension"),
     "checks.field_t": (lambda v, r: _listing(v, lambda t: _number(t)
@@ -252,6 +255,12 @@ class Runner:
         self.timings = {}     # to run-metadata.json, as report.json must not vary between reruns
 
     @cached_property
+    def x0(self):
+        """The start point, initial.x or the origin; read once the initial.x row accepted it."""
+        x = self.cfg["initial"]["x"]
+        return np.zeros(self.n) if x is None else np.asarray(x, dtype=float)
+
+    @cached_property
     def W(self):
         """The Brownian ensemble, drawn on first use: the costly part, after check."""
         mc = self.cfg["monte_carlo"]
@@ -344,8 +353,8 @@ class Runner:
     def check(self, command: str):
         """Check the run of command, else ValueError: the checks keys that it reads (under
         hjb-check's solver source not the oracle's), their JSON types, and the _RANGES rows.
-        Then build what the run reads: x0, and the basis and descent settings, which check
-        their own values."""
+        Then build what the run reads: the basis and descent settings, which check their own
+        values."""
         given, defaults = self.cfg["checks"], _CHECKS[command]
         self.checks = {**defaults, **given}
         solver = command == "hjb-check" and self._hjb_source() == "solver"
@@ -364,8 +373,6 @@ class Runner:
                 ok = False
             if not ok:
                 raise ConfigError(f"{key} must be {what}, got {value!r}")
-        x = self.cfg["initial"]["x"]
-        self.x0 = np.zeros(self.n) if x is None else np.asarray(x, dtype=float)
         self.basis = RegressionBasis(**self.cfg["basis"])
         self.dcfg = DescentConfig(**self.cfg["descent"])
 
@@ -408,11 +415,7 @@ class Runner:
         return rep, bool(ok and sub_ok)
 
     def cmd_hjb_check(self):
-        samples = self.checks["hjb_samples"]
-        if samples is None:
-            ts = np.linspace(0.15, 0.85, 3) * self.spec.horizon
-            samples = [(round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()) for t in ts]
-        samples = [(t, np.asarray(x, dtype=float)) for t, x in samples]
+        samples = [(t, np.asarray(x, dtype=float)) for t, x in self._hjb_samples()]
         if self._hjb_source() == "riccati_oracle":
             source = RiccatiValueSource(self._oracle())
             # the oracle stores V at sub-step spacing; a wider difference in t
@@ -434,6 +437,13 @@ class Runner:
         ok = report.max_abs_residual <= tol
         rep["passed"] = bool(ok)
         return rep, bool(ok)
+
+    def _hjb_samples(self):
+        """hjb-check's [t, x] samples: checks.hjb_samples, else three nodes across [0, T] at x0."""
+        if self.checks["hjb_samples"] is not None:
+            return self.checks["hjb_samples"]
+        ts = np.linspace(0.15, 0.85, 3) * self.spec.horizon
+        return [(round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()) for t in ts]
 
     def _hjb_source(self):
         """hjb-check's value source: checks.source, else the oracle for a quadratic cost."""
@@ -494,7 +504,7 @@ def main(argv=None) -> int:
         out_dir = Path(os.environ.get("LCFLOW_OUT") or args.out or cfg["output"]["directory"])
         runner = Runner(cfg, out_dir)
         runner.check(args.command)
-    except ValueError as exc:
+    except (ValueError, ValidationFailure) as exc:     # the latter from a problem's builder
         print(f"lcflow: config error: {exc}", file=sys.stderr)
         return 2
     # only once the config is accepted, so that a rejected one leaves nothing behind

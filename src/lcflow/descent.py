@@ -118,17 +118,18 @@ class HamiltonianSolution:
 
     X [M, N+1, n], U [M, N, m], Y [M, N+1, n], Z [M, N, d, n] (block i is
     the loading on dW^i) and the gradient D [M, N, m] are the converged
-    iterate's step-major whole-path arrays.  It carries what it was solved
-    on, so that its consumers rebuild nothing: the subproblem (core:
-    subgrid, step coefficients, cost evaluator, x0), the Brownian ensemble
-    on that subgrid (W), the per-path cost, whose mean is the reported J, and
-    its terms l(t_k, X_k, u_k) dt as running [M, N], step-major.
+    iterate's step-major whole-path arrays, Z None unless sc.reads_z
+    (adjoint.backward_solve).  It carries what it was solved on, so that
+    its consumers rebuild nothing: the subproblem (core: subgrid, step
+    coefficients, cost evaluator, x0), the Brownian ensemble on that
+    subgrid (W), the per-path cost, whose mean is the reported J, and its
+    terms l(t_k, X_k, u_k) dt as running [M, N], step-major.
     """
 
     X: np.ndarray
     U: np.ndarray
     Y: np.ndarray
-    Z: np.ndarray
+    Z: Optional[np.ndarray]
     D: np.ndarray
     report: DescentReport
     core: CoreProblem
@@ -158,7 +159,8 @@ class Workspace:
 
     X, Y, Z, D and run (the running costs times dt of per_path_cost_core)
     receive an evaluation's results and U holds the control it runs on; the
-    other arrays are scratch that no result is left in.  BU and DU (None
+    other arrays are scratch that no result is left in; Z is not allocated
+    unless sc.reads_z, the backward sweep's rule for fitting it.  BU and DU (None
     when D is zero at every step) hold the forward sweep's B u and D u;
     after the sweep, BU holds X_k + (B u + b) dt at a plain step (A, C and
     D zero) and B u at any other.  design holds a regression block's
@@ -177,7 +179,7 @@ class Workspace:
     X: np.ndarray       # [M, N+1, n]
     U: np.ndarray       # [M, N, m]
     Y: np.ndarray       # [M, N+1, n]
-    Z: np.ndarray       # [M, N, d, n]
+    Z: Optional[np.ndarray]     # [M, N, d, n], None unless sc.reads_z
     D: np.ndarray       # [M, N, m]
     BU: np.ndarray      # [M, N, n], Y[:, :N]
     DU: Optional[np.ndarray]    # [M, N, d, n], Z
@@ -192,7 +194,7 @@ class Workspace:
         sc, N = core.sc, core.grid.N
         d, n = sc.sigma.shape[1:]
         m = sc.B.shape[2]
-        Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n)
+        Y, Z = step_major(M, N + 1, n), step_major(M, N, d, n) if sc.reads_z else None
         scratch = np.empty(N * M * m)
         # the running cost's temporaries (costs.RunningCost.value) in arrays no larger than
         # the state's: a larger one, once freed, raises glibc's mmap threshold above every

@@ -17,7 +17,7 @@ coefficients and GridCost, feedback_map looks them up at t (_blocks_at).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -289,21 +289,11 @@ class VerificationReport:
     scale: float = np.nan
 
     def to_dict(self):
-        out = {
-            "j_closed": self.j_closed, "j_open": self.j_open, "value": self.value,
-            "stderr_closed": self.stderr_closed, "stderr_open": self.stderr_open,
-            "gap_closed_open": self.gap_closed_open, "gap_closed_value": self.gap_closed_value,
-            "perturbed": [
-                {"cost": p.cost, "gap_vs_closed": p.gap_vs_closed, "stderr_gap": p.stderr_gap}
-                for p in self.perturbed
-            ],
-        }
-        if self.scaled_gain is not None:
-            out["scaled_gain"] = {
-                "scale": self.scale, "cost": self.scaled_gain.cost,
-                "gap_vs_closed": self.scaled_gain.gap_vs_closed,
-                "stderr_gap": self.scaled_gain.stderr_gap,
-            }
+        """The fields in their order, the runs as dicts; scaled_gain, with its scale, if any."""
+        out = asdict(self)
+        scaled, scale = out.pop("scaled_gain"), out.pop("scale")
+        if scaled is not None:
+            out["scaled_gain"] = {"scale": scale, **scaled}
         return out
 
 

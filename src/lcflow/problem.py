@@ -91,6 +91,11 @@ class StepCoeffs:
         """Per step, whether some D_k^i has a nonzero entry."""
         return self.D.any(axis=(1, 2, 3)).tolist()
 
+    @cached_property
+    def reads_z(self) -> bool:
+        """Whether some step has a nonzero C or D block, through which alone Z enters a result."""
+        return any(self.C_nonzero) or any(self.D_nonzero)
+
 
 def materialize(coeffs: CoefficientSet, grid: TimeGrid) -> StepCoeffs:
     ts = grid.nodes[:-1]

@@ -11,7 +11,7 @@ convexity probes in the initial state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -157,16 +157,8 @@ class HJBResidualReport:
             "h_t": self.h_t,
             "source": self.source,
             "max_abs_residual": self.max_abs_residual,
-            "entries": [
-                {
-                    "t": e.t, "x": e.x.tolist(), "residual": e.residual,
-                    "time_derivative": e.time_derivative,
-                    "generator_part": e.generator_part,
-                    "hamiltonian_part": e.hamiltonian_part,
-                    "control": e.control.tolist(),
-                }
-                for e in self.entries
-            ],
+            "entries": [{**asdict(e), "x": e.x.tolist(), "control": e.control.tolist()}
+                        for e in self.entries],
         }
 
 

@@ -65,13 +65,15 @@ class FrozenQuadratic(PathCost):
 class DerivativeSolution:
     """Derivative processes, last axis indexing the initial basis direction.
 
-    In the noise-free case every array is a read-only broadcast of one path.
+    grad_Z is None unless some step has a nonzero C or D block, which makes
+    the case noisy (adjoint.backward_solve).  In the noise-free case every
+    array is a read-only broadcast of one path.
     """
 
     grid: TimeGrid
     grad_X: np.ndarray   # [M, N+1, n, n]
     grad_Y: np.ndarray   # [M, N+1, n, n]
-    grad_Z: np.ndarray   # [M, N, d, n, n]
+    grad_Z: np.ndarray   # [M, N, d, n, n], or None
     grad_u: np.ndarray   # [M, N, m, n]
     reports: tuple = ()
 
@@ -95,11 +97,10 @@ def _noise_free(spec, sc: StepCoeffs) -> bool:
     Its inhomogeneity is zeroed, so with zero C and D blocks at every step
     the direction state has no diffusion; a quadratic cost has the same
     Hessians on every path.  From the same start and control the state,
-    adjoint and control iterates are then the same on every path, and Z is
-    zero.  The test is structural and exact: it reads no sampled spread.
+    adjoint and control iterates are then the same on every path, and no Z
+    is fitted.  The test is structural and exact: it reads no sampled spread.
     """
-    return (spec.cost.family == "quadratic"
-            and not any(sc.C_nonzero) and not any(sc.D_nonzero))
+    return spec.cost.family == "quadratic" and not sc.reads_z
 
 
 def freeze_second_order(spec, sol: HamiltonianSolution) -> FrozenQuadratic:
@@ -192,7 +193,7 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
     d = W.d
     grad_X = np.empty((M, N + 1, n, n))
     grad_Y = np.empty((M, N + 1, n, n))
-    grad_Z = np.empty((M, N, d, n, n))
+    grad_Z = np.empty((M, N, d, n, n)) if sc.reads_z else None
     grad_u = np.empty((M, N, m, n))
     reports = []
 
@@ -214,12 +215,13 @@ def solve_linear_hamiltonian(spec, basis: RegressionBasis, sol: HamiltonianSolut
             raise
         grad_X[..., i] = dsol.X
         grad_Y[..., i] = dsol.Y
-        grad_Z[..., i] = dsol.Z
+        if grad_Z is not None:
+            grad_Z[..., i] = dsol.Z
         grad_u[..., i] = dsol.U
         reports.append(dsol.report)
     if M < M_all:
-        grad_X, grad_Y, grad_Z, grad_u = (np.broadcast_to(a[:1], (M_all,) + a.shape[1:])
-                                          for a in (grad_X, grad_Y, grad_Z, grad_u))
+        grad_X, grad_Y, grad_u = (np.broadcast_to(a[:1], (M_all,) + a.shape[1:])
+                                  for a in (grad_X, grad_Y, grad_u))
     return DerivativeSolution(grid=wgrid, grad_X=grad_X, grad_Y=grad_Y,
                               grad_Z=grad_Z, grad_u=grad_u, reports=tuple(reports))
 

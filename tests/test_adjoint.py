@@ -26,33 +26,42 @@ from lcflow.adjoint import (
 from lcflow.costs import GridCost
 from lcflow.descent import _evaluate_gradient, core_from_spec
 from lcflow.paths import _simulate_core, l2_norm_array, step_major
-from lcflow.presets import linear_terminal
+from lcflow.presets import _scalar_coeffs, linear_terminal
 
 
 def _controls(grid, M, values=0.0):
     return np.full((M, grid.N, 1), values) if np.isscalar(values) else values
 
 
+def _with_c(spec, c=0.3):
+    """spec with the state noise C x dW added, so that the backward sweep fits Z."""
+    return build_lq_problem(coeffs=_scalar_coeffs(C=c, sigma=0.0), horizon=spec.horizon,
+                            G=spec.cost.G, r=spec.cost.r, R=spec.cost.R, delta=1.0, mode="case1")
+
+
 def test_constant_terminal_gradient_reproduced_exactly(grid, basis):
     # linear terminal r.x, no running state cost: the adjoint is the
-    # constant r and the noise loading vanishes identically
-    spec = linear_terminal(r=1.0)
+    # constant r and the noise loading vanishes identically; without a C or
+    # D block nothing reads Z and it is not fitted
     M = 2000
     W = generate_brownian(grid, M, seed=2)
     U = _controls(grid, M, 0.0)
-    _, Y, Z, _, _ = _evaluate_gradient(core_from_spec(spec, grid, [0.3]), U, W.increments, basis)
-    assert np.max(np.abs(Y - 1.0)) <= 1e-10
-    assert np.max(np.abs(Z)) <= 1e-10
+    for spec, fits_z in ((linear_terminal(r=1.0), False), (_with_c(linear_terminal(r=1.0)), True)):
+        _, Y, Z, _, _ = _evaluate_gradient(core_from_spec(spec, grid, [0.3]), U, W.increments,
+                                           basis)
+        assert np.max(np.abs(Y - 1.0)) <= 1e-10
+        assert np.max(np.abs(Z)) <= 1e-10 if fits_z else Z is None
 
 
 def test_zero_terminal_zero_driver(grid, basis, spec_zero):
     M = 1000
     W = generate_brownian(grid, M, seed=3)
     U = _controls(grid, M, 0.0)
-    _, Y, Z, _, _ = _evaluate_gradient(core_from_spec(spec_zero, grid, [1.0]), U, W.increments,
-                                       basis)
-    assert np.max(np.abs(Y)) == 0.0
-    assert np.max(np.abs(Z)) == 0.0
+    for spec, fits_z in ((spec_zero, False), (_with_c(spec_zero), True)):
+        _, Y, Z, _, _ = _evaluate_gradient(core_from_spec(spec, grid, [1.0]), U, W.increments,
+                                           basis)
+        assert np.max(np.abs(Y)) == 0.0
+        assert np.max(np.abs(Z)) == 0.0 if fits_z else Z is None
 
 
 def test_terminal_condition_exact(grid, basis, spec_p1):
@@ -128,6 +137,51 @@ def test_non_finite_adjoint_raises_at_the_first_step_reached(grid, basis, spec_p
     with pytest.raises(BlowupError, match="path 5, step 30") as err:
         backward_solve(core.sc, PoisonedCost(spec_p1.cost, grid), grid, X, U, W.increments, basis)
     assert (err.value.path, err.value.step) == (5, 30)
+
+
+@pytest.mark.parametrize("name, fits_per_step", [("spec_p1", 1), ("spec_p1_d", 2)])
+def test_z_is_fitted_only_where_a_c_or_d_block_reads_it(name, fits_per_step, grid, basis,
+                                                        request, monkeypatch):
+    # Y's fit at every step, and Z's only on a problem with a nonzero C or D block
+    spec = request.getfixturevalue(name)
+    M = 500
+    W = generate_brownian(grid, M, seed=6)
+    U = _controls(grid, M, 0.1)
+    core = core_from_spec(spec, grid, [0.2])
+    X = _simulate_core(core.sc, grid, core.x0, U, W.increments)
+    steps, fit = [], StepRegression.fit
+    monkeypatch.setattr(StepRegression, "fit",
+                        lambda self, j, targets: steps.append(j) or fit(self, j, targets))
+    Y, Z, _ = backward_solve(core.sc, core.cost_eval, grid, X, U, W.increments, basis)
+    assert len(steps) == fits_per_step * grid.N
+    assert Z is None if fits_per_step == 1 else Z.shape == (M, grid.N, 1, 1)
+
+
+@pytest.mark.parametrize("c, d", [(0.3, 0.0), (0.0, 0.5)])
+def test_non_finite_z_raises_at_its_path_and_step(c, d, grid, basis, monkeypatch):
+    # a NaN in the fit of Z at (path 7, step 20): a C block carries it into Y_20 too, a D
+    # block alone leaves it in Z, where the finiteness check finds it
+    spec = build_lq_problem(coeffs=_scalar_coeffs(C=c, D=d), horizon=1.0, G=[[1.0]], Q=[[1.0]],
+                            R=[[1.0]], delta=1.0, mode="case1")
+    M = 500
+    W = generate_brownian(grid, M, seed=6)
+    U = _controls(grid, M, 0.1)
+    core = core_from_spec(spec, grid, [0.2])
+    X = _simulate_core(core.sc, grid, core.x0, U, W.increments)
+    calls, fit = [], StepRegression.fit
+
+    def poisoned(self, j, targets):
+        # two fits per step from step N - 1 down, Y's then Z's
+        out = fit(self, j, targets)
+        calls.append(j)
+        if len(calls) == 2 * (grid.N - 1 - 20) + 2:
+            out[7] = np.nan
+        return out
+
+    monkeypatch.setattr(StepRegression, "fit", poisoned)
+    with pytest.raises(BlowupError, match="path 7, step 20") as err:
+        backward_solve(core.sc, core.cost_eval, grid, X, U, W.increments, basis)
+    assert (err.value.path, err.value.step) == (7, 20)
 
 
 def test_adjoint_superposition_for_lq(grid, basis, spec_p1):
@@ -401,16 +455,16 @@ def test_condition_numbers_are_those_of_the_normal_matrices():
     assert reg.cond[6] > 1e5 > reg.cond[5]
 
 
-def test_blocked_sweep_matches_single_step_sweep(basis, spec_p1, monkeypatch):
+def test_blocked_sweep_matches_single_step_sweep(basis, spec_p1_d, monkeypatch):
     # N = 25 gives blocks of 10, 10 and 5 steps: two block boundaries and a
-    # shorter last block
+    # shorter last block; on P1-D (D != 0) the sweep fits Z as well as Y
     import lcflow.adjoint as adjoint
 
     grid = TimeGrid(0.0, 1.0, 25)
     M = 800
     W = generate_brownian(grid, M, seed=23)
     U = _controls(grid, M, 0.1)
-    core = core_from_spec(spec_p1, grid, [0.2])
+    core = core_from_spec(spec_p1_d, grid, [0.2])
     _, Y_blocked, Z_blocked, _, cond_blocked = _evaluate_gradient(core, U, W.increments, basis)
     monkeypatch.setattr(adjoint, "BLOCK_STEPS", 1)
     _, Y_single, Z_single, _, cond_single = _evaluate_gradient(core, U, W.increments, basis)

@@ -256,6 +256,51 @@ def test_field_t_beyond_the_horizon_exits_two_on_p2(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("checks", [
+    {"h_t": 0.6},                                       # the oracle source, default samples
+    {"h_t": 0.6, "source": "solver"},                   # a multiple of dt, default samples
+    {"h_t": 0.6, "hjb_samples": [[0.0, [0.0]], [0.5, [0.0]]]},
+])
+def test_h_t_without_room_at_a_sample_exits_two(checks, workdir, capsys):
+    # hjb_residual differences one-sidedly at an end of [0, T], so a sample t needs
+    # t - h_t >= 0 or t + h_t <= T; the sample at T/2 has neither, which used to fail inside
+    # the run (N=10, dt=0.1)
+    cfg = _config(workdir, checks=checks, grid={"N": 10}, monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "checks.h_t" in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+def test_h_t_with_room_at_every_sample_runs(workdir):
+    # one-sided differences at both ends: t = 0 forward, t = 0.9 backward
+    cfg = _config(workdir, checks={"h_t": 0.6, "hjb_samples": [[0.0, [0.0]], [0.9, [0.5]]]},
+                  grid={"N": 10}, monte_carlo={"M": 400})
+    out = workdir / "hjb"
+    assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) != 2
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["tolerance"] > 0
+
+
+def test_problem_its_builder_rejects_exits_two(workdir, capsys):
+    # case2_smooth needs D^T D >= delta I: D = 0.5, delta = 1 misses it by 0.75, which the
+    # builder raises as a ValidationFailure inside Runner and used to escape as a traceback
+    doc = {"dims": {"n": 1, "m": 1, "d": 1}, "horizon": 1.0,
+           "coefficients": {"A": [[0.0]], "B": [[1.0]], "C": [[[0.0]]], "D": [[[0.5]]],
+                            "b": [0.0], "sigma": [[0.2]]},
+           "cost": {"family": "case2_smooth",
+                    "params": {"delta": 1.0, "kappa_g": 0.5, "kappa_x": 0.0, "kappa_u": 0.0,
+                               "r_u": 0.25}},
+           "certificate": {"delta": 1.0, "mode": "case2", "k_lip": "auto"}}
+    (workdir / "problems" / "case2.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _config(workdir, problem="problems/case2.json", monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "margin -0.75" in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("h, usable", [(2.0, True), (2.0 + 5e-10, True), (2.0 + 5e-9, False),
                                        (0.5, False), (9.0, True), (10.0, False)])
 def test_dpp_step_is_checked_as_dpp_gap_checks_it(h, usable, workdir, capsys):

@@ -132,15 +132,19 @@ def test_restart_reaches_same_fixed_point(grid, basis, spec_p1):
     assert dist <= 1e-4
 
 
-def test_a_priori_envelope(sol_p1_small, grid):
-    # second-moment envelope K (1 + |x0|^2), a sanity bound not a sharp one
+def test_a_priori_envelope(sol_p1_small, sol_p1_d_small, grid):
+    # second-moment envelope K (1 + |x0|^2), a sanity bound not a sharp one; Z is fitted, and
+    # enters the envelope, only where a C or D block reads it (P1-D), and is None on P1
     K = 50.0
-    x0_sq = 0.0
-    sup_x = float((sol_p1_small.X**2).sum(axis=2).max(axis=1).mean())
-    sup_y = float((sol_p1_small.Y**2).sum(axis=2).max(axis=1).mean())
-    int_z = float((sol_p1_small.Z**2).sum(axis=(2, 3)).mean() * grid.dt)
-    int_u = float((sol_p1_small.U**2).sum(axis=2).mean() * grid.dt)
-    assert sup_x + sup_y + int_z + int_u <= K * (1.0 + x0_sq)
+    assert sol_p1_small.Z is None
+    for sol in (sol_p1_small, sol_p1_d_small):
+        x0_sq = float(sol.core.x0 @ sol.core.x0)
+        sup_x = float((sol.X**2).sum(axis=2).max(axis=1).mean())
+        sup_y = float((sol.Y**2).sum(axis=2).max(axis=1).mean())
+        int_z = 0.0 if sol.Z is None else float((sol.Z**2).sum(axis=(2, 3)).mean() * grid.dt)
+        int_u = float((sol.U**2).sum(axis=2).mean() * grid.dt)
+        assert sup_x + sup_y + int_z + int_u <= K * (1.0 + x0_sq)
+    assert sol_p1_d_small.Z.any()
 
 
 def test_max_iter_exhaustion_raises_with_history(grid, basis, spec_p2):
@@ -302,16 +306,19 @@ def test_solution_carries_its_per_path_cost(which, t0, spec_p1, spec_p2, basis, 
     assert sol.report.costs[-1] == float(sol.per_path_cost.mean())
 
 
-@pytest.mark.parametrize("case", ["converged_at_iteration_0", "several_iterations", "fixed_eta"])
+@pytest.mark.parametrize("case", ["converged_at_iteration_0", "several_iterations", "fixed_eta",
+                                  "d_block"])
 def test_solution_arrays_are_the_evaluation_of_its_control(case, grid, basis, spec_p1, spec_p2,
-                                                          spec_linear_terminal):
+                                                          spec_p1_d, spec_linear_terminal):
     # descend reuses its buffers across evaluations and runs the probes in them: the returned
     # X, Y, Z and D must still be one evaluation at the returned U, bit for bit; from the
-    # optimum u = -r, iteration 0 is the solution and the probes must leave its arrays alone
+    # optimum u = -r, iteration 0 is the solution and the probes must leave its arrays alone.
+    # Z is fitted only where a C or D block reads it (P1-D), and is None on the others
     spec, x0, u0, cfg = {
         "converged_at_iteration_0": (spec_linear_terminal, [0.0], -1.0, DescentConfig()),
         "several_iterations": (spec_p2, [0.3], None, DescentConfig()),
         "fixed_eta": (spec_p1, [0.2], None, DescentConfig(eta=0.5, tol_grad=5e-3)),
+        "d_block": (spec_p1_d, [0.4], None, DescentConfig()),
     }[case]
     W = generate_brownian(grid, 400, seed=19, antithetic=True)
     sol = solve_hamiltonian(spec, grid, 0.0, x0, W, basis, cfg, u0=u0)
@@ -319,8 +326,10 @@ def test_solution_arrays_are_the_evaluation_of_its_control(case, grid, basis, sp
     assert (sol.report.k_hat is not None) == (cfg.eta == "auto")
     assert (sol.report.probe_ratios == []) == (case == "fixed_eta")
     X, Y, Z, D, _ = _evaluate_gradient(sol.core, sol.U, W.increments, basis)
-    for got, want in ((sol.X, X), (sol.Y, Y), (sol.Z, Z), (sol.D, D),
-                      (sol.per_path_cost, per_path_cost_core(sol.core.cost_eval, grid, X, sol.U))):
+    assert (sol.Z is None) == (Z is None) == (case != "d_block")
+    for got, want in ((sol.X, X), (sol.Y, Y), (sol.D, D),
+                      (sol.per_path_cost, per_path_cost_core(sol.core.cost_eval, grid, X, sol.U))
+                      ) + (((sol.Z, Z),) if Z is not None else ()):
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 

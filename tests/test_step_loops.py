@@ -2,14 +2,17 @@
 
 The forward sweep, the backward sweep, the closed loop, the gradient and
 the cost sum work on step-major arrays (paths.step_major) and drop the
-terms of a zero A, C or D block.  Neither may change a bit: every output
-here must equal the reference loops below, which read and write path-major
-arrays [M, N, .] column by column and form every term.
+terms of a zero A, C or D block; the backward sweep fits Z only on a
+problem with a nonzero C or D block.  Neither may change a bit: every
+output here must equal the reference loops below, which read and write
+path-major arrays [M, N, .] column by column, form every term and fit Z
+at every step.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,7 @@ from lcflow.adjoint import (
     per_path_cost_core,
 )
 from lcflow.costs import CostModel, GridCost
-from lcflow.descent import CoreProblem, Workspace
+from lcflow.descent import CoreProblem, Workspace, core_from_spec
 from lcflow.errors import ConditioningError
 from lcflow.feedback import feedback_map, simulate_closed_loop
 from lcflow.paths import _euler_step, _simulate_core, step_major
@@ -125,6 +128,11 @@ def _same(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def _same_z(Z, Z_ref, sc):
+    """Z is the reference's bit for bit where a C or D block reads it, else None."""
+    return _same(Z, Z_ref) if sc.C.any() or sc.D.any() else Z is None
+
+
 def _or_error(fn, *args, **kwargs):
     """fn's result, or the message of the ConditioningError it raised."""
     try:
@@ -204,7 +212,7 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, S, q
     Y_ref, Z_ref, cond_ref = _ref_backward(sc, cost_eval, grid, X_ref, U_pm, dW_pm, basis)
     for dW in (W.increments, dW_pm):
         Y, Z, cond_max = backward_solve(sc, cost_eval, grid, X, U, dW, basis)
-        assert _same(Y, Y_ref) and _same(Z, Z_ref)
+        assert _same(Y, Y_ref) and _same_z(Z, Z_ref, sc)
         assert cond_max == cond_ref
 
     assert _same(gradient_core(sc, cost_eval, grid, X, U, Y, Z),
@@ -222,7 +230,7 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, S, q
     if isinstance(ref, str):
         assert got == ref
     else:
-        assert all(_same(a, b) for a, b in zip(got[:2], ref[:2]))
+        assert _same(got[0], ref[0]) and _same_z(got[1], ref[1], sc)
         assert got[2] == ref[2]
 
     # the closed loop under a quadratic value's feedback, with and without a perturbation; the
@@ -248,12 +256,13 @@ def test_step_loops_match_reference_bit_for_bit(n, m, d, A, C, D, b, sigma, S, q
     # rows and its drift in ws.BU (Y's first N rows), the regressions their designs in ws.design
     ws = Workspace.allocate(core, M, basis)
     for a in (ws.X, ws.U, ws.Y, ws.Z, ws.D, ws.design, ws.grad):
-        a[...] = np.nan
+        if a is not None:
+            a[...] = np.nan
     ws.U[...] = U
     assert _simulate_core(sc, grid, x0, ws.U, W.increments, ws) is ws.X
     assert _same(ws.X, X_ref)
     Y, Z, cond_max = backward_solve(sc, cost_eval, grid, ws.X, ws.U, W.increments, basis, ws=ws)
-    assert Y is ws.Y and Z is ws.Z and _same(Y, Y_ref) and _same(Z, Z_ref)
+    assert Y is ws.Y and Z is ws.Z and _same(Y, Y_ref) and _same_z(Z, Z_ref, sc)
     assert cond_max == cond_ref
     assert np.shares_memory(ws.BU, Y) and not np.isnan(ws.design[:min(N, BLOCK_STEPS)]).any()
     assert _same(gradient_core(sc, cost_eval, grid, ws.X, ws.U, Y, Z, ws),
@@ -265,15 +274,39 @@ def _is_step_major(a):
     return a.swapaxes(0, 1).flags.c_contiguous and not a.flags.c_contiguous
 
 
-def test_whole_path_arrays_are_step_major(spec_p2, basis, cfg):
+def test_whole_path_arrays_are_step_major(spec_p2, spec_p1_d, basis, cfg):
     grid = TimeGrid(0.0, 1.0, 12)
     W = generate_brownian(grid, 200, seed=3, antithetic=True)
     sol = solve_hamiltonian(spec_p2, grid, 0.0, [0.3], W, basis, cfg)
     X = sol.X
-    for a in (W.increments, X, sol.U, sol.Y, sol.Z, sol.D):
+    for a in (W.increments, X, sol.U, sol.Y, sol.D):
         assert _is_step_major(a)
+    # Z is fitted only where a C or D block reads it, as on P1-D
+    assert sol.Z is None
+    assert _is_step_major(solve_hamiltonian(spec_p1_d, grid, 0.0, [0.3], W, basis, cfg).Z)
     frozen = freeze_second_order(spec_p2, sol)
     assert all(_is_step_major(a) for a in (frozen.Qh, frozen.Sh, frozen.Rh))
     # a regression block of one feature coordinate is read in place
     block = _feature_block(X[:, 2:2 + BLOCK_STEPS])
     assert block.shape == (BLOCK_STEPS, 1, 200) and np.shares_memory(block, X)
+
+
+@pytest.mark.parametrize("name", ["spec_p1_d", "rich_lq"])
+def test_z_where_it_is_read_matches_the_reference_bit_for_bit(name, basis, request):
+    # a nonzero C or D block reads Z: the sweep fits it at every step, as the reference does,
+    # and Z, Y and the gradient are the reference's bit for bit
+    spec = request.getfixturevalue(name)
+    grid = TimeGrid(0.0, 1.0, 25)
+    M, n, m = 600, spec.dims.n, spec.dims.m
+    W = generate_brownian(grid, M, seed=31, antithetic=True, d=spec.dims.d)
+    core = core_from_spec(spec, grid, np.full(n, 0.3))
+    U = step_major(M, grid.N, m)
+    U[...] = 0.3 * np.random.default_rng(4).standard_normal((M, grid.N, m))
+    X = _simulate_core(core.sc, grid, core.x0, U, W.increments)
+    X_pm, U_pm, dW_pm = (np.ascontiguousarray(a) for a in (X, U, W.increments))
+    Y_ref, Z_ref, cond_ref = _ref_backward(core.sc, core.cost_eval, grid, X_pm, U_pm, dW_pm,
+                                           basis)
+    Y, Z, cond_max = backward_solve(core.sc, core.cost_eval, grid, X, U, W.increments, basis)
+    assert _same(Y, Y_ref) and _same(Z, Z_ref) and cond_max == cond_ref
+    assert _same(gradient_core(core.sc, core.cost_eval, grid, X, U, Y, Z),
+                 _ref_gradient(core.sc, core.cost_eval, grid, X_pm, U_pm, Y_ref, Z_ref))
