@@ -71,14 +71,14 @@ _ORACLE = {"substeps": 4}      # read by Runner._oracle
 _CHECKS = {
     "solve": {},
     "value": {"value_lattice": None, "with_hessian": False},
-    "feedback": {"perturbations": 10, "perturb_scale": 0.25, "gain_scale": None,
-                 "field_x": None, "field_t": None, **_ORACLE},
+    "feedback": {"perturbations": 10, "gain_scale": None, "field_x": None, "field_t": None,
+                 **_ORACLE},
     "verify-lq": {"with_derivative": False, **_ORACLE},
     "hjb-check": {"hjb_samples": None, "source": None, "oracle_tol": 1e-6, "h_t": None,
                   **_ORACLE},
     "dpp-check": {"h": 0.2, **_ORACLE},
     "convexity-check": {"convexity": None},
-    "validate": {"box": 5.0, "samples": 200},
+    "validate": {"samples": 200},
 }
 
 
@@ -124,8 +124,8 @@ def _convexity(value, r):
 
 
 # the values with a range or shape beyond their JSON type, tested by Runner.check in this order:
-# the test of a given (not null) value on the run r, where raising ValueError fails, and what
-# the value must be; a test may read what the rows before it accepted (r.t0, r._hjb_source())
+# the test on the run r of a given value, or of what r works out for a null in _WORKED_OUT, where
+# raising ValueError fails, and what the value must be; a test may read what earlier rows accepted
 _RANGES = {
     "initial.t": (_node, "a grid node before the horizon"),
     "initial.x": (lambda v, r: isinstance(v, list) and _point(v, r.n),
@@ -168,6 +168,10 @@ _RANGES = {
     "checks.h": (lambda v, r: dpp_steps(r.grid.subgrid(r.grid.index_of(r.t0)), v) >= 1,
                  "a multiple of dt with 0 < h and initial.t + h before the horizon"),
 }
+
+
+# the Runner method that works out each null hjb-check key, whose _RANGES row tests its answer
+_WORKED_OUT = {"checks.hjb_samples": "_hjb_samples", "checks.h_t": "_hjb_h_t"}
 
 
 def _typed(key, value, default):
@@ -270,15 +274,13 @@ class Runner:
     # -- commands ----------------------------------------------------------
 
     def cmd_validate(self):
-        report = validate_problem(self.spec, sample_box=self.checks["box"],
-                                  samples=self.checks["samples"])
+        report = validate_problem(self.spec, samples=self.checks["samples"])
         return report.to_dict(), report.passed
 
     def cmd_solve(self):
         sol = self._solve()
         self.timings["descent_wall_time_s"] = sol.report.wall_time
         rep = sol.report.to_dict()
-        rep["converged"] = True
         rep["cost"] = float(sol.per_path_cost.mean())
         return rep, True
 
@@ -292,9 +294,8 @@ class Runner:
             frozen = freeze_second_order(self.spec, sol)
             deriv = solve_linear_hamiltonian(self.spec, self.basis, sol, frozen, self.dcfg)
             deriv_report = riccati_state_check(deriv, oracle=ric)
-            if "csv" in self.cfg["output"]["formats"]:
-                self.tables_dir.mkdir(parents=True, exist_ok=True)
-                riccati_state_to_csv(deriv_report, self.tables_dir / "riccati_state.csv")
+            if table := self._table("riccati_state.csv"):
+                riccati_state_to_csv(deriv_report, table)
         costs = sol.per_path_cost
         j_solver = float(costs.mean())
         stderr = mc_stderr(costs, self.W.antithetic)
@@ -321,9 +322,8 @@ class Runner:
         if deriv_report is not None:
             checks["riccati_state_err_max"] = deriv_report.oracle_err_max
             checks["riccati_state_ok"] = deriv_report.oracle_err_max <= 0.07
-        if "csv" in self.cfg["output"]["formats"]:
-            self.tables_dir.mkdir(parents=True, exist_ok=True)
-            riccati_to_csv(ric, self.tables_dir / "riccati.csv")
+        if table := self._table("riccati.csv"):
+            riccati_to_csv(ric, table)
         ok = checks["cost_ok"] and checks["y0_ok"] and checks["control_ok"]
         if deriv_report is not None:
             ok = ok and checks["riccati_state_ok"]
@@ -336,9 +336,8 @@ class Runner:
         source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
         samples = [source.sample(t, x, with_hessian=self.checks["with_hessian"])
                    for t in ts for x in xs]
-        if "csv" in self.cfg["output"]["formats"]:
-            self.tables_dir.mkdir(parents=True, exist_ok=True)
-            value_surface_to_csv(samples, self.tables_dir / "value_surface.csv")
+        if table := self._table("value_surface.csv"):
+            value_surface_to_csv(samples, table)
         rep = {
             "samples": [
                 {"t": s.t, "x": s.x.tolist(), "V": s.V, "stderr_V": s.stderr_V,
@@ -349,6 +348,13 @@ class Runner:
             ]
         }
         return rep, True
+
+    def _table(self, name):
+        """The path of CSV table name, its directory made, if output.formats has csv; else None."""
+        if "csv" not in self.cfg["output"]["formats"]:
+            return None
+        self.tables_dir.mkdir(parents=True, exist_ok=True)
+        return self.tables_dir / name
 
     def check(self, command: str):
         """Check the run of command, else ValueError: the checks keys that it reads (under
@@ -367,12 +373,16 @@ class Runner:
         for key, (test, what) in _RANGES.items():
             section, leaf = key.split(".")
             value = (self.checks if section == "checks" else self.cfg[section]).get(leaf)
+            worked_out = value is None and leaf in self.checks and key in _WORKED_OUT
+            if worked_out:
+                value = getattr(self, _WORKED_OUT[key])()
             try:
                 ok = value is None or test(value, self)
             except ValueError:
                 ok = False
             if not ok:
-                raise ConfigError(f"{key} must be {what}, got {value!r}")
+                got = f"null, which works out to {value!r} here" if worked_out else repr(value)
+                raise ConfigError(f"{key} must be {what}, got {got}")
         self.basis = RegressionBasis(**self.cfg["basis"])
         self.dcfg = DescentConfig(**self.cfg["descent"])
 
@@ -395,7 +405,6 @@ class Runner:
         report = verify_optimality(
             self.spec, sol, source,
             n_perturbed=self.checks["perturbations"],
-            perturb_scale=self.checks["perturb_scale"],
             gain_scale=self.checks["gain_scale"],
         )
         dt = self.grid.dt
@@ -406,44 +415,43 @@ class Runner:
         rep["budget"] = budget
         rep["agreement_ok"] = bool(ok)
         rep["suboptimality_ok"] = bool(sub_ok)
-        if "csv" in self.cfg["output"]["formats"]:
-            self.tables_dir.mkdir(parents=True, exist_ok=True)
+        if table := self._table("feedback_field.csv"):
             xs = self.checks["field_x"] or [self.x0.tolist()]
             ts = self.checks["field_t"] or [float(t) for t in self.grid.nodes[:-1:10]]
-            feedback_field_to_csv(self.spec, source, ts, xs,
-                                  self.tables_dir / "feedback_field.csv")
+            feedback_field_to_csv(self.spec, source, ts, xs, table)
         return rep, bool(ok and sub_ok)
 
     def cmd_hjb_check(self):
         samples = [(t, np.asarray(x, dtype=float)) for t, x in self._hjb_samples()]
+        h_t = self._hjb_h_t()
         if self._hjb_source() == "riccati_oracle":
             source = RiccatiValueSource(self._oracle())
-            # the oracle stores V at sub-step spacing; a wider difference in t
-            # adds an O(h_t^2) error wherever P(t) is not constant
-            h_t = self.grid.dt / self.checks["substeps"]
-            tol = self.checks["oracle_tol"]
         else:
             source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
-            h_t = 2.0 * self.grid.dt
-            tol = None
-        if self.checks["h_t"] is not None:
-            h_t = self.checks["h_t"]
         report = hjb_residual(self.spec, source, samples, h_t)
         rep = report.to_dict()
-        if tol is None:
-            # budget from the value stderr at the first sample
-            tol = hjb_solver_budget(self.grid.dt, h_t, source.sample(*samples[0]).stderr_V)
-        rep["tolerance"] = tol
-        ok = report.max_abs_residual <= tol
-        rep["passed"] = bool(ok)
-        return rep, bool(ok)
+        # under the solver source, a budget from the value stderr at the first sample
+        rep["tolerance"] = (self.checks["oracle_tol"] if source.kind == "riccati_oracle" else
+                            hjb_solver_budget(self.grid.dt, h_t,
+                                              source.sample(*samples[0]).stderr_V))
+        rep["passed"] = bool(report.max_abs_residual <= rep["tolerance"])
+        return rep, rep["passed"]
 
     def _hjb_samples(self):
         """hjb-check's [t, x] samples: checks.hjb_samples, else three nodes across [0, T] at x0."""
         if self.checks["hjb_samples"] is not None:
             return self.checks["hjb_samples"]
         ts = np.linspace(0.15, 0.85, 3) * self.spec.horizon
-        return [(round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()) for t in ts]
+        return [[round(float(t) / self.grid.dt) * self.grid.dt, self.x0.tolist()] for t in ts]
+
+    def _hjb_h_t(self):
+        """hjb-check's step in t: checks.h_t, else 2 dt under the solver source, else dt / substeps,
+        as the oracle stores V at sub-step spacing: a wider step errs by O(h_t^2) where P varies."""
+        if self.checks["h_t"] is not None:
+            return self.checks["h_t"]
+        if self._hjb_source() == "solver":
+            return 2.0 * self.grid.dt
+        return self.grid.dt / self.checks["substeps"]
 
     def _hjb_source(self):
         """hjb-check's value source: checks.source, else the oracle for a quadratic cost."""

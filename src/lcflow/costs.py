@@ -158,12 +158,12 @@ class _Sum:
         return self.out
 
 
-def _symmetrized(pw: PiecewiseConstant, name: str, tol=1e-12) -> PiecewiseConstant:
-    """Symmetrize every value, warning when the asymmetry is beyond rounding noise."""
+def _symmetrized(pw: PiecewiseConstant, name: str) -> PiecewiseConstant:
+    """Symmetrize every value, warning when the asymmetry is beyond rounding noise (1e-12)."""
     vals = pw.values
     defect = float(np.max(np.abs(vals - np.swapaxes(vals, -1, -2)))) if vals.size else 0.0
-    if defect > tol:
-        warnings.warn(f"{name} asymmetry {defect:.2e} exceeds {tol:.0e}; symmetrizing")
+    if defect > 1e-12:
+        warnings.warn(f"{name} asymmetry {defect:.2e} exceeds 1e-12; symmetrizing")
     sym = _sym(vals)
     return PiecewiseConstant(sym.copy() if sym is vals else sym, pw.times)
 
@@ -343,8 +343,7 @@ class CostModel:
             put(name, np.zeros(shape) if value is None else np.asarray(value, dtype=float).reshape(shape))
         put("G", _symmetrized(PiecewiseConstant(self.G), "G").values)
         for name, shape in (("Q", (n, n)), ("S", (m, n)), ("R", (m, m)), ("q", (n,)), ("rho", (m,))):
-            value = getattr(self, name)
-            put(name, PiecewiseConstant(np.zeros(shape)) if value is None else as_piecewise(value, shape))
+            put(name, as_piecewise(getattr(self, name), shape))
         put("Q", _symmetrized(self.Q, "Q"))
         put("R", _symmetrized(self.R, "R"))
         for name in ("delta_u", "delta_g", "kappa_x", "kappa_u", "kappa_g"):
@@ -455,8 +454,8 @@ def solve_spd(K, b):
     return b / K if b.shape[-1] == 1 else b * (1.0 / K)
 
 
-def check_psd(mat, shift=0.0, tol=1e-10):
-    """Smallest eigenvalue of sym(mat) - shift*I; psd iff return >= -tol."""
+def check_psd(mat, shift=0.0):
+    """Smallest eigenvalue of sym(mat) - shift*I; psd iff return >= 0, up to rounding."""
     return float(min_eigenvalue(_sym(np.asarray(mat, dtype=float))) - shift)
 
 

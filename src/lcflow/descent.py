@@ -48,7 +48,6 @@ class DescentConfig:
 class DescentReport:
     iterations: int = 0
     grad_norms: list = field(default_factory=list)
-    step_norms: list = field(default_factory=list)
     costs: list = field(default_factory=list)
     final_residual: float = np.inf
     eta: float = np.nan
@@ -58,23 +57,24 @@ class DescentReport:
     # (adjoint.backward_solve), None when no step has spread
     regression_cond_max: Optional[float] = None
     wall_time: float = 0.0      # kept out of to_dict, which a rerun reproduces byte for byte
-    converged: bool = False
-    reason: str = ""
 
     def to_dict(self):
+        # a descent that fails raises and returns no report; the step that led to iteration i
+        # is eta times the residual before it
         return {
             "iterations": self.iterations,
             "history": [
-                {"iter": i, "grad_norm": g, "step_norm": s, "cost": c}
-                for i, (g, s, c) in enumerate(zip(self.grad_norms, self.step_norms, self.costs))
+                {"iter": i, "grad_norm": g,
+                 "step_norm": self.eta * self.grad_norms[i - 1] if i else 0.0, "cost": c}
+                for i, (g, c) in enumerate(zip(self.grad_norms, self.costs))
             ],
             "eta": self.eta,
             "k_hat": self.k_hat,
             "probe_ratios": self.probe_ratios,
             "regression": {"cond_max": self.regression_cond_max},
             "final_residual": self.final_residual,
-            "converged": self.converged,
-            "reason": self.reason,
+            "converged": True,
+            "reason": "stationarity",
         }
 
 
@@ -240,7 +240,7 @@ def _probe_controls(shape_nm, count, scale, seed, demean=False):
 
 
 def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int,
-                            scale: float = 1.0, base=None, ws: Workspace = None):
+                            base=None, ws: Workspace = None):
     """Safety-inflated squared-norm ratio max ||D[u+v]-D[u]||^2 / ||v||^2.
 
     The probes share one base control u: base is (U, D[U]) as already
@@ -263,7 +263,7 @@ def estimate_lipschitz_core(core: CoreProblem, dW, basis, probes: int, seed: int
         ws = Workspace.allocate(core, M, basis)
     U0, D0 = base
     ratios = []
-    for vb in _probe_controls((N, m), probes, scale, seed + 1, demean=True):
+    for vb in _probe_controls((N, m), probes, 1.0, seed + 1, demean=True):
         vnorm = l2_norm_array(np.broadcast_to(vb, (1, N, m)), dt)
         if vnorm <= 1e-14:
             continue
@@ -339,15 +339,11 @@ def descend(core: CoreProblem, W: BrownianEnsemble, basis: RegressionBasis, cfg:
         X, Y, Z, D, cond_max = evaluation
         if not np.isfinite(gnorm):
             raise failure(ConvergenceError(f"non-finite residual {gnorm} at iteration {it}"))
-        # the step that led here, eta times the last residual
-        report.step_norms.append(eta * report.grad_norms[-1] if it else 0.0)
         report.grad_norms.append(gnorm)
         report.costs.append(float(costs.mean()))
         report.iterations = it
         if gnorm <= cfg.tol_grad:
             report.final_residual = gnorm
-            report.converged = True
-            report.reason = "stationarity"
             report.regression_cond_max = cond_max
             report.wall_time = time.perf_counter() - t_start
             return HamiltonianSolution(X=X, U=U, Y=Y, Z=Z, D=D, report=report, core=core, W=W,
@@ -379,14 +375,13 @@ def solve_hamiltonian(spec, grid: TimeGrid, t0: float, x0, W: BrownianEnsemble,
     return descend(core, W.slice_from(k0), basis, cfg, u0=u0)
 
 
-def uniform_convexity_gap(sol: HamiltonianSolution, trials: int = 20, seed: int = 23,
-                          scale: float = 0.5) -> float:
+def uniform_convexity_gap(sol: HamiltonianSolution, trials: int = 20, seed: int = 23) -> float:
     """min over random perturbations v of [J(u*+v) - J(u*)] / (||v||^2 / 2).
 
     A certificate with modulus delta promises the result is >= delta up to
     Monte Carlo slack.  Perturbations are deterministic step functions of
-    time, so they are admissible controls; each runs on the solution's own
-    subproblem and noise.
+    time of scale 0.5, so they are admissible controls; each runs on the
+    solution's own subproblem and noise.
     """
     core = sol.core
     N = core.grid.N
@@ -394,7 +389,7 @@ def uniform_convexity_gap(sol: HamiltonianSolution, trials: int = 20, seed: int 
     dt = core.grid.dt
     base_cost = sol.per_path_cost.mean()
     worst = np.inf
-    for v in _probe_controls((N, m), trials, scale, seed):
+    for v in _probe_controls((N, m), trials, 0.5, seed):
         vnorm2 = l2_norm_array(np.broadcast_to(v, (1, N, m)), dt) ** 2
         if vnorm2 <= 1e-14:
             continue

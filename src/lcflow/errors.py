@@ -41,15 +41,13 @@ class ConditioningError(LcflowError):
 class ConvergenceError(LcflowError):
     """An iteration hit its cap, or its residual left the finite range.
 
-    Carries the residual history and, for a descent, its step size eta and
-    Lipschitz constant k_hat (None when the step size was fixed).
+    `descend` fills in its residual history, step size eta and Lipschitz
+    constant k_hat (None when the step size was fixed); else [] and None.
     """
 
-    def __init__(self, message, history=None, eta=None, k_hat=None):
+    def __init__(self, message):
         super().__init__(message)
-        self.history = history or []
-        self.eta = eta
-        self.k_hat = k_hat
+        self.history, self.eta, self.k_hat = [], None, None
 
 
 class RegularityError(LcflowError):

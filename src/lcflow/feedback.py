@@ -36,6 +36,8 @@ NEWTON_TOL_FACTOR = 1e-10
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_DAMPING = 40
 
+PERTURB_SCALE = 0.25    # half-width of the draws that perturb verify_optimality's gain and offset
+
 
 def _res_norm(r):
     return np.abs(r[:, 0]) if r.shape[1] == 1 else np.linalg.norm(r, axis=-1)
@@ -102,6 +104,11 @@ def newton_minimize_batch(running, X, P, Qm, delta):
     )
 
 
+def _diffusion_x(C, X, sigma):
+    """The diffusion without its control term, C x + sigma [B, d, n], at the points X [B, n]."""
+    return np.einsum("inj,bj->bin", C, X) + sigma
+
+
 def _reduced_objective(X, DxV, DxxV, B, C, D, sigma):
     """p [B, m] and the symmetric curvature bump [B, m, m] at the points X [B, n].
 
@@ -111,7 +118,7 @@ def _reduced_objective(X, DxV, DxxV, B, C, D, sigma):
     p = DxV @ B
     if D is None:
         return p, None
-    drift_lin = np.einsum("inj,bj->bin", C, X) + sigma                 # C x + sigma, [B, d, n]
+    drift_lin = _diffusion_x(C, X, sigma)
     p = p + np.einsum("inm,bnk,bik->bm", D, DxxV, drift_lin)
     q = np.einsum("inm,bnk,ikl->bml", D, DxxV, D)
     return p, 0.5 * (q + np.swapaxes(q, -1, -2))
@@ -298,7 +305,6 @@ class VerificationReport:
 
 
 def verify_optimality(spec, sol, value_source, n_perturbed: int = 10, seed: int = 11,
-                      perturb_scale: float = 0.25,
                       gain_scale: Optional[float] = None) -> VerificationReport:
     """Closed loop vs the open-loop solution sol vs value, plus suboptimality of perturbations.
 
@@ -324,8 +330,8 @@ def verify_optimality(spec, sol, value_source, n_perturbed: int = 10, seed: int 
     n, m = spec.dims.n, spec.dims.m
     perturbed = []
     for _ in range(n_perturbed):
-        d_th = rng.uniform(-perturb_scale, perturb_scale, size=(m, n))
-        d_of = rng.uniform(-perturb_scale, perturb_scale, size=m)
+        d_th = rng.uniform(-PERTURB_SCALE, PERTURB_SCALE, size=(m, n))
+        d_of = rng.uniform(-PERTURB_SCALE, PERTURB_SCALE, size=m)
         perturbed.append(probe(lambda t, X, u_fb, d_th=d_th, d_of=d_of: u_fb + X @ d_th.T + d_of))
     report = VerificationReport(
         j_closed=closed.cost, j_open=j_open, value=float(V),

@@ -88,9 +88,11 @@ class PiecewiseConstant:
         return self.values[idx]
 
 
-def as_piecewise(value, shape=None) -> PiecewiseConstant:
-    """Coerce a raw array or PiecewiseConstant to PiecewiseConstant."""
+def as_piecewise(value, shape) -> PiecewiseConstant:
+    """A raw array or PiecewiseConstant of the given shape as PiecewiseConstant; None as zeros."""
+    if value is None:
+        return PiecewiseConstant(np.zeros(shape))
     pw = value if isinstance(value, PiecewiseConstant) else PiecewiseConstant(value)
-    if shape is not None and tuple(pw.shape) != tuple(shape):
+    if tuple(pw.shape) != tuple(shape):
         raise ValueError(f"expected shape {shape}, got {pw.shape}")
     return pw

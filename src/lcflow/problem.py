@@ -48,20 +48,14 @@ class CoefficientSet:
     @staticmethod
     def build(dims: Dimensions, A=None, B=None, C=None, D=None, b=None, sigma=None) -> "CoefficientSet":
         n, m, d = dims.n, dims.m, dims.d
-
-        def pw(value, shape):
-            if value is None:
-                return PiecewiseConstant(np.zeros(shape))
-            return as_piecewise(np.asarray(value, dtype=float) if not isinstance(value, PiecewiseConstant) else value, shape)
-
         return CoefficientSet(
             dims=dims,
-            A=pw(A, (n, n)),
-            B=pw(B, (n, m)),
-            C=pw(C, (d, n, n)),
-            D=pw(D, (d, n, m)),
-            b=pw(b, (n,)),
-            sigma=pw(sigma, (d, n)),
+            A=as_piecewise(A, (n, n)),
+            B=as_piecewise(B, (n, m)),
+            C=as_piecewise(C, (d, n, n)),
+            D=as_piecewise(D, (d, n, m)),
+            b=as_piecewise(b, (n,)),
+            sigma=as_piecewise(sigma, (d, n)),
         )
 
 
@@ -149,7 +143,7 @@ class CheckResult:
     name: str
     passed: bool
     margin: float
-    detail: str = ""
+    detail: str
 
 
 @dataclass
@@ -173,12 +167,12 @@ class ValidationReport:
 DEFAULT_BOX = 5.0
 
 
-def _sample_points(spec, box, samples, seed=0):
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _sample_points(spec, samples):
+    rng = np.random.Generator(np.random.Philox(key=0))
     n, m = spec.dims.n, spec.dims.m
     ts = rng.uniform(0.0, spec.horizon, size=samples)
-    xs = rng.uniform(-box, box, size=(samples, n))
-    us = rng.uniform(-box, box, size=(samples, m))
+    xs = rng.uniform(-DEFAULT_BOX, DEFAULT_BOX, size=(samples, n))
+    us = rng.uniform(-DEFAULT_BOX, DEFAULT_BOX, size=(samples, m))
     return ts, xs, us
 
 
@@ -192,8 +186,8 @@ def _fd_gradient(f, z, h):
     return g
 
 
-def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples: int = 200, seed: int = 0) -> ValidationReport:
-    """Audit the standing assumptions by sampling a box in (t, x, u).
+def validate_problem(spec: ProblemSpec, samples: int = 200) -> ValidationReport:
+    """Audit the standing assumptions by sampling [0, T] x [-DEFAULT_BOX, DEFAULT_BOX]^(n+m).
 
     Structural problems (bad shapes) raise immediately; everything else is
     reported with a worst-case margin.  Margins are oriented so that
@@ -213,12 +207,12 @@ def validate_problem(spec: ProblemSpec, sample_box: float = DEFAULT_BOX, samples
     except (ValueError, TypeError) as exc:
         raise StructuralError(str(exc)) from exc
 
-    ts, xs, us = _sample_points(spec, sample_box, samples, seed)
+    ts, xs, us = _sample_points(spec, samples)
     lts = [cost.at(t) for t in ts]      # the running cost frozen at each sample's time
     checks = []
 
-    def add(name, margin, detail="", tol=1e-10):
-        checks.append(CheckResult(name, bool(margin >= -tol), float(margin), detail))
+    def add(name, margin, detail):
+        checks.append(CheckResult(name, bool(margin >= -1e-10), float(margin), detail))
 
     # declared Hessian bound
     worst = 0.0

@@ -250,15 +250,14 @@ class RiccatiStateReport:
     min_abs_det: float
     invertibility_flagged: bool
     symmetry_defect_max: float
-    oracle_err_max: float = np.nan
-    oracle_err_mean: float = np.nan
-    step_times: np.ndarray = None
-    step_err_mean: np.ndarray = None
-    step_err_max: np.ndarray = None
+    oracle_err_max: float
+    step_times: np.ndarray
+    step_err_mean: np.ndarray
+    step_err_max: np.ndarray
 
 
-def riccati_state_check(deriv: DerivativeSolution, oracle=None) -> RiccatiStateReport:
-    """Pointwise P = gradY (gradX)^{-1}: determinant, symmetry, oracle error.
+def riccati_state_check(deriv: DerivativeSolution, oracle) -> RiccatiStateReport:
+    """Pointwise P = gradY (gradX)^{-1}: determinant, symmetry, error against the oracle.
 
     The check reads 200 evenly spaced paths.  A |det gradX| below 1e-10 is
     flagged in the report, never raised: coarse grids can visit
@@ -271,21 +270,16 @@ def riccati_state_check(deriv: DerivativeSolution, oracle=None) -> RiccatiStateR
     flagged = bool(min_det < 1e-10)
     P_hat = deriv.riccati_state(take)               # [B, N+1, n, n]
     sym_defect = float(np.max(np.abs(P_hat - np.swapaxes(P_hat, -1, -2))))
-    report = RiccatiStateReport(min_abs_det=min_det, invertibility_flagged=flagged,
-                                symmetry_defect_max=sym_defect)
-    if oracle is not None:
-        times = deriv.grid.nodes
-        errs = np.empty(P_hat.shape[:2])
-        for k, t in enumerate(times):
-            P_or = oracle.P_at(float(t))
-            scale = max(float(np.linalg.norm(P_or)), 1.0)
-            errs[:, k] = np.linalg.norm(P_hat[:, k] - P_or, axis=(-2, -1)) / scale
-        report.oracle_err_max = float(errs.max())
-        report.oracle_err_mean = float(errs.mean())
-        report.step_times = np.asarray(times, dtype=float)
-        report.step_err_mean = errs.mean(axis=0)
-        report.step_err_max = errs.max(axis=0)
-    return report
+    times = deriv.grid.nodes
+    errs = np.empty(P_hat.shape[:2])
+    for k, t in enumerate(times):
+        P_or = oracle.P_at(float(t))
+        scale = max(float(np.linalg.norm(P_or)), 1.0)
+        errs[:, k] = np.linalg.norm(P_hat[:, k] - P_or, axis=(-2, -1)) / scale
+    return RiccatiStateReport(min_abs_det=min_det, invertibility_flagged=flagged,
+                              symmetry_defect_max=sym_defect, oracle_err_max=float(errs.max()),
+                              step_times=np.asarray(times, dtype=float),
+                              step_err_mean=errs.mean(axis=0), step_err_max=errs.max(axis=0))
 
 
 def riccati_state_to_csv(report: RiccatiStateReport, path):
@@ -293,7 +287,5 @@ def riccati_state_to_csv(report: RiccatiStateReport, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "err_mean", "err_max"])
-        if report.step_times is None:
-            return
         for t, em, ex in zip(report.step_times, report.step_err_mean, report.step_err_max):
             writer.writerow([repr(float(t)), repr(float(em)), repr(float(ex))])

@@ -225,6 +225,9 @@ def test_unusable_config_value_exits_two(section, bad, workdir, capsys):
     ("dpp-check", {"h": 0.05}),
     ("dpp-check", {"h": 1.0}),
     ("feedback", {"field_t": [2.0]}),
+    # keys that are constants now: feedback.PERTURB_SCALE and problem.DEFAULT_BOX
+    ("feedback", {"perturb_scale": 0.5}),
+    ("validate", {"box": 3.0}),
 ])
 def test_unusable_checks_value_exits_two(command, checks, workdir, capsys):
     cfg = _config(workdir, checks=checks, grid={"N": 10}, monte_carlo={"M": 400})
@@ -280,6 +283,32 @@ def test_h_t_with_room_at_every_sample_runs(workdir):
     out = workdir / "hjb"
     assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) != 2
     assert json.loads((out / "report.json").read_text(encoding="utf-8"))["tolerance"] > 0
+
+
+@pytest.mark.parametrize("N, checks, key", [
+    (2, {}, "checks.hjb_samples"),      # the default sample near 0.85 T rounds to the horizon
+    (3, {}, "checks.hjb_samples"),
+    (2, {"hjb_samples": [[0.5, [0.0]]]}, "checks.h_t"),     # 2 dt = T leaves no room at T/2
+])
+def test_worked_out_hjb_values_on_a_tiny_grid_exit_two(N, checks, key, workdir, capsys):
+    # under the solver source the default samples and h_t = 2 dt used to fail inside the run
+    cfg = _config(workdir, problem="problems/p2.json", checks=checks, grid={"N": N},
+                  monte_carlo={"M": 200})
+    out = workdir / "bad"
+    assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "got null, which works out to" in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_hjb_oracle_source_on_a_tiny_grid_runs(N, workdir):
+    # the oracle source takes samples anywhere in [0, T], and h_t = dt / 4 has room at each
+    cfg = _config(workdir, grid={"N": N}, monte_carlo={"M": 200})
+    out = workdir / "hjb"
+    assert main(["hjb-check", "--config", str(cfg), "--out", str(out)]) != 2
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["source"] == "riccati_oracle" and len(report["entries"]) == 3
 
 
 def test_problem_its_builder_rejects_exits_two(workdir, capsys):
@@ -430,6 +459,16 @@ def test_checks_keys_are_the_keys_the_commands_read():
     assert set(_CHECKS) == set(COMMANDS)
     for command in COMMANDS:
         assert read(getattr(Runner, "cmd_" + command.replace("-", "_"))) == set(_CHECKS[command])
+
+
+def test_readme_lists_every_checks_key_with_its_default():
+    # the README's table of checks keys is written from cli._CHECKS and must follow it
+    import re
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = set(re.findall(r"^\| `([\w-]+)` \| `(\w+)` \| `([^`]*)` \|", readme, re.M))
+    assert rows == {(command, key, json.dumps(default))
+                    for command, keys in _CHECKS.items() for key, default in keys.items()}
 
 
 def test_range_rows_name_config_keys():

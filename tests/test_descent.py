@@ -58,15 +58,6 @@ def test_lipschitz_identity_operator(grid, basis):
     assert k_hat == pytest.approx(2.0, abs=1e-9)
 
 
-def test_lipschitz_ratio_scale_invariant_for_lq(grid, basis):
-    spec = _decoupled_spec()
-    W = generate_brownian(grid, 1000, seed=2)
-    core = core_from_spec(spec, grid, [0.0])
-    a, _ = estimate_lipschitz_core(core, W.increments, basis, probes=3, seed=5, scale=0.5)
-    b, _ = estimate_lipschitz_core(core, W.increments, basis, probes=3, seed=5, scale=1.0)
-    assert a == pytest.approx(b, rel=1e-9)
-
-
 def test_auto_eta_is_delta_over_k(grid, basis, spec_p1):
     W = generate_brownian(grid, 2000, seed=3, antithetic=True)
     cfg = DescentConfig(eta="auto", max_iter=60, tol_grad=1e-3)
@@ -77,6 +68,11 @@ def test_auto_eta_is_delta_over_k(grid, basis, spec_p1):
     assert len(sol.report.probe_ratios) == 4
     assert sol.report.k_hat == 2.0 * max(sol.report.probe_ratios)
     assert json.loads(json.dumps(sol.report.to_dict()))["probe_ratios"] == sol.report.probe_ratios
+    # a returned report is a converged one, and each step_norm is eta times the residual before it
+    rep = sol.report.to_dict()
+    assert rep["converged"] is True and rep["reason"] == "stationarity"
+    assert [h["step_norm"] for h in rep["history"]] == [0.0] + [
+        sol.report.eta * g for g in sol.report.grad_norms[:-1]]
 
 
 def test_p1_small_scale_matches_oracle(sol_p1_small, grid):
@@ -104,7 +100,7 @@ def test_affine_map_is_contractive(grid, basis, spec_p1):
     cfg = DescentConfig(eta="auto", max_iter=60, tol_grad=1e-3)
     sol = solve_hamiltonian(spec_p1, grid, 0.0, [0.2], W, basis, cfg)
     eta, k_hat = sol.report.eta, sol.report.k_hat
-    factor = contraction_bound(eta, 1.0, k_hat, slack=0.05)
+    factor = contraction_bound(eta, 1.0, k_hat)
     rng = np.random.Generator(np.random.Philox(key=7))
     core = core_from_spec(spec_p1, grid, [0.2])
 
@@ -187,7 +183,7 @@ def test_auto_step_reaches_a_tight_tolerance(which, M, grid, basis, spec_p1, spe
     spec = spec_p1 if which == "p1" else spec_p2
     cfg = DescentConfig(tol_grad=1e-4, max_iter=60)
     sol = solve_hamiltonian(spec, grid, 0.0, [0.3], W, basis, cfg)
-    assert sol.report.converged and sol.report.final_residual <= cfg.tol_grad
+    assert sol.report.final_residual <= cfg.tol_grad
     assert sol.report.iterations <= 12
 
 
@@ -285,7 +281,7 @@ def test_cost_is_evaluated_per_whole_path(grid, basis, cfg, spec_p2, monkeypatch
                         counting("cost_eval", lcflow.descent.per_path_cost_core))
     W = generate_brownian(grid, 400, seed=201, antithetic=True)
     sol = solve_hamiltonian(spec_p2, grid, 0.0, [0.3], W, basis, cfg)
-    assert grid.N == 50 and sol.report.converged
+    assert grid.N == 50
     assert counts["grad"] > 0 and counts["cost_eval"] > 0
     assert counts["cost"] <= 3 * counts["grad"] + 2 * counts["cost_eval"], counts
 

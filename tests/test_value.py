@@ -180,14 +180,14 @@ def test_dpp_gap_reads_the_solution_running_cost(which, monkeypatch, basis, orac
 
 def test_regularity_margin_p1_exact(spec_p1, grid, basis, cfg, w_small, sol_p1_small):
     vs = evaluate_value(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg, sol=sol_p1_small)
-    margin = regularity_margin(spec_p1, vs, u_box=3.0, samples=32)
+    margin = regularity_margin(spec_p1, vs, samples=32)
     # no control noise: the margin is the control weight itself
     assert margin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_regularity_margin_d_variant(spec_p1_d, grid, basis, cfg, w_small):
     vs = evaluate_value(spec_p1_d, grid, 0.0, [0.0], w_small, basis, cfg)
-    margin = regularity_margin(spec_p1_d, vs, u_box=3.0, samples=32)
+    margin = regularity_margin(spec_p1_d, vs, samples=32)
     # oracle start-node curvature is 1.1043, so the exact margin is 1.2761
     ric = solve_riccati_ode(spec_p1_d, grid=grid)
     target = 1.0 + 0.25 * float(ric.P_at(0.0)[0, 0])
@@ -197,7 +197,7 @@ def test_regularity_margin_d_variant(spec_p1_d, grid, basis, cfg, w_small):
 
 def test_regularity_margin_p2(spec_p2, grid, basis, cfg, w_small, sol_p2_small):
     vs = evaluate_value(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg, sol=sol_p2_small)
-    margin = regularity_margin(spec_p2, vs, u_box=3.0, samples=32)
+    margin = regularity_margin(spec_p2, vs, samples=32)
     assert margin >= 1.0 - 0.05
 
 
