@@ -82,7 +82,7 @@ _CHECKS = {
 }
 
 
-# hjb-check's checks keys that only its Riccati-oracle source reads
+# the checks keys that only a run reading the Riccati oracle reads
 _ORACLE_ONLY = {"oracle_tol", *_ORACLE}
 
 
@@ -357,17 +357,15 @@ class Runner:
         return self.tables_dir / name
 
     def check(self, command: str):
-        """Check the run of command, else ValueError: the checks keys that it reads (under
-        hjb-check's solver source not the oracle's), their JSON types, and the _RANGES rows.
-        Then build what the run reads: the basis and descent settings, which check their own
-        values."""
+        """Check the run of command, else ValueError: the checks keys that it reads, their JSON
+        types, the _RANGES rows, and that it reads the Riccati oracle only on a quadratic cost and
+        the oracle's and the table's keys only where it reads them. Then build what the run
+        reads: the basis and descent settings, which check their own values."""
         given, defaults = self.cfg["checks"], _CHECKS[command]
         self.checks = {**defaults, **given}
-        solver = command == "hjb-check" and self._hjb_source() == "solver"
-        unread = sorted(set(given) - (set(defaults) - (_ORACLE_ONLY if solver else set())))
+        unread = sorted(set(given) - set(defaults))
         if unread:
-            where = " with the solver source" if solver else ""
-            raise ConfigError(f"checks keys that {command}{where} does not read: {unread}")
+            raise ConfigError(f"checks keys that {command} does not read: {unread}")
         for key, value in given.items():
             _typed(f"checks.{key}", value, defaults[key])
         for key, (test, what) in _RANGES.items():
@@ -383,6 +381,15 @@ class Runner:
             if not ok:
                 got = f"null, which works out to {value!r} here" if worked_out else repr(value)
                 raise ConfigError(f"{key} must be {what}, got {got}")
+        self.reads_oracle = self._reads_oracle(command)
+        for idle, where in ((set() if self.reads_oracle else _ORACLE_ONLY,
+                             " with the solver source" if command == "hjb-check" else
+                             " on a cost that is not quadratic"),
+                            (set() if "csv" in self.cfg["output"]["formats"]
+                             else {"field_x", "field_t"}, " without csv in output.formats")):
+            unread = sorted(set(given) & idle)
+            if unread:
+                raise ConfigError(f"checks keys that {command}{where} does not read: {unread}")
         self.basis = RegressionBasis(**self.cfg["basis"])
         self.dcfg = DescentConfig(**self.cfg["descent"])
 
@@ -390,18 +397,24 @@ class Runner:
         return solve_hamiltonian(self.spec, self.grid, self.t0, self.x0, self.W,
                                  self.basis, self.dcfg)
 
+    def _reads_oracle(self, command):
+        """Whether command reads the Riccati oracle (verify-lq and dpp-check always, feedback on a
+        quadratic cost, hjb-check under its oracle source); ConfigError if so on another cost."""
+        family = self.spec.cost.family
+        reads = (command in ("verify-lq", "dpp-check")
+                 or command == "feedback" and family == "quadratic"
+                 or command == "hjb-check" and self._hjb_source() == "riccati_oracle")
+        if reads and family != "quadratic":
+            raise ConfigError(f"{command} reads the Riccati oracle: it solves no {family!r} cost")
+        return reads
+
     def _oracle(self):
         return solve_riccati_ode(self.spec, self.grid, substeps=self.checks["substeps"])
 
-    def _value_source(self, sol):
-        if self.spec.cost.family == "quadratic":
-            return RiccatiValueSource(self._oracle())
-        return build_lattice_source(self.spec, self.grid, self.t0, self.x0, self.W,
-                                    self.basis, self.dcfg, sol=sol)
-
     def cmd_feedback(self):
         sol = self._solve()
-        source = self._value_source(sol)
+        source = RiccatiValueSource(self._oracle()) if self.reads_oracle else build_lattice_source(
+            self.spec, self.grid, self.t0, self.x0, self.W, self.basis, self.dcfg, sol=sol)
         report = verify_optimality(
             self.spec, sol, source,
             n_perturbed=self.checks["perturbations"],
@@ -424,7 +437,7 @@ class Runner:
     def cmd_hjb_check(self):
         samples = [(t, np.asarray(x, dtype=float)) for t, x in self._hjb_samples()]
         h_t = self._hjb_h_t()
-        if self._hjb_source() == "riccati_oracle":
+        if self.reads_oracle:
             source = RiccatiValueSource(self._oracle())
         else:
             source = SolverValueSource(self.spec, self.grid, self.W, self.basis, self.dcfg)
@@ -459,18 +472,12 @@ class Runner:
             "riccati_oracle" if self.spec.cost.family == "quadratic" else "solver")
 
     def cmd_dpp_check(self):
-        h = self.checks["h"]
-        if self.spec.cost.family == "quadratic":
-            source = RiccatiValueSource(self._oracle())
-        else:
-            source = "fitted"
+        source = RiccatiValueSource(self._oracle())
         sol = self._solve()
-        gap = dpp_gap(sol, h, self.basis, source)
+        gap = dpp_gap(sol, self.checks["h"], source)
         costs = sol.per_path_cost
         V = float(costs.mean())
         budget = dpp_budget(self.grid.dt, 1.0 + abs(V), mc_stderr(costs, self.W.antithetic))
-        if source == "fitted":
-            budget *= 5.0
         rep = {"gap": gap, "budget": budget, "value": V, "passed": bool(abs(gap) <= budget)}
         return rep, rep["passed"]
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import RegressionBasis, StepRegression
+from .adjoint import RegressionBasis
 from .budgets import mc_term
 from .descent import DescentConfig, solve_hamiltonian
 from .errors import LcflowError
@@ -236,14 +236,12 @@ def dpp_steps(grid: TimeGrid, h: float) -> int:
     return kh
 
 
-def dpp_gap(sol, h: float, basis: RegressionBasis, value_fn_source) -> float:
+def dpp_gap(sol, h: float, value_source) -> float:
     """V(t,x) minus the Monte Carlo mean of V(t+h, X*_{t+h}) + running cost.
 
-    V and the running cost are read off the solve sol from (t, x).  The
-    continuation value comes from the given oracle source, or, with
-    value_fn_source="fitted", from a regression of the per-path realized
-    optimal cost-to-go on the basis at X*_{t+h} (the optimal ensemble is
-    reused, nothing is re-solved).
+    V and the running cost are read off the solve sol from (t, x), the
+    continuation value off value_source, an oracle.  A regression of the same
+    paths' cost-to-go is none: it reproduces their mean, so its gap reads 0.
     """
     wgrid = sol.grid
     kh = dpp_steps(wgrid, h)
@@ -255,12 +253,7 @@ def dpp_gap(sol, h: float, basis: RegressionBasis, value_fn_source) -> float:
     for k in range(kh, wgrid.N):
         tail += running[:, k]
     V = float((head + tail).mean())
-    t_mid = float(wgrid.nodes[kh])
-    if value_fn_source == "fitted":
-        reg = StepRegression(X[:, kh:kh + 1], basis, first_step=kh)
-        cont = reg.fit(0, tail)
-    else:
-        cont = value_fn_source.value(t_mid, X[:, kh])
+    cont = value_source.value(float(wgrid.nodes[kh]), X[:, kh])
     return V - float((head + cont).mean())
 
 

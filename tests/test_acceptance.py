@@ -224,19 +224,15 @@ def test_criterion_07_regular_condition(spec_p1_a, desk_grid, w_mid, desk_basis,
                f"P2 {m2:.4f} >= {DELTA - 0.05:.2f}")
 
 
-def test_criterion_08_dpp(desk_grid, w_desk, desk_basis, ric_p1, sol_p1, sol_p2):
-    gap1 = dpp_gap(sol_p1, 0.2, desk_basis, RiccatiValueSource(ric_p1))
+def test_criterion_08_dpp(desk_grid, w_desk, ric_p1, sol_p1):
+    # the continuation is the oracle's: a regression of the same paths' cost-to-go reproduces
+    # their mean (test_adjoint), so its gap reads zero whatever the control
+    gap1 = dpp_gap(sol_p1, 0.2, RiccatiValueSource(ric_p1))
     costs1 = sol_p1.per_path_cost
     budget1 = dpp_budget(desk_grid.dt, 1.0 + abs(float(costs1.mean())),
                          mc_stderr(costs1, w_desk.antithetic))
     assert abs(gap1) <= budget1
-    gap2 = dpp_gap(sol_p2, 0.2, desk_basis, "fitted")
-    costs2 = sol_p2.per_path_cost
-    budget2 = 5.0 * dpp_budget(desk_grid.dt, 1.0 + abs(float(costs2.mean())),
-                               mc_stderr(costs2, w_desk.antithetic))
-    assert abs(gap2) <= budget2
-    _report(8, f"gaps P1 {gap1:+.2e} (budget {budget1:.2e}), "
-               f"P2 fitted {gap2:+.2e} (budget {budget2:.2e})")
+    _report(8, f"gap P1 {gap1:+.2e} (budget {budget1:.2e})")
 
 
 def test_criterion_09_hjb_residual(spec_p1_a, desk_grid, ric_p1, w_mid, desk_basis, cfg_p1):
@@ -305,7 +301,7 @@ def test_criterion_12_exact_degenerate_cases(desk_grid, desk_basis):
     hjb = hjb_residual(spec_z, source, [(0.3, np.array([1.0]))], h_t=2 * desk_grid.dt)
     assert hjb.max_abs_residual <= 1e-8
     gap = dpp_gap(solve_hamiltonian(spec_z, desk_grid, 0.0, [1.0], W, desk_basis, cfg), 0.2,
-                  desk_basis, "fitted")
+                  RiccatiValueSource(solve_riccati_ode(spec_z, desk_grid)))
     assert abs(gap) <= 1e-8
 
     spec_lt = linear_terminal(r=1.0)

@@ -418,6 +418,25 @@ def test_regression_reproduces_polynomials_of_its_degree(q, degree, ridge, loc, 
     assert _rms(_predict(reg, 0, G, y) - poly(G)) <= 10.0 * tol
 
 
+@settings(max_examples=300)
+@given(q=st.sampled_from([1, 2]), degree=st.integers(0, 3),
+       ridge=st.sampled_from([0.0, 1e-8]) | st.floats(1e-6, 1.0), K=st.integers(1, 4),
+       collapsed=st.booleans(), loc=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_fit_reproduces_the_mean_of_its_targets(q, degree, ridge, K, collapsed, loc, seed):
+    # the intercept is not penalized, so the residual of every fit is orthogonal to the ones:
+    # a regression of the paths' own cost-to-go has their mean, and a dynamic-programming gap
+    # that continued with it would read zero whatever the control
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    F = loc + rng.uniform(0.2, 3.0, size=(1, K, q)) * rng.normal(size=(200, K, q))
+    if collapsed and ridge > 0:     # with no ridge a collapsed coordinate leaves A singular
+        F[:, K - 1, 0] = loc        # every path at one point, as at the start node
+    y = np.column_stack([rng.standard_exponential(200) * 5.0 - loc, F[:, 0, -1] ** 3])
+    reg = StepRegression(F, RegressionBasis(degree=degree, ridge=ridge))
+    for j in range(K):
+        fit = reg.fit(j, y)
+        assert np.all(np.abs(fit.mean(axis=0) - y.mean(axis=0)) <= 1e-12 * np.abs(y).max(axis=0))
+
+
 def _block_features(M=600, K=10, seed=21):
     rng = np.random.Generator(np.random.Philox(key=seed))
     # per-step location and scale, so every step has its own normalization

@@ -386,6 +386,77 @@ def test_hjb_oracle_source_reads_its_keys(checks, workdir):
     assert report["h_t"] == pytest.approx(1.0 / (20 * 8), rel=1e-12)
 
 
+@pytest.mark.parametrize("command, checks", [
+    ("dpp-check", {}),
+    ("verify-lq", {}),
+    ("hjb-check", {"source": "riccati_oracle"}),
+])
+def test_the_oracle_on_a_cost_that_is_not_quadratic_exits_two(command, checks, workdir, capsys):
+    # the Riccati oracle solves only a quadratic cost: verify-lq and the oracle source used to
+    # exit 1 from inside the run, and dpp-check fell back on a regression of the paths' own
+    # cost-to-go, whose mean is theirs, so that its gap read zero whatever the control
+    cfg = _config(workdir, problem="problems/p2.json", checks=checks, monte_carlo={"M": 400})
+    out = workdir / "bad"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(p2().cost.family) in err
+    assert not out.exists() and not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("formats", [["json"], ["json", "csv"]])
+def test_feedback_table_keys_need_the_table(formats, workdir, capsys):
+    # field_x and field_t place the rows of feedback_field.csv, and used to be ignored without it
+    cfg = _config(workdir, problem="problems/p2.json", output={"formats": formats},
+                  checks={"field_x": [[1.0], [2.0]], "field_t": [0.5], "perturbations": 1},
+                  grid={"N": 10}, monte_carlo={"M": 200})
+    out = workdir / "fb"
+    code = main(["feedback", "--config", str(cfg), "--out", str(out)])
+    if "csv" in formats:
+        assert code != 2
+        lines = (out / "tables" / "feedback_field.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 2
+    else:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field_t" in err and "field_x" in err
+        assert not out.exists() and not (workdir / "out").exists()
+
+
+_ORACLE_VALUES = {"substeps": 3, "oracle_tol": 0.5}
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+@pytest.mark.parametrize("command, key", sorted(
+    (command, key) for command, keys in _CHECKS.items() for key in keys if key in _ORACLE_VALUES))
+def test_an_oracle_key_is_read_or_exits_two(command, key, problem, workdir, monkeypatch, capsys):
+    # a command that lists an oracle key reads it where it reads the oracle, on P1's quadratic
+    # cost, and exits 2 naming it, or the cost family, where not, on P2's
+    import lcflow.cli
+
+    substeps, solve = [], lcflow.cli.solve_riccati_ode
+
+    def recording(*args, **kwargs):
+        substeps.append(kwargs["substeps"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lcflow.cli, "solve_riccati_ode", recording)
+    value = _ORACLE_VALUES[key]
+    cfg = _config(workdir, problem=f"problems/{problem}.json", checks={key: value},
+                  grid={"N": 10}, monte_carlo={"M": 200})
+    out = workdir / command
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    if problem == "p2":
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and (f"'{key}'" in err or repr(p2().cost.family) in err)
+        assert not out.exists() and not (workdir / "out").exists()
+    elif key == "substeps":
+        assert code != 2 and substeps == [value]
+    else:
+        assert code != 2 and substeps == [4]
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["tolerance"] == value
+
+
 _JSON_VALUES = {
     "boolean": st.booleans(),
     "integer": st.integers(-10**6, 10**6),
@@ -449,16 +520,23 @@ def test_checks_keys_are_the_keys_the_commands_read():
 
     from lcflow.cli import Runner
 
-    def read(method):
+    def read(method, seen):
         source = inspect.getsource(method)
         keys = set(re.findall(r'self\.checks\["(\w+)"\]', source))
-        for helper in re.findall(r"self\.(_\w+)\(", source):
-            keys |= read(getattr(Runner, helper))
+        # every Runner method it calls and every property it reads, a cached one included, so that
+        # no key escapes inside a property; names set on the instance, such as checks, are data
+        for name in sorted(set(re.findall(r"self\.(\w+)", source)) - seen):
+            seen.add(name)
+            attr = inspect.getattr_static(Runner, name, None)
+            body = getattr(attr, "fget", None) or getattr(attr, "func", None) or attr
+            if inspect.isfunction(body):
+                keys |= read(body, seen)
         return keys
 
     assert set(_CHECKS) == set(COMMANDS)
     for command in COMMANDS:
-        assert read(getattr(Runner, "cmd_" + command.replace("-", "_"))) == set(_CHECKS[command])
+        cmd = getattr(Runner, "cmd_" + command.replace("-", "_"))
+        assert read(cmd, set()) == set(_CHECKS[command]), command
 
 
 def test_readme_lists_every_checks_key_with_its_default():
@@ -595,8 +673,10 @@ def test_one_solve_per_command(command, checks, workdir, monkeypatch):
 
     for module in (lcflow.cli, lcflow.feedback, lcflow.value):
         monkeypatch.setattr(module, "solve_hamiltonian", counting)
-    cfg = _config(workdir, problem="problems/p2.json", grid={"N": 20},
-                  monte_carlo={"M": 1000}, checks=checks)
+    # dpp-check reads the Riccati oracle, which solves P1's quadratic cost and not P2's
+    problem = "problems/p1.json" if command == "dpp-check" else "problems/p2.json"
+    cfg = _config(workdir, problem=problem, grid={"N": 20}, monte_carlo={"M": 1000},
+                  checks=checks)
     out = workdir / command
     main([command, "--config", str(cfg), "--out", str(out)])
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))

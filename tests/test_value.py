@@ -132,30 +132,34 @@ def test_hjb_residual_solver_source_p1(spec_p1, grid, basis, cfg, w_small):
 def test_dpp_gap_zero_problem(spec_zero, grid, basis, w_small):
     cfg = DescentConfig(eta=0.5, max_iter=5, tol_grad=1e-9)
     sol = solve_hamiltonian(spec_zero, grid, 0.0, [1.0], w_small, basis, cfg)
-    gap = dpp_gap(sol, 0.2, basis, "fitted")
+    gap = dpp_gap(sol, 0.2, RiccatiValueSource(solve_riccati_ode(spec_zero, grid=grid)))
     assert abs(gap) <= 1e-10
 
 
 def test_dpp_gap_oracle_p1(spec_p1, grid, basis, cfg, w_small, oracle_p1, sol_p1_small):
-    gap = dpp_gap(sol_p1_small, 0.2, basis, oracle_p1)
+    gap = dpp_gap(sol_p1_small, 0.2, oracle_p1)
     vs = evaluate_value(spec_p1, grid, 0.0, [0.0], w_small, basis, cfg, sol=sol_p1_small)
     assert abs(gap) <= dpp_budget(grid.dt, 1.0 + abs(vs.V), vs.stderr_V)
 
 
-def test_dpp_gap_requires_grid_multiple(oracle_p1, basis, sol_p1_small):
+def test_dpp_gap_requires_grid_multiple(oracle_p1, sol_p1_small):
     with pytest.raises(ValueError):
-        dpp_gap(sol_p1_small, 0.2345, basis, oracle_p1)
+        dpp_gap(sol_p1_small, 0.2345, oracle_p1)
 
 
-@pytest.mark.parametrize("which", ["p1_oracle", "p2_fitted"])
-def test_dpp_gap_reads_the_solution_running_cost(which, monkeypatch, basis, oracle_p1,
-                                                 sol_p1_small, sol_p2_small):
+@pytest.mark.parametrize("which", ["p1_oracle", "p2_lattice"])
+def test_dpp_gap_reads_the_solution_running_cost(which, monkeypatch, spec_p2, grid, w_small, basis,
+                                                 cfg, oracle_p1, sol_p1_small, sol_p2_small):
     # the gap takes V and the running cost off the solve and evaluates no running cost; it is
     # the gap of the running cost's own evaluation, split at t + h and summed in time order
-    from lcflow.adjoint import StepRegression
     from lcflow.costs import GridCost
+    from lcflow.feedback import build_lattice_source
 
-    sol, source = (sol_p1_small, oracle_p1) if which == "p1_oracle" else (sol_p2_small, "fitted")
+    if which == "p1_oracle":
+        sol, source = sol_p1_small, oracle_p1
+    else:
+        sol = sol_p2_small
+        source = build_lattice_source(spec_p2, grid, 0.0, [0.3], w_small, basis, cfg, sol=sol)
     X, grid = sol.X, sol.grid
     running = sol.core.cost_eval.running_value(X[:, :grid.N], sol.U)
     kh = int(round(0.2 / grid.dt))
@@ -165,17 +169,14 @@ def test_dpp_gap_reads_the_solution_running_cost(which, monkeypatch, basis, orac
     tail = sol.core.cost_eval.terminal_value(X[:, -1]).astype(float)
     for k in range(kh, grid.N):
         tail += running[:, k] * grid.dt
-    if source == "fitted":
-        cont = StepRegression(X[:, kh:kh + 1], basis, first_step=kh).fit(0, tail)
-    else:
-        cont = source.value(float(grid.nodes[kh]), X[:, kh])
+    cont = source.value(float(grid.nodes[kh]), X[:, kh])
     want = float((head + tail).mean()) - float((head + cont).mean())
 
     def refuse(*args, **kwargs):
         raise AssertionError("the running cost was evaluated again")
 
     monkeypatch.setattr(GridCost, "running_value", refuse)
-    assert dpp_gap(sol, 0.2, basis, source) == want
+    assert dpp_gap(sol, 0.2, source) == want
 
 
 def test_regularity_margin_p1_exact(spec_p1, grid, basis, cfg, w_small, sol_p1_small):
