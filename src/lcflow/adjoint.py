@@ -28,7 +28,8 @@ with Y_k, the condition numbers are read once per regression block, and
 the finiteness check runs once after the sweep.  X, U, Y, Z, the gradient
 and the regression features are step-major (paths.step_major), so every
 step reads and writes whole contiguous rows Y[:, k], Z[:, k], and a
-regression block of one feature coordinate is used in place.
+regression block of one feature coordinate is used in place.  A block's
+design is [p, K, M], each monomial's K steps one contiguous [K, M] block.
 """
 
 from __future__ import annotations
@@ -79,41 +80,45 @@ def _monomial_exponents(q: int, degree: int):
 # Steps per regression build in a backward sweep.  A build holds its design
 # (and a copy of its features when they have several coordinates), so the
 # block size bounds the extra memory at about this many steps' worth of it.
-BLOCK_STEPS = 10
+# Longer blocks build faster on 1000 paths, but at N=50, M=4000 a 17-step
+# design is as large as the state X [4000, 51, 1] (p = 3) or a derivative
+# solve's features [4000, 51, 2] (p = 6), and once freed it lifts glibc's
+# mmap threshold over them: p1-verify's peak RSS rose 4.9% at 17, 6% at 25.
+BLOCK_STEPS = 16
 
 
 def _feature_block(features: np.ndarray) -> np.ndarray:
-    """The features [M, K, q] of a block as [K, q, M], each step's coordinate contiguous.
+    """The features [M, K, q] of a block as [q, K, M], each coordinate's K steps contiguous.
 
     Step-major features of one coordinate are that layout already, and are
-    not copied.
+    not copied (a view, features.transpose(2, 1, 0)).
     """
-    return np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
+    return np.ascontiguousarray(np.asarray(features, dtype=float).transpose(2, 1, 0))
 
 
 def _monomials(Z: np.ndarray, degree: int, out: np.ndarray = None) -> np.ndarray:
-    """The monomials [..., p, L] of the normalized features Z [..., q, L], intercept first.
+    """The monomials [p, ...] of the normalized features Z [q, ...], intercept first.
 
-    They are written into out [..., p, L] when it is given, else into a
-    fresh array; a Z that shares memory with out must be out's degree-1
-    rows, which are then left as they are.  Each column is written from its
-    first factor on, so no column is filled with ones and multiplied by them.
+    They are written into out [p, ...] when it is given, else into a fresh
+    array; a Z that shares memory with out must be out's degree-1 rows,
+    which are then left as they are.  Each monomial is written from its
+    first factor on, so none is filled with ones and multiplied by them.
     """
     def factor(i, power):
-        return Z[..., i, :] if power == 1 else Z[..., i, :] ** power
+        return Z[i] if power == 1 else Z[i] ** power
 
-    q = Z.shape[-2]
+    q = Z.shape[0]
     exps = _monomial_exponents(q, degree)
-    Phi = np.empty(Z.shape[:-2] + (len(exps), Z.shape[-1])) if out is None else out
+    Phi = np.empty((len(exps),) + Z.shape[1:]) if out is None else out
     in_place = out is not None and np.may_share_memory(Z, out)
-    Phi[..., 0, :] = 1.0
+    Phi[0] = 1.0
     for col, e in enumerate(exps[1:], start=1):
         (i, power), *rest = [(i, power) for i, power in enumerate(e) if power]
         if in_place and col <= q:
             continue
-        Phi[..., col, :] = factor(i, power)
+        Phi[col] = factor(i, power)
         for i, power in rest:
-            Phi[..., col, :] *= factor(i, power)
+            Phi[col] *= factor(i, power)
     return Phi
 
 
@@ -121,58 +126,56 @@ class StepRegression:
     """The normal equations of K consecutive steps, shared across all regression targets.
 
     features [M, K, q] holds steps first_step .. first_step + K - 1, read as
-    [K, q, M] with every step's coordinate contiguous (_feature_block: a view
+    [q, K, M] with each coordinate's steps contiguous (_feature_block: a view
     of step-major features when q = 1, a copy otherwise); every step is
     built in one vectorized pass.  Features are centered and scaled by each
     step's ensemble mean and std before monomials are formed; degenerate
     coordinates collapse onto the intercept.  The intercept column is never
     ridge-penalized, so constants are reproduced exactly.
 
-    The design Phi [K, p, M] is written into design[:K] when a buffer
-    design [>= K, p, M] is given (the backward sweep passes the workspace's,
-    descent.Workspace.design), else into a fresh array.  Each step's normal
-    matrix A = Phi Phi^T + ridge M diag(0, 1, ..., 1) is formed by einsum
-    and its ridge added on the diagonal in place.  One batched symmetric
-    eigendecomposition A = V diag(lam) V^T gives the definiteness test
-    (lam > 0), the condition number max |lam| / min |lam| and the inverse
-    A^-1 = V diag(1 / lam) V^T, so a fit is products only.  Only a block
-    that is not finite is replaced (by the identity) before the
+    The design Phi [p, K, M] (step j's is Phi[:, j]) is written into
+    design[:, :K] when a buffer design [p, >= K, M] is given (the backward
+    sweep passes descent.Workspace.design), else into a fresh array.  Each
+    step's normal matrix A = Phi Phi^T + ridge M diag(0, 1, ..., 1) is
+    formed by einsum and its ridge added on the diagonal in place.  One
+    batched symmetric eigendecomposition A = V diag(lam) V^T gives the
+    definiteness test (lam > 0), the condition number max |lam| / min |lam|
+    and the inverse A^-1 = V diag(1 / lam) V^T, so a fit is products only.
+    Only a block that is not finite is replaced (by the identity) before the
     decomposition; the steps are then checked in the order the backward
     sweep visits them, and the first failing one raises.  fit, coefficients
     and features take the step's index j within the block; features(j)
-    gives the design at other points, so a fit can be evaluated there
-    without the block.
+    gives the design at other points, to evaluate a fit without the block.
     """
 
     def __init__(self, features: np.ndarray, basis: RegressionBasis, first_step: int = 0,
                  design: np.ndarray = None):
         F = _feature_block(features)
-        K, q, M = F.shape
+        q, K, M = F.shape
         p = basis.size(q)
         if M < p:
-            raise ValueError(
-                f"path count {M} below basis size {p} at step {first_step + K - 1}"
-            )
-        Phi = np.empty((K, p, M)) if design is None else design[:K]
-        if Phi.shape != (K, p, M):
-            raise ValueError(f"design buffer of shape {Phi.shape}, expected {(K, p, M)}")
+            raise ValueError(f"path count {M} below basis size {p} at step {first_step + K - 1}")
+        Phi = np.empty((p, K, M)) if design is None else design[:, :K]
+        if Phi.shape != (p, K, M):
+            raise ValueError(f"design buffer of shape {Phi.shape}, expected {(p, K, M)}")
         # the centered features serve the std (numpy's own steps: subtract the
         # mean, square, sum, divide, root) and then the design: they are
         # formed in its degree-1 rows, their squares in the rows after them,
         # which the monomials overwrite next; a design without those rows
         # (degree < 2) leaves them to temporaries
-        self._mu = F.mean(axis=2)
+        mu = F.mean(axis=2)                                         # [q, K]
         degree = basis.degree
-        Z = np.subtract(F, self._mu[:, :, None], out=Phi[:, 1:q + 1] if degree >= 1 else None)
-        squares = np.square(Z, out=Phi[:, q + 1:2 * q + 1] if degree >= 2 else None)
+        Z = np.subtract(F, mu[:, :, None], out=Phi[1:q + 1] if degree >= 1 else None)
+        squares = np.square(Z, out=Phi[q + 1:2 * q + 1] if degree >= 2 else None)
         sd = np.sqrt(squares.sum(axis=2) / M)
-        self._degenerate = sd < 1e-12 * (1.0 + np.abs(self._mu))
-        self._sd = np.where(self._degenerate, 1.0, sd)
+        degenerate = sd < 1e-12 * (1.0 + np.abs(mu))
+        sd = np.where(degenerate, 1.0, sd)
+        self._mu, self._sd, self._degenerate = mu.T, sd.T, degenerate.T    # [K, q]
         self._degree = degree
-        Z /= self._sd[:, :, None]
-        Z[self._degenerate] = 0.0
+        Z /= sd[:, :, None]
+        Z[degenerate] = 0.0
         self.Phi = _monomials(Z, degree, Phi)
-        A = np.einsum("kam,kbm->kab", Phi, Phi)
+        A = np.einsum("akm,bkm->kab", Phi, Phi)
         A.reshape(K, p * p)[:, p + 1::p + 1] += basis.ridge * M     # the diagonal after the intercept
         finite = np.isfinite(A).all(axis=(1, 2))
         if not finite.all():
@@ -189,14 +192,10 @@ class StepRegression:
             if not finite[j]:
                 raise ConditioningError(f"non-finite normal equations at step {step}", step=step)
             if not lam[j, 0] > 0:
-                raise ConditioningError(
-                    f"singular normal equations at step {step} (after ridge {basis.ridge})",
-                    step=step,
-                )
-            raise ConditioningError(
-                f"normal equations too ill-conditioned at step {step} (cond {self.cond[j]:.2e})",
-                step=step,
-            )
+                raise ConditioningError(f"singular normal equations at step {step} "
+                                        f"(after ridge {basis.ridge})", step=step)
+            raise ConditioningError(f"normal equations too ill-conditioned at step {step} "
+                                    f"(cond {self.cond[j]:.2e})", step=step)
         self._Ainv = (V / lam[:, None, :]) @ np.swapaxes(V, 1, 2)  # [K, p, p]
 
     def features(self, j: int) -> StepFeatures:
@@ -205,12 +204,12 @@ class StepRegression:
 
     def coefficients(self, j: int, targets: np.ndarray) -> np.ndarray:
         """The least-squares coefficients [p, r] at step j of targets [M, r]; [p] of targets [M]."""
-        return self._Ainv[j] @ (self.Phi[j] @ targets)
+        return self._Ainv[j] @ (self.Phi[:, j] @ targets)
 
     def fit(self, j: int, targets: np.ndarray) -> np.ndarray:
         """Fitted values at step j of the block of one or more targets; targets [M] or [M, r]."""
         y = targets if targets.ndim == 2 else targets[:, None]
-        out = self.Phi[j].T @ self.coefficients(j, y)
+        out = self.Phi[:, j].T @ self.coefficients(j, y)
         return out if targets.ndim == 2 else out[:, 0]
 
 

@@ -164,7 +164,8 @@ class Workspace:
     when D is zero at every step) hold the forward sweep's B u and D u;
     after the sweep, BU holds X_k + (B u + b) dt at a plain step (A, C and
     D zero) and B u at any other.  design holds a regression block's
-    design (adjoint.StepRegression), and while the block is built its
+    coordinate-major design (adjoint.StepRegression), of BLOCK_STEPS
+    steps or the grid's N if fewer, and while the block is built its
     centred features and their squares; grad holds the gradient's terms
     and then the step eta D, terms (three flat arrays) the running costs'
     temporaries, and squares the squares of l2_norm_array.  The whole-path
@@ -183,7 +184,7 @@ class Workspace:
     D: np.ndarray       # [M, N, m]
     BU: np.ndarray      # [M, N, n], Y[:, :N]
     DU: Optional[np.ndarray]    # [M, N, d, n], Z
-    design: np.ndarray  # [BLOCK_STEPS, p, M]
+    design: np.ndarray  # [p, min(BLOCK_STEPS, N), M]
     grad: np.ndarray    # [M, N, m]
     run: np.ndarray     # [M, N]
     terms: tuple        # three flat [N * M * max(n, m)]
@@ -202,7 +203,7 @@ class Workspace:
         terms = tuple(np.empty(N * M * max(n, m)) for _ in range(3))
         return cls(X=step_major(M, N + 1, n), U=step_major(M, N, m), Y=Y, Z=Z,
                    D=step_major(M, N, m), BU=Y[:, :N], DU=Z if any(sc.D_nonzero) else None,
-                   design=np.empty((BLOCK_STEPS, core.basis_size(basis), M)),
+                   design=np.empty((core.basis_size(basis), min(BLOCK_STEPS, N), M)),
                    grad=scratch.reshape(N, M, m).swapaxes(0, 1),
                    run=scratch[:N * M].reshape(N, M).T, terms=terms,
                    squares=scratch.reshape(M, N, m))

@@ -24,7 +24,7 @@ from lcflow.adjoint import (
     per_path_cost_core,
 )
 from lcflow.costs import GridCost
-from lcflow.descent import _evaluate_gradient, core_from_spec
+from lcflow.descent import Workspace, _evaluate_gradient, core_from_spec
 from lcflow.paths import _simulate_core, l2_norm_array, step_major
 from lcflow.presets import _scalar_coeffs, linear_terminal
 
@@ -376,7 +376,7 @@ def test_regression_predict_matches_fit():
     targets = np.column_stack([np.sin(F[:, 0]), F[:, 1] ** 3])
     assert reg.coefficients(0, targets).shape == (10, 2)
     assert reg.coefficients(0, targets[:, 0]).shape == (10,)
-    assert reg.features(0).design(F).tobytes() == reg.Phi[0].tobytes()
+    assert reg.features(0).design(F).tobytes() == reg.Phi[:, 0].tobytes()
     np.testing.assert_allclose(_predict(reg, 0, F, targets), reg.fit(0, targets),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(_predict(reg, 0, F, targets[:, 0]), reg.fit(0, targets[:, 0]),
@@ -454,11 +454,9 @@ def test_block_regression_matches_single_steps():
     block = StepRegression(F, basis, first_step=30)
     for j in range(K):
         single = StepRegression(F[:, j:j + 1], basis, first_step=30 + j)
-        np.testing.assert_allclose(block.fit(j, targets), single.fit(0, targets),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(_predict(block, j, G, targets),
-                                   _predict(single, 0, G, targets), rtol=0, atol=1e-12)
-        assert block.cond[j] == pytest.approx(single.cond[0], rel=1e-9)
+        assert _same(block.fit(j, targets), single.fit(0, targets))
+        assert _same(_predict(block, j, G, targets), _predict(single, 0, G, targets))
+        assert block.cond[j] == single.cond[0]
 
 
 def test_condition_numbers_are_those_of_the_normal_matrices():
@@ -467,29 +465,43 @@ def test_condition_numbers_are_those_of_the_normal_matrices():
     basis = RegressionBasis(degree=2, ridge=1e-8)
     reg = StepRegression(F, basis)
     M, K, _ = F.shape
-    penalty = np.diag([0.0] + [1.0] * (reg.Phi.shape[1] - 1))
+    penalty = np.diag([0.0] + [1.0] * (reg.Phi.shape[0] - 1))
     for j in range(K):
-        A = reg.Phi[j] @ reg.Phi[j].T + basis.ridge * M * penalty
+        A = reg.Phi[:, j] @ reg.Phi[:, j].T + basis.ridge * M * penalty
         assert reg.cond[j] == pytest.approx(np.linalg.cond(A), rel=1e-6)
     assert reg.cond[6] > 1e5 > reg.cond[5]
 
 
-def test_blocked_sweep_matches_single_step_sweep(basis, spec_p1_d, monkeypatch):
-    # N = 25 gives blocks of 10, 10 and 5 steps: two block boundaries and a
-    # shorter last block; on P1-D (D != 0) the sweep fits Z as well as Y
+def test_blocked_sweep_matches_single_step_sweep(basis, request, monkeypatch):
+    # the sweep's outputs do not depend on its block length, to the byte.  N = 40 in blocks of
+    # 16 gives blocks of 16, 16 and 8 steps: two block boundaries and a shorter last block; in
+    # blocks of 7 the last has 5 steps, and one block of 40 holds the grid.  On P1-D (D != 0)
+    # the sweep fits Z as well as Y, on P2 Y alone.  It runs with fresh arrays and in a
+    # workspace, whose design holds one block.
     import lcflow.adjoint as adjoint
+    import lcflow.descent as descent
 
-    grid = TimeGrid(0.0, 1.0, 25)
+    grid = TimeGrid(0.0, 1.0, 40)
     M = 800
     W = generate_brownian(grid, M, seed=23)
     U = _controls(grid, M, 0.1)
-    core = core_from_spec(spec_p1_d, grid, [0.2])
-    _, Y_blocked, Z_blocked, _, cond_blocked = _evaluate_gradient(core, U, W.increments, basis)
-    monkeypatch.setattr(adjoint, "BLOCK_STEPS", 1)
-    _, Y_single, Z_single, _, cond_single = _evaluate_gradient(core, U, W.increments, basis)
-    np.testing.assert_allclose(Y_blocked, Y_single, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(Z_blocked, Z_single, rtol=0, atol=1e-12)
-    assert cond_blocked == pytest.approx(cond_single, rel=1e-9)
+
+    def evaluations(core, steps):
+        monkeypatch.setattr(adjoint, "BLOCK_STEPS", steps)
+        monkeypatch.setattr(descent, "BLOCK_STEPS", steps)
+        ws = Workspace.allocate(core, M, basis)
+        ws.U[...] = U
+        return [_evaluate_gradient(core, U, W.increments, basis)[1:],
+                _evaluate_gradient(core, ws.U, W.increments, basis, ws)[1:]]
+
+    for name in ("spec_p1_d", "spec_p2"):
+        core = core_from_spec(request.getfixturevalue(name), grid, [0.2])
+        Y1, Z1, D1, cond1 = evaluations(core, 1)[0]
+        assert (Z1 is None) == (name == "spec_p2")
+        for steps in (7, 16, 40):
+            for Y, Z, D, cond in evaluations(core, steps):
+                assert _same(Y, Y1) and _same(D, D1) and cond == cond1, (name, steps)
+                assert Z is None if Z1 is None else _same(Z, Z1), (name, steps)
 
 
 def test_constant_feature_collapses_at_its_step_only():
@@ -545,8 +557,9 @@ def test_diagnostics_json_round_trip(grid, basis, spec_p1, spec_p1_nonoise):
 class _RefStepRegression(StepRegression):
     """StepRegression's build written out on its own: the feature build in its earlier form
     (np.std on the raw features, and the design filled with ones and multiplied by every
-    factor, for the whole block at once), then the einsum Gram matrix with the ridge added as
-    a matrix, and one eigendecomposition for the condition number and the inverse."""
+    factor, for the whole block at once) in a step-major design Phi [K, p, M], then the einsum
+    Gram matrix with the ridge added as a matrix, and one eigendecomposition for the condition
+    number and the inverse; its fits read step j's design Phi[j]."""
 
     def __init__(self, features, basis, first_step=0):
         F = np.ascontiguousarray(np.moveaxis(np.asarray(features, dtype=float), 0, -1))
@@ -564,6 +577,14 @@ class _RefStepRegression(StepRegression):
         lam, V = np.linalg.eigh(A)
         self.cond = np.abs(lam).max(axis=1) / np.abs(lam).min(axis=1)
         self._Ainv = np.matmul(V / lam[:, None, :], np.transpose(V, (0, 2, 1)))
+
+    def coefficients(self, j, targets):
+        return self._Ainv[j] @ (self.Phi[j] @ targets)
+
+    def fit(self, j, targets):
+        y = targets if targets.ndim == 2 else targets[:, None]
+        out = self.Phi[j].T @ self.coefficients(j, y)
+        return out if targets.ndim == 2 else out[:, 0]
 
     def _design(self, F, j):
         Z = (F - self._mu[j, :, None]) / self._sd[j, :, None]
@@ -603,13 +624,16 @@ def test_regression_build_equals_reference_bytes(degree, q):
     basis = RegressionBasis(degree=degree, ridge=1e-8)
     ref = _RefStepRegression(F, basis)
     assert ref._degenerate[1, 0] and not ref._degenerate[[0, 2], 0].any()
-    # with a fresh design, and in a workspace's design buffer that holds a longer block
-    design = np.full((BLOCK_STEPS, basis.size(q), M), np.nan)
+    # with a fresh design, and in a workspace's design buffer that holds a longer block; the
+    # design is coordinate-major [p, K, M], so step j's design is Phi[:, j]
+    design = np.full((basis.size(q), BLOCK_STEPS, M), np.nan)
     for reg in (StepRegression(F, basis, first_step=7),
                 StepRegression(F, basis, first_step=7, design=design)):
-        for name in ("Phi", "_Ainv", "cond", "_mu", "_sd", "_degenerate"):
+        assert reg.Phi.shape == (basis.size(q), K, M)
+        for name in ("_Ainv", "cond", "_mu", "_sd", "_degenerate"):
             assert _same(getattr(reg, name), getattr(ref, name)), name
         for j in range(K):
+            assert _same(reg.Phi[:, j], ref.Phi[j])
             assert _same(reg.fit(j, targets), ref.fit(j, targets))
             assert _same(reg.fit(j, targets[:, 1]), ref.fit(j, targets[:, 1]))
             assert _same(reg.coefficients(j, targets), ref.coefficients(j, targets))
@@ -628,7 +652,7 @@ def test_normal_equations_match_the_gemm_cholesky_formulas(degree, q):
     M, K, _ = F.shape
     basis = RegressionBasis(degree=degree, ridge=1e-8)
     reg = StepRegression(F, basis, first_step=7)
-    Phi = reg.Phi
+    Phi = reg.Phi.transpose(1, 0, 2)        # [K, p, M]: step j's design Phi[j]
     penalty = np.diag([0.0] + [1.0] * (Phi.shape[1] - 1))
     A = Phi @ np.swapaxes(Phi, 1, 2) + basis.ridge * M * penalty
     lam = np.abs(np.linalg.eigvalsh(A))

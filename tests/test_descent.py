@@ -462,6 +462,29 @@ def test_steady_state_evaluation_allocates_no_whole_path_array(basis):
     assert peak - start < ws.X.nbytes, (peak - start, ws.X.nbytes)
 
 
+def test_workspace_designs_are_smaller_than_the_arrays_beside_them(basis):
+    # on P1 at N=50, M=4000 a regression design of BLOCK_STEPS steps stays below the primal
+    # state X [4000, 51, 1] (p = 3) and below a derivative solve's features [4000, 51, 2]
+    # (p = 6) on all paths.  At 17 steps each is exactly as large as the array beside it; once
+    # freed it lifts glibc's mmap threshold over the whole-path arrays, and p1-verify's peak
+    # resident memory rose 4.9% (about 6% at 25 steps).  A grid shorter than a block sizes it.
+    from dataclasses import replace
+    from lcflow.adjoint import BLOCK_STEPS
+    from lcflow.descent import Workspace
+    from lcflow.paths import step_major
+    from lcflow.presets import p1
+
+    M, K = 4000, min(BLOCK_STEPS, 50)
+    core = core_from_spec(p1(), TimeGrid(0.0, 1.0, 50), [0.3])
+    ws = Workspace.allocate(core, M, basis)
+    assert ws.design.shape == (3, K, M) and ws.design.nbytes < ws.X.nbytes
+    store = step_major(M, 51, 2)
+    ws = Workspace.allocate(replace(core, feature_store=store), M, basis)
+    assert ws.design.shape == (6, K, M) and ws.design.nbytes < store.nbytes
+    short = core_from_spec(p1(), TimeGrid(0.0, 1.0, 5), [0.3])
+    assert Workspace.allocate(short, M, basis).design.shape == (3, 5, M)
+
+
 @pytest.mark.parametrize("which", ["p1", "p2"])
 def test_report_carries_the_converged_regression_health(which, grid, basis, spec_p1, spec_p2):
     # the largest condition number over the steps with spread, of the evaluation at the returned
