@@ -1,13 +1,21 @@
 """Tolerance budgets shared by the CLI contract checks and the test suites.
 
-Every budget combines a discretization term proportional to the step size
-with a Monte Carlo term proportional to a standard error; the constants
-are fixed here once and nowhere else.
+Most budgets combine a discretization term proportional to the step size
+with a Monte Carlo term proportional to a standard error; verify-lq's
+control and Riccati-state allowances are plain numbers.  The constants are
+fixed here once and nowhere else.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# verify-lq: the solver's control against the oracle feedback on the solver's
+# own paths, relative L2 error over the horizon
+CONTROL_REL_L2_BUDGET = 0.05
+# verify-lq with the derivative solve: the largest error of the recovered
+# Riccati state P = gradY (gradX)^-1 against the oracle's P
+RICCATI_STATE_BUDGET = 0.07
 
 
 def mc_term(stderr: float) -> float:

@@ -29,7 +29,15 @@ import numpy as np
 
 from . import __version__
 from .adjoint import RegressionBasis
-from .budgets import dpp_budget, hjb_solver_budget, lq_value_budget, mc_term, relative_budget
+from .budgets import (
+    CONTROL_REL_L2_BUDGET,
+    RICCATI_STATE_BUDGET,
+    dpp_budget,
+    hjb_solver_budget,
+    lq_value_budget,
+    mc_term,
+    relative_budget,
+)
 from .descent import DescentConfig, solve_hamiltonian
 from .errors import BlowupError, ConvergenceError, LcflowError, ValidationFailure
 from .feedback import build_lattice_source, feedback_field_to_csv, verify_optimality
@@ -316,12 +324,12 @@ class Runner:
             "y0_budget": relative_budget(DxV),
             "y0_ok": bool(np.max(np.abs(y0 - DxV)) <= relative_budget(DxV)),
             "control_rel_l2_err": num / den,
-            "control_ok": num / den <= 0.05,
+            "control_ok": num / den <= CONTROL_REL_L2_BUDGET,
             "iterations": sol.report.iterations,
         }
         if deriv_report is not None:
             checks["riccati_state_err_max"] = deriv_report.oracle_err_max
-            checks["riccati_state_ok"] = deriv_report.oracle_err_max <= 0.07
+            checks["riccati_state_ok"] = deriv_report.oracle_err_max <= RICCATI_STATE_BUDGET
         if table := self._table("riccati.csv"):
             riccati_to_csv(ric, table)
         ok = checks["cost_ok"] and checks["y0_ok"] and checks["control_ok"]

@@ -97,18 +97,118 @@ def _freeze(spec, t):
                                      coeffs.sigma, cost.Q, cost.S, cost.R, cost.q, cost.rho))
 
 
-def _rk4(rhs, state, h, substeps):
-    """Generic RK4 over one frozen-coefficient interval; state is a tuple."""
+def _rk4(rhs, state, h, substeps, sym):
+    """Generic RK4 over one frozen-coefficient interval; state is a tuple, sym symmetrizes P."""
     P, phi, c = state
     for _ in range(substeps):
         k1 = rhs(P, phi, c)
         k2 = rhs(P + 0.5 * h * k1[0], phi + 0.5 * h * k1[1], c + 0.5 * h * k1[2])
         k3 = rhs(P + 0.5 * h * k2[0], phi + 0.5 * h * k2[1], c + 0.5 * h * k2[2])
         k4 = rhs(P + h * k3[0], phi + h * k3[1], c + h * k3[2])
-        P = _sym(P + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]))
+        P = sym(P + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]))
         phi = phi + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         c = c + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         yield P, phi, c
+
+
+def _matrix_terms(frozen, regular, hand_off):
+    """The right-hand side on one interval, with frozen coefficients, on numpy blocks.
+
+    Returns rhs(P, phi, c), k_min(P, phi), the smallest eigenvalue of K, and
+    gains(P, phi).  Before rhs solves with K it passes K's smallest
+    eigenvalue to regular; its solves K^-1 Mx and K^-1 mv go to hand_off.
+    """
+    A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = frozen
+    with_c, with_d = bool(C.any()), bool(D.any())
+
+    def forms(P, phi):
+        """K, Mx and mv at (P, phi), without the terms of a zero C or D block."""
+        Kmat, Mx, mv = Rt, B.T @ P, B.T @ phi
+        if with_d:
+            Kmat = Kmat + np.einsum("inm,nj,ijk->mk", D, P, D)
+            if with_c:
+                Mx = Mx + np.einsum("inm,nj,ijk->mk", D, P, C)
+            mv = mv + np.einsum("inm,nj,ij->m", D, P, sigma)
+        return Kmat, Mx + St, mv + rhot
+
+    def k_min(P, phi):
+        return float(min_eigenvalue(_sym(forms(P, phi)[0])))
+
+    def rhs(P, phi, c):
+        Kmat, Mx, mv = forms(P, phi)
+        regular(float(min_eigenvalue(_sym(Kmat))))
+        Kinv_Mx = solve_spd(Kmat, Mx)
+        Kinv_mv = solve_spd(Kmat, mv)
+        hand_off(Kinv_Mx, Kinv_mv)
+        dP = P @ A + A.T @ P
+        dphi = A.T @ phi + P @ b
+        if with_c:
+            dP = dP + np.einsum("ijn,jk,ikl->nl", C, P, C)
+            dphi = dphi + np.einsum("ijn,jk,ik->n", C, P, sigma)
+        dP = -(dP + Qt - Mx.T @ Kinv_Mx)
+        dphi = -(dphi + qt - Mx.T @ Kinv_mv)
+        dc = -(float(phi @ b) + 0.5 * float(np.einsum("ij,jk,ik->", sigma, P, sigma))
+               - 0.5 * float(mv @ Kinv_mv))
+        return _sym(dP), dphi, dc
+
+    def gains(P, phi):
+        Kmat, Mx, mv = forms(P, phi)
+        return -solve_spd(Kmat, Mx), -solve_spd(Kmat, mv)
+
+    return rhs, k_min, gains
+
+
+def _float_terms(frozen, regular, hand_off):
+    """_matrix_terms for n = m = d = 1 on Python floats, with the same bits.
+
+    Each product of 1 x 1 blocks is written as the same float products, left
+    to right, plus 0.0: a 1 x 1 matmul or einsum sums its one product into
+    +0.0, so a product of -0.0 comes back as +0.0.  K is its own smallest
+    eigenvalue, and a solve with K divides by it, as costs.solve_spd does.
+    """
+    A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = (v.item() for v in frozen)
+    with_c, with_d = C != 0.0, D != 0.0
+
+    def forms(P, phi):
+        Kmat, Mx, mv = Rt, B * P + 0.0, B * phi + 0.0
+        if with_d:
+            Kmat = Kmat + (D * P * D + 0.0)
+            if with_c:
+                Mx = Mx + (D * P * C + 0.0)
+            mv = mv + (D * P * sigma + 0.0)
+        return Kmat, Mx + St, mv + rhot
+
+    def k_min(P, phi):
+        return forms(P, phi)[0]
+
+    def rhs(P, phi, c):
+        Kmat, Mx, mv = forms(P, phi)
+        regular(Kmat)
+        Kinv_Mx, Kinv_mv = Mx / Kmat, mv / Kmat
+        hand_off(Kinv_Mx, Kinv_mv)
+        dP = (P * A + 0.0) + (A * P + 0.0)
+        dphi = (A * phi + 0.0) + (P * b + 0.0)
+        if with_c:
+            dP = dP + (C * P * C + 0.0)
+            dphi = dphi + (C * P * sigma + 0.0)
+        dP = -(dP + Qt - (Mx * Kinv_Mx + 0.0))
+        dphi = -(dphi + qt - (Mx * Kinv_mv + 0.0))
+        dc = -((phi * b + 0.0) + 0.5 * (sigma * P * sigma + 0.0) - 0.5 * (mv * Kinv_mv + 0.0))
+        return dP, dphi, dc
+
+    def gains(P, phi):
+        # no stage has checked K at this state: at K = 0 numpy divides into inf or nan,
+        # where a Python float division would raise
+        Kmat, Mx, mv = forms(P, phi)
+        Kmat = np.float64(Kmat)
+        return -(Mx / Kmat), -(mv / Kmat)
+
+    return rhs, k_min, gains
+
+
+def _on_floats(dims) -> bool:
+    """Whether the oracle runs on Python floats: n = m = d = 1."""
+    return dims.n == dims.m == dims.d == 1
 
 
 def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolution:
@@ -119,6 +219,16 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
     error negligible next to Monte Carlo error.  P is symmetrized after
     every step; values are stored at sub-step resolution so interpolated
     lookups stay smooth.
+
+    A scalar problem (n = m = d = 1 in spec.dims) is integrated on Python
+    floats (_float_terms), every other one on numpy blocks (_matrix_terms);
+    the float path skips numpy's per-call cost on 1 x 1 arrays and gives a
+    scalar problem the matrix path's bits.  It writes each product of 1 x 1
+    blocks as the same float products, left to right, plus 0.0: numpy's
+    1 x 1 matmul and einsum sum their one product into +0.0, so a product
+    of -0.0 comes back as +0.0.  Everything else is shared: the interval
+    loop, the stored arrays, the gain hand-off, both RiccatiSingularError
+    checks and the regularity margin.
     """
     cost = _quadratic_cost(spec)
     if substeps < 1:
@@ -139,69 +249,45 @@ def solve_riccati_ode(spec, grid: TimeGrid, substeps: int = 4) -> RiccatiSolutio
     # stores them at the index left here.
     pending = [None]
 
-    def make_rhs(frozen, t_stamp):
-        A, B, C, D, b, sigma, Qt, St, Rt, qt, rhot = frozen
-        with_c, with_d = bool(C.any()), bool(D.any())
-
-        def forms(P, phi):
-            """K, Mx and mv at (P, phi), without the terms of a zero C or D block."""
-            Kmat, Mx, mv = Rt, B.T @ P, B.T @ phi
-            if with_d:
-                Kmat = Kmat + np.einsum("inm,nj,ijk->mk", D, P, D)
-                if with_c:
-                    Mx = Mx + np.einsum("inm,nj,ijk->mk", D, P, C)
-                mv = mv + np.einsum("inm,nj,ij->m", D, P, sigma)
-            return Kmat, Mx + St, mv + rhot
-
-        def rhs(P, phi, c):
-            Kmat, Mx, mv = forms(P, phi)
-            w0 = float(min_eigenvalue(_sym(Kmat)))
-            margin[0] = min(margin[0], w0)
+    def regular_from(t_stamp):
+        """The check of K's smallest eigenvalue w0 at each RK4 stage of the interval from t_stamp."""
+        def regular(w0):
+            if w0 < margin[0]:
+                margin[0] = w0
             if w0 < 1e-12:
                 raise RiccatiSingularError(
                     f"R + D^T P D lost positivity (min eig {w0:.3e}) near t={t_stamp:.6g}",
                     t=t_stamp,
                 )
-            Kinv_Mx = solve_spd(Kmat, Mx)
-            Kinv_mv = solve_spd(Kmat, mv)
-            if pending[0] is not None:
-                th_out[pending[0]], to_out[pending[0]] = -Kinv_Mx, -Kinv_mv
-                pending[0] = None
-            dP = P @ A + A.T @ P
-            dphi = A.T @ phi + P @ b
-            if with_c:
-                dP = dP + np.einsum("ijn,jk,ikl->nl", C, P, C)
-                dphi = dphi + np.einsum("ijn,jk,ik->n", C, P, sigma)
-            dP = -(dP + Qt - Mx.T @ Kinv_Mx)
-            dphi = -(dphi + qt - Mx.T @ Kinv_mv)
-            dc = -(float(phi @ b) + 0.5 * float(np.einsum("ij,jk,ik->", sigma, P, sigma))
-                   - 0.5 * float(mv @ Kinv_mv))
-            return _sym(dP), dphi, dc
+        return regular
 
-        def gains(P, phi):
-            Kmat, Mx, mv = forms(P, phi)
-            return -solve_spd(Kmat, Mx), -solve_spd(Kmat, mv)
+    def hand_off(Kinv_Mx, Kinv_mv):
+        if pending[0] is not None:
+            th_out[pending[0]], to_out[pending[0]] = -Kinv_Mx, -Kinv_mv
+            pending[0] = None
 
-        return rhs, forms, gains
-
-    G = cost.G
-    P, phi, c = G.copy(), cost.r.copy(), 0.0
+    if _on_floats(spec.dims):
+        # float(p) is p: a float is its own symmetric part
+        terms, sym, P, phi = _float_terms, float, cost.G.item(), cost.r.item()
+    else:
+        terms, sym, P, phi = _matrix_terms, _sym, cost.G.copy(), cost.r.copy()
+    c = 0.0
     idx = K_total
     times[idx] = grid.T
     P_out[idx], phi_out[idx], c_out[idx] = P, phi, c
 
     # the last interval's coefficients: its first stage k1 supplies the terminal gains
-    _, forms_fn, _ = make_rhs(_freeze(spec, float(grid.nodes[grid.N - 1])), grid.T)
-    if min_eigenvalue(_sym(forms_fn(G, phi)[0])) < 1e-12:
+    _, k_min, _ = terms(_freeze(spec, float(grid.nodes[grid.N - 1])), None, None)
+    if k_min(P, phi) < 1e-12:
         raise RiccatiSingularError("R + D^T G D is singular at the terminal time", t=grid.T)
     pending[0] = idx
 
     for k in range(grid.N - 1, -1, -1):
         t_left = float(grid.nodes[k])
-        rhs, _, gains_fn = make_rhs(_freeze(spec, t_left), t_left)
+        rhs, _, gains_fn = terms(_freeze(spec, t_left), regular_from(t_left), hand_off)
         h = -(float(grid.nodes[k + 1]) - t_left) / substeps
         t_cur = float(grid.nodes[k + 1])
-        for s, (P, phi, c) in enumerate(_rk4(rhs, (P, phi, c), h, substeps), 1):
+        for s, (P, phi, c) in enumerate(_rk4(rhs, (P, phi, c), h, substeps, sym), 1):
             t_cur += h
             idx -= 1
             times[idx] = t_cur
@@ -298,7 +384,7 @@ def lq_policy_value(spec, grid: TimeGrid, Theta, theta=None, substeps: int = 4):
             return _sym(dP), dphi, dc
 
         h = -(float(grid.nodes[k + 1]) - t_left) / substeps
-        for P, phi, c in _rk4(rhs, (P, phi, c), h, substeps):
+        for P, phi, c in _rk4(rhs, (P, phi, c), h, substeps, _sym):
             pass
 
     def value(x):

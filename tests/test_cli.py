@@ -631,6 +631,22 @@ def test_verify_lq_with_derivative_table(workdir):
     assert lines[0] == "t,err_mean,err_max"
 
 
+@pytest.mark.parametrize("budget, flag, checks", [
+    ("CONTROL_REL_L2_BUDGET", "control_ok", {}),
+    ("RICCATI_STATE_BUDGET", "riccati_state_ok", {"with_derivative": True}),
+])
+def test_verify_lq_reads_its_budgets(budget, flag, checks, workdir, monkeypatch):
+    # each allowance is fixed once, in budgets.py; at 0 no error passes it
+    monkeypatch.setattr(f"lcflow.cli.{budget}", 0.0)
+    cfg = _config(workdir, checks=checks)
+    out = workdir / "zero"
+    code = main(["verify-lq", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert code == 1
+    assert report[flag] is False
+    assert report["cost_ok"] and report["y0_ok"]
+
+
 def test_hjb_command_solver_source_at_the_horizon(workdir):
     # at N=10 the last default sample, t = 0.8, and h_t = 2 dt reach T, where the solver source
     # answers the terminal cost in place of a solve from the horizon
